@@ -11,6 +11,7 @@
  * skeleton, multi-queue dataflow, multicast adapter, and parallelism
  * machinery all come from the framework unchanged.
  */
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -55,20 +56,22 @@ class NewGnnLayer : public Layer
     }
     bool uses_edge_features() const override { return edge_dim_ > 0; }
 
-    // Line 14-17: the per-edge message function.
-    Vec
-    message(const Vec &x_src, const float *edge_feat,
-            std::size_t edge_dim, NodeId, NodeId,
-            const LayerContext &) const override
+    // Line 14-17: the per-edge message function, written into the
+    // framework's msg_dim()-float buffer.
+    void
+    message(const float *x_src, const float *edge_feat,
+            std::size_t edge_dim, NodeId, NodeId, const LayerContext &,
+            float *out) const override
     {
-        Vec msg = x_src;
+        std::copy(x_src, x_src + dim_, out);
         if (edge_dim_ > 0 && edge_feat != nullptr &&
             edge_dim == edge_dim_) {
-            Vec e(edge_feat, edge_feat + edge_dim);
-            add_inplace(msg, edge_enc_.forward(e));
+            Vec e(dim_);
+            edge_enc_.forward(edge_feat, e.data());
+            for (std::size_t i = 0; i < dim_; ++i)
+                out[i] += e[i];
         }
-        apply_activation(msg, Activation::kRelu);
-        return msg;
+        apply_activation(out, dim_, Activation::kRelu);
     }
 
     // Line 10-13: the node transformation.

@@ -1,25 +1,11 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "core/phase_model.h"
 #include "graph/partition.h"
-#include "nn/gat_layer.h"
 
 namespace flowgnn {
-
-namespace {
-
-std::uint64_t
-ceil_div(std::uint64_t a, std::uint64_t b)
-{
-    return (a + b - 1) / b;
-}
-
-} // namespace
 
 /**
  * Graph-sized scratch buffers reused across runs. Buffers are resized
@@ -28,14 +14,10 @@ ceil_div(std::uint64_t a, std::uint64_t b)
  */
 struct RunWorkspace::Impl {
     std::vector<std::uint32_t> bank_of;
-    std::vector<std::uint32_t> bank_count;
     std::vector<std::vector<BankWork>> banks;
     std::vector<std::uint64_t> acc_cycles;
     std::vector<std::uint64_t> acc_zero;
-    std::vector<Vec> cur;
-    std::vector<Vec> out;
-    std::vector<float> prev_state;
-    std::vector<float> next_state;
+    FunctionalScratch functional;
 };
 
 RunWorkspace::RunWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -104,61 +86,21 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
                       RunResult &result, std::size_t max_stages,
                       unsigned threads) const
 {
-    opts.validate();
     const EngineConfig &cfg = config_;
     RunWorkspace::Impl &wsi = *ws.impl_;
-    if (!prepared.consistent(threads))
-        throw std::invalid_argument("Engine: inconsistent sample");
-    const bool resuming = ckpt.next_stage > 0;
-    if (resuming && ckpt.next_stage >= model_.num_stages())
-        throw std::invalid_argument(
-            "Engine: checkpoint resume point past the last stage");
-    if (resuming && ckpt.embeddings.size() != prepared.num_nodes())
-        throw std::invalid_argument(
-            "Engine: checkpoint does not match the sample");
-
     const NodeId n_nodes = prepared.num_nodes();
-    LayerContext ctx =
-        make_layer_context(prepared, model_.pna_params(), threads);
-    CsrGraph csr(prepared.graph, threads);
+    if (n_nodes == 0)
+        throw std::invalid_argument("Engine: sample has no nodes");
 
-    // Destination-node -> MP-bank map. Modulo is the on-the-fly
-    // default; greedy balancing is the pre-processing ablation.
-    std::vector<std::uint32_t> &bank_of = wsi.bank_of;
-    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
-        bank_of =
-            balanced_bank_assignment(prepared.graph, cfg.p_edge, threads);
-    } else {
-        bank_of.resize(n_nodes);
-        for (NodeId n = 0; n < n_nodes; ++n)
-            bank_of[n] = n % cfg.p_edge;
-    }
-
-    // Per-node destination-bank split, computed on the fly from the
-    // streamed edge list, shared across phases.
-    std::vector<std::vector<BankWork>> &banks = wsi.banks;
-    if (banks.size() < n_nodes)
-        banks.resize(n_nodes);
-    {
-        std::vector<std::uint32_t> &count = wsi.bank_count;
-        count.assign(cfg.p_edge, 0);
-        for (NodeId n = 0; n < n_nodes; ++n) {
-            banks[n].clear();
-            std::fill(count.begin(), count.end(), 0);
-            for (std::size_t s = csr.row_begin(n); s < csr.row_end(n); ++s)
-                ++count[bank_of[csr.dst(s)]];
-            for (std::uint32_t b = 0; b < cfg.p_edge; ++b)
-                if (count[b] > 0)
-                    banks[n].push_back({b, count[b]});
-        }
-    }
-
+    // Timing accumulated over the completed stages carries over;
+    // everything derived (banks, adjacency, schedule) is rebuilt below
+    // from (sample, config), so it cannot drift from the original run.
+    const std::size_t first = ckpt.next_stage;
     RunStats &stats = result.stats;
-    if (resuming) {
-        // Timing accumulated over the completed stages carries over;
-        // everything derived (banks, CSR, schedule) was rebuilt above
-        // from (sample, config) so it cannot drift from the original.
+    std::uint64_t phase_base = 0;
+    if (first > 0) {
         stats = std::move(ckpt.stats);
+        phase_base = ckpt.phase_base;
     } else {
         stats = RunStats{};
         stats.clock_mhz = cfg.clock_mhz;
@@ -170,275 +112,94 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
         // in at 64 words/cycle (a conservative fraction of the U50's
         // 460 GB/s HBM2 bandwidth, ~380 words/cycle at 300 MHz); not
         // overlapped with compute, as documented in docs/DESIGN.md.
-        stats.load_cycles = ceil_div(
+        stats.load_cycles = ceil_div_u64(
             std::uint64_t(n_nodes) * (prepared.node_dim + 1) +
                 std::uint64_t(prepared.num_edges()) *
                     (prepared.edge_dim + 2),
             64);
     }
 
-    // ---- Functional state ----
-    const bool quant = opts.emulate_fixed_point;
-    const FixedPointFormat &fmt = opts.fixed_point;
-    std::vector<Vec> &cur = wsi.cur;
-    std::vector<Vec> &out = wsi.out;
-    out.resize(n_nodes);
-    if (resuming) {
-        cur = std::move(ckpt.embeddings);
-    } else {
-        cur.resize(n_nodes);
-        for (NodeId i = 0; i < n_nodes; ++i) {
-            if (prepared.node_dim > 0) {
-                const float *row = prepared.node_row(i);
-                cur[i].assign(row, row + prepared.node_dim);
-            } else {
-                cur[i].clear();
-            }
-            if (quant)
-                quantize_inplace(cur[i], fmt);
-        }
-    }
-
-    Aggregator prev_agg;        // aggregator of messages consumed now
-    std::vector<float> &prev_state = wsi.prev_state;
-    bool have_prev_agg = false;
-
-    const GatLayer *pending_gat = nullptr; // 'cur' holds projections
-    std::unique_ptr<CscGraph> csc;         // built lazily for GAT
-
-    if (resuming) {
-        // The aggregator object and the GAT layer pointer carry no run
-        // state; only their *identity* is checkpointed (have_agg /
-        // pending_gat flags) and both are recovered from the model.
-        prev_state = std::move(ckpt.agg_state);
-        have_prev_agg = ckpt.have_agg;
-        if (have_prev_agg)
-            prev_agg = model_.stage(ckpt.next_stage).aggregator();
-        if (ckpt.pending_gat) {
-            pending_gat = dynamic_cast<const GatLayer *>(
-                &model_.stage(ckpt.next_stage - 1));
-            if (pending_gat == nullptr)
-                throw std::logic_error(
-                    "Engine: checkpoint pending_gat at non-GAT stage");
-        }
-    }
-
-    auto combine_pending_gat = [&]() {
-        if (pending_gat == nullptr)
-            return;
-        if (!csc)
-            csc = std::make_unique<CscGraph>(prepared.graph, threads);
-        std::vector<Vec> combined(n_nodes);
-        for (NodeId i = 0; i < n_nodes; ++i) {
-            std::vector<const Vec *> nbrs;
-            nbrs.reserve(csc->in_degree(i));
-            for (std::size_t s = csc->col_begin(i); s < csc->col_end(i);
-                 ++s)
-                nbrs.push_back(&cur[csc->src(s)]);
-            combined[i] = gat_combine(*pending_gat, cur[i], nbrs);
-            if (quant)
-                quantize_inplace(combined[i], fmt);
-        }
-        cur = std::move(combined);
-        pending_gat = nullptr;
-    };
-
-    const float *efeat = prepared.edge_features;
-    const std::size_t edge_dim = prepared.edge_dim;
-
+    // ---- Values: the functional kernel runs this segment's stages
+    // and decides where it ends (it polls the preemption token) ----
+    const SegmentOutcome outcome =
+        functional_forward(model_, prepared, opts, threads, ckpt,
+                           max_stages, result.embeddings, &wsi.functional);
     const std::size_t n_stages = model_.num_stages();
+    const std::size_t last = outcome == SegmentOutcome::kComplete
+                                 ? n_stages
+                                 : ckpt.next_stage;
+
+    // ---- Timing: the same stages, priced from structure alone ----
+    // Destination-node -> MP-bank map. Modulo is the on-the-fly
+    // default; greedy balancing is the pre-processing ablation.
+    std::vector<std::uint32_t> &bank_of = wsi.bank_of;
+    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
+        bank_of =
+            balanced_bank_assignment(prepared.graph, cfg.p_edge, threads);
+    } else {
+        bank_of.resize(n_nodes);
+        for (NodeId n = 0; n < n_nodes; ++n)
+            bank_of[n] = n % cfg.p_edge;
+    }
+    split_banks(prepared.graph, bank_of, cfg.p_edge, wsi.banks);
+
+    // Timing constants come from the shared per-stage schedule — the
+    // same numbers the ghost-exchange executor prices with.
     const std::vector<StageSchedule> schedule =
         build_stage_schedule(model_, cfg);
-    std::uint64_t phase_base = resuming ? ckpt.phase_base : 0;
-    std::size_t stages_this_call = 0;
-    for (std::size_t si = ckpt.next_stage; si < n_stages; ++si) {
-        const Layer &stage = model_.stage(si);
-        const bool is_gat = (stage.dataflow() == DataflowKind::kMpToNt);
-        const bool prev_was_gat = (pending_gat != nullptr);
-        const auto *gat = dynamic_cast<const GatLayer *>(&stage);
-        if (is_gat && gat == nullptr)
-            throw std::logic_error("Engine: MP-to-NT stage is not GAT");
-
-        // The scatter fused into this phase: either the next NT-to-MP
-        // conv's message pass, or this GAT stage's own gather rounds.
-        const Layer *scatter_stage = nullptr;
-        if (is_gat) {
-            scatter_stage = &stage;
-        } else if (si + 1 < n_stages) {
-            const Layer &next = model_.stage(si + 1);
-            if (next.msg_dim() > 0 &&
-                next.dataflow() == DataflowKind::kNtToMp)
-                scatter_stage = &next;
-        }
-
-        // Functional prologue: materialize pending GAT combine so this
-        // stage sees real embeddings. (Its cycle cost is folded into
-        // the schedule's acc_cycles as an extra NT pass.)
-        if (prev_was_gat)
-            combine_pending_gat();
-
-        // ---- Build this phase's work description ----
-        // Timing constants come from the shared per-stage schedule —
-        // the same numbers the ghost-exchange executor prices with.
+    for (std::size_t si = first; si < last; ++si) {
         const StageSchedule &sched = schedule[si];
+        wsi.acc_cycles.assign(n_nodes, sched.acc_cycles);
         PhaseWork w;
         w.n_nodes = n_nodes;
+        w.acc_cycles = &wsi.acc_cycles;
         w.stream_elems = sched.stream_elems;
-        w.banks = &banks;
         w.has_scatter = sched.has_scatter;
         w.expansion = sched.expansion;
-        wsi.acc_cycles.assign(n_nodes, sched.acc_cycles);
-        w.acc_cycles = &wsi.acc_cycles;
-
-        Aggregator next_agg;
-        std::vector<float> &next_state = wsi.next_state;
-        next_state.clear();
-        if (scatter_stage != nullptr && !is_gat) {
-            next_agg = scatter_stage->aggregator();
-            next_state.assign(std::size_t(n_nodes) *
-                                  next_agg.state_dim(),
-                              0.0f);
-            for (NodeId i = 0; i < n_nodes; ++i)
-                next_agg.init(next_state.data() +
-                              std::size_t(i) * next_agg.state_dim());
-        }
-
-        // Functional NT: compute this stage's node outputs.
-        w.on_nt_complete = [&, is_gat, gat](NodeId node) {
-            if (is_gat) {
-                out[node] = gat->project(cur[node]);
-            } else if (have_prev_agg) {
-                Vec fin = prev_agg.finalize(
-                    prev_state.data() +
-                        std::size_t(node) * prev_agg.state_dim(),
-                    ctx.in_deg[node], ctx.pna);
-                if (quant)
-                    quantize_inplace(fin, fmt);
-                out[node] = stage.transform(cur[node], fin, node, ctx);
-            } else {
-                Vec empty;
-                out[node] = stage.transform(cur[node], empty, node, ctx);
-            }
-            if (quant)
-                quantize_inplace(out[node], fmt);
-        };
-
-        // Functional MP: accumulate this node's messages into the
-        // destination states owned by the completing bank, in arrival
-        // order (the real dataflow behaviour).
-        if (w.has_scatter && !is_gat) {
-            Aggregator *agg_ptr = &next_agg;
-            std::vector<float> *state_ptr = &next_state;
-            w.on_mp_complete = [&, agg_ptr, state_ptr, scatter_stage](
-                                   NodeId node, std::uint32_t bank) {
-                for (std::size_t s = csr.row_begin(node);
-                     s < csr.row_end(node); ++s) {
-                    NodeId dst = csr.dst(s);
-                    if (bank_of[dst] != bank)
-                        continue;
-                    EdgeId eid = csr.edge_id(s);
-                    const float *ef = edge_dim
-                        ? efeat + std::size_t(eid) * edge_dim
-                        : nullptr;
-                    Vec msg = scatter_stage->message(
-                        out[node], ef, edge_dim, node, dst, ctx);
-                    if (quant)
-                        quantize_inplace(msg, fmt);
-                    float *dst_state = state_ptr->data() +
-                        std::size_t(dst) * agg_ptr->state_dim();
-                    agg_ptr->accumulate(dst_state, msg.data());
-                    if (quant)
-                        quantize_inplace(dst_state,
-                                         agg_ptr->state_dim(), fmt);
-                }
-            };
-        }
-
-        // ---- Timing: run the phase (GAT gathers need two rounds) ----
-        PhaseEnv env{w, cfg, opts, stats, phase_base};
-        std::uint64_t cycles = run_phase(env);
-        if (is_gat) {
-            // Round 2: re-stream the projections from the node buffer
-            // (no recomputation) for the weighted sum.
+        w.banks = &wsi.banks;
+        std::uint64_t cycles = run_phase({w, cfg, opts, stats, phase_base});
+        if (sched.is_gat) {
+            // GAT gathers need a second round: re-stream the
+            // projections from the node buffer (no recomputation) for
+            // the weighted sum.
             PhaseWork w2 = w;
             wsi.acc_zero.assign(n_nodes, 0);
             w2.acc_cycles = &wsi.acc_zero;
-            w2.on_nt_complete = nullptr;
-            w2.on_mp_complete = nullptr;
-            PhaseEnv env2{w2, cfg, opts, stats, phase_base + cycles};
-            cycles += run_phase(env2);
+            cycles +=
+                run_phase({w2, cfg, opts, stats, phase_base + cycles});
         }
         phase_base += cycles;
         stats.phase_cycles.push_back(cycles);
         stats.total_cycles += cycles;
+    }
 
-        // ---- Commit functional state ----
-        // Swap instead of move-assign: the displaced buffers stay in
-        // the workspace and their element capacity is reused next
-        // stage / next run (every node's slot is overwritten before
-        // it is read again).
-        std::swap(cur, out);
-        if (is_gat) {
-            pending_gat = gat;
-            have_prev_agg = false;
-        } else if (w.has_scatter) {
-            prev_agg = next_agg;
-            std::swap(prev_state, next_state);
-            have_prev_agg = true;
-        } else {
-            have_prev_agg = false;
-        }
-
-        // ---- Layer-boundary yield point ----
-        // Checked only after at least one stage completed this call
-        // (progress guarantee) and never after the final stage, whose
-        // epilogue + head are cheaper than a checkpoint round-trip.
-        ++stages_this_call;
-        if (si + 1 < n_stages &&
-            (stages_this_call >= max_stages ||
-             (opts.preempt != nullptr && opts.preempt->requested()))) {
-            ckpt.next_stage = si + 1;
-            ckpt.embeddings = std::move(cur);
-            ckpt.agg_state = std::move(prev_state);
-            ckpt.have_agg = have_prev_agg;
-            ckpt.pending_gat = (pending_gat != nullptr);
-            ckpt.stats = std::move(stats);
-            ckpt.phase_base = phase_base;
-            return SegmentOutcome::kPreempted;
-        }
+    if (outcome == SegmentOutcome::kPreempted) {
+        ckpt.stats = std::move(stats);
+        ckpt.phase_base = phase_base;
+        return outcome;
     }
 
     // Epilogue: final GAT combine if the last stage was attention.
-    if (pending_gat != nullptr) {
-        std::uint64_t per_node =
-            ceil_div(model_.stage(n_stages - 1).out_dim(), cfg.p_apply);
+    if (schedule.back().is_gat) {
+        std::uint64_t per_node = ceil_div_u64(
+            model_.stage(n_stages - 1).out_dim(), cfg.p_apply);
         std::uint64_t epi =
-            ceil_div(std::uint64_t(n_nodes), cfg.p_node) * per_node;
+            ceil_div_u64(std::uint64_t(n_nodes), cfg.p_node) * per_node;
         stats.phase_cycles.push_back(epi);
         stats.total_cycles += epi;
-        combine_pending_gat();
     }
 
-    // Global mean pooling (accumulated while the final embeddings
-    // stream out — free) + the MLP head.
-    result.embeddings = Matrix(n_nodes, model_.embedding_dim());
-    for (NodeId i = 0; i < n_nodes; ++i)
-        result.embeddings.set_row(i, cur[i]);
-    Vec pooled =
-        model_.global_pool(result.embeddings, prepared.pool_nodes());
-    result.prediction = model_.head().forward(pooled)[0];
-
+    // Global pooling (accumulated while the final embeddings stream
+    // out — free) + the MLP head.
+    result.prediction =
+        model_.readout(result.embeddings, prepared.pool_nodes());
     std::uint64_t head_cycles = 0;
     for (std::size_t l = 0; l < model_.head().num_layers(); ++l)
         head_cycles +=
-            ceil_div(model_.head().layer(l).in_dim(), cfg.p_apply);
+            ceil_div_u64(model_.head().layer(l).in_dim(), cfg.p_apply);
     stats.head_cycles = head_cycles;
     stats.total_cycles += head_cycles + stats.load_cycles;
-
-    // A completed run leaves the checkpoint fresh: the same object can
-    // drive the next job without the caller having to reset it.
-    ckpt = LayerCheckpoint{};
-    return SegmentOutcome::kComplete;
+    return outcome;
 }
 
 } // namespace flowgnn

@@ -1,9 +1,14 @@
 /**
  * @file
  * The FlowGNN dataflow engine: a cycle-stepped microarchitecture model
- * of the accelerator in paper Fig. 3(b) that simultaneously computes
- * the GNN functionally (for cross-checking against the reference
- * executor) and counts cycles (for every latency experiment).
+ * of the accelerator in paper Fig. 3(b). A run computes the GNN's
+ * values with the functional kernel (core/functional.h) and counts
+ * cycles with the structural phase model (core/phase_model.h) — the
+ * two never interact, because timing depends on graph structure
+ * alone. Embeddings are bit-identical to the reference executor in
+ * every pipeline mode and at every NT-unit count: the kernel folds
+ * each destination's messages in src-major order, whatever order the
+ * modeled units would deliver them in.
  *
  * Architecture modeled per pipeline phase:
  *
@@ -24,6 +29,7 @@
 #include <memory>
 
 #include "core/config.h"
+#include "core/functional.h"
 #include "core/stats.h"
 #include "graph/sample.h"
 #include "nn/model.h"
@@ -55,71 +61,12 @@ struct RunResult {
 };
 
 /**
- * Functional + timing state captured at a message-passing layer
- * boundary — the engine's preemption checkpoint format (see
- * docs/DESIGN.md "Layer-boundary preemption").
- *
- * A boundary after stage k holds exactly three pieces of state:
- * the embeddings entering stage k+1 (`embeddings`), the message
- * aggregation scattered during stage k's phase and consumed by stage
- * k+1 (`agg_state`; the Aggregator object itself is reconstructed
- * from the model, it carries no run state), and the pending-GAT flag
- * (stage k was attention: `embeddings` holds projections whose
- * combine is deferred into stage k+1's prologue). Everything else the
- * run needs — bank maps, CSR adjacency, stage schedule — is a pure
- * function of (sample, config) and is rebuilt on resume, which is
- * what makes resumed runs bit-identical to uninterrupted ones: the
- * checkpoint stores no derived state that could drift.
- *
- * `stats` carries the timing accumulated so far so the resumed run's
- * RunStats also match the uninterrupted run exactly; the scheduler
- * accounts preemption overhead (checkpoint store + reload DMA,
- * priced from checkpoint_words()) on its own ledger, never inside
- * the run.
- */
-struct LayerCheckpoint {
-    /** Stages completed; the resume point. 0 = a fresh run. */
-    std::size_t next_stage = 0;
-    /** Per-node embeddings entering `next_stage` (quantized values
-     * are stored post-quantization, so bits are preserved). */
-    std::vector<Vec> embeddings;
-    /** Pending aggregation state (num_nodes x state_dim, flat), the
-     * messages scattered for `next_stage`; empty when have_agg is
-     * false. */
-    std::vector<float> agg_state;
-    bool have_agg = false;
-    /** Stage next_stage-1 was GAT: `embeddings` holds projections. */
-    bool pending_gat = false;
-    /** Timing accumulated over completed stages (load DMA included,
-     * head not yet). */
-    RunStats stats;
-    /** Timing cursor: total phase cycles completed (trace offsets). */
-    std::uint64_t phase_base = 0;
-
-    /** Checkpoint size in 4-byte words — what a scheduler charges as
-     * store/reload DMA when pricing preemption delay. */
-    std::uint64_t
-    checkpoint_words() const
-    {
-        std::uint64_t words = agg_state.size();
-        for (const Vec &row : embeddings)
-            words += row.size();
-        return words;
-    }
-};
-
-/** How a resumable run segment ended. */
-enum class SegmentOutcome {
-    kComplete,  ///< ran to the end; the RunResult is filled
-    kPreempted, ///< yielded at a layer boundary; checkpoint updated
-};
-
-/**
  * Reusable per-run scratch memory. A workspace keeps the graph-sized
- * buffers (bank maps, embedding ping-pong arrays, aggregator state)
- * alive across runs so a long-lived replica's hot path stops paying
- * per-graph allocation; each serve replica owns exactly one. Not
- * thread-safe: never share one workspace between concurrent runs.
+ * buffers (bank maps, the functional kernel's row-major embedding and
+ * aggregator buffers) alive across runs so a long-lived replica's hot
+ * path stops paying per-graph allocation; each serve replica owns
+ * exactly one. Not thread-safe: never share one workspace between
+ * concurrent runs.
  */
 class RunWorkspace
 {
@@ -183,10 +130,12 @@ class Engine
     /**
      * The canonical run body: a borrowed SampleRef, so mmap-backed
      * graphs (io::GraphView::sample) run without ever materializing a
-     * GraphSample. The GraphSample overloads delegate here. `threads`
-     * parallelizes the host-side adjacency builds and degree counts
-     * (0 = all cores); results are bit-identical for every value. The
-     * ref's backing must stay alive for the duration of the call.
+     * GraphSample. The GraphSample overloads delegate here (one
+     * thread). `threads` runs the functional kernel's workers and the
+     * host-side adjacency builds (0 = all cores); results are
+     * bit-identical for every value. Throws std::invalid_argument on a
+     * sample without nodes. The ref's backing must stay alive for the
+     * duration of the call.
      */
     RunResult run_prepared(const SampleRef &prepared,
                            const RunOptions &opts, RunWorkspace &ws,

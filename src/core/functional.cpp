@@ -1,0 +1,346 @@
+#include "core/functional.h"
+
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <string>
+
+#include "core/parallel.h"
+#include "nn/gat_layer.h"
+#include "tensor/fixed_point.h"
+
+namespace flowgnn {
+
+namespace {
+
+/** Edges below which the kernel stays on the caller: a gathered edge
+ * (message + accumulate) costs far more than a counting-sort element,
+ * so workers pay off from a few thousand edges. */
+constexpr std::size_t kKernelSerialCutoff = std::size_t(1) << 12;
+
+bool
+is_conv(const Layer &stage)
+{
+    return stage.msg_dim() > 0 &&
+           stage.dataflow() == DataflowKind::kNtToMp;
+}
+
+/** The GAT layer behind an MP-to-NT stage; null for other stages. */
+const GatLayer *
+attention(const Layer &stage)
+{
+    if (stage.dataflow() != DataflowKind::kMpToNt)
+        return nullptr;
+    const auto *gat = dynamic_cast<const GatLayer *>(&stage);
+    if (gat == nullptr)
+        throw std::logic_error(
+            "functional_forward: MP-to-NT stage is not GAT");
+    return gat;
+}
+
+/**
+ * One kernel pass over a prepared sample: the layer context, the
+ * lazily built in-adjacencies, and the per-stage phases over row-major
+ * [num_nodes x width] buffers. Every phase writes only rows its worker
+ * owns.
+ */
+class Pass
+{
+  public:
+    Pass(const Model &model, const SampleRef &g, const RunOptions &opts,
+         unsigned threads)
+        : g_(g), n_(g.num_nodes()), opts_(opts), threads_(threads),
+          ctx_(make_layer_context(g, model.pna_params(), threads))
+    {
+        if (g.num_edges() >= kKernelSerialCutoff)
+            parts_ = std::min<unsigned>(host_threads(threads), n_);
+        // Edge ids ride along only when some conv reads edge features.
+        for (std::size_t si = 0; si < model.num_stages(); ++si)
+            edge_ids_ = edge_ids_ ||
+                        (g.edge_dim > 0 && is_conv(model.stage(si)) &&
+                         model.stage(si).uses_edge_features());
+    }
+
+    void
+    quantize(float *values, std::size_t count) const
+    {
+        if (opts_.emulate_fixed_point)
+            quantize_inplace(values, count, opts_.fixed_point);
+    }
+
+    /** out = stage.transform(x, finalized aggregate), or the GAT
+     * projection of x when `gat` is set. */
+    void
+    transform(const Layer &stage, const GatLayer *gat,
+              const std::vector<float> &x, const Aggregator *agg,
+              const std::vector<float> &state, std::vector<float> &out)
+    {
+        const std::size_t in_dim = stage.in_dim();
+        const std::size_t sd = agg != nullptr ? agg->state_dim() : 0;
+        out.resize(std::size_t(n_) * stage.out_dim());
+        parallel_ranges(
+            n_, parts_,
+            [&](std::size_t begin, std::size_t end, unsigned) {
+                Vec self;
+                Vec fin;
+                for (std::size_t i = begin; i < end; ++i) {
+                    self.assign(x.data() + i * in_dim,
+                                x.data() + (i + 1) * in_dim);
+                    if (agg != nullptr) {
+                        fin = agg->finalize(state.data() + i * sd,
+                                            ctx_.in_deg[i], ctx_.pna);
+                        quantize(fin.data(), fin.size());
+                    }
+                    store(stage,
+                          gat != nullptr
+                              ? gat->project(self)
+                              : stage.transform(self, fin,
+                                                static_cast<NodeId>(i), ctx_),
+                          i, out);
+                }
+            },
+            /*serial_cutoff=*/1);
+    }
+
+    /** Fused message + aggregate of `conv` over its inputs `x` into
+     * `state` [num_nodes x state_dim], in src-major order. */
+    void
+    gather(const Layer &conv, const std::vector<float> &x,
+           std::vector<float> &state)
+    {
+        const Adjacency &adj = adjacency(CscOrder::kSrcMajor);
+        const Aggregator agg = conv.aggregator();
+        const std::size_t sd = agg.state_dim();
+        const bool edges = edge_ids_ && conv.uses_edge_features();
+        state.resize(std::size_t(n_) * sd);
+        for_parts(adj, [&](NodeId dst, Vec &msg) {
+            float *st = state.data() + std::size_t(dst) * sd;
+            agg.init(st);
+            msg.resize(conv.msg_dim());
+            for (std::size_t s = adj.csc.col_begin(dst);
+                 s < adj.csc.col_end(dst); ++s) {
+                const NodeId src = adj.csc.src(s);
+                conv.message(x.data() + std::size_t(src) * conv.in_dim(),
+                             edges ? g_.edge_row(adj.csc.edge_id(s))
+                                   : nullptr,
+                             edges ? g_.edge_dim : 0, src, dst, ctx_,
+                             msg.data());
+                quantize(msg.data(), msg.size());
+                agg.accumulate(st, msg.data());
+                quantize(st, sd);
+            }
+        });
+    }
+
+    /** The deferred attention combine over projections `h`, in stream
+     * order — the attention gather's own arrival order. */
+    void
+    combine(const GatLayer &gat, const std::vector<float> &h,
+            std::vector<float> &out)
+    {
+        const Adjacency &adj = adjacency(CscOrder::kStream);
+        const std::size_t dim = gat.out_dim();
+        out.resize(std::size_t(n_) * dim);
+        for_parts(adj, [&](NodeId dst, Vec &) {
+            std::vector<const float *> nbrs;
+            for (std::size_t s = adj.csc.col_begin(dst);
+                 s < adj.csc.col_end(dst); ++s)
+                nbrs.push_back(h.data() + std::size_t(adj.csc.src(s)) * dim);
+            store(gat, gat_combine(gat, h.data() + std::size_t(dst) * dim,
+                                   nbrs),
+                  dst, out);
+        });
+    }
+
+  private:
+    struct Adjacency {
+        CscGraph csc;
+        std::vector<NodeId> bounds; ///< edge-balanced worker ranges
+    };
+
+    /** The in-adjacency in `order`, built on first use. Attention never
+     * reads edge features, so only the src-major one keeps edge ids. */
+    const Adjacency &
+    adjacency(CscOrder order)
+    {
+        std::unique_ptr<Adjacency> &slot =
+            order == CscOrder::kSrcMajor ? src_major_ : stream_;
+        if (!slot) {
+            slot = std::make_unique<Adjacency>();
+            slot->csc = CscGraph(g_.graph, threads_, order,
+                                 order == CscOrder::kSrcMajor && edge_ids_);
+            slot->bounds = slot->csc.balanced_cols(parts_);
+        }
+        return *slot;
+    }
+
+    /** fn(dst, scratch) for every destination, one thread per
+     * edge-balanced range; `scratch` is the worker's reusable row. */
+    template <class Fn>
+    void
+    for_parts(const Adjacency &adj, Fn &&fn) const
+    {
+        parallel_ranges(
+            parts_, parts_,
+            [&](std::size_t p, std::size_t, unsigned) {
+                Vec scratch;
+                for (NodeId v = adj.bounds[p]; v < adj.bounds[p + 1]; ++v)
+                    fn(v, scratch);
+            },
+            /*serial_cutoff=*/2);
+    }
+
+    /** Writes one node's stage output into row `i`, quantized. */
+    void
+    store(const Layer &stage, Vec y, std::size_t i,
+          std::vector<float> &out) const
+    {
+        if (y.size() != stage.out_dim())
+            throw std::logic_error(std::string(stage.name()) +
+                                   ": output width differs from out_dim()");
+        quantize(y.data(), y.size());
+        std::copy(y.begin(), y.end(), out.data() + i * y.size());
+    }
+
+    const SampleRef &g_;
+    const NodeId n_;
+    const RunOptions &opts_;
+    const unsigned threads_;
+    const LayerContext ctx_;
+    unsigned parts_ = 1;
+    bool edge_ids_ = false;
+    std::unique_ptr<Adjacency> src_major_;
+    std::unique_ptr<Adjacency> stream_;
+};
+
+} // namespace
+
+SegmentOutcome
+functional_forward(const Model &model, const SampleRef &prepared,
+                   const RunOptions &opts, unsigned threads,
+                   LayerCheckpoint &ckpt, std::size_t max_stages,
+                   Matrix &embeddings, FunctionalScratch *scratch)
+{
+    opts.validate();
+    const NodeId n = prepared.num_nodes();
+    const std::size_t n_stages = model.num_stages();
+    const std::size_t first = ckpt.next_stage;
+    if (n == 0)
+        throw std::invalid_argument("functional_forward: no nodes");
+    if (!prepared.consistent(threads) ||
+        prepared.node_dim != model.stage(0).in_dim())
+        throw std::invalid_argument(
+            "functional_forward: inconsistent sample");
+    if (first >= n_stages)
+        throw std::invalid_argument(
+            "functional_forward: resume point past the last stage");
+
+    FunctionalScratch local;
+    FunctionalScratch &ws = scratch != nullptr ? *scratch : local;
+    std::vector<float> &cur = ws.cur;
+    std::vector<float> &out = ws.out;
+    std::vector<float> &state = ws.state;
+    Pass pass(model, prepared, opts, threads);
+
+    bool have_agg = false;
+    const GatLayer *pending_gat = nullptr;
+    if (first == 0) {
+        cur.assign(prepared.node_features,
+                   prepared.node_features +
+                       std::size_t(n) * prepared.node_dim);
+        pass.quantize(cur.data(), cur.size());
+    } else {
+        // A boundary's value state is exactly what the checkpoint holds.
+        const std::size_t dim = model.stage(first - 1).out_dim();
+        pending_gat = attention(model.stage(first - 1));
+        if (ckpt.embeddings.size() != n ||
+            ckpt.pending_gat != (pending_gat != nullptr) ||
+            std::any_of(ckpt.embeddings.begin(), ckpt.embeddings.end(),
+                        [&](const Vec &row) { return row.size() != dim; }))
+            throw std::invalid_argument(
+                "functional_forward: checkpoint does not match the sample");
+        cur.resize(std::size_t(n) * dim);
+        for (NodeId i = 0; i < n; ++i)
+            std::copy(ckpt.embeddings[i].begin(), ckpt.embeddings[i].end(),
+                      cur.data() + std::size_t(i) * dim);
+        have_agg = ckpt.have_agg;
+        if (have_agg)
+            state = std::move(ckpt.agg_state);
+    }
+
+    for (std::size_t si = first, done = 1; si < n_stages; ++si, ++done) {
+        const Layer &stage = model.stage(si);
+        // Prologue: materialize the previous attention stage's combine.
+        if (pending_gat != nullptr) {
+            pass.combine(*pending_gat, cur, out);
+            std::swap(cur, out);
+        }
+        // A conv whose messages no earlier stage gathered (the first
+        // stage, or one right after attention) gathers them itself.
+        if (is_conv(stage) && !have_agg) {
+            pass.gather(stage, cur, state);
+            have_agg = true;
+        }
+        const Aggregator agg = have_agg ? stage.aggregator() : Aggregator();
+        pending_gat = attention(stage);
+        pass.transform(stage, pending_gat, cur, have_agg ? &agg : nullptr,
+                       state, out);
+        std::swap(cur, out);
+
+        // The fused scatter: the next conv's messages over this stage's
+        // outputs, gathered now so a boundary checkpoint carries them.
+        have_agg = pending_gat == nullptr && si + 1 < n_stages &&
+                   is_conv(model.stage(si + 1));
+        if (have_agg)
+            pass.gather(model.stage(si + 1), cur, state);
+
+        // Layer-boundary yield point: only after progress this call,
+        // never after the final stage (its epilogue is cheaper than a
+        // checkpoint round-trip).
+        if (si + 1 < n_stages &&
+            (done >= max_stages ||
+             (opts.preempt != nullptr && opts.preempt->requested()))) {
+            const std::size_t dim = stage.out_dim();
+            ckpt.next_stage = si + 1;
+            ckpt.embeddings.resize(n);
+            for (NodeId i = 0; i < n; ++i)
+                ckpt.embeddings[i].assign(cur.data() + std::size_t(i) * dim,
+                                          cur.data() +
+                                              std::size_t(i + 1) * dim);
+            ckpt.agg_state =
+                have_agg ? std::move(state) : std::vector<float>();
+            ckpt.have_agg = have_agg;
+            ckpt.pending_gat = pending_gat != nullptr;
+            return SegmentOutcome::kPreempted;
+        }
+    }
+
+    // Epilogue: the final combine when the last stage was attention.
+    if (pending_gat != nullptr) {
+        pass.combine(*pending_gat, cur, out);
+        std::swap(cur, out);
+    }
+    embeddings = Matrix(n, model.embedding_dim());
+    std::copy(cur.begin(), cur.begin() + embeddings.size(),
+              embeddings.data());
+    ckpt = LayerCheckpoint{}; // fresh for the next job
+    return SegmentOutcome::kComplete;
+}
+
+// Defined beside the kernel it delegates to: nn sits below the engine
+// layer, so nn/model.cpp cannot call into core/functional.
+Matrix
+Model::reference_embeddings(const GraphSample &prepared) const
+{
+    // The GraphSample front door keeps the feature-row checks a
+    // SampleRef cannot see.
+    if (!prepared.consistent())
+        throw std::invalid_argument("Model: inconsistent sample");
+    LayerCheckpoint fresh;
+    Matrix embeddings;
+    functional_forward(*this, SampleRef(prepared), RunOptions{}, 1, fresh,
+                       std::size_t(-1), embeddings);
+    return embeddings;
+}
+
+} // namespace flowgnn

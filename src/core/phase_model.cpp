@@ -12,8 +12,7 @@ namespace {
 /** One entry in an adapter-to-MP queue. */
 struct QueueEntry {
     NodeId node = 0;
-    std::uint32_t granules = 1;   ///< scatter granules carried
-    bool final_entry = false;     ///< last entry for this node
+    std::uint32_t granules = 1; ///< scatter granules carried
 };
 
 /** NT unit: double-buffered accumulate/output state machine. */
@@ -153,8 +152,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 --unit.rem;
                 env.stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
-                    if (unit.entry.final_entry && w.on_mp_complete)
-                        w.on_mp_complete(unit.entry.node, m);
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
                     unit.busy = false;
@@ -185,8 +182,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 --unit.rem;
                 env.stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
-                    if (unit.entry.final_entry && w.on_mp_complete)
-                        w.on_mp_complete(unit.entry.node, m);
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
                     unit.busy = false;
@@ -229,15 +224,12 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 env.stats.adapter_stall_cycles++;
                 continue;
             }
-            std::uint32_t after =
-                p.emitted_granules + emit_granules;
-            QueueEntry entry{p.node, emit_granules,
-                             after >= p.total_granules};
+            QueueEntry entry{p.node, emit_granules};
             for (const auto &bw : *p.targets) {
                 queue_at(u, bw.bank).push(entry);
                 env.stats.queue_total_pushes++;
             }
-            p.emitted_granules = after;
+            p.emitted_granules += emit_granules;
             if (p.emitted_granules >= p.total_granules)
                 p.active = false;
         }
@@ -316,8 +308,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
             if (unit.acc_active) {
                 --unit.acc_rem;
                 if (unit.acc_rem == 0) {
-                    if (w.on_nt_complete)
-                        w.on_nt_complete(unit.acc_node);
                     emit(TraceKind::kNtAccumulate, u, unit.acc_node,
                          unit.acc_start, cycle);
                     unit.acc_active = false;
@@ -334,8 +324,6 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                     // or a ghost node whose embedding arrived over the
                     // inter-die link): complete immediately into the
                     // pong slot.
-                    if (w.on_nt_complete)
-                        w.on_nt_complete(unit.acc_node);
                     unit.pong_full = true;
                     unit.pong_node = unit.acc_node;
                 } else {
@@ -390,11 +378,8 @@ analytic_nonpipelined(const PhaseEnv &env)
     const EngineConfig &cfg = env.cfg;
 
     std::vector<std::uint64_t> nt_unit(cfg.p_node, 0);
-    for (NodeId n = 0; n < w.n_nodes; ++n) {
+    for (NodeId n = 0; n < w.n_nodes; ++n)
         nt_unit[n % cfg.p_node] += analytic_nt_cycles(w, cfg, n);
-        if (w.on_nt_complete)
-            w.on_nt_complete(n);
-    }
     std::uint64_t nt_phase =
         *std::max_element(nt_unit.begin(), nt_unit.end());
 
@@ -407,8 +392,6 @@ analytic_nonpipelined(const PhaseEnv &env)
                 env.stats.mp_edge_work[bw.bank] +=
                     std::uint64_t(bw.edges) *
                     ceil_div_u64(w.stream_elems, cfg.p_scatter);
-                if (w.on_mp_complete)
-                    w.on_mp_complete(n, bw.bank);
             }
         }
     }
@@ -456,23 +439,18 @@ analytic_fixed(const PhaseEnv &env)
         total += std::max(nt_c, mp_c);
         nt_busy += nt_c;
         mp_busy += mp_c;
-        if (w.on_nt_complete)
-            w.on_nt_complete(n);
     }
     if (w.n_nodes > 0)
         total += mp_total(w.n_nodes - 1);
 
     if (w.has_scatter) {
-        for (NodeId n = 0; n < w.n_nodes; ++n) {
-            for (const auto &bw : (*w.banks)[n]) {
+        for (NodeId n = 0; n < w.n_nodes; ++n)
+            for (const auto &bw : (*w.banks)[n])
                 env.stats.mp_edge_work[bw.bank] +=
                     std::uint64_t(bw.edges) *
                     ceil_div_u64(w.stream_elems, cfg.p_scatter);
-                if (w.on_mp_complete)
-                    w.on_mp_complete(n, bw.bank);
-            }
-        }
-        mp_busy += mp_total(w.n_nodes - 1);
+        if (w.n_nodes > 0)
+            mp_busy += mp_total(w.n_nodes - 1);
     }
     env.stats.nt_units[0].busy += nt_busy;
     env.stats.nt_units[0].idle += total - nt_busy;
@@ -482,6 +460,24 @@ analytic_fixed(const PhaseEnv &env)
 }
 
 } // namespace
+
+void
+split_banks(const GraphRef &graph, const std::vector<std::uint32_t> &bank_of,
+            std::uint32_t p_edge, std::vector<std::vector<BankWork>> &banks)
+{
+    const NodeId n = graph.num_nodes();
+    std::vector<std::uint32_t> count(std::size_t(n) * p_edge, 0);
+    for (std::size_t i = 0; i < graph.num_edges(); ++i)
+        ++count[std::size_t(graph.src(i)) * p_edge + bank_of[graph.dst(i)]];
+    if (banks.size() < n)
+        banks.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+        banks[v].clear();
+        for (std::uint32_t b = 0; b < p_edge; ++b)
+            if (const std::uint32_t c = count[std::size_t(v) * p_edge + b])
+                banks[v].push_back({b, c});
+    }
+}
 
 std::uint64_t
 run_phase(const PhaseEnv &env)

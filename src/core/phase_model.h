@@ -4,8 +4,9 @@
  * executors can drive it. A pipeline phase is described by PhaseWork —
  * node count, per-node NT accumulate cycles, output stream width, and
  * the destination-bank split of the scatter — and run_phase() prices
- * it under any of the four PipelineModes, invoking the caller's
- * functional callbacks at the microarchitecturally correct moments.
+ * it under any of the four PipelineModes. Pricing is purely
+ * structural: values come from the functional kernel
+ * (core/functional.h), and no phase ever touches an embedding.
  *
  * Engine builds one PhaseWork per stage over the whole graph; the
  * ghost-exchange executor (src/ghost) builds one per stage per die
@@ -25,7 +26,6 @@
 #define FLOWGNN_CORE_PHASE_MODEL_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/config.h"
@@ -48,9 +48,20 @@ struct BankWork {
 };
 
 /**
+ * The destination-bank split of every node's out-edges, counted
+ * straight off the edge stream (no CSR): banks[v] lists (bank, edges
+ * of v into that bank) in ascending bank order, empty for sinks.
+ * Grows `banks` to the node count; inner vectors keep their capacity
+ * across calls.
+ */
+void split_banks(const GraphRef &graph,
+                 const std::vector<std::uint32_t> &bank_of,
+                 std::uint32_t p_edge,
+                 std::vector<std::vector<BankWork>> &banks);
+
+/**
  * Static description of one pipeline phase's work, independent of the
- * pipeline mode. Functional computation is injected via callbacks so
- * the same timing machinery serves every phase type.
+ * pipeline mode and of every value.
  */
 struct PhaseWork {
     NodeId n_nodes = 0;
@@ -64,10 +75,6 @@ struct PhaseWork {
     std::uint32_t expansion = 1;
     /** Destination-bank split per node (empty if no out-edges). */
     const std::vector<std::vector<BankWork>> *banks = nullptr;
-    /** Called once when a node's NT accumulate completes. */
-    std::function<void(NodeId)> on_nt_complete;
-    /** Called once per (node, bank) when its MP edge work completes. */
-    std::function<void(NodeId, std::uint32_t)> on_mp_complete;
 };
 
 /** Everything shared by the timing back-ends for one phase. */

@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/functional.h"
 #include "core/phase_model.h"
 #include "graph/partition.h"
 #include "obs/trace_session.h"
@@ -18,8 +19,8 @@ namespace {
  * owned vertices (full NT work from the shared schedule) and ghosts
  * (zero — their embedding arrived over the link and is only
  * re-streamed into the scatter; GAT ghosts pay the local projection).
- * Callbacks are null: timing is structural, the functional answer is
- * computed once globally by the caller.
+ * Timing is structural: the functional answer is computed once
+ * globally by the caller.
  */
 RunStats
 price_ghost_die(const GhostShard &shard,
@@ -60,20 +61,8 @@ price_ghost_die(const GhostShard &shard,
         for (NodeId v = 0; v < n_locals; ++v)
             bank_of[v] = v % cfg.p_edge;
     }
-    const CsrGraph csr(shard.local_graph);
-    std::vector<std::vector<BankWork>> banks(n_locals);
-    {
-        std::vector<std::uint32_t> count(cfg.p_edge, 0);
-        for (NodeId v = 0; v < n_locals; ++v) {
-            std::fill(count.begin(), count.end(), 0);
-            for (std::size_t s = csr.row_begin(v); s < csr.row_end(v);
-                 ++s)
-                ++count[bank_of[csr.dst(s)]];
-            for (std::uint32_t b = 0; b < cfg.p_edge; ++b)
-                if (count[b] > 0)
-                    banks[v].push_back({b, count[b]});
-        }
-    }
+    std::vector<std::vector<BankWork>> banks;
+    split_banks(shard.local_graph, bank_of, cfg.p_edge, banks);
 
     std::vector<std::uint64_t> acc;
     std::vector<std::uint64_t> acc_zero;
@@ -240,43 +229,39 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         return out;
     }
 
-    // ---- Global functional pass, src-major order ----
-    // Timing is structural, so the values are computed once over the
-    // whole graph. The non-pipelined analytic mode runs the functional
-    // callbacks in src-major order at O(V + E) per stage — the same
-    // order a single-NT-unit die sees, which is what makes ghost runs
-    // bit-identical to unsharded single-NT runs (and keeps the result
-    // invariant in the shard count). Quantization points are the
-    // engine's own, and since its quantizer is idempotent, the
-    // re-quantization at every boundary crossing is value-preserving.
-    EngineConfig func_cfg = config;
-    func_cfg.mode = PipelineMode::kNonPipelined;
-    RunWorkspace func_ws;
-    RunResult func;
+    // ---- Global functional pass ----
+    // Timing is structural, so the functional kernel computes the
+    // values once over the whole graph. Its gathers fold every
+    // destination's messages in src-major order, as the unsharded
+    // engine does, so ghost runs are bit-identical to unsharded runs
+    // in every pipeline mode and invariant in the shard count.
+    // Quantization points are the engine's own, and since its
+    // quantizer is idempotent, the re-quantization at every boundary
+    // crossing is value-preserving.
     {
         obs::Span span(obs::Track::kGhost, "functional pass");
-        Engine func_engine(model, func_cfg);
+        // Only the functional pass checkpoints: it is the sole carrier
+        // of values. The structural per-die pricing below runs exactly
+        // once, on the segment that completes. Without resume state
+        // the pass runs to completion (the token is masked).
+        LayerCheckpoint whole;
+        RunOptions func_opts = opts;
+        if (resume == nullptr)
+            func_opts.preempt = nullptr;
+        const SegmentOutcome seg = functional_forward(
+            model, prepared, func_opts, host_cores,
+            resume != nullptr ? resume->checkpoint : whole,
+            resume != nullptr ? resume->max_stages : std::size_t(-1),
+            out.embeddings);
         if (resume != nullptr) {
-            // Only the functional pass checkpoints: it is the sole
-            // carrier of values. The structural per-die pricing below
-            // runs exactly once, on the segment that completes.
-            if (func_engine.run_resumable(prepared, opts, func_ws,
-                                          resume->checkpoint, func,
-                                          resume->max_stages,
-                                          host_cores) ==
-                SegmentOutcome::kPreempted) {
-                resume->preempted = true;
+            resume->preempted = seg == SegmentOutcome::kPreempted;
+            if (resume->preempted) {
                 resume->plan = std::move(plan);
                 return out;
             }
-            resume->preempted = false;
-        } else {
-            func = func_engine.run_prepared(prepared, opts, func_ws,
-                                            host_cores);
         }
     }
-    out.embeddings = std::move(func.embeddings);
-    out.prediction = func.prediction;
+    out.prediction = model.readout(out.embeddings, prepared.pool_nodes());
 
     // ---- Per-die timing, one thread per die ----
     const std::vector<StageSchedule> schedule =

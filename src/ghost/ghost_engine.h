@@ -8,11 +8,12 @@
  * run splits cleanly: each die prices its phases over its local
  * subgraph (owned vertices pay full NT work; ghost vertices re-stream
  * their received embeddings at zero accumulate cost, GAT ghosts pay
- * the local projection), while the functional answer is computed once
- * globally in src-major order. Src-major is exactly the arrival order
- * of a single-NT-unit die, so ghost results are bit-identical to
- * unsharded single-NT runs and within float-reassociation tolerance
- * of multi-NT ones — the same exactness contract the halo mode has.
+ * the local projection), while the functional kernel
+ * (core/functional.h) computes the answer once over the whole graph.
+ * Its gathers fold each destination's messages in src-major order,
+ * exactly as in an unsharded run, so ghost results are bit-identical
+ * to unsharded runs in every pipeline mode and at every NT-unit count
+ * — the same exactness contract the halo mode has.
  *
  * Per-layer exchange cycles compose through the layered
  * compose_shard_stats overload: serial by default, or hidden behind
@@ -42,7 +43,7 @@ ShardedRunResult run_ghost_plan(const Model &model,
  * SampleRef overload, the canonical body (the GraphSample one
  * delegates): the global functional pass runs straight off the
  * borrowed view — an mmap-backed graph is never copied into a
- * GraphSample — and `threads` parallelizes its host-side builds
+ * GraphSample — and `threads` runs the functional kernel's workers
  * (bit-identical results for every value; the per-die timing passes
  * already run one thread per die). The ref's backing must stay alive
  * for the duration of the call.

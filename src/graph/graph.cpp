@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -76,12 +77,13 @@ count_endpoints(const GraphRef &g, unsigned threads, bool by_src)
  * within every group — per-thread-range counts, a serial prefix scan
  * interleaving (node, thread) in that order, then a parallel stable
  * fill where thread t writes its own range at precomputed cursors.
- * Bit-identical to the serial build for every thread count.
+ * Bit-identical to the serial build for every thread count. Edge ids
+ * are written only when `edge_id` is non-null.
  */
 void
 build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
                 const char *what, std::vector<std::size_t> &offsets,
-                std::vector<NodeId> &val, std::vector<EdgeId> &edge_id)
+                std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
 {
     const NodeId n = g.num_nodes();
     const std::size_t e = g.num_edges();
@@ -119,7 +121,8 @@ build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
     offsets[n] = running;
 
     val.resize(e);
-    edge_id.resize(e);
+    if (edge_id != nullptr)
+        edge_id->resize(e);
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
             std::vector<std::uint32_t> &cur = counts[tid];
@@ -128,7 +131,8 @@ build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
                 const NodeId d = g.dst(i);
                 const std::uint32_t slot = cur[by_src ? s : d]++;
                 val[slot] = by_src ? d : s;
-                edge_id[slot] = static_cast<EdgeId>(i);
+                if (edge_id != nullptr)
+                    (*edge_id)[slot] = static_cast<EdgeId>(i);
             }
         });
 }
@@ -174,16 +178,64 @@ CsrGraph::CsrGraph(const GraphRef &graph, unsigned threads)
     : num_nodes_(graph.num_nodes())
 {
     build_adjacency(graph, threads, /*by_src=*/true, "CsrGraph",
-                    offsets_, dst_, edge_id_);
+                    offsets_, dst_, &edge_id_);
 }
 
 CscGraph::CscGraph(const CooGraph &coo) : CscGraph(GraphRef(coo), 1) {}
 
-CscGraph::CscGraph(const GraphRef &graph, unsigned threads)
+CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
+                   bool edge_ids)
     : num_nodes_(graph.num_nodes())
 {
     build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
-                    offsets_, src_, edge_id_);
+                    offsets_, src_, edge_ids ? &edge_id_ : nullptr);
+    if (order != CscOrder::kSrcMajor)
+        return;
+    // The stable fill left every column in edge-id order, so sorting a
+    // column by src — by (src, edge id) keys when ids are kept — gives
+    // (src, edge id) order. Columns are independent; each worker takes
+    // an edge-balanced column range.
+    const unsigned parts = parallel_range_count(src_.size(), threads);
+    const std::vector<NodeId> bounds = balanced_cols(parts);
+    // parts ranges of one part each: one thread per column range.
+    parallel_ranges(parts, parts, [&](std::size_t p, std::size_t, unsigned) {
+        std::vector<std::uint64_t> keys;
+        for (NodeId v = bounds[p]; v < bounds[p + 1]; ++v) {
+            const auto first = src_.begin() + offsets_[v];
+            const auto last = src_.begin() + offsets_[v + 1];
+            if (std::is_sorted(first, last))
+                continue;
+            if (!edge_ids) {
+                std::sort(first, last);
+                continue;
+            }
+            const std::size_t b = offsets_[v];
+            keys.resize(offsets_[v + 1] - b);
+            for (std::size_t k = 0; k < keys.size(); ++k)
+                keys[k] =
+                    (std::uint64_t(src_[b + k]) << 32) | edge_id_[b + k];
+            std::sort(keys.begin(), keys.end());
+            for (std::size_t k = 0; k < keys.size(); ++k) {
+                src_[b + k] = static_cast<NodeId>(keys[k] >> 32);
+                edge_id_[b + k] = static_cast<EdgeId>(keys[k]);
+            }
+        }
+    }, /*serial_cutoff=*/2);
+}
+
+std::vector<NodeId>
+CscGraph::balanced_cols(unsigned parts) const
+{
+    // Range p starts at the first column whose offset reaches p/parts
+    // of the edges.
+    std::vector<NodeId> bounds(parts + 1, num_nodes_);
+    const std::size_t e = src_.size();
+    for (unsigned p = 0; p < parts; ++p)
+        bounds[p] = static_cast<NodeId>(
+            std::lower_bound(offsets_.begin(), offsets_.end() - 1,
+                             e * p / parts) -
+            offsets_.begin());
+    return bounds;
 }
 
 } // namespace flowgnn

@@ -162,17 +162,35 @@ class CsrGraph
     std::vector<EdgeId> edge_id_;
 };
 
+/** Order of one destination's in-edges inside a CscGraph column. */
+enum class CscOrder {
+    kStream,   ///< COO stream order (edge id ascending)
+    /** (src, edge id) ascending: the order a src-major scatter
+     * delivers messages to this destination. */
+    kSrcMajor,
+};
+
 /**
  * CSC adjacency: for each destination node, the list of
- * (src, edge_id) pairs. Used by the gather-first (MP-to-NT) dataflow.
+ * (src, edge_id) pairs. Used by the gather-first (MP-to-NT) dataflow
+ * and, in kSrcMajor order, by the functional kernel's gathers.
  */
 class CscGraph
 {
   public:
     CscGraph() = default;
     explicit CscGraph(const CooGraph &coo);
-    /** Parallel build from any edge view; see CsrGraph(GraphRef). */
-    explicit CscGraph(const GraphRef &graph, unsigned threads = 0);
+    /**
+     * Parallel build from any edge view; see CsrGraph(GraphRef). A
+     * kSrcMajor build sorts each column after the stable fill, so it
+     * never materializes a CSR. With `edge_ids` false the per-slot
+     * edge ids are not stored (edge_id() must not be called) and ties
+     * between parallel edges stay unordered — only safe for callers
+     * that never read edge attributes.
+     */
+    explicit CscGraph(const GraphRef &graph, unsigned threads = 0,
+                      CscOrder order = CscOrder::kStream,
+                      bool edge_ids = true);
 
     NodeId num_nodes() const { return num_nodes_; }
     std::size_t num_edges() const { return src_.size(); }
@@ -182,11 +200,19 @@ class CscGraph
 
     NodeId src(std::size_t i) const { return src_[i]; }
     EdgeId edge_id(std::size_t i) const { return edge_id_[i]; }
+    bool has_edge_ids() const { return edge_id_.size() == src_.size(); }
 
     std::uint32_t in_degree(NodeId n) const
     {
         return static_cast<std::uint32_t>(col_end(n) - col_begin(n));
     }
+
+    /**
+     * Splits the destinations into `parts` contiguous ranges holding
+     * about equal in-edge counts — range p is [b[p], b[p+1]) — so a
+     * destination-owned gather balances edges, not nodes.
+     */
+    std::vector<NodeId> balanced_cols(unsigned parts) const;
 
   private:
     NodeId num_nodes_ = 0;

@@ -1,8 +1,7 @@
 #include "nn/dgn_layer.h"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "tensor/ops.h"
 
 namespace flowgnn {
 
@@ -17,31 +16,29 @@ DgnLayer::DgnLayer(std::size_t dim, std::size_t edge_dim, Activation act,
     mix_.init_glorot(rng);
 }
 
-Vec
-DgnLayer::message(const Vec &x_src, const float *edge_feat,
+void
+DgnLayer::message(const float *x_src, const float *edge_feat,
                   std::size_t edge_dim, NodeId src, NodeId dst,
-                  const LayerContext &ctx) const
+                  const LayerContext &ctx, float *out) const
 {
     if (ctx.dgn_field == nullptr)
         throw std::invalid_argument("DgnLayer: sample has no dgn_field");
 
-    Vec m = x_src;
+    // out = [m, w*m] with m = x (+ EdgeEnc(e)), built in place.
     if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        Vec e(edge_feat, edge_feat + edge_dim);
-        add_inplace(m, edge_enc_.forward(e));
+        edge_enc_.forward(edge_feat, out);
+        for (std::size_t i = 0; i < dim_; ++i)
+            out[i] = x_src[i] + out[i];
+    } else {
+        std::copy(x_src, x_src + dim_, out);
     }
 
     // Directional weight from the vector field, normalized at the
     // destination (anisotropic: depends on both endpoints).
     float w = (ctx.dgn_field[src] - ctx.dgn_field[dst]) /
               ctx.dgn_norm[dst];
-
-    Vec msg;
-    msg.reserve(2 * dim_);
-    msg.insert(msg.end(), m.begin(), m.end());
-    for (float v : m)
-        msg.push_back(w * v);
-    return msg;
+    for (std::size_t i = 0; i < dim_; ++i)
+        out[dim_ + i] = w * out[i];
 }
 
 Vec

@@ -21,41 +21,26 @@ GatLayer::GatLayer(std::size_t in_dim, std::size_t num_heads,
     }
 }
 
-Vec
-GatLayer::src_scores(const Vec &h) const
+void
+GatLayer::src_scores(const float *h, float *out) const
 {
-    Vec out(heads_, 0.0f);
     for (std::size_t hd = 0; hd < heads_; ++hd) {
         float acc = 0.0f;
         for (std::size_t d = 0; d < head_dim_; ++d)
             acc += att_src_(hd, d) * h[hd * head_dim_ + d];
         out[hd] = acc;
     }
-    return out;
 }
 
-Vec
-GatLayer::dst_scores(const Vec &h) const
+void
+GatLayer::dst_scores(const float *h, float *out) const
 {
-    Vec out(heads_, 0.0f);
     for (std::size_t hd = 0; hd < heads_; ++hd) {
         float acc = 0.0f;
         for (std::size_t d = 0; d < head_dim_; ++d)
             acc += att_dst_(hd, d) * h[hd * head_dim_ + d];
         out[hd] = acc;
     }
-    return out;
-}
-
-Vec
-GatLayer::edge_scores(const Vec &h_src, const Vec &h_dst) const
-{
-    Vec s = src_scores(h_src);
-    Vec d = dst_scores(h_dst);
-    Vec out(heads_);
-    for (std::size_t h = 0; h < heads_; ++h)
-        out[h] = activate(s[h] + d[h], Activation::kLeakyRelu);
-    return out;
 }
 
 Vec
@@ -63,51 +48,59 @@ GatLayer::transform(const Vec &x_self, const Vec &, NodeId,
                     const LayerContext &) const
 {
     Vec h = project(x_self);
-    return gat_combine(*this, h, {});
+    return gat_combine(*this, h.data(), {});
 }
 
 Vec
-gat_combine(const GatLayer &layer, const Vec &h_dst,
-            const std::vector<const Vec *> &h_srcs)
+gat_combine(const GatLayer &layer, const float *h_dst,
+            const std::vector<const float *> &h_srcs)
 {
     const std::size_t heads = layer.num_heads();
     const std::size_t hd = layer.head_dim();
+    const std::size_t m = h_srcs.size();
 
-    // Pass 1: per-head running max over {self} u in-neighbors.
-    Vec self_score = layer.edge_scores(h_dst, h_dst);
-    Vec max_score = self_score;
-    std::vector<Vec> scores;
-    scores.reserve(h_srcs.size());
-    for (const Vec *h_src : h_srcs) {
-        scores.push_back(layer.edge_scores(*h_src, h_dst));
+    // Logits: row 0 the self term, row 1 + j in-neighbor j. The
+    // destination half is shared by every row, so it is computed once.
+    Vec dst(heads);
+    layer.dst_scores(h_dst, dst.data());
+    Vec logit((m + 1) * heads);
+    for (std::size_t j = 0; j <= m; ++j) {
+        float *row = logit.data() + j * heads;
+        layer.src_scores(j == 0 ? h_dst : h_srcs[j - 1], row);
         for (std::size_t h = 0; h < heads; ++h)
-            max_score[h] = std::max(max_score[h], scores.back()[h]);
+            row[h] = activate(row[h] + dst[h], Activation::kLeakyRelu);
     }
 
+    // Pass 1: per-head running max over {self} u in-neighbors.
+    Vec max_score(logit.begin(), logit.begin() + heads);
+    for (std::size_t j = 1; j <= m; ++j)
+        for (std::size_t h = 0; h < heads; ++h)
+            max_score[h] = std::max(max_score[h], logit[j * heads + h]);
+
     // Pass 2: exp-weighted sum in arrival order, self term first.
-    Vec acc(heads * hd, 0.0f);
-    Vec denom(heads, 0.0f);
+    Vec acc(heads * hd);
+    Vec denom(heads);
     for (std::size_t h = 0; h < heads; ++h) {
-        float w = std::exp(self_score[h] - max_score[h]);
+        float w = std::exp(logit[h] - max_score[h]);
         denom[h] = w;
         for (std::size_t d = 0; d < hd; ++d)
             acc[h * hd + d] = w * h_dst[h * hd + d];
     }
-    for (std::size_t j = 0; j < h_srcs.size(); ++j) {
+    for (std::size_t j = 0; j < m; ++j) {
+        const float *row = logit.data() + (j + 1) * heads;
         for (std::size_t h = 0; h < heads; ++h) {
-            float w = std::exp(scores[j][h] - max_score[h]);
+            float w = std::exp(row[h] - max_score[h]);
             denom[h] += w;
             for (std::size_t d = 0; d < hd; ++d)
-                acc[h * hd + d] += w * (*h_srcs[j])[h * hd + d];
+                acc[h * hd + d] += w * h_srcs[j][h * hd + d];
         }
     }
 
-    Vec out(heads * hd);
     for (std::size_t h = 0; h < heads; ++h)
         for (std::size_t d = 0; d < hd; ++d)
-            out[h * hd + d] = acc[h * hd + d] / denom[h];
-    apply_activation(out, layer.activation());
-    return out;
+            acc[h * hd + d] /= denom[h];
+    apply_activation(acc, layer.activation());
+    return acc;
 }
 
 } // namespace flowgnn

@@ -43,14 +43,13 @@ class GatLayer : public Layer
     /** Projection h = W x (all heads concatenated). */
     Vec project(const Vec &x) const { return proj_.forward(x); }
 
-    /** a_src . h_j per head: the source half of the attention logit. */
-    Vec src_scores(const Vec &h) const;
+    /** a_src . h_j per head into out[num_heads()]: the source half of
+     * the attention logit. */
+    void src_scores(const float *h, float *out) const;
 
-    /** a_dst . h_i per head: the destination half of the logit. */
-    Vec dst_scores(const Vec &h) const;
-
-    /** Full attention logit per head: LeakyReLU(src + dst). */
-    Vec edge_scores(const Vec &h_src, const Vec &h_dst) const;
+    /** a_dst . h_i per head into out[num_heads()]: the destination
+     * half of the logit. */
+    void dst_scores(const float *h, float *out) const;
 
     /** Output activation (ELU except on the last layer). */
     Activation activation() const { return act_; }
@@ -93,16 +92,16 @@ class GatLayer : public Layer
 
 /**
  * Runs the full two-pass attention for one destination node given its
- * in-neighbor projections. Shared by the reference executor and the
- * dataflow engine so arithmetic is identical.
+ * in-neighbor projections — the only attention arithmetic in the
+ * tree, so every executor computes identical bits.
  *
  * @param layer     the GAT layer
- * @param h_dst     destination node's projection
+ * @param h_dst     destination node's projection (out_dim floats)
  * @param h_srcs    in-neighbor projections in arrival order
  * @return the activated output embedding
  */
-Vec gat_combine(const GatLayer &layer, const Vec &h_dst,
-                const std::vector<const Vec *> &h_srcs);
+Vec gat_combine(const GatLayer &layer, const float *h_dst,
+                const std::vector<const float *> &h_srcs);
 
 } // namespace flowgnn
 

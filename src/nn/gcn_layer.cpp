@@ -13,15 +13,17 @@ GcnLayer::GcnLayer(std::size_t in_dim, std::size_t out_dim, Activation act,
     linear_.init_glorot(rng);
 }
 
-Vec
-GcnLayer::message(const Vec &x_src, const float *, std::size_t, NodeId src,
-                  NodeId dst, const LayerContext &ctx) const
+void
+GcnLayer::message(const float *x_src, const float *, std::size_t,
+                  NodeId src, NodeId dst, const LayerContext &ctx,
+                  float *out) const
 {
     // Symmetric normalization with renormalized degrees (deg + 1).
     float d_src = static_cast<float>(ctx.out_deg[src]) + 1.0f;
     float d_dst = static_cast<float>(ctx.in_deg[dst]) + 1.0f;
     float norm = 1.0f / std::sqrt(d_src * d_dst);
-    return scale(x_src, norm);
+    for (std::size_t i = 0; i < linear_.in_dim(); ++i)
+        out[i] = x_src[i] * norm;
 }
 
 Vec

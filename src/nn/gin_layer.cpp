@@ -1,5 +1,7 @@
 #include "nn/gin_layer.h"
 
+#include <algorithm>
+
 #include "tensor/ops.h"
 
 namespace flowgnn {
@@ -17,18 +19,21 @@ GinLayer::GinLayer(std::size_t dim, std::size_t edge_dim, Activation act,
     mlp_.init_glorot(rng);
 }
 
-Vec
-GinLayer::message(const Vec &x_src, const float *edge_feat,
+void
+GinLayer::message(const float *x_src, const float *edge_feat,
                   std::size_t edge_dim, NodeId, NodeId,
-                  const LayerContext &) const
+                  const LayerContext &, float *out) const
 {
-    Vec msg = x_src;
     if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        Vec e(edge_feat, edge_feat + edge_dim);
-        add_inplace(msg, edge_enc_.forward(e));
+        // x + EdgeEnc(e), the encoding built in place (float addition
+        // commutes exactly).
+        edge_enc_.forward(edge_feat, out);
+        for (std::size_t i = 0; i < dim_; ++i)
+            out[i] = x_src[i] + out[i];
+    } else {
+        std::copy(x_src, x_src + dim_, out);
     }
-    apply_activation(msg, Activation::kRelu);
-    return msg;
+    apply_activation(out, dim_, Activation::kRelu);
 }
 
 Vec

@@ -33,9 +33,9 @@ class GinLayer : public Layer
     std::size_t msg_dim() const override { return dim_; }
     bool uses_edge_features() const override { return edge_dim_ > 0; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message(const float *x_src, const float *edge_feat,
+                 std::size_t edge_dim, NodeId src, NodeId dst,
+                 const LayerContext &ctx, float *out) const override;
 
     Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
                   const LayerContext &ctx) const override;

@@ -6,12 +6,6 @@
 namespace flowgnn {
 
 LayerContext
-make_layer_context(const GraphSample &sample, const PnaParams &pna)
-{
-    return make_layer_context(SampleRef(sample), pna, 1);
-}
-
-LayerContext
 make_layer_context(const SampleRef &sample, const PnaParams &pna,
                    unsigned threads)
 {
@@ -43,9 +37,9 @@ make_layer_context(const SampleRef &sample, const PnaParams &pna,
     return ctx;
 }
 
-Vec
-Layer::message(const Vec &, const float *, std::size_t, NodeId, NodeId,
-               const LayerContext &) const
+void
+Layer::message(const float *, const float *, std::size_t, NodeId, NodeId,
+               const LayerContext &, float *) const
 {
     throw std::logic_error(std::string(name()) +
                            ": layer has no message function");

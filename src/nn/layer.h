@@ -51,12 +51,9 @@ struct LayerContext {
     PnaParams pna;
 };
 
-/** Builds the LayerContext for a sample (one pass over the edges). */
-LayerContext make_layer_context(const GraphSample &sample,
-                                const PnaParams &pna = {});
-
 /**
- * SampleRef overload, the canonical build. Degree counting runs on
+ * Builds the LayerContext for a sample (one pass over the edges; a
+ * GraphSample converts to its borrowed SampleRef). Degree counting runs on
  * `threads` host cores (0 = all); the dgn_norm accumulation stays a
  * serial edge loop on purpose — float addition order is part of the
  * bit-identity contract. The context borrows the ref's dgn_field
@@ -104,20 +101,24 @@ class Layer
         return Aggregator(aggregator_kind(), msg_dim());
     }
 
-    /** Whether phi reads edge features. */
+    /** Whether phi reads edge features; the functional kernel hands
+     * edge rows only to layers that say so. */
     virtual bool uses_edge_features() const { return false; }
 
     /**
-     * phi: the message along edge src->dst given the source node's
-     * embedding at this layer's input.
+     * phi: writes the message along edge src->dst, given the source
+     * node's embedding at this layer's input, into `out`. Called
+     * concurrently from the functional kernel's workers, so it must
+     * not mutate shared state.
      *
      * @param x_src     source embedding (in_dim floats)
      * @param edge_feat pointer to the edge feature row (may be null)
      * @param edge_dim  number of edge features
+     * @param out       msg_dim() floats, all overwritten
      */
-    virtual Vec
-    message(const Vec &x_src, const float *edge_feat, std::size_t edge_dim,
-            NodeId src, NodeId dst, const LayerContext &ctx) const;
+    virtual void message(const float *x_src, const float *edge_feat,
+                         std::size_t edge_dim, NodeId src, NodeId dst,
+                         const LayerContext &ctx, float *out) const;
 
     /**
      * gamma: the new embedding from the node's own embedding and the

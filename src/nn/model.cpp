@@ -78,84 +78,10 @@ Model::prepare(const GraphSample &sample) const
     return prepared;
 }
 
-Matrix
-Model::reference_embeddings(const GraphSample &prepared) const
+float
+Model::readout(const Matrix &embeddings, NodeId pool_nodes) const
 {
-    if (!prepared.consistent())
-        throw std::invalid_argument("Model: inconsistent sample");
-    if (stages_.front()->in_dim() != prepared.node_dim())
-        throw std::invalid_argument("Model: node feature dim mismatch");
-
-    const NodeId n = prepared.num_nodes();
-    LayerContext ctx = make_layer_context(prepared, pna_);
-    CsrGraph csr(prepared.graph);
-
-    std::vector<Vec> x(n);
-    for (NodeId i = 0; i < n; ++i)
-        x[i] = prepared.node_features.row_vec(i);
-
-    const float *efeat_base = prepared.edge_features.data();
-    const std::size_t edge_dim = prepared.edge_dim();
-
-    for (const auto &stage : stages_) {
-        std::vector<Vec> next(n);
-        if (stage->msg_dim() == 0) {
-            // Encoder-style stage: pure per-node transform.
-            Vec empty;
-            for (NodeId i = 0; i < n; ++i)
-                next[i] = stage->transform(x[i], empty, i, ctx);
-        } else if (stage->dataflow() == DataflowKind::kNtToMp) {
-            // Merged scatter/gather in src-major order — the same
-            // order a single-NT-unit engine produces.
-            Aggregator agg = stage->aggregator();
-            const std::size_t sd = agg.state_dim();
-            std::vector<float> states(static_cast<std::size_t>(n) * sd);
-            for (NodeId i = 0; i < n; ++i)
-                agg.init(states.data() + i * sd);
-            for (NodeId src = 0; src < n; ++src) {
-                for (std::size_t s = csr.row_begin(src);
-                     s < csr.row_end(src); ++s) {
-                    NodeId dst = csr.dst(s);
-                    EdgeId eid = csr.edge_id(s);
-                    const float *ef = edge_dim
-                        ? efeat_base + std::size_t(eid) * edge_dim
-                        : nullptr;
-                    Vec msg = stage->message(x[src], ef, edge_dim, src,
-                                             dst, ctx);
-                    agg.accumulate(states.data() + dst * sd, msg.data());
-                }
-            }
-            for (NodeId i = 0; i < n; ++i) {
-                Vec fin = agg.finalize(states.data() + i * sd,
-                                       ctx.in_deg[i], ctx.pna);
-                next[i] = stage->transform(x[i], fin, i, ctx);
-            }
-        } else {
-            // Gather-first attention path (GAT).
-            const auto *gat = dynamic_cast<const GatLayer *>(stage.get());
-            if (gat == nullptr)
-                throw std::logic_error(
-                    "Model: MP-to-NT stage is not a GAT layer");
-            std::vector<Vec> h(n);
-            for (NodeId i = 0; i < n; ++i)
-                h[i] = gat->project(x[i]);
-            CscGraph csc(prepared.graph);
-            for (NodeId i = 0; i < n; ++i) {
-                std::vector<const Vec *> nbrs;
-                nbrs.reserve(csc.in_degree(i));
-                for (std::size_t s = csc.col_begin(i); s < csc.col_end(i);
-                     ++s)
-                    nbrs.push_back(&h[csc.src(s)]);
-                next[i] = gat_combine(*gat, h[i], nbrs);
-            }
-        }
-        x = std::move(next);
-    }
-
-    Matrix out(n, embedding_dim());
-    for (NodeId i = 0; i < n; ++i)
-        out.set_row(i, x[i]);
-    return out;
+    return head_.forward(global_pool(embeddings, pool_nodes))[0];
 }
 
 Vec
@@ -188,28 +114,11 @@ Model::global_pool(const Matrix &embeddings, NodeId pool_nodes) const
     return pooled;
 }
 
-Vec
-Model::global_mean_pool(const Matrix &embeddings, NodeId pool_nodes) const
-{
-    if (pool_nodes == 0 || pool_nodes > embeddings.rows())
-        throw std::invalid_argument("global_mean_pool: bad pool_nodes");
-    Vec pooled(embeddings.cols(), 0.0f);
-    for (NodeId i = 0; i < pool_nodes; ++i)
-        for (std::size_t c = 0; c < embeddings.cols(); ++c)
-            pooled[c] += embeddings(i, c);
-    float inv = 1.0f / static_cast<float>(pool_nodes);
-    for (auto &v : pooled)
-        v *= inv;
-    return pooled;
-}
-
 float
 Model::predict(const GraphSample &sample) const
 {
     GraphSample prepared = prepare(sample);
-    Matrix emb = reference_embeddings(prepared);
-    Vec pooled = global_pool(emb, prepared.pool_nodes());
-    return head_.forward(pooled)[0];
+    return readout(reference_embeddings(prepared), prepared.pool_nodes());
 }
 
 std::size_t

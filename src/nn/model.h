@@ -1,9 +1,7 @@
 /**
  * @file
  * GNN model: encoder + stack of message-passing layers + global mean
- * pooling + prediction head, with the reference (software) executor
- * used to cross-check the dataflow engine (the paper's PyTorch
- * functional-equivalence check).
+ * pooling + prediction head.
  */
 #ifndef FLOWGNN_NN_MODEL_H
 #define FLOWGNN_NN_MODEL_H
@@ -90,17 +88,19 @@ class Model
     GraphSample prepare(const GraphSample &sample) const;
 
     /**
-     * Reference executor: runs all stages in software (src-major
-     * scatter order) and returns the final node embeddings
-     * [num_nodes x embedding_dim]. Expects a prepared sample.
+     * Reference executor: the final node embeddings
+     * [num_nodes x embedding_dim] of a prepared sample, from the
+     * functional kernel on one thread (src-major gather order). It is
+     * defined with the kernel in core/functional.cpp.
      */
     Matrix reference_embeddings(const GraphSample &prepared) const;
 
+    /** Graph-level prediction: pooling over embedding rows
+     * [0, pool_nodes) followed by the head. */
+    float readout(const Matrix &embeddings, NodeId pool_nodes) const;
+
     /** Readout over embedding rows [0, pool_nodes) with pooling(). */
     Vec global_pool(const Matrix &embeddings, NodeId pool_nodes) const;
-
-    /** Mean of embedding rows [0, pool_nodes). */
-    Vec global_mean_pool(const Matrix &embeddings, NodeId pool_nodes) const;
 
     /** Graph-level readout kind (mean for all paper configs). */
     PoolingKind pooling() const { return pooling_; }

@@ -35,9 +35,9 @@ class PnaLayer : public Layer
     }
     bool uses_edge_features() const override { return edge_dim_ > 0; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message(const float *x_src, const float *edge_feat,
+                 std::size_t edge_dim, NodeId src, NodeId dst,
+                 const LayerContext &ctx, float *out) const override;
 
     Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
                   const LayerContext &ctx) const override;

@@ -1,5 +1,7 @@
 #include "nn/sage_layer.h"
 
+#include <algorithm>
+
 #include "tensor/ops.h"
 
 namespace flowgnn {
@@ -12,12 +14,12 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim,
     nbr_.init_glorot(rng);
 }
 
-Vec
-SageLayer::message(const Vec &x_src, const float *, std::size_t, NodeId,
-                   NodeId, const LayerContext &) const
+void
+SageLayer::message(const float *x_src, const float *, std::size_t, NodeId,
+                   NodeId, const LayerContext &, float *out) const
 {
     // Raw neighbor embedding; the mean is taken by the aggregator.
-    return x_src;
+    std::copy(x_src, x_src + self_.in_dim(), out);
 }
 
 Vec

@@ -6,13 +6,16 @@
 
 namespace flowgnn {
 
-Vec
-SgcLayer::message(const Vec &x_src, const float *, std::size_t, NodeId src,
-                  NodeId dst, const LayerContext &ctx) const
+void
+SgcLayer::message(const float *x_src, const float *, std::size_t,
+                  NodeId src, NodeId dst, const LayerContext &ctx,
+                  float *out) const
 {
     float d_src = static_cast<float>(ctx.out_deg[src]) + 1.0f;
     float d_dst = static_cast<float>(ctx.in_deg[dst]) + 1.0f;
-    return scale(x_src, 1.0f / std::sqrt(d_src * d_dst));
+    const float norm = 1.0f / std::sqrt(d_src * d_dst);
+    for (std::size_t i = 0; i < dim_; ++i)
+        out[i] = x_src[i] * norm;
 }
 
 Vec

@@ -28,9 +28,9 @@ class SgcLayer : public Layer
     std::size_t out_dim() const override { return dim_; }
     std::size_t msg_dim() const override { return dim_; }
 
-    Vec message(const Vec &x_src, const float *edge_feat,
-                std::size_t edge_dim, NodeId src, NodeId dst,
-                const LayerContext &ctx) const override;
+    void message(const float *x_src, const float *edge_feat,
+                 std::size_t edge_dim, NodeId src, NodeId dst,
+                 const LayerContext &ctx, float *out) const override;
 
     Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
                   const LayerContext &ctx) const override;

@@ -42,10 +42,16 @@ activate(float x, Activation act)
 void
 apply_activation(Vec &x, Activation act)
 {
+    apply_activation(x.data(), x.size(), act);
+}
+
+void
+apply_activation(float *x, std::size_t count, Activation act)
+{
     if (act == Activation::kIdentity)
         return;
-    for (auto &v : x)
-        v = activate(v, act);
+    for (std::size_t i = 0; i < count; ++i)
+        x[i] = activate(x[i], act);
 }
 
 Vec

@@ -25,6 +25,9 @@ const char *activation_name(Activation act);
 /** Applies the activation element-wise in place. */
 void apply_activation(Vec &x, Activation act);
 
+/** Raw-buffer form: activates `count` floats at `x` in place. */
+void apply_activation(float *x, std::size_t count, Activation act);
+
 /** Scalar activation evaluation. */
 float activate(float x, Activation act);
 

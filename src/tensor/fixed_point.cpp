@@ -41,11 +41,8 @@ FixedPointFormat::name_into(char *buffer, std::size_t size) const
 float
 quantize(float value, const FixedPointFormat &format)
 {
-    double scaled = static_cast<double>(value) / format.ulp();
-    double rounded = std::nearbyint(scaled) * format.ulp();
-    double clamped =
-        std::clamp(rounded, format.min_value(), format.max_value());
-    return static_cast<float>(clamped);
+    quantize_inplace(&value, 1, format);
+    return value;
 }
 
 void
@@ -58,8 +55,16 @@ void
 quantize_inplace(float *values, std::size_t count,
                  const FixedPointFormat &format)
 {
-    for (std::size_t i = 0; i < count; ++i)
-        values[i] = quantize(values[i], format);
+    // The format constants are loop-invariant; hoisting them keeps
+    // every element's arithmetic, and so its bits, unchanged.
+    const double ulp = format.ulp();
+    const double lo = format.min_value();
+    const double hi = format.max_value();
+    for (std::size_t i = 0; i < count; ++i) {
+        double scaled = static_cast<double>(values[i]) / ulp;
+        double rounded = std::nearbyint(scaled) * ulp;
+        values[i] = static_cast<float>(std::clamp(rounded, lo, hi));
+    }
 }
 
 } // namespace flowgnn

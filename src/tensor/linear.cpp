@@ -1,5 +1,6 @@
 #include "tensor/linear.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,9 +26,23 @@ Linear::init_glorot(Rng &rng)
 Vec
 Linear::forward(const Vec &x) const
 {
-    Vec out = bias_;
-    accumulate(out, x, 0, x.size());
+    if (x.size() != in_dim_)
+        throw std::invalid_argument("Linear: input dimension mismatch");
+    Vec out(out_dim_);
+    forward(x.data(), out.data());
     return out;
+}
+
+void
+Linear::forward(const float *x, float *out) const
+{
+    // accumulate() over the full range, from the bias.
+    std::copy(bias_.begin(), bias_.end(), out);
+    for (std::size_t i = 0; i < in_dim_; ++i) {
+        float xi = x[i];
+        for (std::size_t o = 0; o < out_dim_; ++o)
+            out[o] += weight_(o, i) * xi;
+    }
 }
 
 void

@@ -38,6 +38,10 @@ class Linear
      */
     Vec forward(const Vec &x) const;
 
+    /** Raw-buffer forward, the same arithmetic bit for bit: x holds
+     * in_dim() floats, out receives out_dim(). */
+    void forward(const float *x, float *out) const;
+
     /**
      * Partial input-stationary accumulation: folds inputs
      * [begin, end) of x into acc. Calling with the full range starting

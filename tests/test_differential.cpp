@@ -7,11 +7,12 @@
  * a second pass asserts sharded execution matches unsharded across
  * shard counts and strategies.
  *
- * Exactness policy mirrors test_crosscheck: with one NT unit (or an
- * analytic pipeline mode, which runs the functional callbacks in
- * src-major order) message arrival equals the reference's src-major
- * order, so results must be bit-identical; with more NT units only
- * float-sum reassociation may differ, so a tight tolerance applies.
+ * Exactness policy mirrors test_crosscheck: every run must be
+ * bit-identical, in every pipeline mode and at every NT-unit count.
+ * Values come from the functional kernel, which folds each
+ * destination's messages in src-major order whatever order the modeled
+ * units deliver them in; the expected values come from the independent
+ * per-edge oracle (testing::naive_reference_embeddings).
  */
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@ namespace {
 
 using testing::make_random_graph;
 using testing::make_random_sample;
+using testing::naive_reference_embeddings;
 
 constexpr ModelKind kAllKinds[] = {
     ModelKind::kGcn, ModelKind::kGin,   ModelKind::kGinVn,
@@ -38,14 +40,6 @@ constexpr PipelineMode kAllModes[] = {
     PipelineMode::kBaselineDataflow,
     PipelineMode::kFlowGnn,
 };
-
-bool
-order_preserving(const EngineConfig &cfg)
-{
-    return cfg.p_node == 1 ||
-           cfg.mode == PipelineMode::kNonPipelined ||
-           cfg.mode == PipelineMode::kFixedPipeline;
-}
 
 TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
 {
@@ -86,7 +80,7 @@ TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
         RunResult result = engine.run(sample);
 
         GraphSample prepared = model.prepare(sample);
-        Matrix expected = model.reference_embeddings(prepared);
+        Matrix expected = naive_reference_embeddings(model, prepared);
         ASSERT_EQ(result.embeddings.rows(), expected.rows());
         ASSERT_EQ(result.embeddings.cols(), expected.cols());
 
@@ -96,16 +90,8 @@ TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
             model.global_pool(expected, prepared.pool_nodes());
         float expected_pred = model.head().forward(pooled)[0];
 
-        float diff = max_abs_diff(result.embeddings, expected);
-        if (order_preserving(cfg)) {
-            EXPECT_EQ(diff, 0.0f)
-                << "order-preserving config must be bit-exact";
-            EXPECT_EQ(result.prediction, expected_pred);
-        } else {
-            EXPECT_LT(diff, 1e-3f);
-            EXPECT_NEAR(result.prediction, expected_pred,
-                        1e-3 + 1e-3 * std::abs(expected_pred));
-        }
+        EXPECT_EQ(max_abs_diff(result.embeddings, expected), 0.0f);
+        EXPECT_EQ(result.prediction, expected_pred);
         EXPECT_GT(result.stats.total_cycles, 0u);
     }
 }
@@ -135,7 +121,7 @@ TEST(DifferentialFuzz, ShardedMatchesUnshardedOn56RandomGraphs)
                                seed + 1);
 
         EngineConfig cfg;
-        cfg.p_node = 1 + i % 2; // even cases: bit-exact path
+        cfg.p_node = 1 + i % 2;
         ShardConfig shard;
         shard.num_shards = 2 + i % 3;
         shard.strategy = kStrategies[i % std::size(kStrategies)];
@@ -152,19 +138,9 @@ TEST(DifferentialFuzz, ShardedMatchesUnshardedOn56RandomGraphs)
             ShardedEngine(model, cfg, shard).run(sample);
 
         ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());
-        if (cfg.p_node == 1) {
-            EXPECT_EQ(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                0.0f)
-                << "single-NT sharded runs preserve arrival order and "
-                   "must be bit-exact";
-            EXPECT_EQ(sharded.prediction, single.prediction);
-        } else {
-            EXPECT_LT(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                1e-4f);
-            EXPECT_NEAR(sharded.prediction, single.prediction, 1e-4);
-        }
+        EXPECT_EQ(max_abs_diff(sharded.embeddings, single.embeddings),
+                  0.0f);
+        EXPECT_EQ(sharded.prediction, single.prediction);
     }
 }
 
@@ -172,11 +148,9 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
 {
     // The ghost-mode mirror of the sharded pass above: per-layer
     // boundary exchange instead of halo replication, same exactness
-    // policy. With one NT unit the ghost path's functional pass runs
-    // src-major — the same order every die and the unsharded engine
-    // see — so results must be bit-identical; with more NT units the
-    // unsharded engine reorders message arrival and only float-sum
-    // reassociation separates the two, bounded by 1e-4.
+    // policy. The ghost path and the unsharded engine both take their
+    // values from the functional kernel, so results must be
+    // bit-identical at every NT-unit count.
     constexpr ShardStrategy kStrategies[] = {
         ShardStrategy::kModulo,        ShardStrategy::kContiguous,
         ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,
@@ -198,7 +172,7 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
                                seed + 1);
 
         EngineConfig cfg;
-        cfg.p_node = 1 + i % 2; // even cases: bit-exact path
+        cfg.p_node = 1 + i % 2;
         ShardConfig shard;
         shard.num_shards = 2 + i % 3;
         shard.strategy = kStrategies[i % std::size(kStrategies)];
@@ -216,19 +190,9 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
             ShardedEngine(model, cfg, shard).run(sample);
 
         ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());
-        if (cfg.p_node == 1) {
-            EXPECT_EQ(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                0.0f)
-                << "single-NT ghost runs share the unsharded src-major "
-                   "order and must be bit-exact";
-            EXPECT_EQ(sharded.prediction, single.prediction);
-        } else {
-            EXPECT_LT(
-                max_abs_diff(sharded.embeddings, single.embeddings),
-                1e-4f);
-            EXPECT_NEAR(sharded.prediction, single.prediction, 1e-4);
-        }
+        EXPECT_EQ(max_abs_diff(sharded.embeddings, single.embeddings),
+                  0.0f);
+        EXPECT_EQ(sharded.prediction, single.prediction);
     }
 }
 
@@ -237,12 +201,10 @@ TEST(DifferentialFuzz, GhostFixedPointStaysBitExactWhenOrderPreserved)
     // The fixed-point wire format is where ghost mode could diverge:
     // every boundary crossing re-quantizes the shipped embedding. The
     // engine's quantizer is idempotent (shipped values are already
-    // exactly representable), so with one NT unit — order preserved —
-    // re-quantization must be value-preserving and ghost runs stay
-    // BIT-EXACT against the unsharded fixed-point engine, at every
-    // precision down to 8_4. No looser fixed-point tolerance exists or
-    // is needed; multi-NT reassociation (covered above in float) is
-    // the only inexact axis.
+    // exactly representable), so re-quantization must be
+    // value-preserving and ghost runs stay BIT-EXACT against the
+    // unsharded fixed-point engine, at every precision down to 8_4. No
+    // looser fixed-point tolerance exists or is needed.
     constexpr FixedPointFormat kFormats[] = {kFixed16_10, kFixed12_8,
                                              kFixed8_4};
     constexpr ShardStrategy kStrategies[] = {

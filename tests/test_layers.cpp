@@ -1,6 +1,7 @@
 /** @file Layer-kernel unit tests (phi / gamma semantics per model). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.h"
@@ -11,9 +12,12 @@
 #include "nn/gin_layer.h"
 #include "nn/pna_layer.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::message_of;
 
 GraphSample
 tiny_sample(std::size_t node_dim = 4, std::size_t edge_dim = 2)
@@ -60,7 +64,7 @@ TEST(GcnLayer, MessageAppliesSymmetricNorm)
     LayerContext ctx = make_layer_context(s);
     Vec x{1, 1, 1, 1};
     // Edge 0->1: out_deg[0]=2, in_deg[1]=1 -> 1/sqrt(3*2).
-    Vec m = gcn.message(x, nullptr, 0, 0, 1, ctx);
+    Vec m = message_of(gcn, x, nullptr, 0, 0, 1, ctx);
     float expected = 1.0f / std::sqrt(6.0f);
     for (float v : m)
         EXPECT_NEAR(v, expected, 1e-6f);
@@ -71,7 +75,6 @@ TEST(GcnLayer, TransformAddsScaledSelfLoop)
     Rng rng(3);
     GcnLayer gcn(2, 2, Activation::kIdentity, rng);
     // Identity weights isolate the combine arithmetic.
-    gcn.message({1, 1}, nullptr, 0, 0, 1, make_layer_context(tiny_sample()));
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
     Matrix &w = const_cast<Linear &>(gcn.linear()).weight();
@@ -91,7 +94,7 @@ TEST(GinLayer, MessageIsReluOfSumWithEdgeEncoding)
     GinLayer gin(3, 0, Activation::kRelu, rng); // no edge features
     GraphSample s = tiny_sample(3, 0);
     LayerContext ctx = make_layer_context(s);
-    Vec m = gin.message({-1.0f, 0.0f, 2.0f}, nullptr, 0, 0, 1, ctx);
+    Vec m = message_of(gin, {-1.0f, 0.0f, 2.0f}, nullptr, 0, 0, 1, ctx);
     EXPECT_EQ(m, (Vec{0.0f, 0.0f, 2.0f}));
 }
 
@@ -104,8 +107,8 @@ TEST(GinLayer, EdgeFeaturesShiftMessages)
     float ef_a[2] = {0.5f, -0.5f};
     float ef_b[2] = {-0.5f, 0.5f};
     Vec x{1.0f, 1.0f, 1.0f};
-    Vec ma = gin.message(x, ef_a, 2, 0, 1, ctx);
-    Vec mb = gin.message(x, ef_b, 2, 0, 1, ctx);
+    Vec ma = message_of(gin, x, ef_a, 2, 0, 1, ctx);
+    Vec mb = message_of(gin, x, ef_b, 2, 0, 1, ctx);
     EXPECT_GT(max_abs_diff(ma, mb), 0.0f)
         << "distinct edge features must yield distinct messages";
 }
@@ -151,7 +154,7 @@ TEST(DgnLayer, MessageCarriesMeanAndDirectionalParts)
     s.dgn_field = {0.0f, 2.0f, 0.0f, 0.0f};
     LayerContext ctx = make_layer_context(s);
     // Edge 0->1: w = (u0-u1)/norm[1] = -2/(2+eps) ~ -1.
-    Vec m = dgn.message({3.0f, 5.0f}, nullptr, 0, 0, 1, ctx);
+    Vec m = message_of(dgn, {3.0f, 5.0f}, nullptr, 0, 0, 1, ctx);
     ASSERT_EQ(m.size(), 4u);
     EXPECT_FLOAT_EQ(m[0], 3.0f);
     EXPECT_FLOAT_EQ(m[1], 5.0f);
@@ -165,7 +168,7 @@ TEST(DgnLayer, MissingFieldThrows)
     DgnLayer dgn(2, 0, Activation::kRelu, rng);
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
-    EXPECT_THROW(dgn.message({1, 1}, nullptr, 0, 0, 1, ctx),
+    EXPECT_THROW(message_of(dgn, {1, 1}, nullptr, 0, 0, 1, ctx),
                  std::invalid_argument);
 }
 
@@ -185,8 +188,8 @@ TEST(GatLayer, UniformNeighborhoodAveragesToSelf)
     Rng rng(7);
     GatLayer gat(4, 2, 3, Activation::kIdentity, rng);
     Vec h = gat.project({0.5f, -0.5f, 1.0f, 0.0f});
-    std::vector<const Vec *> nbrs{&h, &h, &h};
-    Vec out = gat_combine(gat, h, nbrs);
+    std::vector<const float *> nbrs{h.data(), h.data(), h.data()};
+    Vec out = gat_combine(gat, h.data(), nbrs);
     EXPECT_LT(max_abs_diff(out, h), 1e-5f);
 }
 
@@ -199,8 +202,8 @@ TEST(GatLayer, AttentionIsAWeightedAverage)
     Vec h_self = gat.project({1, 0, 0, 0});
     Vec h_a = gat.project({0, 1, 0, 0});
     Vec h_b = gat.project({0, 0, 1, 0});
-    std::vector<const Vec *> nbrs{&h_a, &h_b};
-    Vec out = gat_combine(gat, h_self, nbrs);
+    std::vector<const float *> nbrs{h_a.data(), h_b.data()};
+    Vec out = gat_combine(gat, h_self.data(), nbrs);
     for (std::size_t d = 0; d < 4; ++d) {
         float lo = std::min({h_self[d], h_a[d], h_b[d]});
         float hi = std::max({h_self[d], h_a[d], h_b[d]});
@@ -214,7 +217,7 @@ TEST(GatLayer, EmptyNeighborhoodReturnsActivatedSelf)
     Rng rng(9);
     GatLayer gat(4, 2, 2, Activation::kElu, rng);
     Vec h = gat.project({1, 2, 3, 4});
-    Vec out = gat_combine(gat, h, {});
+    Vec out = gat_combine(gat, h.data(), {});
     Vec expected = h;
     apply_activation(expected, Activation::kElu);
     EXPECT_LT(max_abs_diff(out, expected), 1e-6f);
@@ -226,11 +229,21 @@ TEST(GatLayer, ScoresUseLeakyRelu)
     GatLayer gat(2, 1, 2, Activation::kIdentity, rng);
     Vec h1 = gat.project({1, 0});
     Vec h2 = gat.project({0, 1});
-    Vec s = gat.edge_scores(h1, h2);
-    Vec expected_linear = gat.src_scores(h1);
-    Vec d = gat.dst_scores(h2);
-    float raw = expected_linear[0] + d[0];
-    EXPECT_FLOAT_EQ(s[0], activate(raw, Activation::kLeakyRelu));
+    // One head, one neighbor: the combine weights are the softmax of
+    // LeakyReLU(a_src . h_j + a_dst . h_i) over {self, neighbor}.
+    float s_self = 0.0f, s_nbr = 0.0f, d = 0.0f;
+    gat.src_scores(h2.data(), &s_self);
+    gat.src_scores(h1.data(), &s_nbr);
+    gat.dst_scores(h2.data(), &d);
+    const float l_self = activate(s_self + d, Activation::kLeakyRelu);
+    const float l_nbr = activate(s_nbr + d, Activation::kLeakyRelu);
+    const float top = std::max(l_self, l_nbr);
+    const float w_self = std::exp(l_self - top);
+    const float w_nbr = std::exp(l_nbr - top);
+    Vec out = gat_combine(gat, h2.data(), {h1.data()});
+    for (std::size_t k = 0; k < 2; ++k)
+        EXPECT_FLOAT_EQ(out[k], (w_self * h2[k] + w_nbr * h1[k]) /
+                                    (w_self + w_nbr));
 }
 
 TEST(Layer, BaseMessageThrowsForMessagelessLayers)
@@ -239,7 +252,7 @@ TEST(Layer, BaseMessageThrowsForMessagelessLayers)
     EncoderLayer enc(2, 2, rng);
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
-    EXPECT_THROW(enc.message({1, 1}, nullptr, 0, 0, 1, ctx),
+    EXPECT_THROW(message_of(enc, {1, 1}, nullptr, 0, 0, 1, ctx),
                  std::logic_error);
 }
 

@@ -128,11 +128,11 @@ TEST(Model, GlobalMeanPoolExcludesVirtualRows)
     Matrix emb(3, 100, 1.0f);
     for (std::size_t c = 0; c < 100; ++c)
         emb(2, c) = 100.0f; // the "virtual" row
-    Vec pooled = m.global_mean_pool(emb, 2);
+    Vec pooled = m.global_pool(emb, 2); // mean pooling by default
     for (float v : pooled)
         EXPECT_FLOAT_EQ(v, 1.0f);
-    EXPECT_THROW(m.global_mean_pool(emb, 0), std::invalid_argument);
-    EXPECT_THROW(m.global_mean_pool(emb, 4), std::invalid_argument);
+    EXPECT_THROW(m.global_pool(emb, 0), std::invalid_argument);
+    EXPECT_THROW(m.global_pool(emb, 4), std::invalid_argument);
 }
 
 TEST(Model, MacsScaleWithGraphSize)

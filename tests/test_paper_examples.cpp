@@ -13,9 +13,12 @@
 #include "nn/gin_layer.h"
 #include "nn/model.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::message_of;
 
 /**
  * Paper Fig. 5: edge list {(n0,n1), (n1,n2), (n1,n3), (n2,n1)}, two NT
@@ -92,8 +95,8 @@ TEST(PaperMath, GcnTwoNodeHandComputation)
     LayerContext ctx = make_layer_context(s);
     // Node 0: deg_hat = 2 both sides -> message from 1 = x1/2,
     // self = x0/2; out = [0.5, 1.0].
-    Vec msg = gcn.message(s.node_features.row_vec(1), nullptr, 0, 1, 0,
-                          ctx);
+    Vec msg = message_of(gcn, s.node_features.row_vec(1), nullptr, 0, 1,
+                         0, ctx);
     Vec out = gcn.transform(s.node_features.row_vec(0), msg, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 0.5f);
     EXPECT_FLOAT_EQ(out[1], 1.0f);
@@ -125,8 +128,8 @@ TEST(PaperMath, GinEquationOneHandComputation)
 
     LayerContext ctx = make_layer_context(s);
     // Message from node 1: ReLU(x1) = [3, 0].
-    Vec msg = gin.message(s.node_features.row_vec(1), nullptr, 0, 1, 0,
-                          ctx);
+    Vec msg = message_of(gin, s.node_features.row_vec(1), nullptr, 0, 1,
+                         0, ctx);
     EXPECT_EQ(msg, (Vec{3.0f, 0.0f}));
     // x0' = MLP((1+eps)*x0 + msg), eps = 0.1, hidden ReLU clips.
     Vec out = gin.transform(s.node_features.row_vec(0), msg, 0, ctx);

@@ -8,9 +8,12 @@
 #include "nn/sage_layer.h"
 #include "nn/sgc_layer.h"
 #include "tensor/ops.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
+
+using testing::message_of;
 
 GraphSample
 path_sample(std::size_t dim)
@@ -39,7 +42,7 @@ TEST(SageLayer, MessageIsRawEmbedding)
     GraphSample s = path_sample(3);
     LayerContext ctx = make_layer_context(s);
     Vec x{1.5f, -2.0f, 0.25f};
-    EXPECT_EQ(sage.message(x, nullptr, 0, 0, 1, ctx), x);
+    EXPECT_EQ(message_of(sage, x, nullptr, 0, 0, 1, ctx), x);
 }
 
 TEST(SageLayer, TransformSumsSelfAndNeighborPaths)
@@ -70,7 +73,7 @@ TEST(SgcLayer, MatchesGcnNormalizationArithmetic)
     SgcLayer sgc(2);
     GraphSample s = path_sample(2);
     LayerContext ctx = make_layer_context(s);
-    Vec msg = sgc.message({1.0f, 1.0f}, nullptr, 0, 1, 2, ctx);
+    Vec msg = message_of(sgc, {1.0f, 1.0f}, nullptr, 0, 1, 2, ctx);
     float norm = 1.0f / std::sqrt(2.0f * 2.0f);
     EXPECT_FLOAT_EQ(msg[0], norm);
     // Transform adds the renormalized self loop: agg + x / (deg+1).
