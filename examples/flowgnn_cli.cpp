@@ -23,10 +23,12 @@
  *   flowgnn_cli --model gcn16 --graph-file g.fgnb --shards 4 \
  *       --trace run.json --metrics run.prom
  */
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include <fstream>
 #include <future>
@@ -151,6 +153,26 @@ parse_mode(const std::string &s, const char *argv0)
     usage(argv0);
 }
 
+/**
+ * Parses a flag's value as a plain decimal that fits T: no sign, no
+ * whitespace, no trailing characters. Anything else prints the usage.
+ */
+template <typename T>
+T
+parse_unsigned(const std::string &flag, const std::string &s,
+               const char *argv0)
+{
+    T value = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    if (s.empty() || ec != std::errc() || ptr != end) {
+        std::printf("invalid value '%s' for %s\n", s.c_str(),
+                    flag.c_str());
+        usage(argv0);
+    }
+    return value;
+}
+
 CliOptions
 parse_args(int argc, char **argv)
 {
@@ -162,28 +184,32 @@ parse_args(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&](auto &field) {
+            field = parse_unsigned<std::remove_reference_t<decltype(field)>>(
+                arg, next(), argv[0]);
+        };
         if (arg == "--model") {
             opt.model = parse_model(next(), argv[0]);
         } else if (arg == "--dataset") {
             opt.dataset = parse_dataset(next(), argv[0]);
         } else if (arg == "--graphs") {
-            opt.graphs = std::stoul(next());
+            number(opt.graphs);
         } else if (arg == "--pnode") {
-            opt.config.p_node = std::stoul(next());
+            number(opt.config.p_node);
         } else if (arg == "--pedge") {
-            opt.config.p_edge = std::stoul(next());
+            number(opt.config.p_edge);
         } else if (arg == "--papply") {
-            opt.config.p_apply = std::stoul(next());
+            number(opt.config.p_apply);
         } else if (arg == "--pscatter") {
-            opt.config.p_scatter = std::stoul(next());
+            number(opt.config.p_scatter);
         } else if (arg == "--mode") {
             opt.config.mode = parse_mode(next(), argv[0]);
         } else if (arg == "--queue-depth") {
-            opt.config.queue_depth = std::stoul(next());
+            number(opt.config.queue_depth);
         } else if (arg == "--replicas") {
-            opt.service.replicas = std::stoul(next());
+            number(opt.service.replicas);
         } else if (arg == "--queue-capacity") {
-            opt.service.queue_capacity = std::stoul(next());
+            number(opt.service.queue_capacity);
         } else if (arg == "--balanced-banks") {
             opt.balanced_banks = true;
         } else if (arg == "--trace") {
@@ -193,7 +219,7 @@ parse_args(int argc, char **argv)
         } else if (arg == "--graph-file") {
             opt.graph_file = next();
         } else if (arg == "--shards") {
-            opt.shards = static_cast<std::uint32_t>(std::stoul(next()));
+            number(opt.shards);
         } else if (arg == "--dse") {
             opt.run_dse = true;
         } else {
@@ -406,8 +432,8 @@ run_sharded_file(const CliOptions &opt)
 int
 main(int argc, char **argv)
 {
-    CliOptions opt = parse_args(argc, argv);
     try {
+        const CliOptions opt = parse_args(argc, argv);
         if (opt.run_dse)
             return run_dse(opt);
         if (!opt.graph_file.empty())

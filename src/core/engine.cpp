@@ -15,8 +15,6 @@ namespace flowgnn {
 struct RunWorkspace::Impl {
     std::vector<std::uint32_t> bank_of;
     std::vector<std::vector<BankWork>> banks;
-    std::vector<std::uint64_t> acc_cycles;
-    std::vector<std::uint64_t> acc_zero;
     FunctionalScratch functional;
 };
 
@@ -144,34 +142,13 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
     split_banks(prepared.graph, bank_of, cfg.p_edge, wsi.banks);
 
     // Timing constants come from the shared per-stage schedule — the
-    // same numbers the ghost-exchange executor prices with.
+    // same numbers and the same loop the ghost-exchange executor prices
+    // each die with.
     const std::vector<StageSchedule> schedule =
         build_stage_schedule(model_, cfg);
-    for (std::size_t si = first; si < last; ++si) {
-        const StageSchedule &sched = schedule[si];
-        wsi.acc_cycles.assign(n_nodes, sched.acc_cycles);
-        PhaseWork w;
-        w.n_nodes = n_nodes;
-        w.acc_cycles = &wsi.acc_cycles;
-        w.stream_elems = sched.stream_elems;
-        w.has_scatter = sched.has_scatter;
-        w.expansion = sched.expansion;
-        w.banks = &wsi.banks;
-        std::uint64_t cycles = run_phase({w, cfg, opts, stats, phase_base});
-        if (sched.is_gat) {
-            // GAT gathers need a second round: re-stream the
-            // projections from the node buffer (no recomputation) for
-            // the weighted sum.
-            PhaseWork w2 = w;
-            wsi.acc_zero.assign(n_nodes, 0);
-            w2.acc_cycles = &wsi.acc_zero;
-            cycles +=
-                run_phase({w2, cfg, opts, stats, phase_base + cycles});
-        }
-        phase_base += cycles;
-        stats.phase_cycles.push_back(cycles);
-        stats.total_cycles += cycles;
-    }
+    const PricedGraph graph{n_nodes, n_nodes, nullptr, &wsi.banks};
+    price_stages(schedule, graph, cfg, opts, first, last, stats,
+                 phase_base);
 
     if (outcome == SegmentOutcome::kPreempted) {
         ckpt.stats = std::move(stats);
@@ -179,26 +156,9 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
         return outcome;
     }
 
-    // Epilogue: final GAT combine if the last stage was attention.
-    if (schedule.back().is_gat) {
-        std::uint64_t per_node = ceil_div_u64(
-            model_.stage(n_stages - 1).out_dim(), cfg.p_apply);
-        std::uint64_t epi =
-            ceil_div_u64(std::uint64_t(n_nodes), cfg.p_node) * per_node;
-        stats.phase_cycles.push_back(epi);
-        stats.total_cycles += epi;
-    }
-
-    // Global pooling (accumulated while the final embeddings stream
-    // out — free) + the MLP head.
     result.prediction =
         model_.readout(result.embeddings, prepared.pool_nodes());
-    std::uint64_t head_cycles = 0;
-    for (std::size_t l = 0; l < model_.head().num_layers(); ++l)
-        head_cycles +=
-            ceil_div_u64(model_.head().layer(l).in_dim(), cfg.p_apply);
-    stats.head_cycles = head_cycles;
-    stats.total_cycles += head_cycles + stats.load_cycles;
+    price_run_tail(model_, schedule, n_nodes, cfg, stats);
     return outcome;
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
- * Bounded FIFO with occupancy statistics — the hardware data queue of
- * the multi-queue dataflow (paper Fig. 3(b)). A full queue exerts
- * backpressure on the NT-to-MP adapter, which in turn stalls the NT
- * unit's output stream, exactly as an HLS stream would.
+ * Bounded FIFO with occupancy statistics: a full queue refuses the push
+ * (backpressure) and the queue records its peak occupancy and pushes.
+ * It is the storage behind serve/bounded_queue.h's BoundedQueue, and
+ * the test suite's per-cycle timing oracle models the engine's
+ * adapter-to-MP queues with it. The engine's phase model itself keeps
+ * those queues in fixed ring buffers (core/phase_model.cpp) with the
+ * same semantics.
  *
- * Concurrency contract: this type models hardware inside one
- * single-threaded cycle-stepped engine and is deliberately
- * unsynchronized — it carries no thread-safety annotations because it
- * has no locks. The thread-safe software counterpart is
- * serve/bounded_queue.h's BoundedQueue, which wraps a Fifo behind an
- * annotated flowgnn::Mutex (core/sync.h).
+ * Concurrency contract: this type is deliberately unsynchronized — it
+ * carries no thread-safety annotations because it has no locks. The
+ * thread-safe counterpart is serve/bounded_queue.h's BoundedQueue,
+ * which wraps a Fifo behind an annotated flowgnn::Mutex (core/sync.h).
  */
 #ifndef FLOWGNN_CORE_FIFO_H
 #define FLOWGNN_CORE_FIFO_H
@@ -21,7 +22,7 @@
 
 namespace flowgnn {
 
-/** Bounded FIFO modeling a hardware stream between pipeline units. */
+/** Bounded FIFO with backpressure and occupancy statistics. */
 template <typename T>
 class Fifo
 {

@@ -1,9 +1,8 @@
 #include "core/phase_model.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
-
-#include "core/fifo.h"
 
 namespace flowgnn {
 
@@ -15,10 +14,94 @@ struct QueueEntry {
     std::uint32_t granules = 1; ///< scatter granules carried
 };
 
-/** NT unit: double-buffered accumulate/output state machine. */
+/**
+ * The Pnode x Pedge adapter-to-MP FIFOs of one phase: fixed ring
+ * buffers carved out of one flat slot array. Queue q holds at most
+ * cap[q] = min(queue_depth, entries the phase pushes into q) entries;
+ * below the configured depth the bound is never reached before the
+ * queue's last push, so backpressure is exactly that of a
+ * queue_depth-deep FIFO, while storage stays bounded by the phase's
+ * real traffic whatever depth the user configured.
+ */
+class QueueRings
+{
+  public:
+    /** `pushes[q]` is the number of entries the phase pushes into q. */
+    QueueRings(const std::vector<std::uint64_t> &pushes, std::size_t depth)
+        : rings_(pushes.size())
+    {
+        std::size_t total = 0;
+        for (std::size_t q = 0; q < pushes.size(); ++q) {
+            rings_[q].base = total;
+            rings_[q].cap = static_cast<std::size_t>(
+                std::min<std::uint64_t>(depth, pushes[q]));
+            total += rings_[q].cap;
+        }
+        slots_.resize(total);
+    }
+
+    bool empty(std::size_t q) const { return rings_[q].size == 0; }
+    bool full(std::size_t q) const
+    {
+        return rings_[q].size >= rings_[q].cap;
+    }
+    /** Entries queued across all rings. */
+    std::size_t queued() const { return queued_; }
+
+    /** Enqueues; call only when !full(q). */
+    void
+    push(std::size_t q, QueueEntry e)
+    {
+        Ring &r = rings_[q];
+        std::size_t tail = r.head + r.size;
+        if (tail >= r.cap)
+            tail -= r.cap;
+        slots_[r.base + tail] = e;
+        ++r.size;
+        ++queued_;
+        r.peak = std::max(r.peak, r.size);
+    }
+
+    /** Dequeues the oldest entry; call only when !empty(q). */
+    QueueEntry
+    pop(std::size_t q)
+    {
+        Ring &r = rings_[q];
+        QueueEntry e = slots_[r.base + r.head];
+        if (++r.head == r.cap)
+            r.head = 0;
+        --r.size;
+        --queued_;
+        return e;
+    }
+
+    /** Largest occupancy any ring reached. */
+    std::size_t
+    peak_occupancy() const
+    {
+        std::size_t peak = 0;
+        for (const Ring &r : rings_)
+            peak = std::max(peak, r.peak);
+        return peak;
+    }
+
+  private:
+    struct Ring {
+        std::size_t base = 0; ///< first slot in slots_
+        std::size_t cap = 0;
+        std::size_t head = 0; ///< slot offset of the oldest entry
+        std::size_t size = 0;
+        std::size_t peak = 0;
+    };
+    std::vector<Ring> rings_;
+    std::vector<QueueEntry> slots_;
+    std::size_t queued_ = 0;
+};
+
+/** NT unit: double-buffered accumulate/output state machine. Unit u
+ * owns nodes u, u + Pnode, u + 2 Pnode, ... in that order. */
 struct NtUnitState {
-    std::vector<NodeId> nodes; ///< assigned nodes, in order
-    std::size_t next = 0;      ///< next node to start accumulating
+    std::uint64_t next = 0; ///< next node to start accumulating
     bool acc_active = false;
     NodeId acc_node = 0;
     std::uint64_t acc_rem = 0;
@@ -31,9 +114,9 @@ struct NtUnitState {
     std::uint32_t out_sent = 0; ///< elements streamed so far
 
     bool
-    done() const
+    done(NodeId n_nodes) const
     {
-        return next >= nodes.size() && !acc_active && !pong_full &&
+        return next >= n_nodes && !acc_active && !pong_full &&
                !out_active;
     }
 };
@@ -54,7 +137,7 @@ struct MpUnitState {
     QueueEntry entry;
     std::uint64_t rem = 0;
     std::uint64_t entry_start = 0; ///< cycle the entry began (trace)
-    std::size_t rr_cursor = 0; ///< round-robin over source queues
+    std::uint32_t rr_cursor = 0; ///< round-robin over source queues
 };
 
 std::uint32_t
@@ -71,12 +154,19 @@ bank_edges(const std::vector<BankWork> &banks, std::uint32_t bank)
  * (baseline dataflow and FlowGNN). whole_node_handoff selects the
  * baseline behaviour where MP only starts a node after its entire
  * embedding arrived (Fig. 4(c) vs (d)).
+ *
+ * A cycle that changes nothing but the two countdowns (an MP entry's
+ * `rem`, an NT accumulate's `acc_rem`) leaves every predicate the next
+ * cycle reads as it was, so it repeats identically until the nearest
+ * countdown expires; the loop then jumps straight there, adding the
+ * repeated cycles' busy/idle and stall counts in one step.
  */
 std::uint64_t
 simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
 {
     const PhaseWork &w = env.work;
     const EngineConfig &cfg = env.cfg;
+    RunStats &stats = env.stats;
     const std::uint32_t pn = cfg.p_node;
     const std::uint32_t pe = cfg.p_edge;
     const std::uint32_t pa = cfg.p_apply;
@@ -86,63 +176,65 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
             ? 0
             : static_cast<std::uint32_t>(
                   ceil_div_u64(w.stream_elems, ps));
+    const std::uint32_t pushes_per_target =
+        whole_node_handoff ? (sg_total > 0 ? 1 : 0) : sg_total;
 
-    // Assign nodes round-robin to NT units.
-    std::vector<NtUnitState> nt(pn);
-    for (NodeId n = 0; n < w.n_nodes; ++n)
-        nt[n % pn].nodes.push_back(n);
-
-    std::vector<AdapterPort> port(pn);
-    std::vector<MpUnitState> mp(pe);
-    std::vector<Fifo<QueueEntry>> queues;
-    queues.reserve(std::size_t(pn) * pe);
-    for (std::size_t i = 0; i < std::size_t(pn) * pe; ++i)
-        queues.emplace_back(cfg.queue_depth);
-    auto queue_at = [&](std::uint32_t u, std::uint32_t m) -> auto & {
-        return queues[std::size_t(u) * pe + m];
-    };
-
-    // Generous livelock guard: every unit of work costs >= 1 cycle.
+    // Generous livelock guard (every unit of work costs >= 1 cycle),
+    // and the entries each queue will receive, which sizes its ring.
     std::uint64_t work_bound = 1000000;
+    std::vector<std::uint64_t> pushes(std::size_t(pn) * pe, 0);
     for (NodeId n = 0; n < w.n_nodes; ++n) {
-        work_bound += (*w.acc_cycles)[n] + w.stream_elems;
+        work_bound += w.acc_of(n) + w.stream_elems;
         if (w.has_scatter)
-            for (const auto &bw : (*w.banks)[n])
+            for (const auto &bw : (*w.banks)[n]) {
                 work_bound +=
                     std::uint64_t(bw.edges) * sg_total * w.expansion;
+                pushes[std::size_t(n % pn) * pe + bw.bank] +=
+                    pushes_per_target;
+            }
     }
     work_bound = work_bound * 4 + 1000000;
+
+    std::vector<NtUnitState> nt(pn);
+    for (std::uint32_t u = 0; u < pn; ++u)
+        nt[u].next = u;
+    std::vector<AdapterPort> port(pn);
+    std::vector<MpUnitState> mp(pe);
+    QueueRings queues(pushes, cfg.queue_depth);
+    auto queue_id = [pe](std::uint32_t u, std::uint32_t m) {
+        return std::size_t(u) * pe + m;
+    };
 
     const bool tracing = env.opts.capture_trace;
     auto emit = [&](TraceKind kind, std::uint32_t unit, NodeId node,
                     std::uint64_t start, std::uint64_t end) {
         if (tracing && end > start)
-            env.stats.trace.push_back(
-                {kind, unit, node, env.base_cycle + start,
-                 env.base_cycle + end});
+            stats.trace.push_back({kind, unit, node,
+                                   env.base_cycle + start,
+                                   env.base_cycle + end});
     };
 
-    std::uint64_t cycle = 0;
     auto all_done = [&] {
         for (const auto &u : nt)
-            if (!u.done())
+            if (!u.done(w.n_nodes))
                 return false;
         for (const auto &p : port)
             if (p.active)
                 return false;
-        for (const auto &q : queues)
-            if (!q.empty())
-                return false;
         for (const auto &m : mp)
             if (m.busy)
                 return false;
-        return true;
+        return queues.queued() == 0;
     };
 
-    while (!all_done()) {
+    std::uint64_t cycle = 0;
+    bool done = all_done();
+    while (!done) {
         if (cycle > work_bound)
             throw std::runtime_error("Engine: phase livelock detected");
         ++cycle;
+        bool changed = false;      // any state besides the countdowns
+        std::uint64_t stalls = 0;  // adapter stalls this cycle
 
         // 1. MP units consume (oldest pipeline stage first so data
         //    moves at most one hop per cycle).
@@ -150,23 +242,27 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
             auto &unit = mp[m];
             if (unit.busy) {
                 --unit.rem;
-                env.stats.mp_units[m].busy++;
+                stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
                     unit.busy = false;
+                    changed = true;
                 }
                 continue;
             }
             // Pop next entry, round-robin over source NT queues.
             bool popped = false;
             for (std::uint32_t probe = 0; probe < pn && !popped; ++probe) {
-                std::uint32_t u = (unit.rr_cursor + probe) % pn;
-                auto &q = queue_at(u, m);
-                if (q.empty())
+                // (cursor + probe) % pn, without a division per probe.
+                std::uint32_t u = unit.rr_cursor + probe;
+                if (u >= pn)
+                    u -= pn;
+                const std::size_t q = queue_id(u, m);
+                if (queues.empty(q))
                     continue;
-                unit.entry = q.pop();
-                unit.rr_cursor = (u + 1) % pn;
+                unit.entry = queues.pop(q);
+                unit.rr_cursor = u + 1 == pn ? 0 : u + 1;
                 std::uint32_t deg =
                     bank_edges((*w.banks)[unit.entry.node], m);
                 unit.rem = std::uint64_t(deg) * unit.entry.granules *
@@ -176,11 +272,12 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 unit.busy = true;
                 unit.entry_start = cycle - 1;
                 popped = true;
-                env.stats.mp_edge_work[m] +=
+                changed = true;
+                stats.mp_edge_work[m] +=
                     std::uint64_t(deg) * unit.entry.granules;
                 // Spend this cycle on the first unit of work.
                 --unit.rem;
-                env.stats.mp_units[m].busy++;
+                stats.mp_units[m].busy++;
                 if (unit.rem == 0) {
                     emit(TraceKind::kMpWork, m, unit.entry.node,
                          unit.entry_start, cycle);
@@ -188,7 +285,7 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 }
             }
             if (!popped && !unit.busy)
-                env.stats.mp_units[m].idle++;
+                stats.mp_units[m].idle++;
         }
 
         // 2. Adapter ports: re-batch and multicast.
@@ -218,20 +315,22 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
             // All-or-nothing multicast: every target queue needs room.
             bool room = true;
             for (const auto &bw : *p.targets)
-                if (queue_at(u, bw.bank).full())
+                if (queues.full(queue_id(u, bw.bank)))
                     room = false;
             if (!room) {
-                env.stats.adapter_stall_cycles++;
+                stats.adapter_stall_cycles++;
+                ++stalls;
                 continue;
             }
             QueueEntry entry{p.node, emit_granules};
             for (const auto &bw : *p.targets) {
-                queue_at(u, bw.bank).push(entry);
-                env.stats.queue_total_pushes++;
+                queues.push(queue_id(u, bw.bank), entry);
+                stats.queue_total_pushes++;
             }
             p.emitted_granules += emit_granules;
             if (p.emitted_granules >= p.total_granules)
                 p.active = false;
+            changed = true;
         }
 
         // 3. NT output streams into the adapter (or directly to the
@@ -266,6 +365,7 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                         delivered = true;
                     }
                 }
+                changed |= delivered;
                 if (delivered && unit.out_sent >= w.stream_elems) {
                     emit(TraceKind::kNtOutput, u, unit.out_node,
                          unit.out_start, cycle);
@@ -284,6 +384,7 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                     unit.out_sent = 0;
                     unit.out_start = cycle;
                     unit.pong_full = false;
+                    changed = true;
                     if (w.has_scatter &&
                         !(*w.banks)[unit.out_node].empty()) {
                         auto &p = port[u];
@@ -296,6 +397,7 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                     }
                 } else if (w.stream_elems == 0) {
                     unit.pong_full = false; // nothing to stream
+                    changed = true;
                 }
             }
         }
@@ -313,12 +415,15 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                     unit.acc_active = false;
                     unit.pong_full = true;
                     unit.pong_node = unit.acc_node;
+                    changed = true;
                 }
             }
             if (!unit.acc_active && !unit.pong_full &&
-                unit.next < unit.nodes.size()) {
-                unit.acc_node = unit.nodes[unit.next++];
-                std::uint64_t c = (*w.acc_cycles)[unit.acc_node];
+                unit.next < w.n_nodes) {
+                unit.acc_node = static_cast<NodeId>(unit.next);
+                unit.next += pn;
+                changed = true;
+                std::uint64_t c = w.acc_of(unit.acc_node);
                 if (c == 0) {
                     // Zero-cost accumulate (the re-stream round of GAT,
                     // or a ghost node whose embedding arrived over the
@@ -333,16 +438,52 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
                 }
             }
             if (was_busy)
-                env.stats.nt_units[u].busy++;
+                stats.nt_units[u].busy++;
             else
-                env.stats.nt_units[u].idle++;
+                stats.nt_units[u].idle++;
         }
+
+        if (changed) {
+            done = all_done();
+            continue;
+        }
+
+        // Quiet cycle: it repeats until the nearest countdown reaches
+        // zero. Without a running countdown it would repeat forever, so
+        // step on and let the livelock guard fire.
+        std::uint64_t skip = std::numeric_limits<std::uint64_t>::max();
+        for (const auto &unit : mp)
+            if (unit.busy)
+                skip = std::min(skip, unit.rem);
+        for (const auto &unit : nt)
+            if (unit.acc_active)
+                skip = std::min(skip, unit.acc_rem);
+        if (skip == std::numeric_limits<std::uint64_t>::max() || skip < 2)
+            continue;
+        skip -= 1; // the cycle that expires a countdown runs normally
+        cycle += skip;
+        for (std::uint32_t m = 0; m < pe; ++m) {
+            if (mp[m].busy) {
+                mp[m].rem -= skip;
+                stats.mp_units[m].busy += skip;
+            } else {
+                stats.mp_units[m].idle += skip;
+            }
+        }
+        for (std::uint32_t u = 0; u < pn; ++u) {
+            auto &unit = nt[u];
+            if (unit.acc_active)
+                unit.acc_rem -= skip;
+            if (unit.acc_active || unit.out_active)
+                stats.nt_units[u].busy += skip;
+            else
+                stats.nt_units[u].idle += skip;
+        }
+        stats.adapter_stall_cycles += stalls * skip;
     }
 
-    for (const auto &q : queues) {
-        env.stats.queue_peak_occupancy =
-            std::max(env.stats.queue_peak_occupancy, q.peak_occupancy());
-    }
+    stats.queue_peak_occupancy =
+        std::max(stats.queue_peak_occupancy, queues.peak_occupancy());
     return cycle;
 }
 
@@ -351,8 +492,7 @@ simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
 std::uint64_t
 analytic_nt_cycles(const PhaseWork &w, const EngineConfig &cfg, NodeId n)
 {
-    return (*w.acc_cycles)[n] +
-           ceil_div_u64(w.stream_elems, cfg.p_apply);
+    return w.acc_of(n) + ceil_div_u64(w.stream_elems, cfg.p_apply);
 }
 
 /** Per-node MP cost on the unit owning `bank` work. */
@@ -553,6 +693,126 @@ build_stage_schedule(const Model &model, const EngineConfig &cfg)
         }
     }
     return out;
+}
+
+namespace {
+
+/**
+ * Adds one phase's recorded statistics into a run's: sums for unit,
+ * edge-work, stall and push counters, max for the queue peak, and the
+ * phase's trace (recorded from cycle 0) shifted to `base`.
+ */
+void
+add_phase_stats(RunStats &stats, const RunStats &phase, std::uint64_t base)
+{
+    for (std::size_t u = 0; u < phase.nt_units.size(); ++u) {
+        stats.nt_units[u].busy += phase.nt_units[u].busy;
+        stats.nt_units[u].idle += phase.nt_units[u].idle;
+    }
+    for (std::size_t m = 0; m < phase.mp_units.size(); ++m) {
+        stats.mp_units[m].busy += phase.mp_units[m].busy;
+        stats.mp_units[m].idle += phase.mp_units[m].idle;
+        stats.mp_edge_work[m] += phase.mp_edge_work[m];
+    }
+    stats.adapter_stall_cycles += phase.adapter_stall_cycles;
+    stats.queue_total_pushes += phase.queue_total_pushes;
+    stats.queue_peak_occupancy =
+        std::max(stats.queue_peak_occupancy, phase.queue_peak_occupancy);
+    for (TraceEvent e : phase.trace) {
+        e.start += base;
+        e.end += base;
+        stats.trace.push_back(e);
+    }
+}
+
+} // namespace
+
+void
+price_stages(const std::vector<StageSchedule> &schedule,
+             const PricedGraph &graph, const EngineConfig &cfg,
+             const RunOptions &opts, std::size_t first, std::size_t last,
+             RunStats &stats, std::uint64_t &phase_base)
+{
+    // Every phase priced so far in this call. Banks and the owner mask
+    // are fixed for the call, so a PhaseWork equal to a recorded one
+    // has the same cycles and statistics: add them again instead.
+    struct Priced {
+        PhaseWork work;
+        std::uint64_t cycles;
+        RunStats stats; ///< the phase's own counters, trace from cycle 0
+    };
+    std::vector<Priced> seen;
+    auto price = [&](const PhaseWork &w, std::uint64_t base) {
+        auto hit = std::find_if(seen.begin(), seen.end(),
+                                [&](const Priced &p) { return p.work == w; });
+        if (hit == seen.end()) {
+            RunStats phase;
+            phase.nt_units.assign(cfg.p_node, {});
+            phase.mp_units.assign(cfg.p_edge, {});
+            phase.mp_edge_work.assign(cfg.p_edge, 0);
+            const std::uint64_t cycles =
+                run_phase({w, cfg, opts, phase, 0});
+            seen.push_back({w, cycles, std::move(phase)});
+            hit = seen.end() - 1;
+        }
+        add_phase_stats(stats, hit->stats, base);
+        return hit->cycles;
+    };
+    for (std::size_t si = first; si < last; ++si) {
+        const StageSchedule &sched = schedule[si];
+        PhaseWork w;
+        w.stream_elems = sched.stream_elems;
+        w.has_scatter = sched.has_scatter;
+        w.expansion = sched.expansion;
+        w.acc_owned = sched.acc_cycles;
+        if (sched.has_scatter) {
+            // Scatter phase: ghosts re-stream their received embedding
+            // into the scatter (GAT ghosts pay the local projection).
+            w.n_nodes = graph.n_nodes;
+            w.banks = graph.banks;
+            w.is_owned = graph.is_owned;
+            w.acc_ghost = sched.is_gat ? sched.nt_pass_cycles : 0;
+        } else {
+            // Node-local stage: ghosts take no part at all.
+            w.n_nodes = graph.n_owned;
+            w.acc_ghost = w.acc_owned;
+        }
+        std::uint64_t cycles = price(w, phase_base);
+        if (sched.is_gat) {
+            // GAT gathers need a second round: re-stream the
+            // projections from the node buffer (no recomputation) for
+            // the weighted sum.
+            w.acc_owned = w.acc_ghost = 0;
+            cycles += price(w, phase_base + cycles);
+        }
+        phase_base += cycles;
+        stats.phase_cycles.push_back(cycles);
+        stats.total_cycles += cycles;
+    }
+}
+
+void
+price_run_tail(const Model &model, const std::vector<StageSchedule> &schedule,
+               NodeId n_owned, const EngineConfig &cfg, RunStats &stats)
+{
+    // Epilogue: final GAT combine if the last stage was attention.
+    if (!schedule.empty() && schedule.back().is_gat) {
+        const std::size_t last = model.num_stages() - 1;
+        const std::uint64_t epi =
+            ceil_div_u64(n_owned, cfg.p_node) *
+            ceil_div_u64(model.stage(last).out_dim(), cfg.p_apply);
+        stats.phase_cycles.push_back(epi);
+        stats.total_cycles += epi;
+    }
+
+    // Global pooling (accumulated while the final embeddings stream
+    // out — free) + the MLP head.
+    std::uint64_t head_cycles = 0;
+    for (std::size_t l = 0; l < model.head().num_layers(); ++l)
+        head_cycles +=
+            ceil_div_u64(model.head().layer(l).in_dim(), cfg.p_apply);
+    stats.head_cycles = head_cycles;
+    stats.total_cycles += head_cycles + stats.load_cycles;
 }
 
 } // namespace flowgnn

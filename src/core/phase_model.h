@@ -2,25 +2,31 @@
  * @file
  * The engine's phase-timing machinery, factored out of Engine so other
  * executors can drive it. A pipeline phase is described by PhaseWork —
- * node count, per-node NT accumulate cycles, output stream width, and
- * the destination-bank split of the scatter — and run_phase() prices
- * it under any of the four PipelineModes. Pricing is purely
- * structural: values come from the functional kernel
- * (core/functional.h), and no phase ever touches an embedding.
+ * node count, NT accumulate cost, output stream width, and the
+ * destination-bank split of the scatter — and run_phase() prices it
+ * under any of the four PipelineModes. Pricing is purely structural:
+ * values come from the functional kernel (core/functional.h), and no
+ * phase ever touches an embedding.
  *
- * Engine builds one PhaseWork per stage over the whole graph; the
- * ghost-exchange executor (src/ghost) builds one per stage per die
- * with per-node costs that differ between owned nodes (full NT work)
+ * price_stages() is the one per-stage pricing loop. Engine runs it over
+ * the whole graph; the ghost-exchange executor (src/ghost) runs it per
+ * die, where accumulate costs differ between owned nodes (full NT work)
  * and ghost nodes (zero-cost re-stream of an embedding received over
  * the inter-die link — the same mechanism the GAT re-stream round
  * uses). Keeping the timing model in one place is what guarantees a
- * die of the ghost executor and a die of the halo executor price
- * identical work identically.
+ * die of the ghost executor prices the same work the way an unsharded
+ * engine does.
  *
  * build_stage_schedule() derives the per-stage cost constants
  * (accumulate passes, stream width, scatter expansion) from a model +
  * engine config. Engine and the ghost executor both read their cost
  * numbers from it, so the two can never drift apart.
+ *
+ * The cost of pricing follows the phase's state changes, not its
+ * modeled cycles: event-free cycles are skipped in one step, queues are
+ * fixed ring buffers, and a phase equal to an earlier one of the same
+ * run replays its recorded statistics (docs/DESIGN.md, "Timing model:
+ * phase simulator"). None of it changes a RunStats field.
  */
 #ifndef FLOWGNN_CORE_PHASE_MODEL_H
 #define FLOWGNN_CORE_PHASE_MODEL_H
@@ -61,13 +67,17 @@ void split_banks(const GraphRef &graph,
 
 /**
  * Static description of one pipeline phase's work, independent of the
- * pipeline mode and of every value.
+ * pipeline mode and of every value. Compared by value: within one run
+ * (fixed banks and owner mask) equal PhaseWorks price identically.
  */
 struct PhaseWork {
     NodeId n_nodes = 0;
-    /** NT accumulate cycles per node (all input-stationary passes);
-     * storage lives in the caller's workspace. */
-    const std::vector<std::uint64_t> *acc_cycles = nullptr;
+    /** NT accumulate cycles (all input-stationary passes) of an owned
+     * node and of a ghost node. */
+    std::uint64_t acc_owned = 0;
+    std::uint64_t acc_ghost = 0;
+    /** Per node: nonzero if owned. Borrowed; null means all owned. */
+    const std::uint8_t *is_owned = nullptr;
     /** Elements streamed out per node (the stage's output dim). */
     std::uint32_t stream_elems = 0;
     bool has_scatter = false;
@@ -75,6 +85,16 @@ struct PhaseWork {
     std::uint32_t expansion = 1;
     /** Destination-bank split per node (empty if no out-edges). */
     const std::vector<std::vector<BankWork>> *banks = nullptr;
+
+    /** NT accumulate cycles of node n. */
+    std::uint64_t
+    acc_of(NodeId n) const
+    {
+        return is_owned == nullptr || is_owned[n] != 0 ? acc_owned
+                                                       : acc_ghost;
+    }
+
+    bool operator==(const PhaseWork &) const = default;
 };
 
 /** Everything shared by the timing back-ends for one phase. */
@@ -122,6 +142,48 @@ struct StageSchedule {
 /** Derives the per-stage schedule of `model` on `cfg` (see above). */
 std::vector<StageSchedule> build_stage_schedule(const Model &model,
                                                 const EngineConfig &cfg);
+
+/**
+ * The graph one die prices, fixed for a whole run. Scatter phases run
+ * over all `n_nodes` (owned and ghost); node-local phases and the GAT
+ * epilogue over the first `n_owned` only. A single-die run has
+ * n_owned == n_nodes and no owner mask.
+ */
+struct PricedGraph {
+    NodeId n_nodes = 0;
+    NodeId n_owned = 0;
+    /** Per node: nonzero if owned (borrowed; null = all owned). */
+    const std::uint8_t *is_owned = nullptr;
+    /** split_banks() of the die's graph (borrowed). */
+    const std::vector<std::vector<BankWork>> *banks = nullptr;
+};
+
+/**
+ * Prices stages [first, last) of `schedule` on one die: one phase per
+ * stage, two for GAT (the second re-streams the projections at zero
+ * accumulate cost for the weighted sum). Appends each stage's cycles to
+ * stats.phase_cycles, adds them to stats.total_cycles and advances
+ * `phase_base`, the absolute cycle trace events are offset by. A phase
+ * equal to an earlier one of the same call replays that phase's
+ * recorded statistics instead of being simulated again. stats must be
+ * sized as run_phase() requires.
+ */
+void price_stages(const std::vector<StageSchedule> &schedule,
+                  const PricedGraph &graph, const EngineConfig &cfg,
+                  const RunOptions &opts, std::size_t first,
+                  std::size_t last, RunStats &stats,
+                  std::uint64_t &phase_base);
+
+/**
+ * Closes a completed run: the final GAT combine over the `n_owned`
+ * nodes when the last stage is attention, then the pooled MLP head.
+ * Sets stats.head_cycles and adds both, plus stats.load_cycles, to
+ * stats.total_cycles.
+ */
+void price_run_tail(const Model &model,
+                    const std::vector<StageSchedule> &schedule,
+                    NodeId n_owned, const EngineConfig &cfg,
+                    RunStats &stats);
 
 } // namespace flowgnn
 

@@ -14,13 +14,13 @@ namespace flowgnn {
 namespace {
 
 /**
- * Prices one die's run: the standard per-stage phase loop over the
- * die's local subgraph, with per-vertex accumulate costs split between
- * owned vertices (full NT work from the shared schedule) and ghosts
- * (zero — their embedding arrived over the link and is only
- * re-streamed into the scatter; GAT ghosts pay the local projection).
- * Timing is structural: the functional answer is computed once
- * globally by the caller.
+ * Prices one die's run: the shared per-stage pricing loop over the
+ * die's local subgraph, with accumulate costs split between owned
+ * vertices (full NT work from the shared schedule) and ghosts (zero —
+ * their embedding arrived over the link and is only re-streamed into
+ * the scatter; GAT ghosts pay the local projection). Timing is
+ * structural: the functional answer is computed once globally by the
+ * caller.
  */
 RunStats
 price_ghost_die(const GhostShard &shard,
@@ -64,63 +64,12 @@ price_ghost_die(const GhostShard &shard,
     std::vector<std::vector<BankWork>> banks;
     split_banks(shard.local_graph, bank_of, cfg.p_edge, banks);
 
-    std::vector<std::uint64_t> acc;
-    std::vector<std::uint64_t> acc_zero;
     std::uint64_t phase_base = 0;
-    for (const StageSchedule &sched : schedule) {
-        PhaseWork w;
-        w.stream_elems = sched.stream_elems;
-        w.has_scatter = sched.has_scatter;
-        w.expansion = sched.expansion;
-        if (sched.has_scatter) {
-            // Exchange-fed phase: ghosts participate in the scatter.
-            w.n_nodes = n_locals;
-            w.banks = &banks;
-            acc.resize(n_locals);
-            const std::uint64_t ghost_acc =
-                sched.is_gat ? sched.nt_pass_cycles : 0;
-            for (NodeId v = 0; v < n_locals; ++v)
-                acc[v] =
-                    shard.is_owned[v] ? sched.acc_cycles : ghost_acc;
-        } else {
-            // Node-local stage: ghosts take no part at all.
-            w.n_nodes = n_owned;
-            acc.assign(n_owned, sched.acc_cycles);
-        }
-        w.acc_cycles = &acc;
-
-        PhaseEnv env{w, cfg, opts, stats, phase_base};
-        std::uint64_t cycles = run_phase(env);
-        if (sched.is_gat) {
-            // Round 2: zero-cost re-stream for the weighted sum,
-            // exactly as in the engine.
-            PhaseWork w2 = w;
-            acc_zero.assign(w.n_nodes, 0);
-            w2.acc_cycles = &acc_zero;
-            PhaseEnv env2{w2, cfg, opts, stats, phase_base + cycles};
-            cycles += run_phase(env2);
-        }
-        phase_base += cycles;
-        stats.phase_cycles.push_back(cycles);
-        stats.total_cycles += cycles;
-    }
-
-    // Epilogue: final GAT combine over owned vertices only.
-    if (!schedule.empty() && schedule.back().is_gat) {
-        const std::size_t last = model.num_stages() - 1;
-        std::uint64_t epi =
-            ceil_div_u64(n_owned, cfg.p_node) *
-            ceil_div_u64(model.stage(last).out_dim(), cfg.p_apply);
-        stats.phase_cycles.push_back(epi);
-        stats.total_cycles += epi;
-    }
-
-    std::uint64_t head_cycles = 0;
-    for (std::size_t l = 0; l < model.head().num_layers(); ++l)
-        head_cycles +=
-            ceil_div_u64(model.head().layer(l).in_dim(), cfg.p_apply);
-    stats.head_cycles = head_cycles;
-    stats.total_cycles += head_cycles + stats.load_cycles;
+    const PricedGraph graph{n_locals, n_owned, shard.is_owned.data(),
+                            &banks};
+    price_stages(schedule, graph, cfg, opts, 0, schedule.size(), stats,
+                 phase_base);
+    price_run_tail(model, schedule, n_owned, cfg, stats);
     return stats;
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Thread-safe bounded submission queue for the inference service: the
- * software analogue of the hardware Fifo in core/fifo.h, with the same
- * semantics (bounded capacity, backpressure when full, occupancy
- * statistics) extended with blocking waits and a close() protocol for
- * shutdown. Producers choose between blocking push (backpressure) and
+ * Thread-safe bounded submission queue for the inference service: a
+ * Fifo (core/fifo.h) behind a mutex, with the same semantics (bounded
+ * capacity, backpressure when full, occupancy statistics) extended
+ * with blocking waits and a close() protocol for shutdown. Producers choose between blocking push (backpressure) and
  * try_push (admission control / load shedding).
  */
 #ifndef FLOWGNN_SERVE_BOUNDED_QUEUE_H
@@ -18,7 +17,7 @@
 
 namespace flowgnn {
 
-/** Bounded multi-producer multi-consumer queue over a hardware Fifo. */
+/** Bounded multi-producer multi-consumer queue over a Fifo. */
 template <typename T>
 class BoundedQueue
 {
