@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the engine's primitive kernels:
- * FIFO traffic, input-stationary accumulation, aggregator updates,
- * CSR construction from the streamed COO list, and whole-engine runs.
+ * FIFO traffic, input-stationary accumulation, aggregator folds, the
+ * GCN-16 column gather, CSR construction from the streamed COO list,
+ * and whole-engine runs.
  * These quantify simulator throughput (host-side), complementing the
  * modeled accelerator cycle counts.
  */
@@ -11,7 +12,9 @@
 #include "core/engine.h"
 #include "core/fifo.h"
 #include "datasets/dataset.h"
+#include "graph/generators.h"
 #include "nn/aggregator.h"
+#include "nn/gcn_layer.h"
 
 namespace flowgnn {
 namespace {
@@ -46,21 +49,57 @@ BM_LinearAccumulate(benchmark::State &state)
 BENCHMARK(BM_LinearAccumulate)->Arg(16)->Arg(64)->Arg(100);
 
 void
-BM_AggregatorAccumulate(benchmark::State &state)
+BM_AggregatorFold(benchmark::State &state)
 {
+    // One 64-message column per iteration through fold_messages.
     auto kind = static_cast<AggregatorKind>(state.range(0));
+    constexpr std::size_t kMessages = 64;
     Aggregator agg(kind, 100);
     std::vector<float> st(agg.state_dim());
     agg.init(st.data());
     Vec msg(100, 0.25f);
     for (auto _ : state) {
-        agg.accumulate(st.data(), msg.data());
+        fold_messages(agg, nullptr, st.data(), kMessages,
+                      [&](std::size_t, float *out) {
+                          std::copy(msg.begin(), msg.end(), out);
+                      });
         benchmark::DoNotOptimize(st.data());
     }
+    state.SetItemsProcessed(state.iterations() * kMessages);
 }
-BENCHMARK(BM_AggregatorAccumulate)
+BENCHMARK(BM_AggregatorFold)
     ->Arg(static_cast<int>(AggregatorKind::kSum))
     ->Arg(static_cast<int>(AggregatorKind::kPna));
+
+void
+BM_Gcn16ColumnGather(benchmark::State &state)
+{
+    // The functional kernel's per-edge cost: every destination's
+    // GCN-16 gather over its src-major column, one thread; items are
+    // edges.
+    Rng rng(7);
+    GraphSample s;
+    s.graph = make_barabasi_albert(4096, 16, rng);
+    s.node_features = gaussian_features(s.num_nodes(), 16, 7);
+    const GcnLayer gcn(16, 16, Activation::kRelu, rng);
+    const LayerContext ctx = make_layer_context(s, {}, 1);
+    const CscGraph csc(s.graph, 1, CscOrder::kSrcMajor, false);
+    const Aggregator agg = gcn.aggregator();
+    std::vector<float> st(std::size_t(s.num_nodes()) * agg.state_dim());
+    MessageInputs in;
+    in.x = s.node_features.data();
+    for (auto _ : state) {
+        for (NodeId v = 0; v < s.num_nodes(); ++v) {
+            float *row = st.data() + std::size_t(v) * agg.state_dim();
+            agg.init(row);
+            gcn.gather({v, csc.in_degree(v), csc.col_srcs(v), nullptr}, in,
+                       ctx, row);
+        }
+        benchmark::DoNotOptimize(st.data());
+    }
+    state.SetItemsProcessed(state.iterations() * s.num_edges());
+}
+BENCHMARK(BM_Gcn16ColumnGather);
 
 void
 BM_CsrBuildFromStream(benchmark::State &state)

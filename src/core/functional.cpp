@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <string>
 
 #include "core/parallel.h"
 #include "nn/gat_layer.h"
@@ -69,41 +68,42 @@ class Pass
     }
 
     /** out = stage.transform(x, finalized aggregate), or the GAT
-     * projection of x when `gat` is set. */
+     * projection of x when `gat` is set; quantized. */
     void
     transform(const Layer &stage, const GatLayer *gat,
               const std::vector<float> &x, const Aggregator *agg,
               const std::vector<float> &state, std::vector<float> &out)
     {
         const std::size_t in_dim = stage.in_dim();
+        const std::size_t out_dim = stage.out_dim();
         const std::size_t sd = agg != nullptr ? agg->state_dim() : 0;
-        out.resize(std::size_t(n_) * stage.out_dim());
+        out.resize(std::size_t(n_) * out_dim);
         parallel_ranges(
             n_, parts_,
             [&](std::size_t begin, std::size_t end, unsigned) {
-                Vec self;
-                Vec fin;
+                Vec fin(agg != nullptr ? agg->out_dim() : 0);
                 for (std::size_t i = begin; i < end; ++i) {
-                    self.assign(x.data() + i * in_dim,
-                                x.data() + (i + 1) * in_dim);
+                    const float *self = x.data() + i * in_dim;
+                    float *y = out.data() + i * out_dim;
                     if (agg != nullptr) {
-                        fin = agg->finalize(state.data() + i * sd,
-                                            ctx_.in_deg[i], ctx_.pna);
+                        agg->finalize(state.data() + i * sd,
+                                      ctx_.in_deg[i], ctx_.pna, fin.data());
                         quantize(fin.data(), fin.size());
                     }
-                    store(stage,
-                          gat != nullptr
-                              ? gat->project(self)
-                              : stage.transform(self, fin,
-                                                static_cast<NodeId>(i), ctx_),
-                          i, out);
+                    if (gat != nullptr)
+                        gat->project(self, y);
+                    else
+                        stage.transform(self, fin.data(),
+                                        static_cast<NodeId>(i), ctx_, y);
+                    quantize(y, out_dim);
                 }
             },
             /*serial_cutoff=*/1);
     }
 
     /** Fused message + aggregate of `conv` over its inputs `x` into
-     * `state` [num_nodes x state_dim], in src-major order. */
+     * `state` [num_nodes x state_dim]: one Layer::gather per
+     * destination over its src-major column. */
     void
     gather(const Layer &conv, const std::vector<float> &x,
            std::vector<float> &state)
@@ -112,43 +112,53 @@ class Pass
         const Aggregator agg = conv.aggregator();
         const std::size_t sd = agg.state_dim();
         const bool edges = edge_ids_ && conv.uses_edge_features();
+        MessageInputs in;
+        in.x = x.data();
+        if (edges) {
+            in.edge_features = g_.edge_features;
+            in.edge_dim = g_.edge_dim;
+        }
+        if (opts_.emulate_fixed_point)
+            in.fixed = &opts_.fixed_point;
         state.resize(std::size_t(n_) * sd);
-        for_parts(adj, [&](NodeId dst, Vec &msg) {
+        for_parts(adj, [&](NodeId dst) {
             float *st = state.data() + std::size_t(dst) * sd;
             agg.init(st);
-            msg.resize(conv.msg_dim());
-            for (std::size_t s = adj.csc.col_begin(dst);
-                 s < adj.csc.col_end(dst); ++s) {
-                const NodeId src = adj.csc.src(s);
-                conv.message(x.data() + std::size_t(src) * conv.in_dim(),
-                             edges ? g_.edge_row(adj.csc.edge_id(s))
-                                   : nullptr,
-                             edges ? g_.edge_dim : 0, src, dst, ctx_,
-                             msg.data());
-                quantize(msg.data(), msg.size());
-                agg.accumulate(st, msg.data());
-                quantize(st, sd);
-            }
+            InEdges col;
+            col.dst = dst;
+            col.count = adj.csc.in_degree(dst);
+            col.src = adj.csc.col_srcs(dst);
+            if (edges)
+                col.edge_id = adj.csc.col_edge_ids(dst);
+            conv.gather(col, in, ctx_, st);
         });
     }
 
     /** The deferred attention combine over projections `h`, in stream
-     * order — the attention gather's own arrival order. */
+     * order — the attention gather's own arrival order. Each node's
+     * logit halves are scored once, before any edge reads them. */
     void
     combine(const GatLayer &gat, const std::vector<float> &h,
             std::vector<float> &out)
     {
         const Adjacency &adj = adjacency(CscOrder::kStream);
         const std::size_t dim = gat.out_dim();
+        const std::size_t stride = 2 * gat.num_heads();
+        std::vector<float> scores(std::size_t(n_) * stride);
+        parallel_ranges(
+            n_, parts_,
+            [&](std::size_t begin, std::size_t end, unsigned) {
+                for (std::size_t i = begin; i < end; ++i)
+                    gat.scores(h.data() + i * dim,
+                               scores.data() + i * stride);
+            },
+            /*serial_cutoff=*/1);
         out.resize(std::size_t(n_) * dim);
-        for_parts(adj, [&](NodeId dst, Vec &) {
-            std::vector<const float *> nbrs;
-            for (std::size_t s = adj.csc.col_begin(dst);
-                 s < adj.csc.col_end(dst); ++s)
-                nbrs.push_back(h.data() + std::size_t(adj.csc.src(s)) * dim);
-            store(gat, gat_combine(gat, h.data() + std::size_t(dst) * dim,
-                                   nbrs),
-                  dst, out);
+        for_parts(adj, [&](NodeId dst) {
+            float *y = out.data() + std::size_t(dst) * dim;
+            gat_combine(gat, h.data(), scores.data(), dst,
+                        adj.csc.col_srcs(dst), adj.csc.in_degree(dst), y);
+            quantize(y, dim);
         });
     }
 
@@ -174,8 +184,8 @@ class Pass
         return *slot;
     }
 
-    /** fn(dst, scratch) for every destination, one thread per
-     * edge-balanced range; `scratch` is the worker's reusable row. */
+    /** fn(dst) for every destination, one thread per edge-balanced
+     * range. */
     template <class Fn>
     void
     for_parts(const Adjacency &adj, Fn &&fn) const
@@ -183,23 +193,10 @@ class Pass
         parallel_ranges(
             parts_, parts_,
             [&](std::size_t p, std::size_t, unsigned) {
-                Vec scratch;
                 for (NodeId v = adj.bounds[p]; v < adj.bounds[p + 1]; ++v)
-                    fn(v, scratch);
+                    fn(v);
             },
             /*serial_cutoff=*/2);
-    }
-
-    /** Writes one node's stage output into row `i`, quantized. */
-    void
-    store(const Layer &stage, Vec y, std::size_t i,
-          std::vector<float> &out) const
-    {
-        if (y.size() != stage.out_dim())
-            throw std::logic_error(std::string(stage.name()) +
-                                   ": output width differs from out_dim()");
-        quantize(y.data(), y.size());
-        std::copy(y.begin(), y.end(), out.data() + i * y.size());
     }
 
     const SampleRef &g_;

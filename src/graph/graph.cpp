@@ -72,41 +72,33 @@ count_endpoints(const GraphRef &g, unsigned threads, bool by_src)
 }
 
 /**
- * The shared parallel counting sort behind CsrGraph/CscGraph: group
- * edges by one endpoint (`by_src`), preserving the edge-stream order
- * within every group — per-thread-range counts, a serial prefix scan
- * interleaving (node, thread) in that order, then a parallel stable
- * fill where thread t writes its own range at precomputed cursors.
- * Bit-identical to the serial build for every thread count. Edge ids
- * are written only when `edge_id` is non-null.
+ * The shared parallel counting sort behind CsrGraph/CscGraph: groups a
+ * stream of `e` edges by key, preserving the stream order within every
+ * group — per-thread-range counts, a serial prefix scan interleaving
+ * (key, thread) in that order, then a parallel stable fill where
+ * thread t writes its own range at precomputed cursors. Bit-identical
+ * to the serial build for every thread count. `stream(b, end, fn)`
+ * calls fn(key, value, id) for stream positions [b, end) in order;
+ * ids are written only when `edge_id` is non-null.
  */
+template <class Stream>
 void
-build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
-                const char *what, std::vector<std::size_t> &offsets,
-                std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
+counting_sort(NodeId n, std::size_t e, unsigned threads,
+              const Stream &stream, std::vector<std::size_t> &offsets,
+              std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
 {
-    const NodeId n = g.num_nodes();
-    const std::size_t e = g.num_edges();
     const unsigned T = parallel_range_count(e, threads);
-
     std::vector<std::vector<std::uint32_t>> counts(
         T, std::vector<std::uint32_t>(n, 0));
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
             std::vector<std::uint32_t> &c = counts[tid];
-            for (std::size_t i = b; i < end; ++i) {
-                const NodeId s = g.src(i);
-                const NodeId d = g.dst(i);
-                if (s >= n || d >= n)
-                    throw std::invalid_argument(
-                        std::string(what) +
-                        ": edge endpoint out of range");
-                ++c[by_src ? s : d];
-            }
+            stream(b, end,
+                   [&](NodeId key, NodeId, EdgeId) { ++c[key]; });
         });
 
-    // Prefix scan in (node, thread) order: counts[t][v] becomes the
-    // first slot thread t fills for node v. Cursor values fit uint32
+    // Prefix scan in (key, thread) order: counts[t][v] becomes the
+    // first slot thread t fills for key v. Cursor values fit uint32
     // because EdgeId does.
     offsets.assign(std::size_t(n) + 1, 0);
     std::size_t running = 0;
@@ -126,15 +118,38 @@ build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
             std::vector<std::uint32_t> &cur = counts[tid];
-            for (std::size_t i = b; i < end; ++i) {
-                const NodeId s = g.src(i);
-                const NodeId d = g.dst(i);
-                const std::uint32_t slot = cur[by_src ? s : d]++;
-                val[slot] = by_src ? d : s;
+            stream(b, end, [&](NodeId key, NodeId value, EdgeId id) {
+                const std::uint32_t slot = cur[key]++;
+                val[slot] = value;
                 if (edge_id != nullptr)
-                    (*edge_id)[slot] = static_cast<EdgeId>(i);
-            }
+                    (*edge_id)[slot] = id;
+            });
         });
+}
+
+/**
+ * Groups the edges of `g` by one endpoint (`by_src`), keeping the
+ * other endpoint and the edge id, in edge-stream order within every
+ * group. Throws on an endpoint out of range.
+ */
+void
+build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
+                const char *what, std::vector<std::size_t> &offsets,
+                std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
+{
+    const NodeId n = g.num_nodes();
+    auto stream = [&](std::size_t b, std::size_t end, auto &&fn) {
+        for (std::size_t i = b; i < end; ++i) {
+            const NodeId s = g.src(i);
+            const NodeId d = g.dst(i);
+            if (s >= n || d >= n)
+                throw std::invalid_argument(
+                    std::string(what) + ": edge endpoint out of range");
+            fn(by_src ? s : d, by_src ? d : s, static_cast<EdgeId>(i));
+        }
+    };
+    counting_sort(n, g.num_edges(), threads, stream, offsets, val,
+                  edge_id);
 }
 
 } // namespace
@@ -187,40 +202,32 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
                    bool edge_ids)
     : num_nodes_(graph.num_nodes())
 {
-    build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
-                    offsets_, src_, edge_ids ? &edge_id_ : nullptr);
-    if (order != CscOrder::kSrcMajor)
+    std::vector<EdgeId> *ids = edge_ids ? &edge_id_ : nullptr;
+    if (order == CscOrder::kStream) {
+        build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
+                        offsets_, src_, ids);
         return;
-    // The stable fill left every column in edge-id order, so sorting a
-    // column by src — by (src, edge id) keys when ids are kept — gives
-    // (src, edge id) order. Columns are independent; each worker takes
-    // an edge-balanced column range.
-    const unsigned parts = parallel_range_count(src_.size(), threads);
-    const std::vector<NodeId> bounds = balanced_cols(parts);
-    // parts ranges of one part each: one thread per column range.
-    parallel_ranges(parts, parts, [&](std::size_t p, std::size_t, unsigned) {
-        std::vector<std::uint64_t> keys;
-        for (NodeId v = bounds[p]; v < bounds[p + 1]; ++v) {
-            const auto first = src_.begin() + offsets_[v];
-            const auto last = src_.begin() + offsets_[v + 1];
-            if (std::is_sorted(first, last))
-                continue;
-            if (!edge_ids) {
-                std::sort(first, last);
-                continue;
-            }
-            const std::size_t b = offsets_[v];
-            keys.resize(offsets_[v + 1] - b);
-            for (std::size_t k = 0; k < keys.size(); ++k)
-                keys[k] =
-                    (std::uint64_t(src_[b + k]) << 32) | edge_id_[b + k];
-            std::sort(keys.begin(), keys.end());
-            for (std::size_t k = 0; k < keys.size(); ++k) {
-                src_[b + k] = static_cast<NodeId>(keys[k] >> 32);
-                edge_id_[b + k] = static_cast<EdgeId>(keys[k]);
-            }
+    }
+    // Two stable counting sorts: by src into a transient CSR (slots in
+    // (src, edge id) order), then that CSR stream by dst — which leaves
+    // every column in (src, edge id) order.
+    std::vector<std::size_t> row;
+    std::vector<NodeId> dst;
+    std::vector<EdgeId> row_ids;
+    build_adjacency(graph, threads, /*by_src=*/true, "CscGraph", row, dst,
+                    edge_ids ? &row_ids : nullptr);
+    auto stream = [&](std::size_t b, std::size_t end, auto &&fn) {
+        // The row holding slot b, then advance row by row.
+        auto r = static_cast<NodeId>(
+            std::upper_bound(row.begin(), row.end(), b) - row.begin() - 1);
+        for (std::size_t s = b; s < end; ++s) {
+            while (row[r + 1] <= s)
+                ++r;
+            fn(dst[s], r, edge_ids ? row_ids[s] : EdgeId(0));
         }
-    }, /*serial_cutoff=*/2);
+    };
+    counting_sort(num_nodes_, dst.size(), threads, stream, offsets_, src_,
+                  ids);
 }
 
 std::vector<NodeId>

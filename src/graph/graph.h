@@ -182,11 +182,10 @@ class CscGraph
     explicit CscGraph(const CooGraph &coo);
     /**
      * Parallel build from any edge view; see CsrGraph(GraphRef). A
-     * kSrcMajor build sorts each column after the stable fill, so it
-     * never materializes a CSR. With `edge_ids` false the per-slot
-     * edge ids are not stored (edge_id() must not be called) and ties
-     * between parallel edges stay unordered — only safe for callers
-     * that never read edge attributes.
+     * kSrcMajor build runs two stable counting sorts — by src into a
+     * transient CSR (4 B/edge, 8 B/edge with edge ids), then by dst in
+     * CSR order. With `edge_ids` false the per-slot edge ids are not
+     * stored (edge_id() must not be called).
      */
     explicit CscGraph(const GraphRef &graph, unsigned threads = 0,
                       CscOrder order = CscOrder::kStream,
@@ -201,6 +200,17 @@ class CscGraph
     NodeId src(std::size_t i) const { return src_[i]; }
     EdgeId edge_id(std::size_t i) const { return edge_id_[i]; }
     bool has_edge_ids() const { return edge_id_.size() == src_.size(); }
+
+    /** Node n's in-edge sources, in_degree(n) of them. */
+    const NodeId *col_srcs(NodeId n) const
+    {
+        return src_.data() + offsets_[n];
+    }
+    /** Node n's in-edge ids, or null without edge ids. */
+    const EdgeId *col_edge_ids(NodeId n) const
+    {
+        return has_edge_ids() ? edge_id_.data() + offsets_[n] : nullptr;
+    }
 
     std::uint32_t in_degree(NodeId n) const
     {

@@ -100,83 +100,44 @@ Aggregator::init(float *state) const
 }
 
 void
-Aggregator::accumulate(float *state, const float *msg) const
-{
-    switch (kind_) {
-      case AggregatorKind::kSum:
-        for (std::size_t i = 0; i < msg_dim_; ++i)
-            state[i] += msg[i];
-        break;
-      case AggregatorKind::kMean:
-      case AggregatorKind::kDgn:
-        state[0] += 1.0f;
-        for (std::size_t i = 0; i < msg_dim_; ++i)
-            state[1 + i] += msg[i];
-        break;
-      case AggregatorKind::kMax:
-        state[0] += 1.0f;
-        for (std::size_t i = 0; i < msg_dim_; ++i)
-            state[1 + i] = std::max(state[1 + i], msg[i]);
-        break;
-      case AggregatorKind::kMin:
-        state[0] += 1.0f;
-        for (std::size_t i = 0; i < msg_dim_; ++i)
-            state[1 + i] = std::min(state[1 + i], msg[i]);
-        break;
-      case AggregatorKind::kPna: {
-        state[0] += 1.0f;
-        float *sum = state + 1;
-        float *sumsq = sum + msg_dim_;
-        float *mx = sumsq + msg_dim_;
-        float *mn = mx + msg_dim_;
-        for (std::size_t i = 0; i < msg_dim_; ++i) {
-            sum[i] += msg[i];
-            sumsq[i] += msg[i] * msg[i];
-            mx[i] = std::max(mx[i], msg[i]);
-            mn[i] = std::min(mn[i], msg[i]);
-        }
-        break;
-      }
-    }
-}
-
-Vec
 Aggregator::finalize(const float *state, std::uint32_t degree,
-                     const PnaParams &params) const
+                     const PnaParams &params, float *out) const
 {
     switch (kind_) {
       case AggregatorKind::kSum:
-        return Vec(state, state + msg_dim_);
+        std::copy(state, state + msg_dim_, out);
+        return;
       case AggregatorKind::kMean: {
         float count = std::max(state[0], 1.0f);
-        Vec out(msg_dim_);
         for (std::size_t i = 0; i < msg_dim_; ++i)
             out[i] = state[1 + i] / count;
-        return out;
+        return;
       }
       case AggregatorKind::kMax:
-      case AggregatorKind::kMin: {
-        Vec out(msg_dim_, 0.0f);
-        if (state[0] > 0.0f)
-            for (std::size_t i = 0; i < msg_dim_; ++i)
-                out[i] = state[1 + i];
-        return out;
-      }
+      case AggregatorKind::kMin:
+        for (std::size_t i = 0; i < msg_dim_; ++i)
+            out[i] = state[0] > 0.0f ? state[1 + i] : 0.0f;
+        return;
       case AggregatorKind::kDgn: {
         // First half: mean aggregator. Second half: |directional sum|.
         float count = std::max(state[0], 1.0f);
         std::size_t half = msg_dim_ / 2;
-        Vec out(msg_dim_);
         for (std::size_t i = 0; i < half; ++i)
             out[i] = state[1 + i] / count;
         for (std::size_t i = half; i < msg_dim_; ++i)
             out[i] = std::abs(state[1 + i]);
-        return out;
+        return;
       }
       case AggregatorKind::kPna: {
+        // Block order [identity, amplification, attenuation] x [mean,
+        // std, max, min]; the identity block holds the raw statistics.
+        float *mean = out;
+        float *stdv = mean + msg_dim_;
+        float *mx = stdv + msg_dim_;
+        float *mn = mx + msg_dim_;
+        const std::size_t block = 4 * msg_dim_;
+        std::fill(out, out + block, 0.0f);
         float count = state[0];
-        Vec mean(msg_dim_, 0.0f), stdv(msg_dim_, 0.0f);
-        Vec mx(msg_dim_, 0.0f), mn(msg_dim_, 0.0f);
         if (count > 0.0f) {
             const float *sum = state + 1;
             const float *sumsq = sum + msg_dim_;
@@ -190,23 +151,17 @@ Aggregator::finalize(const float *state, std::uint32_t degree,
                 mn[i] = smin[i];
             }
         }
-        // Scalers: identity, amplification, attenuation (paper Eq. 3).
+        // Scalers (paper Eq. 3); the identity scaler is exact.
         float logd = std::log(static_cast<float>(degree) + 1.0f);
         float amp = logd / params.delta;
         float att = logd > 0.0f ? params.delta / logd : 1.0f;
-
-        Vec out;
-        out.reserve(out_dim());
-        const float scalers[3] = {1.0f, amp, att};
-        const Vec *aggs[4] = {&mean, &stdv, &mx, &mn};
-        for (float s : scalers)
-            for (const Vec *a : aggs)
-                for (std::size_t i = 0; i < msg_dim_; ++i)
-                    out.push_back(s * (*a)[i]);
-        return out;
+        for (std::size_t i = 0; i < block; ++i) {
+            out[block + i] = amp * out[i];
+            out[2 * block + i] = att * out[i];
+        }
+        return;
       }
     }
-    return Vec(msg_dim_, 0.0f);
 }
 
 } // namespace flowgnn

@@ -17,41 +17,48 @@ DgnLayer::DgnLayer(std::size_t dim, std::size_t edge_dim, Activation act,
 }
 
 void
-DgnLayer::message(const float *x_src, const float *edge_feat,
-                  std::size_t edge_dim, NodeId src, NodeId dst,
-                  const LayerContext &ctx, float *out) const
+DgnLayer::gather(const InEdges &col, const MessageInputs &in,
+                 const LayerContext &ctx, float *state) const
 {
+    if (col.count == 0)
+        return;
     if (ctx.dgn_field == nullptr)
         throw std::invalid_argument("DgnLayer: sample has no dgn_field");
-
-    // out = [m, w*m] with m = x (+ EdgeEnc(e)), built in place.
-    if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        edge_enc_.forward(edge_feat, out);
-        for (std::size_t i = 0; i < dim_; ++i)
-            out[i] = x_src[i] + out[i];
-    } else {
-        std::copy(x_src, x_src + dim_, out);
-    }
-
-    // Directional weight from the vector field, normalized at the
-    // destination (anisotropic: depends on both endpoints).
-    float w = (ctx.dgn_field[src] - ctx.dgn_field[dst]) /
-              ctx.dgn_norm[dst];
-    for (std::size_t i = 0; i < dim_; ++i)
-        out[dim_ + i] = w * out[i];
+    const bool edges = in.has_edge_rows(col, edge_dim_);
+    const float u_dst = ctx.dgn_field[col.dst];
+    const float norm = ctx.dgn_norm[col.dst];
+    fold_messages(aggregator(), in.fixed, state, col.count,
+                  [&](std::size_t k, float *out) {
+                      // out = [m, w*m] with m = x (+ EdgeEnc(e)), built
+                      // in place.
+                      const float *x_src = in.x_row(col, k, dim_);
+                      if (edges) {
+                          edge_enc_.forward(in.edge_row(col, k), out);
+                          for (std::size_t i = 0; i < dim_; ++i)
+                              out[i] = x_src[i] + out[i];
+                      } else {
+                          std::copy(x_src, x_src + dim_, out);
+                      }
+                      // Directional weight from the vector field,
+                      // normalized at the destination (anisotropic:
+                      // depends on both endpoints).
+                      float w =
+                          (ctx.dgn_field[col.src[k]] - u_dst) / norm;
+                      for (std::size_t i = 0; i < dim_; ++i)
+                          out[dim_ + i] = w * out[i];
+                  });
 }
 
-Vec
-DgnLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                    const LayerContext &) const
+void
+DgnLayer::transform(const float *x_self, const float *agg, NodeId,
+                    const LayerContext &, float *out) const
 {
-    Vec combined;
-    combined.reserve(3 * dim_);
-    combined.insert(combined.end(), x_self.begin(), x_self.end());
-    combined.insert(combined.end(), agg.begin(), agg.end());
-    Vec out = mix_.forward(combined);
-    apply_activation(out, act_);
-    return out;
+    // [x_self || mean || dir] through the mixing layer.
+    ScratchRow combined(3 * dim_);
+    std::copy(x_self, x_self + dim_, combined.data());
+    std::copy(agg, agg + 2 * dim_, combined.data() + dim_);
+    mix_.forward(combined.data(), out);
+    apply_activation(out, dim_, act_);
 }
 
 } // namespace flowgnn

@@ -8,11 +8,11 @@ EncoderLayer::EncoderLayer(std::size_t in_dim, std::size_t out_dim, Rng &rng)
     linear_.init_glorot(rng);
 }
 
-Vec
-EncoderLayer::transform(const Vec &x_self, const Vec &, NodeId,
-                        const LayerContext &) const
+void
+EncoderLayer::transform(const float *x_self, const float *, NodeId,
+                        const LayerContext &, float *out) const
 {
-    return linear_.forward(x_self);
+    linear_.forward(x_self, out);
 }
 
 } // namespace flowgnn

@@ -23,8 +23,8 @@ class EncoderLayer : public Layer
     std::size_t in_dim() const override { return linear_.in_dim(); }
     std::size_t out_dim() const override { return linear_.out_dim(); }
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform(const float *x_self, const float *agg, NodeId node,
+                   const LayerContext &ctx, float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

@@ -43,64 +43,64 @@ GatLayer::dst_scores(const float *h, float *out) const
     }
 }
 
-Vec
-GatLayer::transform(const Vec &x_self, const Vec &, NodeId,
-                    const LayerContext &) const
+void
+GatLayer::transform(const float *x_self, const float *, NodeId,
+                    const LayerContext &, float *out) const
 {
-    Vec h = project(x_self);
-    return gat_combine(*this, h.data(), {});
+    ScratchRow h(out_dim());
+    ScratchRow sc(2 * heads_);
+    project(x_self, h.data());
+    scores(h.data(), sc.data());
+    gat_combine(*this, h.data(), sc.data(), 0, nullptr, 0, out);
 }
 
-Vec
-gat_combine(const GatLayer &layer, const float *h_dst,
-            const std::vector<const float *> &h_srcs)
+void
+gat_combine(const GatLayer &layer, const float *h, const float *scores,
+            NodeId dst, const NodeId *srcs, std::size_t count, float *out)
 {
     const std::size_t heads = layer.num_heads();
     const std::size_t hd = layer.head_dim();
-    const std::size_t m = h_srcs.size();
-
-    // Logits: row 0 the self term, row 1 + j in-neighbor j. The
-    // destination half is shared by every row, so it is computed once.
-    Vec dst(heads);
-    layer.dst_scores(h_dst, dst.data());
-    Vec logit((m + 1) * heads);
-    for (std::size_t j = 0; j <= m; ++j) {
-        float *row = logit.data() + j * heads;
-        layer.src_scores(j == 0 ? h_dst : h_srcs[j - 1], row);
-        for (std::size_t h = 0; h < heads; ++h)
-            row[h] = activate(row[h] + dst[h], Activation::kLeakyRelu);
-    }
+    const std::size_t dim = heads * hd;
+    const std::size_t stride = 2 * heads;
+    const float *h_dst = h + std::size_t(dst) * dim;
+    const float *dst_half = scores + std::size_t(dst) * stride + heads;
+    // Node v's logit on head k: its source half plus the destination
+    // half, recomputed in each pass rather than stored per edge.
+    auto logit = [&](NodeId v, std::size_t k) {
+        return activate(scores[std::size_t(v) * stride + k] + dst_half[k],
+                        Activation::kLeakyRelu);
+    };
 
     // Pass 1: per-head running max over {self} u in-neighbors.
-    Vec max_score(logit.begin(), logit.begin() + heads);
-    for (std::size_t j = 1; j <= m; ++j)
-        for (std::size_t h = 0; h < heads; ++h)
-            max_score[h] = std::max(max_score[h], logit[j * heads + h]);
+    ScratchRow max_score(heads);
+    for (std::size_t k = 0; k < heads; ++k)
+        max_score[k] = logit(dst, k);
+    for (std::size_t j = 0; j < count; ++j)
+        for (std::size_t k = 0; k < heads; ++k)
+            max_score[k] = std::max(max_score[k], logit(srcs[j], k));
 
     // Pass 2: exp-weighted sum in arrival order, self term first.
-    Vec acc(heads * hd);
-    Vec denom(heads);
-    for (std::size_t h = 0; h < heads; ++h) {
-        float w = std::exp(logit[h] - max_score[h]);
-        denom[h] = w;
+    ScratchRow denom(heads);
+    for (std::size_t k = 0; k < heads; ++k) {
+        float w = std::exp(logit(dst, k) - max_score[k]);
+        denom[k] = w;
         for (std::size_t d = 0; d < hd; ++d)
-            acc[h * hd + d] = w * h_dst[h * hd + d];
+            out[k * hd + d] = w * h_dst[k * hd + d];
     }
-    for (std::size_t j = 0; j < m; ++j) {
-        const float *row = logit.data() + (j + 1) * heads;
-        for (std::size_t h = 0; h < heads; ++h) {
-            float w = std::exp(row[h] - max_score[h]);
-            denom[h] += w;
+    for (std::size_t j = 0; j < count; ++j) {
+        const float *h_src = h + std::size_t(srcs[j]) * dim;
+        for (std::size_t k = 0; k < heads; ++k) {
+            float w = std::exp(logit(srcs[j], k) - max_score[k]);
+            denom[k] += w;
             for (std::size_t d = 0; d < hd; ++d)
-                acc[h * hd + d] += w * h_srcs[j][h * hd + d];
+                out[k * hd + d] += w * h_src[k * hd + d];
         }
     }
 
-    for (std::size_t h = 0; h < heads; ++h)
+    for (std::size_t k = 0; k < heads; ++k)
         for (std::size_t d = 0; d < hd; ++d)
-            acc[h * hd + d] /= denom[h];
-    apply_activation(acc, layer.activation());
-    return acc;
+            out[k * hd + d] /= denom[k];
+    apply_activation(out, dim, layer.activation());
 }
 
 } // namespace flowgnn

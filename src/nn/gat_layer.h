@@ -40,8 +40,9 @@ class GatLayer : public Layer
     std::size_t num_heads() const { return heads_; }
     std::size_t head_dim() const { return head_dim_; }
 
-    /** Projection h = W x (all heads concatenated). */
-    Vec project(const Vec &x) const { return proj_.forward(x); }
+    /** Projection h = W x (all heads concatenated) into out
+     * (out_dim() floats). */
+    void project(const float *x, float *out) const { proj_.forward(x, out); }
 
     /** a_src . h_j per head into out[num_heads()]: the source half of
      * the attention logit. */
@@ -51,6 +52,16 @@ class GatLayer : public Layer
      * half of the logit. */
     void dst_scores(const float *h, float *out) const;
 
+    /** Both logit halves of one node into out[2 * num_heads()]: the
+     * src_scores, then the dst_scores. Computed once per node per
+     * stage and read by gat_combine for every edge the node is on. */
+    void
+    scores(const float *h, float *out) const
+    {
+        src_scores(h, out);
+        dst_scores(h, out + heads_);
+    }
+
     /** Output activation (ELU except on the last layer). */
     Activation activation() const { return act_; }
 
@@ -59,8 +70,8 @@ class GatLayer : public Layer
      * the executor/engine. Kept to satisfy the interface; computes the
      * full layer for a degenerate single-node neighborhood.
      */
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform(const float *x_self, const float *agg, NodeId node,
+                   const LayerContext &ctx, float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {
@@ -91,17 +102,22 @@ class GatLayer : public Layer
 };
 
 /**
- * Runs the full two-pass attention for one destination node given its
- * in-neighbor projections — the only attention arithmetic in the
- * tree, so every executor computes identical bits.
+ * Runs the full two-pass attention for destination `dst` — the only
+ * attention arithmetic in the tree, so every executor computes
+ * identical bits.
  *
- * @param layer     the GAT layer
- * @param h_dst     destination node's projection (out_dim floats)
- * @param h_srcs    in-neighbor projections in arrival order
- * @return the activated output embedding
+ * @param layer   the GAT layer
+ * @param h       every node's projection, row-major (out_dim() floats
+ *                per node)
+ * @param scores  every node's logit halves from GatLayer::scores
+ *                (2 * num_heads() floats per node)
+ * @param dst     the destination node
+ * @param srcs    its `count` in-neighbors in arrival order
+ * @param out     out_dim() floats: the activated output embedding
  */
-Vec gat_combine(const GatLayer &layer, const float *h_dst,
-                const std::vector<const float *> &h_srcs);
+void gat_combine(const GatLayer &layer, const float *h, const float *scores,
+                 NodeId dst, const NodeId *srcs, std::size_t count,
+                 float *out);
 
 } // namespace flowgnn
 

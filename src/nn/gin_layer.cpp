@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/ops.h"
-
 namespace flowgnn {
 
 GinLayer::GinLayer(std::size_t dim, std::size_t edge_dim, Activation act,
@@ -20,31 +18,36 @@ GinLayer::GinLayer(std::size_t dim, std::size_t edge_dim, Activation act,
 }
 
 void
-GinLayer::message(const float *x_src, const float *edge_feat,
-                  std::size_t edge_dim, NodeId, NodeId,
-                  const LayerContext &, float *out) const
+GinLayer::gather(const InEdges &col, const MessageInputs &in,
+                 const LayerContext &, float *state) const
 {
-    if (edge_dim_ > 0 && edge_feat != nullptr && edge_dim == edge_dim_) {
-        // x + EdgeEnc(e), the encoding built in place (float addition
-        // commutes exactly).
-        edge_enc_.forward(edge_feat, out);
-        for (std::size_t i = 0; i < dim_; ++i)
-            out[i] = x_src[i] + out[i];
-    } else {
-        std::copy(x_src, x_src + dim_, out);
-    }
-    apply_activation(out, dim_, Activation::kRelu);
+    const bool edges = in.has_edge_rows(col, edge_dim_);
+    fold_messages(aggregator(), in.fixed, state, col.count,
+                  [&](std::size_t k, float *out) {
+                      const float *x_src = in.x_row(col, k, dim_);
+                      if (edges) {
+                          // x + EdgeEnc(e), the encoding built in place
+                          // (float addition commutes exactly).
+                          edge_enc_.forward(in.edge_row(col, k), out);
+                          for (std::size_t i = 0; i < dim_; ++i)
+                              out[i] = x_src[i] + out[i];
+                      } else {
+                          std::copy(x_src, x_src + dim_, out);
+                      }
+                      apply_activation(out, dim_, Activation::kRelu);
+                  });
 }
 
-Vec
-GinLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                    const LayerContext &) const
+void
+GinLayer::transform(const float *x_self, const float *agg, NodeId,
+                    const LayerContext &, float *out) const
 {
-    Vec combined = agg;
-    axpy_inplace(combined, 1.0f + eps_, x_self);
-    Vec out = mlp_.forward(combined);
-    apply_activation(out, act_);
-    return out;
+    const float scale = 1.0f + eps_;
+    ScratchRow combined(dim_);
+    for (std::size_t i = 0; i < dim_; ++i)
+        combined[i] = agg[i] + scale * x_self[i];
+    mlp_.forward(combined.data(), out);
+    apply_activation(out, dim_, act_);
 }
 
 } // namespace flowgnn

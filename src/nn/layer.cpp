@@ -38,8 +38,8 @@ make_layer_context(const SampleRef &sample, const PnaParams &pna,
 }
 
 void
-Layer::message(const float *, const float *, std::size_t, NodeId, NodeId,
-               const LayerContext &, float *) const
+Layer::gather(const InEdges &, const MessageInputs &, const LayerContext &,
+              float *) const
 {
     throw std::logic_error(std::string(name()) +
                            ": layer has no message function");

@@ -7,9 +7,11 @@
  *
  *   x_i^{l+1} = gamma(x_i^l, A_{j in N(i)}(phi(x_i^l, x_j^l, e_ij^l)))
  *
- * as `message` (phi), an AggregatorKind (A), and `transform` (gamma),
- * plus the timing metadata the dataflow engine needs (widths of the
- * input-stationary fully-connected passes performed by the NT unit).
+ * as `gather` (phi fused with A: each in-edge's message folds into its
+ * destination's aggregator state as it is computed), an
+ * AggregatorKind (A), and `transform` (gamma), plus the timing
+ * metadata the dataflow engine needs (widths of the input-stationary
+ * fully-connected passes performed by the NT unit).
  *
  * Adapting FlowGNN to a new GNN means writing one subclass — exactly
  * the "few highlighted lines" of Listing 1 in the paper.
@@ -22,6 +24,7 @@
 
 #include "graph/sample.h"
 #include "nn/aggregator.h"
+#include "tensor/fixed_point.h"
 
 namespace flowgnn {
 
@@ -63,6 +66,50 @@ LayerContext make_layer_context(const SampleRef &sample,
                                 const PnaParams &pna = {},
                                 unsigned threads = 0);
 
+/** One destination's in-edges, in the order their messages fold. */
+struct InEdges {
+    NodeId dst = 0;
+    std::size_t count = 0;
+    /** count source node ids. */
+    const NodeId *src = nullptr;
+    /** count edge ids (rows of MessageInputs::edge_features), or null
+     * when the column carries no edge features. */
+    const EdgeId *edge_id = nullptr;
+};
+
+/** What a gather reads besides the column itself. */
+struct MessageInputs {
+    /** [num_nodes x in_dim()] stage inputs, row-major. */
+    const float *x = nullptr;
+    /** [num_edges x edge_dim] edge feature rows, or null. */
+    const float *edge_features = nullptr;
+    std::size_t edge_dim = 0;
+    /** Fixed-point emulation format, or null for float. */
+    const FixedPointFormat *fixed = nullptr;
+
+    /** Source k's input row. */
+    const float *
+    x_row(const InEdges &col, std::size_t k, std::size_t in_dim) const
+    {
+        return x + std::size_t(col.src[k]) * in_dim;
+    }
+
+    /** Whether `col` carries edge features `dim` wide (dim 0: never). */
+    bool
+    has_edge_rows(const InEdges &col, std::size_t dim) const
+    {
+        return dim > 0 && edge_features != nullptr &&
+               col.edge_id != nullptr && edge_dim == dim;
+    }
+
+    /** Edge k's feature row; only when has_edge_rows(). */
+    const float *
+    edge_row(const InEdges &col, std::size_t k) const
+    {
+        return edge_features + std::size_t(col.edge_id[k]) * edge_dim;
+    }
+};
+
 /**
  * Base class of all FlowGNN layer kernels.
  */
@@ -102,30 +149,31 @@ class Layer
     }
 
     /** Whether phi reads edge features; the functional kernel hands
-     * edge rows only to layers that say so. */
+     * edge ids only to layers that say so. */
     virtual bool uses_edge_features() const { return false; }
 
     /**
-     * phi: writes the message along edge src->dst, given the source
-     * node's embedding at this layer's input, into `out`. Called
-     * concurrently from the functional kernel's workers, so it must
-     * not mutate shared state.
-     *
-     * @param x_src     source embedding (in_dim floats)
-     * @param edge_feat pointer to the edge feature row (may be null)
-     * @param edge_dim  number of edge features
-     * @param out       msg_dim() floats, all overwritten
+     * phi fused with A: folds the message of every edge in `col`, in
+     * order, into the destination's aggregator state (state_dim()
+     * floats, already initialized) — one call per destination, each
+     * message built in a stack row by fold_messages and never stored.
+     * Folding a column equals folding its edges one call each, in the
+     * same order, bit for bit. Called concurrently from the
+     * functional kernel's workers, so it must not mutate shared
+     * state. The base class throws std::logic_error (no messages).
      */
-    virtual void message(const float *x_src, const float *edge_feat,
-                         std::size_t edge_dim, NodeId src, NodeId dst,
-                         const LayerContext &ctx, float *out) const;
+    virtual void gather(const InEdges &col, const MessageInputs &in,
+                        const LayerContext &ctx, float *state) const;
 
     /**
-     * gamma: the new embedding from the node's own embedding and the
-     * finalized aggregate (empty when msg_dim() == 0).
+     * gamma: writes the new embedding (out_dim() floats) into `out`
+     * from the node's own embedding `x_self` (in_dim() floats) and the
+     * finalized aggregate `agg` (the aggregator's out_dim() floats;
+     * unused when msg_dim() == 0).
      */
-    virtual Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                          const LayerContext &ctx) const = 0;
+    virtual void transform(const float *x_self, const float *agg,
+                           NodeId node, const LayerContext &ctx,
+                           float *out) const = 0;
 
     /**
      * Timing metadata: input widths of the sequential input-stationary

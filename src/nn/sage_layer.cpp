@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/ops.h"
-
 namespace flowgnn {
 
 SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim,
@@ -15,21 +13,29 @@ SageLayer::SageLayer(std::size_t in_dim, std::size_t out_dim,
 }
 
 void
-SageLayer::message(const float *x_src, const float *, std::size_t, NodeId,
-                   NodeId, const LayerContext &, float *out) const
+SageLayer::gather(const InEdges &col, const MessageInputs &in,
+                  const LayerContext &, float *state) const
 {
     // Raw neighbor embedding; the mean is taken by the aggregator.
-    std::copy(x_src, x_src + self_.in_dim(), out);
+    const std::size_t dim = self_.in_dim();
+    fold_messages(aggregator(), in.fixed, state, col.count,
+                  [&](std::size_t k, float *out) {
+                      const float *x_src = in.x_row(col, k, dim);
+                      std::copy(x_src, x_src + dim, out);
+                  });
 }
 
-Vec
-SageLayer::transform(const Vec &x_self, const Vec &agg, NodeId,
-                     const LayerContext &) const
+void
+SageLayer::transform(const float *x_self, const float *agg, NodeId,
+                     const LayerContext &, float *out) const
 {
-    Vec out = self_.forward(x_self);
-    add_inplace(out, nbr_.forward(agg));
-    apply_activation(out, act_);
-    return out;
+    const std::size_t dim = self_.out_dim();
+    ScratchRow nbr(dim);
+    self_.forward(x_self, out);
+    nbr_.forward(agg, nbr.data());
+    for (std::size_t i = 0; i < dim; ++i)
+        out[i] += nbr[i];
+    apply_activation(out, dim, act_);
 }
 
 } // namespace flowgnn

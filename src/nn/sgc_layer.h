@@ -28,12 +28,11 @@ class SgcLayer : public Layer
     std::size_t out_dim() const override { return dim_; }
     std::size_t msg_dim() const override { return dim_; }
 
-    void message(const float *x_src, const float *edge_feat,
-                 std::size_t edge_dim, NodeId src, NodeId dst,
-                 const LayerContext &ctx, float *out) const override;
+    void gather(const InEdges &col, const MessageInputs &in,
+                const LayerContext &ctx, float *state) const override;
 
-    Vec transform(const Vec &x_self, const Vec &agg, NodeId node,
-                  const LayerContext &ctx) const override;
+    void transform(const float *x_self, const float *agg, NodeId node,
+                   const LayerContext &ctx, float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

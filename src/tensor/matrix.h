@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 namespace flowgnn {
@@ -86,6 +87,72 @@ class Matrix
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::vector<float> data_;
+};
+
+/**
+ * y[i] += x[i] for i < n, four lanes at a time. Lane-wise float
+ * addition rounds exactly as the scalar loop does, so the bits are
+ * the same; the rows must not overlap.
+ */
+inline void
+add_row(float *y, const float *x, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes a;
+        Lanes b;
+        std::memcpy(&a, y + i, sizeof a);
+        std::memcpy(&b, x + i, sizeof b);
+        a += b;
+        std::memcpy(y + i, &a, sizeof a);
+    }
+    for (; i < n; ++i)
+        y[i] += x[i];
+}
+
+/** out[i] = x[i] * s for i < n, four lanes at a time; the same bits
+ * as the scalar loop. */
+inline void
+scale_row(float *out, const float *x, float s, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes a;
+        std::memcpy(&a, x + i, sizeof a);
+        a *= s;
+        std::memcpy(out + i, &a, sizeof a);
+    }
+    for (; i < n; ++i)
+        out[i] = x[i] * s;
+}
+
+/**
+ * A scratch float row for per-node and per-edge steps: on the stack
+ * up to kStackFloats, on the heap past that, so the hot loops do not
+ * allocate at model widths. Contents start uninitialized.
+ */
+class ScratchRow
+{
+  public:
+    static constexpr std::size_t kStackFloats = 2048;
+
+    explicit ScratchRow(std::size_t size)
+        : data_(size <= kStackFloats ? stack_
+                                     : (heap_.resize(size), heap_.data()))
+    {
+    }
+    ScratchRow(const ScratchRow &) = delete;
+    ScratchRow &operator=(const ScratchRow &) = delete;
+
+    float *data() { return data_; }
+    float &operator[](std::size_t i) { return data_[i]; }
+
+  private:
+    float stack_[kStackFloats];
+    std::vector<float> heap_;
+    float *data_;
 };
 
 } // namespace flowgnn

@@ -1,5 +1,6 @@
 #include "tensor/mlp.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace flowgnn {
@@ -25,13 +26,32 @@ Mlp::init_glorot(Rng &rng)
 Vec
 Mlp::forward(const Vec &x) const
 {
-    Vec h = x;
+    if (x.size() != in_dim())
+        throw std::invalid_argument("Mlp: input dimension mismatch");
+    Vec out(out_dim());
+    forward(x.data(), out.data());
+    return out;
+}
+
+void
+Mlp::forward(const float *x, float *out) const
+{
+    // Hidden activations ping-pong between two rows of the widest
+    // hidden layer; the last layer writes `out`.
+    std::size_t width = 0;
+    for (std::size_t i = 0; i + 1 < layers_.size(); ++i)
+        width = std::max(width, layers_[i].out_dim());
+    ScratchRow ping(width);
+    ScratchRow pong(width);
+    const float *h = x;
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-        h = layers_[i].forward(h);
-        bool is_last = (i + 1 == layers_.size());
-        apply_activation(h, is_last ? final_activation_ : hidden_activation_);
+        const bool is_last = (i + 1 == layers_.size());
+        float *next = is_last ? out : (i % 2 == 0 ? ping : pong).data();
+        layers_[i].forward(h, next);
+        apply_activation(next, layers_[i].out_dim(),
+                         is_last ? final_activation_ : hidden_activation_);
+        h = next;
     }
-    return h;
 }
 
 std::size_t

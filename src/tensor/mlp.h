@@ -35,6 +35,10 @@ class Mlp
 
     Vec forward(const Vec &x) const;
 
+    /** Raw-buffer forward, the same arithmetic bit for bit: x holds
+     * in_dim() floats, out receives out_dim(). */
+    void forward(const float *x, float *out) const;
+
     std::size_t in_dim() const;
     std::size_t out_dim() const;
     std::size_t num_layers() const { return layers_.size(); }

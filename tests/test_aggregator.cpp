@@ -1,9 +1,11 @@
 /** @file Aggregator policy tests (state layout, math, invariance). */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/aggregator.h"
+#include "tensor/fixed_point.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -16,9 +18,13 @@ run_agg(const Aggregator &agg, const std::vector<Vec> &msgs,
 {
     std::vector<float> state(agg.state_dim());
     agg.init(state.data());
-    for (const auto &m : msgs)
-        agg.accumulate(state.data(), m.data());
-    return agg.finalize(state.data(), degree, params);
+    fold_messages(agg, nullptr, state.data(), msgs.size(),
+                  [&](std::size_t k, float *out) {
+                      std::copy(msgs[k].begin(), msgs[k].end(), out);
+                  });
+    Vec out(agg.out_dim());
+    agg.finalize(state.data(), degree, params, out.data());
+    return out;
 }
 
 TEST(Aggregator, StateDims)
@@ -167,6 +173,96 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(AggregatorKind::kSum, AggregatorKind::kMean,
                       AggregatorKind::kMax, AggregatorKind::kMin,
                       AggregatorKind::kPna, AggregatorKind::kDgn));
+
+/** The per-message fold of every kind, written out from the state
+ * layout: the reference fold_messages must match. */
+void
+reference_accumulate(const Aggregator &agg, float *state, const float *msg)
+{
+    const std::size_t dim = agg.msg_dim();
+    if (agg.kind() == AggregatorKind::kSum) {
+        for (std::size_t i = 0; i < dim; ++i)
+            state[i] += msg[i];
+        return;
+    }
+    state[0] += 1.0f;
+    float *p = state + 1;
+    for (std::size_t i = 0; i < dim; ++i) {
+        switch (agg.kind()) {
+          case AggregatorKind::kMean:
+          case AggregatorKind::kDgn:
+            p[i] += msg[i];
+            break;
+          case AggregatorKind::kMax:
+            p[i] = std::max(p[i], msg[i]);
+            break;
+          case AggregatorKind::kMin:
+            p[i] = std::min(p[i], msg[i]);
+            break;
+          case AggregatorKind::kPna:
+            p[i] += msg[i];
+            p[dim + i] += msg[i] * msg[i];
+            p[2 * dim + i] = std::max(p[2 * dim + i], msg[i]);
+            p[3 * dim + i] = std::min(p[3 * dim + i], msg[i]);
+            break;
+          case AggregatorKind::kSum:
+            break;
+        }
+    }
+}
+
+class FoldMessages
+    : public ::testing::TestWithParam<std::tuple<AggregatorKind, bool>>
+{
+};
+
+TEST_P(FoldMessages, MatchesPerMessageAccumulation)
+{
+    // One call over every message == the written-out per-message fold
+    // == one fold_messages call per message, bit for bit, with the
+    // engine's quantize points (message, then state) under fixed point.
+    const auto [kind, fixed] = GetParam();
+    const std::size_t dim = 6;
+    const Aggregator agg(kind, dim);
+    const FixedPointFormat *fmt = fixed ? &kFixed12_8 : nullptr;
+    Rng rng(21);
+    std::vector<Vec> msgs(70, Vec(dim));
+    for (Vec &m : msgs)
+        for (float &v : m)
+            v = static_cast<float>(rng.uniform(-3, 3));
+    auto copy_msg = [&](std::size_t base) {
+        return [&msgs, base](std::size_t k, float *out) {
+            std::copy(msgs[base + k].begin(), msgs[base + k].end(), out);
+        };
+    };
+
+    std::vector<float> fused(agg.state_dim());
+    std::vector<float> single(agg.state_dim());
+    std::vector<float> manual(agg.state_dim());
+    agg.init(fused.data());
+    agg.init(single.data());
+    agg.init(manual.data());
+    fold_messages(agg, fmt, fused.data(), msgs.size(), copy_msg(0));
+    for (std::size_t k = 0; k < msgs.size(); ++k) {
+        fold_messages(agg, fmt, single.data(), 1, copy_msg(k));
+        Vec m = msgs[k];
+        if (fmt != nullptr)
+            quantize_inplace(m, *fmt);
+        reference_accumulate(agg, manual.data(), m.data());
+        if (fmt != nullptr)
+            quantize_inplace(manual.data(), manual.size(), *fmt);
+    }
+    EXPECT_EQ(fused, manual) << aggregator_name(kind);
+    EXPECT_EQ(fused, single) << aggregator_name(kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, FoldMessages,
+    ::testing::Combine(
+        ::testing::Values(AggregatorKind::kSum, AggregatorKind::kMean,
+                          AggregatorKind::kMax, AggregatorKind::kMin,
+                          AggregatorKind::kPna, AggregatorKind::kDgn),
+        ::testing::Bool()));
 
 } // namespace
 } // namespace flowgnn

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "graph/generators.h"
 #include "nn/dgn_layer.h"
@@ -11,13 +13,49 @@
 #include "nn/gcn_layer.h"
 #include "nn/gin_layer.h"
 #include "nn/pna_layer.h"
+#include "nn/sage_layer.h"
+#include "nn/sgc_layer.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
+#include "../examples/new_gnn_layer.h"
 
 namespace flowgnn {
 namespace {
 
 using testing::message_of;
+using testing::transform_of;
+
+Vec
+project_of(const GatLayer &gat, const Vec &x)
+{
+    Vec h(gat.out_dim());
+    gat.project(x.data(), h.data());
+    return h;
+}
+
+/** gat_combine at node 0 (projection h_self) over in-neighbors
+ * 1..nbrs.size() (projections nbrs), in that order. */
+Vec
+combine_of(const GatLayer &gat, const Vec &h_self,
+           const std::vector<Vec> &nbrs)
+{
+    const std::size_t dim = gat.out_dim();
+    const std::size_t stride = 2 * gat.num_heads();
+    Vec h = h_self;
+    for (const Vec &nb : nbrs)
+        h.insert(h.end(), nb.begin(), nb.end());
+    Vec scores((nbrs.size() + 1) * stride);
+    std::vector<NodeId> srcs;
+    for (std::size_t v = 0; v <= nbrs.size(); ++v) {
+        gat.scores(h.data() + v * dim, scores.data() + v * stride);
+        if (v > 0)
+            srcs.push_back(static_cast<NodeId>(v));
+    }
+    Vec out(dim);
+    gat_combine(gat, h.data(), scores.data(), 0, srcs.data(), srcs.size(),
+                out.data());
+    return out;
+}
 
 GraphSample
 tiny_sample(std::size_t node_dim = 4, std::size_t edge_dim = 2)
@@ -52,7 +90,7 @@ TEST(EncoderLayer, IsPureLinear)
     GraphSample s = tiny_sample();
     LayerContext ctx = make_layer_context(s);
     Vec x{1, 2, 3, 4};
-    EXPECT_EQ(enc.transform(x, {}, 0, ctx), enc.linear().forward(x));
+    EXPECT_EQ(transform_of(enc, x, {}, 0, ctx), enc.linear().forward(x));
     EXPECT_EQ(enc.nt_pass_dims(), (std::vector<std::size_t>{4}));
 }
 
@@ -83,7 +121,7 @@ TEST(GcnLayer, TransformAddsScaledSelfLoop)
     w(1, 1) = 1.0f;
     const_cast<Linear &>(gcn.linear()).bias_ref() = {0.0f, 0.0f};
     // Node 0 has in_deg 1 -> self scale 1/2.
-    Vec out = gcn.transform({4, 8}, {1, 1}, 0, ctx);
+    Vec out = transform_of(gcn, {4, 8}, {1, 1}, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 2.0f);
     EXPECT_FLOAT_EQ(out[1], 1.0f + 4.0f);
 }
@@ -120,8 +158,8 @@ TEST(GinLayer, TransformUsesEpsilonWeightedSelf)
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
     // (1+eps)*x + agg with eps=0.1.
-    Vec a = gin.transform({1, 1}, {0, 0}, 0, ctx);
-    Vec b = gin.transform({0, 0}, {1.1f, 1.1f}, 0, ctx);
+    Vec a = transform_of(gin, {1, 1}, {0, 0}, 0, ctx);
+    Vec b = transform_of(gin, {0, 0}, {1.1f, 1.1f}, 0, ctx);
     EXPECT_LT(max_abs_diff(a, b), 1e-5f);
 }
 
@@ -142,7 +180,7 @@ TEST(PnaLayer, TransformConsumesConcatenation)
     GraphSample s = tiny_sample(4, 0);
     LayerContext ctx = make_layer_context(s);
     Vec agg(48, 0.1f);
-    Vec out = pna.transform({1, 2, 3, 4}, agg, 0, ctx);
+    Vec out = transform_of(pna, {1, 2, 3, 4}, agg, 0, ctx);
     EXPECT_EQ(out.size(), 4u);
 }
 
@@ -187,9 +225,8 @@ TEST(GatLayer, UniformNeighborhoodAveragesToSelf)
     // and the combine returns act(h) itself.
     Rng rng(7);
     GatLayer gat(4, 2, 3, Activation::kIdentity, rng);
-    Vec h = gat.project({0.5f, -0.5f, 1.0f, 0.0f});
-    std::vector<const float *> nbrs{h.data(), h.data(), h.data()};
-    Vec out = gat_combine(gat, h.data(), nbrs);
+    Vec h = project_of(gat, {0.5f, -0.5f, 1.0f, 0.0f});
+    Vec out = combine_of(gat, h, {h, h, h});
     EXPECT_LT(max_abs_diff(out, h), 1e-5f);
 }
 
@@ -199,11 +236,10 @@ TEST(GatLayer, AttentionIsAWeightedAverage)
     // inputs (attention weights sum to 1 and are positive).
     Rng rng(8);
     GatLayer gat(4, 1, 4, Activation::kIdentity, rng);
-    Vec h_self = gat.project({1, 0, 0, 0});
-    Vec h_a = gat.project({0, 1, 0, 0});
-    Vec h_b = gat.project({0, 0, 1, 0});
-    std::vector<const float *> nbrs{h_a.data(), h_b.data()};
-    Vec out = gat_combine(gat, h_self.data(), nbrs);
+    Vec h_self = project_of(gat, {1, 0, 0, 0});
+    Vec h_a = project_of(gat, {0, 1, 0, 0});
+    Vec h_b = project_of(gat, {0, 0, 1, 0});
+    Vec out = combine_of(gat, h_self, {h_a, h_b});
     for (std::size_t d = 0; d < 4; ++d) {
         float lo = std::min({h_self[d], h_a[d], h_b[d]});
         float hi = std::max({h_self[d], h_a[d], h_b[d]});
@@ -216,8 +252,8 @@ TEST(GatLayer, EmptyNeighborhoodReturnsActivatedSelf)
 {
     Rng rng(9);
     GatLayer gat(4, 2, 2, Activation::kElu, rng);
-    Vec h = gat.project({1, 2, 3, 4});
-    Vec out = gat_combine(gat, h.data(), {});
+    Vec h = project_of(gat, {1, 2, 3, 4});
+    Vec out = combine_of(gat, h, {});
     Vec expected = h;
     apply_activation(expected, Activation::kElu);
     EXPECT_LT(max_abs_diff(out, expected), 1e-6f);
@@ -227,8 +263,8 @@ TEST(GatLayer, ScoresUseLeakyRelu)
 {
     Rng rng(10);
     GatLayer gat(2, 1, 2, Activation::kIdentity, rng);
-    Vec h1 = gat.project({1, 0});
-    Vec h2 = gat.project({0, 1});
+    Vec h1 = project_of(gat, {1, 0});
+    Vec h2 = project_of(gat, {0, 1});
     // One head, one neighbor: the combine weights are the softmax of
     // LeakyReLU(a_src . h_j + a_dst . h_i) over {self, neighbor}.
     float s_self = 0.0f, s_nbr = 0.0f, d = 0.0f;
@@ -240,7 +276,7 @@ TEST(GatLayer, ScoresUseLeakyRelu)
     const float top = std::max(l_self, l_nbr);
     const float w_self = std::exp(l_self - top);
     const float w_nbr = std::exp(l_nbr - top);
-    Vec out = gat_combine(gat, h2.data(), {h1.data()});
+    Vec out = combine_of(gat, h2, {h1});
     for (std::size_t k = 0; k < 2; ++k)
         EXPECT_FLOAT_EQ(out[k], (w_self * h2[k] + w_nbr * h1[k]) /
                                     (w_self + w_nbr));
@@ -248,12 +284,120 @@ TEST(GatLayer, ScoresUseLeakyRelu)
 
 TEST(Layer, BaseMessageThrowsForMessagelessLayers)
 {
+    // The encoder has no messages; GAT attends through gat_combine.
     Rng rng(11);
     EncoderLayer enc(2, 2, rng);
+    GatLayer gat(2, 1, 2, Activation::kIdentity, rng);
     GraphSample s = tiny_sample(2, 0);
     LayerContext ctx = make_layer_context(s);
     EXPECT_THROW(message_of(enc, {1, 1}, nullptr, 0, 0, 1, ctx),
                  std::logic_error);
+    EXPECT_THROW(message_of(gat, {1, 1}, nullptr, 0, 0, 1, ctx),
+                 std::logic_error);
+}
+
+TEST(LayerContract, FusedColumnEqualsOneEdgeCalls)
+{
+    // Layer::gather over a k-edge column == k one-edge calls in the
+    // same order, bit for bit: column batching never changes a value.
+    // Every message-passing layer (built-in and the custom_gnn
+    // example's), with edge features and fixed point on and off.
+    static constexpr std::size_t kDim = 8;
+    static constexpr std::size_t kEdgeDim = 3;
+    GraphSample s = testing::make_random_sample(
+        testing::make_random_graph(1, 90, 0xC0), kDim, kEdgeDim, 0xC1);
+    Rng field_rng(0xC2);
+    for (NodeId v = 0; v < s.num_nodes(); ++v)
+        s.dgn_field.push_back(static_cast<float>(field_rng.uniform(-1, 1)));
+    const LayerContext ctx = make_layer_context(s);
+
+    using Factory =
+        std::function<std::unique_ptr<Layer>(std::size_t, Rng &)>;
+    const std::vector<std::pair<const char *, Factory>> layers = {
+        {"gcn",
+         [](std::size_t, Rng &r) {
+             return std::make_unique<GcnLayer>(kDim, kDim,
+                                               Activation::kRelu, r);
+         }},
+        {"gin",
+         [](std::size_t ed, Rng &r) {
+             return std::make_unique<GinLayer>(kDim, ed, Activation::kRelu,
+                                               r);
+         }},
+        {"sage",
+         [](std::size_t, Rng &r) {
+             return std::make_unique<SageLayer>(kDim, kDim,
+                                                Activation::kRelu, r);
+         }},
+        {"sgc",
+         [](std::size_t, Rng &) {
+             return std::make_unique<SgcLayer>(kDim);
+         }},
+        {"pna",
+         [](std::size_t ed, Rng &r) {
+             return std::make_unique<PnaLayer>(kDim, ed, Activation::kRelu,
+                                               r);
+         }},
+        {"dgn",
+         [](std::size_t ed, Rng &r) {
+             return std::make_unique<DgnLayer>(kDim, ed, Activation::kRelu,
+                                               r);
+         }},
+        {"new-gnn",
+         [](std::size_t ed, Rng &r) {
+             return std::make_unique<examples::NewGnnLayer>(kDim, ed, r);
+         }},
+    };
+
+    Rng rng(0xC3);
+    for (const auto &[name, make] : layers) {
+        for (bool edges : {false, true}) {
+            for (bool fixed : {false, true}) {
+                for (std::size_t k : {0u, 1u, 7u, 70u}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << name << " edges=" << edges
+                                 << " fixed=" << fixed << " k=" << k);
+                    Rng layer_rng(0xC4);
+                    const auto layer =
+                        make(edges ? kEdgeDim : 0, layer_rng);
+                    std::vector<NodeId> src(k);
+                    std::vector<EdgeId> ids(k);
+                    for (std::size_t j = 0; j < k; ++j) {
+                        src[j] = static_cast<NodeId>(
+                            rng.uniform_index(s.num_nodes()));
+                        ids[j] = static_cast<EdgeId>(
+                            rng.uniform_index(s.num_edges()));
+                    }
+                    const auto dst = static_cast<NodeId>(
+                        rng.uniform_index(s.num_nodes()));
+                    MessageInputs in;
+                    in.x = s.node_features.data();
+                    if (edges) {
+                        in.edge_features = s.edge_features.data();
+                        in.edge_dim = kEdgeDim;
+                    }
+                    if (fixed)
+                        in.fixed = &kFixed16_10;
+
+                    const Aggregator agg = layer->aggregator();
+                    std::vector<float> fused(agg.state_dim());
+                    agg.init(fused.data());
+                    const std::vector<float> init = fused;
+                    std::vector<float> single = init;
+                    layer->gather({dst, k, src.data(),
+                                   edges ? ids.data() : nullptr},
+                                  in, ctx, fused.data());
+                    for (std::size_t j = 0; j < k; ++j)
+                        layer->gather({dst, 1, &src[j],
+                                       edges ? &ids[j] : nullptr},
+                                      in, ctx, single.data());
+                    EXPECT_EQ(fused, single);
+                    if (k > 0)
+                        EXPECT_NE(fused, init) << "messages folded in";
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -19,6 +19,7 @@ namespace flowgnn {
 namespace {
 
 using testing::message_of;
+using testing::transform_of;
 
 /**
  * Paper Fig. 5: edge list {(n0,n1), (n1,n2), (n1,n3), (n2,n1)}, two NT
@@ -97,7 +98,7 @@ TEST(PaperMath, GcnTwoNodeHandComputation)
     // self = x0/2; out = [0.5, 1.0].
     Vec msg = message_of(gcn, s.node_features.row_vec(1), nullptr, 0, 1,
                          0, ctx);
-    Vec out = gcn.transform(s.node_features.row_vec(0), msg, 0, ctx);
+    Vec out = transform_of(gcn, s.node_features.row_vec(0), msg, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 0.5f);
     EXPECT_FLOAT_EQ(out[1], 1.0f);
 }
@@ -132,7 +133,7 @@ TEST(PaperMath, GinEquationOneHandComputation)
                          0, ctx);
     EXPECT_EQ(msg, (Vec{3.0f, 0.0f}));
     // x0' = MLP((1+eps)*x0 + msg), eps = 0.1, hidden ReLU clips.
-    Vec out = gin.transform(s.node_features.row_vec(0), msg, 0, ctx);
+    Vec out = transform_of(gin, s.node_features.row_vec(0), msg, 0, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.1f + 3.0f);
     // Second component: (1.1 * -1 + 0) = -1.1, ReLU in hidden -> 0.
     EXPECT_FLOAT_EQ(out[1], 0.0f);

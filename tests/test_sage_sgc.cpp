@@ -14,6 +14,7 @@ namespace flowgnn {
 namespace {
 
 using testing::message_of;
+using testing::transform_of;
 
 GraphSample
 path_sample(std::size_t dim)
@@ -54,9 +55,9 @@ TEST(SageLayer, TransformSumsSelfAndNeighborPaths)
     // With zero aggregate the neighbor path contributes only its bias.
     Vec zero_agg(2, 0.0f);
     Vec x{1.0f, 2.0f};
-    Vec with_zero = sage.transform(x, zero_agg, 0, ctx);
+    Vec with_zero = transform_of(sage, x, zero_agg, 0, ctx);
     Vec agg{3.0f, -1.0f};
-    Vec with_agg = sage.transform(x, agg, 0, ctx);
+    Vec with_agg = transform_of(sage, x, agg, 0, ctx);
     EXPECT_GT(max_abs_diff(with_zero, with_agg), 0.0f);
 }
 
@@ -77,7 +78,7 @@ TEST(SgcLayer, MatchesGcnNormalizationArithmetic)
     float norm = 1.0f / std::sqrt(2.0f * 2.0f);
     EXPECT_FLOAT_EQ(msg[0], norm);
     // Transform adds the renormalized self loop: agg + x / (deg+1).
-    Vec out = sgc.transform({4.0f, 4.0f}, {1.0f, 1.0f}, 2, ctx);
+    Vec out = transform_of(sgc, {4.0f, 4.0f}, {1.0f, 1.0f}, 2, ctx);
     EXPECT_FLOAT_EQ(out[0], 1.0f + 4.0f / 2.0f);
 }
 

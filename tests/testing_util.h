@@ -26,111 +26,145 @@
 
 namespace flowgnn::testing {
 
-/** Layer::message into a fresh msg_dim() vector. */
+/**
+ * One edge's message: a one-edge Layer::gather into a fresh aggregator
+ * state, read back from the payload (every aggregator's first fold
+ * stores the message exactly). The edge feature row, if any, is edge
+ * id 0.
+ */
 inline Vec
 message_of(const Layer &layer, const Vec &x_src, const float *edge_feat,
            std::size_t edge_dim, NodeId src, NodeId dst,
            const LayerContext &ctx)
 {
-    Vec out(layer.msg_dim());
-    layer.message(x_src.data(), edge_feat, edge_dim, src, dst, ctx,
-                  out.data());
+    std::vector<float> x((std::size_t(src) + 1) * layer.in_dim());
+    std::copy(x_src.begin(), x_src.end(),
+              x.begin() + std::size_t(src) * layer.in_dim());
+    const EdgeId id = 0;
+    const InEdges col{dst, 1, &src, edge_feat != nullptr ? &id : nullptr};
+    MessageInputs in;
+    in.x = x.data();
+    in.edge_features = edge_feat;
+    in.edge_dim = edge_dim;
+    const Aggregator agg = layer.aggregator();
+    std::vector<float> state(agg.state_dim());
+    agg.init(state.data());
+    layer.gather(col, in, ctx, state.data());
+    const std::size_t payload = agg.kind() == AggregatorKind::kSum ? 0 : 1;
+    return Vec(state.begin() + payload,
+               state.begin() + payload + layer.msg_dim());
+}
+
+/** Layer::transform into a fresh out_dim() vector. */
+inline Vec
+transform_of(const Layer &layer, const Vec &x_self, const Vec &agg,
+             NodeId node, const LayerContext &ctx)
+{
+    Vec out(layer.out_dim());
+    layer.transform(x_self.data(), agg.data(), node, ctx, out.data());
     return out;
 }
 
 /**
  * The independent functional oracle: the original per-edge executor.
- * Convs scatter src-major over a CSR, one message vector per edge;
+ * Convs scatter src-major over a CSR, one Layer::gather call per edge;
  * attention gathers over the stream-order CSC. With
  * `opts.emulate_fixed_point` it quantizes at the engine's points
  * (inputs, messages, aggregator state after every accumulate,
  * finalized aggregates, stage outputs). It shares only the layer math
- * with the functional kernel — never its adjacency, threading or
- * buffers — so differential tests never compare the kernel with
- * itself.
+ * with the functional kernel — never its adjacency, threading, column
+ * batching or buffers — so differential tests never compare the
+ * kernel with itself.
  */
 inline Matrix
 naive_reference_embeddings(const Model &model, const GraphSample &prepared,
                            const RunOptions &opts = {})
 {
     const bool quant = opts.emulate_fixed_point;
-    auto q = [&](Vec &v) {
+    auto q = [&](float *values, std::size_t count) {
         if (quant)
-            quantize_inplace(v, opts.fixed_point);
+            quantize_inplace(values, count, opts.fixed_point);
     };
     const NodeId n = prepared.num_nodes();
     const LayerContext ctx = make_layer_context(prepared, model.pna_params());
     const CsrGraph csr(prepared.graph);
     const CscGraph csc(prepared.graph);
-    const float *efeat_base = prepared.edge_features.data();
     const std::size_t edge_dim = prepared.edge_dim();
 
-    std::vector<Vec> x(n);
-    for (NodeId i = 0; i < n; ++i) {
-        x[i] = prepared.node_features.row_vec(i);
-        q(x[i]);
-    }
+    std::size_t dim = prepared.node_dim();
+    std::vector<float> x(prepared.node_features.data(),
+                         prepared.node_features.data() +
+                             std::size_t(n) * dim);
+    q(x.data(), x.size());
     for (std::size_t si = 0; si < model.num_stages(); ++si) {
         const Layer &stage = model.stage(si);
-        std::vector<Vec> next(n);
+        const std::size_t out_dim = stage.out_dim();
+        std::vector<float> next(std::size_t(n) * out_dim);
         if (stage.msg_dim() == 0) {
-            const Vec empty;
             for (NodeId i = 0; i < n; ++i)
-                next[i] = stage.transform(x[i], empty, i, ctx);
+                stage.transform(x.data() + i * dim, nullptr, i, ctx,
+                                next.data() + i * out_dim);
         } else if (stage.dataflow() == DataflowKind::kNtToMp) {
             const Aggregator agg = stage.aggregator();
             const std::size_t sd = agg.state_dim();
             std::vector<float> states(std::size_t(n) * sd);
             for (NodeId i = 0; i < n; ++i)
                 agg.init(states.data() + i * sd);
+            MessageInputs in;
+            in.x = x.data();
+            if (edge_dim > 0) {
+                in.edge_features = prepared.edge_features.data();
+                in.edge_dim = edge_dim;
+            }
+            if (quant)
+                in.fixed = &opts.fixed_point;
             for (NodeId src = 0; src < n; ++src) {
                 for (std::size_t s = csr.row_begin(src);
                      s < csr.row_end(src); ++s) {
-                    const NodeId dst = csr.dst(s);
-                    const float *ef =
-                        edge_dim ? efeat_base +
-                                       std::size_t(csr.edge_id(s)) * edge_dim
-                                 : nullptr;
-                    Vec msg =
-                        message_of(stage, x[src], ef, edge_dim, src, dst, ctx);
-                    q(msg);
-                    float *st = states.data() + std::size_t(dst) * sd;
-                    agg.accumulate(st, msg.data());
-                    if (quant)
-                        quantize_inplace(st, sd, opts.fixed_point);
+                    const EdgeId id = csr.edge_id(s);
+                    const InEdges col{csr.dst(s), 1, &src, &id};
+                    stage.gather(col, in, ctx,
+                                 states.data() +
+                                     std::size_t(col.dst) * sd);
                 }
             }
+            Vec fin(agg.out_dim());
             for (NodeId i = 0; i < n; ++i) {
-                Vec fin = agg.finalize(states.data() + i * sd,
-                                       ctx.in_deg[i], ctx.pna);
-                q(fin);
-                next[i] = stage.transform(x[i], fin, i, ctx);
+                agg.finalize(states.data() + i * sd, ctx.in_deg[i],
+                             ctx.pna, fin.data());
+                q(fin.data(), fin.size());
+                stage.transform(x.data() + i * dim, fin.data(), i, ctx,
+                                next.data() + i * out_dim);
             }
         } else {
             const auto *gat = dynamic_cast<const GatLayer *>(&stage);
             if (gat == nullptr)
                 throw std::logic_error("oracle: MP-to-NT stage is not GAT");
-            std::vector<Vec> h(n);
+            std::vector<float> h(std::size_t(n) * out_dim);
+            const std::size_t stride = 2 * gat->num_heads();
+            std::vector<float> scores(std::size_t(n) * stride);
             for (NodeId i = 0; i < n; ++i) {
-                h[i] = gat->project(x[i]);
-                q(h[i]);
+                gat->project(x.data() + i * dim, h.data() + i * out_dim);
+                q(h.data() + i * out_dim, out_dim);
+                gat->scores(h.data() + i * out_dim,
+                            scores.data() + i * stride);
             }
             for (NodeId i = 0; i < n; ++i) {
-                std::vector<const float *> nbrs;
+                std::vector<NodeId> nbrs;
                 for (std::size_t s = csc.col_begin(i); s < csc.col_end(i);
                      ++s)
-                    nbrs.push_back(h[csc.src(s)].data());
-                next[i] = gat_combine(*gat, h[i].data(), nbrs);
+                    nbrs.push_back(csc.src(s));
+                gat_combine(*gat, h.data(), scores.data(), i, nbrs.data(),
+                            nbrs.size(), next.data() + i * out_dim);
             }
         }
-        for (Vec &row : next)
-            q(row);
+        q(next.data(), next.size());
         x = std::move(next);
+        dim = out_dim;
     }
 
     Matrix out(n, model.embedding_dim());
-    for (NodeId i = 0; i < n; ++i)
-        out.set_row(i, x[i]);
+    std::copy(x.begin(), x.end(), out.data());
     return out;
 }
 
