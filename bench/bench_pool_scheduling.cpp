@@ -126,8 +126,10 @@ main(int argc, char **argv)
         PolicyPoint p;
         p.policy = pool_policy_name(policy);
 
-        SimResult sim =
-            simulate_pool_schedule(sim_trace, kDies, policy);
+        SimOptions sim_opts;
+        sim_opts.num_dies = kDies;
+        sim_opts.policy = policy;
+        SimResult sim = simulate_pool_schedule(sim_trace, sim_opts);
         p.modeled_makespan = sim.makespan;
         p.modeled_utilization = sim.utilization();
 

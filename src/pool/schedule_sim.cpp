@@ -1,53 +1,10 @@
 #include "pool/schedule_sim.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace flowgnn {
-
-namespace {
-
-constexpr std::uint64_t kNever =
-    std::numeric_limits<std::uint64_t>::max();
-
-struct JobState {
-    const SimJob *job = nullptr;
-    std::size_t next_task = 0;
-    std::size_t done_tasks = 0;
-    bool dispatched_any = false;
-    /** Cycles still owed per task; grows by the checkpoint overhead
-     * on each preemption. */
-    std::vector<std::uint64_t> owed;
-    /** Preempted tasks waiting to resume (LIFO, like the live pool). */
-    std::vector<std::size_t> requeued;
-    std::uint64_t abs_deadline = kNever;
-
-    std::size_t
-    remaining() const
-    {
-        return job->task_cycles.size() - next_task + requeued.size();
-    }
-    bool
-    pending() const
-    {
-        return remaining() > 0;
-    }
-    /** Longest still-owed undispatched task — a gang job's duration
-     * when all its tasks start together (the backfill bound). */
-    std::uint64_t
-    max_owed() const
-    {
-        std::uint64_t m = 0;
-        for (std::size_t t = next_task; t < owed.size(); ++t)
-            m = std::max(m, owed[t]);
-        for (std::size_t t : requeued)
-            m = std::max(m, owed[t]);
-        return m;
-    }
-};
-
-} // namespace
 
 double
 SimResult::utilization() const
@@ -64,22 +21,9 @@ SimResult::utilization() const
 
 SimResult
 simulate_pool_schedule(const std::vector<SimJob> &jobs,
-                       std::uint32_t num_dies, PoolPolicy policy,
-                       std::uint64_t aging_cycles)
-{
-    SimOptions options;
-    options.num_dies = num_dies;
-    options.policy = policy;
-    options.aging_cycles = aging_cycles;
-    return simulate_pool_schedule(jobs, options);
-}
-
-SimResult
-simulate_pool_schedule(const std::vector<SimJob> &jobs,
                        const SimOptions &options)
 {
     const std::uint32_t num_dies = options.num_dies;
-    const PoolPolicy policy = options.policy;
     if (num_dies == 0)
         throw std::invalid_argument(
             "simulate_pool_schedule: num_dies must be >= 1");
@@ -102,319 +46,162 @@ simulate_pool_schedule(const std::vector<SimJob> &jobs,
     out.reservation_.assign(jobs.size(), SimResult::kNoReservation);
     out.lateness_.assign(jobs.size(), 0);
 
-    std::vector<JobState> states(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        states[j].job = &jobs[j];
-        states[j].owed = jobs[j].task_cycles;
-        if (jobs[j].deadline > 0)
-            states[j].abs_deadline = jobs[j].arrival + jobs[j].deadline;
-    }
+    DispatchCore::Config config;
+    config.num_dies = num_dies;
+    config.policy = options.policy;
+    config.aging_ticks = options.aging_cycles;
+    config.easy_backfill = options.easy_backfill;
+    config.enable_preemption = options.enable_preemption;
+    config.preempt_priority_gap = options.preempt_priority_gap;
+    DispatchCore core(config);
+    constexpr std::uint64_t kNever = DispatchCore::kNever;
+
+    // Cycles still owed per task; grows by the checkpoint overhead on
+    // each preemption.
+    std::vector<std::vector<std::uint64_t>> owed;
+    for (const SimJob &job : jobs)
+        owed.push_back(job.task_cycles);
 
     // free_at[d]: the cycle die d finishes (or yields) its current
-    // task (meaningful only while busy).
+    // task; started[d]: when it began (meaningful only while busy).
     std::vector<std::uint64_t> free_at(num_dies, 0);
-    std::vector<std::size_t> die_job(num_dies, 0);
-    std::vector<std::size_t> die_task(num_dies, 0);
-    std::vector<std::uint64_t> die_started(num_dies, 0);
-    std::vector<bool> die_busy_now(num_dies, false);
-    std::vector<bool> die_preempting(num_dies, false);
+    std::vector<std::uint64_t> started(num_dies, 0);
 
-    // FIFO admission order = arrival order (stable for equal arrivals).
+    // Admission order = arrival order (stable for equal arrivals).
     std::vector<std::size_t> order(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        order[j] = j;
+    std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return jobs[a].arrival < jobs[b].arrival;
                      });
-
-    const bool preemptable_policy = policy == PoolPolicy::kPriority ||
-        policy == PoolPolicy::kEdf;
+    std::size_t admitted = 0;
+    auto admit_arrivals = [&](std::uint64_t now) {
+        for (; admitted < order.size() &&
+             jobs[order[admitted]].arrival <= now;
+             ++admitted) {
+            const std::size_t j = order[admitted];
+            DispatchCore::JobDesc desc;
+            desc.key = j;
+            desc.width = jobs[j].task_cycles.size();
+            desc.priority = jobs[j].priority;
+            desc.arrival = jobs[j].arrival;
+            if (jobs[j].deadline > 0)
+                desc.deadline = jobs[j].arrival + jobs[j].deadline;
+            desc.task_ticks = *std::max_element(
+                jobs[j].task_cycles.begin(), jobs[j].task_cycles.end());
+            desc.preemptible = jobs[j].boundary_cycles > 0;
+            core.admit(desc);
+        }
+    };
 
     // Elastic capacity: the autoscaler's target caps concurrency.
     std::size_t cap_target =
         options.autoscaler ? options.autoscaler->target() : num_dies;
-    if (options.autoscaler)
+    if (options.autoscaler) {
         out.active_timeline.emplace_back(0, cap_target);
-    std::uint64_t window_area = 0;   // busy-dies x cycles this window
-    std::uint64_t next_window = options.autoscaler
-        ? options.window_cycles
-        : kNever;
-
-    // EDF order: earliest absolute deadline, ties FIFO (scan `order`).
-    auto edf_pick = [&](std::uint64_t now) -> std::size_t {
-        std::size_t best = jobs.size();
-        for (std::size_t j : order) {
-            const JobState &st = states[j];
-            if (!st.pending() || jobs[j].arrival > now)
-                continue;
-            if (best == jobs.size() ||
-                st.abs_deadline < states[best].abs_deadline)
-                best = j;
-        }
-        return best;
-    };
+        core.set_active(cap_target);
+    }
+    std::uint64_t window_area = 0; // busy-dies x cycles this window
+    std::uint64_t next_window =
+        options.autoscaler ? options.window_cycles : kNever;
 
     std::uint64_t now = 0;
     std::size_t done_jobs = 0;
-    std::size_t tasks_running = 0;
+    admit_arrivals(now);
     while (done_jobs < jobs.size()) {
-        // The widest pending job raises the cap (a gang wider than
-        // the shrunk pool must still start — live effective_active).
-        std::size_t cap = cap_target;
-        for (std::size_t j : order)
-            if (states[j].pending() && jobs[j].arrival <= now)
-                cap = std::max(cap, states[j].remaining());
-        cap = std::min<std::size_t>(cap, num_dies);
-
-        // ---- Dispatch everything pickable at `now` (same selection
-        // rules as PoolScheduler::try_pick, re-evaluated after every
-        // dispatch because idle-die counts change). ----
-        for (;;) {
-            if (tasks_running >= cap)
-                break;
-            const std::size_t idle = cap - tasks_running;
-
-            std::size_t pick = jobs.size(); // none
-            if (policy == PoolPolicy::kPriority) {
-                long best_eff = 0;
-                for (std::size_t j : order) {
-                    const JobState &st = states[j];
-                    if (!st.pending() || jobs[j].arrival > now)
-                        continue;
-                    long eff = jobs[j].priority;
-                    if (options.aging_cycles > 0)
-                        eff += static_cast<long>(
-                            (now - jobs[j].arrival) /
-                            options.aging_cycles);
-                    if (pick == jobs.size() || eff > best_eff) {
-                        pick = j;
-                        best_eff = eff;
-                    }
-                }
-            } else if (policy == PoolPolicy::kEdf) {
-                const std::size_t best = edf_pick(now);
-                if (best != jobs.size()) {
-                    JobState &st = states[best];
-                    if (st.dispatched_any || idle >= st.remaining())
-                        pick = best;
-                }
-            } else {
-                const JobState *blocked_head = nullptr;
-                std::size_t head_j = 0;
-                for (std::size_t j : order) {
-                    JobState &st = states[j];
-                    if (!st.pending() || jobs[j].arrival > now)
-                        continue;
-                    if (st.dispatched_any ||
-                        policy == PoolPolicy::kSpaceShare) {
-                        pick = j;
-                        break;
-                    }
-                    if (blocked_head == nullptr) {
-                        if (idle >= st.remaining()) {
-                            pick = j;
-                            break;
-                        }
-                        if (!options.easy_backfill)
-                            break; // gang head-of-line block
-                        blocked_head = &st;
-                        head_j = j;
-                        continue;
-                    }
-                    // EASY backfill: J may jump the blocked head only
-                    // if it provably cannot delay it. The reservation
-                    // is when the (width-idle)-th soonest running
-                    // finish frees the head's width; J qualifies by
-                    // ending before it (exact durations) or by fitting
-                    // in the dies the head will not need even then.
-                    const std::size_t width = st.remaining();
-                    if (width > idle)
-                        continue;
-                    std::vector<std::uint64_t> fins;
-                    fins.reserve(tasks_running);
-                    for (std::uint32_t d = 0; d < num_dies; ++d)
-                        if (die_busy_now[d])
-                            fins.push_back(free_at[d]);
-                    const std::size_t need =
-                        blocked_head->remaining() - idle;
-                    if (fins.size() < need)
-                        break; // width > dies that will ever free
-                    std::sort(fins.begin(), fins.end());
-                    const std::uint64_t reservation = fins[need - 1];
-                    if (out.reservation_[head_j] ==
-                        SimResult::kNoReservation)
-                        out.reservation_[head_j] = reservation;
-                    std::size_t freed_by_then = 0;
-                    for (std::uint64_t f : fins)
-                        freed_by_then += (f <= reservation);
-                    const std::size_t avail_at_shadow =
-                        idle + freed_by_then;
-                    const std::size_t extra = avail_at_shadow -
-                        blocked_head->remaining();
-                    if (now + st.max_owed() <= reservation ||
-                        width <= extra) {
-                        pick = j;
-                        break;
-                    }
-                }
-            }
-            if (pick == jobs.size())
-                break;
-
-            JobState &st = states[pick];
-            if (!st.dispatched_any) {
-                st.dispatched_any = true;
-                out.start_[pick] = now;
-            }
-            std::size_t task;
-            if (!st.requeued.empty()) {
-                task = st.requeued.back();
-                st.requeued.pop_back();
-            } else {
-                task = st.next_task++;
+        // ---- Dispatch everything the core picks at `now`, each task
+        // onto the lowest-numbered idle die. ----
+        DispatchCore::Pick pick;
+        while (core.pick(now, pick)) {
+            if (pick.first) {
+                out.start_[pick.key] = now;
+                out.reservation_[pick.key] = pick.reservation;
             }
             std::uint32_t die = 0;
-            while (die_busy_now[die])
+            while (core.die(die).busy)
                 ++die;
-            die_busy_now[die] = true;
-            die_preempting[die] = false;
-            free_at[die] = now + st.owed[task];
-            die_job[die] = pick;
-            die_task[die] = task;
-            die_started[die] = now;
-            ++tasks_running;
+            free_at[die] = now + owed[pick.key][pick.task];
+            started[die] = now;
+            core.start(die, pick, free_at[die]);
         }
 
         // ---- Advance to the next event: a die completing/yielding,
         // the next arrival, or an autoscaler window boundary. ----
         std::uint64_t next = kNever;
         for (std::uint32_t d = 0; d < num_dies; ++d)
-            if (die_busy_now[d])
+            if (core.die(d).busy)
                 next = std::min(next, free_at[d]);
-        for (std::size_t j = 0; j < jobs.size(); ++j)
-            if (states[j].pending() && jobs[j].arrival > now)
-                next = std::min(next, jobs[j].arrival);
+        if (admitted < order.size())
+            next = std::min(next, jobs[order[admitted]].arrival);
         if (next == kNever)
             throw std::logic_error(
                 "simulate_pool_schedule: stalled schedule");
         next = std::min(next, next_window);
-        window_area +=
-            static_cast<std::uint64_t>(tasks_running) * (next - now);
+        window_area += core.tasks_running() * (next - now);
         now = next;
 
         for (std::uint32_t d = 0; d < num_dies; ++d) {
-            if (!die_busy_now[d] || free_at[d] > now)
+            const DispatchCore::DieSlot slot = core.die(d);
+            if (!slot.busy || free_at[d] > now)
                 continue;
-            die_busy_now[d] = false;
-            --tasks_running;
-            out.die_busy[d] += free_at[d] - die_started[d];
-            JobState &st = states[die_job[d]];
-            if (die_preempting[d]) {
+            out.die_busy[d] += free_at[d] - started[d];
+            if (slot.preempt_pending) {
                 // Layer-boundary yield: requeue the remainder plus
                 // the checkpoint round-trip.
-                die_preempting[d] = false;
-                const std::uint64_t ran = free_at[d] - die_started[d];
-                st.owed[die_task[d]] = st.owed[die_task[d]] - ran +
+                std::uint64_t &rest = owed[slot.key][slot.task];
+                rest = rest - (free_at[d] - started[d]) +
                     options.preempt_overhead_cycles;
-                st.requeued.push_back(die_task[d]);
+                core.release(d, /*yielded=*/true);
                 ++out.preemptions;
                 continue;
             }
-            ++st.done_tasks;
-            if (st.done_tasks == st.job->task_cycles.size()) {
-                const std::size_t j = die_job[d];
-                out.finish_[j] = free_at[d];
-                out.makespan = std::max(out.makespan, free_at[d]);
-                if (st.abs_deadline != kNever &&
-                    free_at[d] > st.abs_deadline) {
-                    out.lateness_[j] = free_at[d] - st.abs_deadline;
-                    ++out.deadline_misses;
-                }
-                ++done_jobs;
+            if (!core.release(d, /*yielded=*/false))
+                continue;
+            const std::size_t j = slot.key;
+            out.finish_[j] = free_at[d];
+            out.makespan = std::max(out.makespan, free_at[d]);
+            const std::uint64_t due = jobs[j].arrival + jobs[j].deadline;
+            if (jobs[j].deadline > 0 && free_at[d] > due) {
+                out.lateness_[j] = free_at[d] - due;
+                ++out.deadline_misses;
             }
+            ++done_jobs;
         }
+        admit_arrivals(now);
 
         // ---- Autoscaler window boundary: exact windowed inputs. ----
         if (options.autoscaler != nullptr && now == next_window) {
             AutoscalerWindow w;
             w.busy_dies = static_cast<double>(window_area) /
                 static_cast<double>(options.window_cycles);
-            double depth = 0.0;
-            for (std::size_t j = 0; j < jobs.size(); ++j)
-                if (states[j].pending() && jobs[j].arrival <= now)
-                    depth += 1.0;
-            w.queue_depth = depth;
+            w.queue_depth = static_cast<double>(core.pending_jobs());
             const std::size_t target = options.autoscaler->step(w);
             if (target != cap_target) {
                 cap_target = target;
                 out.active_timeline.emplace_back(now, cap_target);
             }
+            core.set_active(cap_target);
             window_area = 0;
             next_window += options.window_cycles;
         }
 
-        // ---- Preemption: jobs arriving exactly now evict the least
-        // urgent running preemptible task when nothing is free (the
-        // live scheduler's maybe_preempt, in cycle domain). ----
-        if (options.enable_preemption && preemptable_policy) {
-            for (std::size_t j : order) {
-                if (jobs[j].arrival != now || !states[j].pending())
-                    continue;
-                std::size_t want = states[j].remaining();
-                // Live gate: only when the effective cap is saturated
-                // (an idle-but-capped die does not block eviction).
-                std::size_t cap_now = cap_target;
-                for (std::size_t jj : order)
-                    if (states[jj].pending() &&
-                        jobs[jj].arrival <= now)
-                        cap_now = std::max(cap_now,
-                                           states[jj].remaining());
-                cap_now = std::min<std::size_t>(cap_now, num_dies);
-                if (tasks_running < cap_now)
-                    continue;
-                // Victims, least urgent first.
-                std::vector<std::uint32_t> running;
-                for (std::uint32_t d = 0; d < num_dies; ++d)
-                    if (die_busy_now[d] && !die_preempting[d])
-                        running.push_back(d);
-                std::stable_sort(
-                    running.begin(), running.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                        if (policy == PoolPolicy::kEdf)
-                            return states[die_job[a]].abs_deadline >
-                                states[die_job[b]].abs_deadline;
-                        return jobs[die_job[a]].priority <
-                            jobs[die_job[b]].priority;
-                    });
-                for (std::uint32_t d : running) {
-                    if (want == 0)
-                        break;
-                    const std::size_t vj = die_job[d];
-                    const bool more_urgent =
-                        policy == PoolPolicy::kEdf
-                            ? states[j].abs_deadline <
-                                states[vj].abs_deadline
-                            : jobs[j].priority - jobs[vj].priority >=
-                                options.preempt_priority_gap;
-                    if (!more_urgent)
-                        break;
-                    const std::uint64_t b =
-                        jobs[vj].boundary_cycles;
-                    if (b == 0)
-                        continue; // not preemptible; try the next
-                    const std::uint64_t elapsed =
-                        now - die_started[d];
-                    const std::uint64_t yield_at = die_started[d] +
-                        (elapsed / b + 1) * b;
-                    if (yield_at >= free_at[d])
-                        continue; // would finish first anyway
-                    free_at[d] = yield_at;
-                    die_preempting[d] = true;
-                    --want;
-                }
-            }
-        }
+        // ---- Preemption: each job arriving exactly now asks the core
+        // for victims; a victim yields at its next layer boundary
+        // unless it would finish first anyway. ----
+        std::size_t first_now = admitted;
+        while (first_now > 0 && jobs[order[first_now - 1]].arrival == now)
+            --first_now;
+        for (std::size_t i = first_now; i < admitted; ++i)
+            core.preempt_for(order[i], [&](std::size_t d) {
+                const std::uint64_t b =
+                    jobs[core.die(d).key].boundary_cycles;
+                const std::uint64_t yield_at =
+                    started[d] + ((now - started[d]) / b + 1) * b;
+                if (yield_at >= free_at[d])
+                    return false;
+                free_at[d] = yield_at;
+                return true;
+            });
     }
     return out;
 }

@@ -1,12 +1,14 @@
 /**
  * @file
- * Cycle-domain pool-schedule simulator: replays the PoolScheduler's
- * dispatch policies over modeled task durations, with no threads and
- * no wall clock. Given each job's per-task cycle counts (from isolated
- * engine runs) it answers "what makespan and die utilization would
- * this trace see under policy X" deterministically — the modeled
- * counterpart of the live pool's wall-clock numbers, and the thing CI
- * can assert on without timing flakiness.
+ * Cycle-domain pool-schedule simulator: the PoolScheduler's
+ * DispatchCore (pool/dispatch.h) driven on a virtual cycle clock over
+ * modeled task durations, with no threads and no wall clock. Given
+ * each job's per-task cycle counts (from isolated engine runs) it
+ * answers "what makespan and die utilization would this trace see
+ * under policy X" deterministically — the modeled counterpart of the
+ * live pool's wall-clock numbers, and the thing CI can assert on
+ * without timing flakiness. It adds only event advance, owed cycles,
+ * boundary-quantized yields, per-die busy time and autoscaler windows.
  *
  * Beyond the base policies the simulator replays the whole SLO stack
  * (SimOptions):
@@ -22,9 +24,9 @@
  *    busy-die means and queue depths, its active-die cap applied to
  *    dispatch and its decision sequence recorded for pinning.
  *
- * Unlike the live scheduler (which backfills only on caller-provided
- * estimates), the simulator knows exact durations, so easy_backfill
- * defaults OFF to keep plain-gang pins stable; tests opt in.
+ * The simulator's estimates are exact, where the live pool backfills
+ * only on JobSpec::estimated_task_cycles; easy_backfill defaults OFF
+ * here to keep plain-gang pins stable, and tests opt in.
  */
 #ifndef FLOWGNN_POOL_SCHEDULE_SIM_H
 #define FLOWGNN_POOL_SCHEDULE_SIM_H
@@ -33,7 +35,7 @@
 #include <vector>
 
 #include "pool/autoscaler.h"
-#include "pool/scheduler.h"
+#include "pool/dispatch.h"
 
 namespace flowgnn {
 
@@ -127,24 +129,13 @@ struct SimResult {
 };
 
 /**
- * Simulates the trace under `policy` on `num_dies` dies with the same
- * semantics as the live PoolScheduler: kFifoGang gang-starts jobs
- * strictly in arrival order, kSpaceShare dispatches tasks
- * work-conservingly in job-FIFO order, kPriority picks the highest
- * effective priority (aging one step per `aging_cycles` waited;
- * 0 disables aging), kEdf gang-starts in earliest-absolute-deadline
- * order (ties FIFO — equal deadlines everywhere IS kFifoGang).
- * Throws if any job is wider than the pool.
+ * Simulates the trace under options.policy (see PoolPolicy) on
+ * options.num_dies dies, taking every pick and victim choice from the
+ * live PoolScheduler's DispatchCore. Throws if any job is wider than
+ * the pool.
  */
 SimResult simulate_pool_schedule(const std::vector<SimJob> &jobs,
                                  const SimOptions &options);
-
-/** Back-compat shorthand for the base policies (no backfill, no
- * preemption, no elasticity). */
-SimResult simulate_pool_schedule(const std::vector<SimJob> &jobs,
-                                 std::uint32_t num_dies,
-                                 PoolPolicy policy,
-                                 std::uint64_t aging_cycles = 0);
 
 } // namespace flowgnn
 

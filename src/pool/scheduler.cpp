@@ -1,6 +1,7 @@
 #include "pool/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -22,6 +23,29 @@ pool_policy_name(PoolPolicy policy)
     return "unknown";
 }
 
+namespace {
+
+std::uint64_t
+ms_to_ns(double ms)
+{
+    return static_cast<std::uint64_t>(std::llround(ms * 1e6));
+}
+
+DispatchCore::Config
+dispatch_config(const PoolConfig &config)
+{
+    DispatchCore::Config core;
+    core.num_dies = config.num_dies;
+    core.policy = config.policy;
+    core.aging_ticks = config.aging_ms > 0.0 ? ms_to_ns(config.aging_ms) : 0;
+    core.easy_backfill = config.easy_backfill;
+    core.enable_preemption = config.enable_preemption;
+    core.preempt_priority_gap = config.preempt_priority_gap;
+    return core;
+}
+
+} // namespace
+
 /** One admitted job: immutable inputs (prepared sample, plan, opts)
  * plus mutable dispatch/completion state guarded by the scheduler
  * mutex. Each task writes only its own results slot, so slices of one
@@ -31,12 +55,11 @@ struct PoolScheduler::Job {
 
     bool sharded_path = false; ///< admitted via submit_sharded*
     Deliver deliver = Deliver::kRun;
-    int priority = 0;
     JobSpec spec;
-    /** enqueued + deadline_ms; time_point::max() when no deadline. */
-    std::chrono::steady_clock::time_point abs_deadline{
-        std::chrono::steady_clock::time_point::max()};
-    std::uint64_t id = 0;       ///< admission order, for trace labels
+    /** Admission order: the dispatch key and the trace label. */
+    std::uint64_t id = 0;
+    /** estimated_task_cycles in dispatch ticks, or kNever. */
+    std::uint64_t est_ticks = DispatchCore::kNever;
     std::uint64_t enq_ns = 0;   ///< admit instant on the trace clock
     GraphSample prepared;
     /** Ghost-mode job: layers are exchange-synchronous, so the slices
@@ -50,22 +73,10 @@ struct PoolScheduler::Job {
     LinkConfig link{};
     RunOptions opts;
     std::vector<RunResult> results; ///< one slot per slice
-    std::size_t next_task = 0;
-    std::size_t done_tasks = 0;
-    bool dispatched_any = false;
-    /** Tasks preempted at a layer boundary, waiting to resume. */
-    std::vector<std::size_t> requeued;
     /** Per-task layer-boundary checkpoints (engine tasks). */
     std::vector<LayerCheckpoint> task_ckpts;
     /** Ghost jobs: the functional pass's resume state. */
     GhostResumeState ghost_resume;
-
-    /** Tasks still needing a die (undispatched + requeued). */
-    std::size_t
-    remaining() const
-    {
-        return results.size() - next_task + requeued.size();
-    }
     std::exception_ptr error;
     std::chrono::steady_clock::time_point enqueued{};
     std::promise<RunResult> run_promise;
@@ -77,6 +88,8 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
     : model_(model),
       config_(config),
       pool_(model, engine_config, config.num_dies),
+      epoch_(std::chrono::steady_clock::now()),
+      core_(dispatch_config(config)),
       metrics_(config.metrics
                    ? config.metrics
                    : std::make_shared<obs::MetricsRegistry>()),
@@ -96,9 +109,7 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
     config_.validate();
     config_.run_options.validate();
 
-    active_dies_ = pool_.size();
-    active_dies_gauge_.set(static_cast<double>(active_dies_));
-    running_.resize(pool_.size());
+    active_dies_gauge_.set(static_cast<double>(pool_.size()));
     die_tokens_.reserve(pool_.size());
     for (std::size_t d = 0; d < pool_.size(); ++d)
         die_tokens_.push_back(std::make_unique<PreemptToken>());
@@ -126,142 +137,13 @@ PoolScheduler::start()
     unpark_.notify_all();
 }
 
-std::size_t
-PoolScheduler::effective_active() const
+std::uint64_t
+PoolScheduler::now_ticks() const
 {
-    // The autoscaler's cap, raised to the widest pending job so a
-    // gang wider than the shrunk pool can still start (scaling down
-    // must never deadlock admission-time clamped widths).
-    std::size_t cap = active_dies_;
-    for (const JobPtr &job : queue_)
-        cap = std::max(cap, job->remaining());
-    return std::min(cap, pool_.size());
-}
-
-bool
-PoolScheduler::try_pick(Dispatch &out)
-{
-    out.job.reset();
-    if (queue_.empty())
-        return false;
-    const std::size_t cap = effective_active();
-    if (tasks_running_ >= cap)
-        return false; // scaled down: leave the die parked
-    const std::size_t idle = cap - tasks_running_;
-
-    switch (config_.policy) {
-      case PoolPolicy::kSpaceShare: {
-        // Work-conserving: the queue only holds jobs with undispatched
-        // tasks, so the FIFO head always yields one. Later jobs
-        // backfill automatically once earlier ones are fully
-        // dispatched (and therefore popped).
-        out.job = queue_.front();
-        break;
-      }
-      case PoolPolicy::kFifoGang: {
-        // Jobs start strictly in order, each only when its full width
-        // is simultaneously free. A started job's remaining tasks go
-        // first; an unstarted head that does not fit blocks the scan
-        // (the policy's head-of-line cost) — unless EASY backfill can
-        // prove a later job ends before the head's reservation.
-        const Job *blocked_head = nullptr;
-        for (const JobPtr &job : queue_) {
-            if (job->dispatched_any) {
-                out.job = job;
-                break;
-            }
-            if (blocked_head == nullptr) {
-                if (idle >= job->remaining()) {
-                    out.job = job;
-                    break;
-                }
-                if (!config_.easy_backfill)
-                    return false;
-                blocked_head = job.get();
-                continue; // scan on for a backfill candidate
-            }
-            // Backfill candidate: must fit in the idle dies right now
-            // AND provably finish before the head's reservation. The
-            // reservation is when the (width - idle)-th soonest
-            // running-task finish frees enough dies; estimates
-            // missing anywhere -> no proof -> no backfill.
-            if (job->remaining() > idle ||
-                job->spec.estimated_task_cycles == 0)
-                continue;
-            std::vector<std::chrono::steady_clock::time_point> fins;
-            fins.reserve(running_.size());
-            bool all_known = true;
-            for (const Running &r : running_) {
-                if (!r.job)
-                    continue;
-                if (!r.has_est) {
-                    all_known = false;
-                    break;
-                }
-                fins.push_back(r.est_finish);
-            }
-            const std::size_t need = blocked_head->remaining() - idle;
-            if (!all_known || fins.size() < need)
-                return false; // reservation unknowable; plain gang
-            std::sort(fins.begin(), fins.end());
-            const auto reservation = fins[need - 1];
-            const auto now = std::chrono::steady_clock::now();
-            const double est_ms =
-                static_cast<double>(job->spec.estimated_task_cycles) /
-                (pool_.engine(0).config().clock_mhz * 1e3);
-            const auto est_end = now +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(est_ms));
-            if (est_end <= reservation) {
-                out.job = job;
-                break;
-            }
-        }
-        break;
-      }
-      case PoolPolicy::kPriority: {
-        auto now = std::chrono::steady_clock::now();
-        long best_eff = 0;
-        for (const JobPtr &job : queue_) {
-            long eff = job->priority;
-            if (config_.aging_ms > 0.0)
-                eff += static_cast<long>(
-                    ms_between(job->enqueued, now) / config_.aging_ms);
-            // Strict > keeps FIFO order among ties (queue_ is FIFO).
-            if (!out.job || eff > best_eff) {
-                out.job = job;
-                best_eff = eff;
-            }
-        }
-        break;
-      }
-      case PoolPolicy::kEdf: {
-        // Pure earliest-deadline order (ties FIFO by id — which is
-        // exactly kFifoGang when all deadlines are equal), with the
-        // gang width rule on unstarted jobs.
-        JobPtr best;
-        for (const JobPtr &job : queue_)
-            if (!best || job->abs_deadline < best->abs_deadline ||
-                (job->abs_deadline == best->abs_deadline &&
-                 job->id < best->id))
-                best = job;
-        if (best) {
-            if (best->dispatched_any || idle >= best->remaining())
-                out.job = best;
-            else
-                return false;
-        }
-        break;
-      }
-    }
-    if (!out.job)
-        return false;
-    if (!out.job->requeued.empty())
-        out.task = out.job->requeued.back();
-    else
-        out.task = out.job->next_task;
-    return true;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch_)
+            .count());
 }
 
 void
@@ -274,21 +156,20 @@ PoolScheduler::die_loop(std::size_t die)
     });
 
     for (;;) {
-        Dispatch d;
+        DispatchCore::Pick pick;
+        bool picked = false;
         work_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
-            return shutdown_ || try_pick(d);
+            return shutdown_ || (picked = core_.pick(now_ticks(), pick));
         });
-        if (!d.job) {
-            if (shutdown_)
-                return;
-            continue;
-        }
+        if (!picked)
+            return; // shutdown
 
-        // ---- Dispatch d.task of d.job onto this die. ----
+        // ---- Dispatch pick.task of its job onto this die. ----
         obs::TraceSession *session = obs::TraceSession::current();
-        Job &job = *d.job;
-        if (!job.dispatched_any) {
-            job.dispatched_any = true;
+        const JobPtr jobp = jobs_.at(pick.key);
+        Job &job = *jobp;
+        const std::size_t task = pick.task;
+        if (pick.first) {
             queue_delay_hist_.record(ms_between(
                 job.enqueued, std::chrono::steady_clock::now()));
             // The request's time-in-queue, on its own timeline.
@@ -296,45 +177,21 @@ PoolScheduler::die_loop(std::size_t die)
                 session->span(obs::Track::kPool, "queue-wait",
                               job.enq_ns, session->now_ns());
         }
-        if (!job.requeued.empty() && d.task == job.requeued.back())
-            job.requeued.pop_back(); // resuming a preempted task
-        else
-            ++job.next_task;
-        ++tasks_running_;
-        if (job.next_task == job.results.size() &&
-            job.requeued.empty()) {
-            // Fully dispatched: leaves the pending queue (freeing
+        // The estimated finish feeds EASY reservations.
+        const std::uint64_t finish = job.est_ticks == DispatchCore::kNever
+            ? DispatchCore::kNever
+            : now_ticks() + job.est_ticks;
+        if (core_.start(die, pick, finish)) {
+            // Fully dispatched: leaves the pending set (freeing
             // admission capacity) while its tasks finish on the dies.
-            queue_.erase(
-                std::find(queue_.begin(), queue_.end(), d.job));
             admit_.notify_one();
-        }
-        // Record what this die runs (and when it should finish, if
-        // the submitter provided an estimate) — the inputs to EASY
-        // reservations and preemption victim selection.
-        {
-            Running &slot = running_[die];
-            slot.job = d.job;
-            slot.task = d.task;
-            slot.has_est = job.spec.estimated_task_cycles > 0;
-            if (slot.has_est) {
-                const double est_ms =
-                    static_cast<double>(
-                        job.spec.estimated_task_cycles) /
-                    (pool_.engine(die).config().clock_mhz * 1e3);
-                slot.est_finish = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::milli>(
-                            est_ms));
-            }
         }
         // Other idle dies may now have work (e.g. the rest of a
         // gang-started job's tasks).
         work_.notify_all();
         pool_.lease(die);
-        busy_dies_gauge_.set(static_cast<double>(tasks_running_));
-        queue_depth_gauge_.set(static_cast<double>(queue_.size()));
+        busy_dies_gauge_.set(static_cast<double>(core_.tasks_running()));
+        queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
         std::uint64_t lease_start_ns = 0;
         if (session) {
             if (session != named_for) {
@@ -344,7 +201,7 @@ PoolScheduler::die_loop(std::size_t die)
                 named_for = session;
             }
             session->counter(obs::Track::kPool, "busy dies",
-                             static_cast<double>(tasks_running_));
+                             static_cast<double>(core_.tasks_running()));
             lease_start_ns = session->now_ns();
         }
         lock.unlock();
@@ -382,18 +239,18 @@ PoolScheduler::die_loop(std::size_t die)
                     RunOptions popts = job.opts;
                     popts.preempt = &token;
                     const GraphSample &g = job.plan.sharded
-                        ? job.plan.slices[d.task].sub
+                        ? job.plan.slices[task].sub
                         : job.prepared;
                     preempted =
                         engine.run_resumable(
                             SampleRef(g), popts, ws,
-                            job.task_ckpts[d.task], result,
+                            job.task_ckpts[task], result,
                             std::size_t(-1),
                             1) == SegmentOutcome::kPreempted;
                 } else {
                     result = job.plan.sharded
                         ? engine.run_prepared(
-                              job.plan.slices[d.task].sub, job.opts,
+                              job.plan.slices[task].sub, job.opts,
                               ws)
                         : engine.run_prepared(job.prepared, job.opts,
                                               ws);
@@ -415,7 +272,7 @@ PoolScheduler::die_loop(std::size_t die)
                 std::snprintf(nm, sizeof nm,
                               "lease: job %llu slice %zu/%zu",
                               static_cast<unsigned long long>(job.id),
-                              d.task, job.results.size());
+                              task, job.results.size());
             else
                 std::snprintf(nm, sizeof nm, "lease: job %llu",
                               static_cast<unsigned long long>(job.id));
@@ -424,35 +281,29 @@ PoolScheduler::die_loop(std::size_t die)
         }
 
         lock.lock();
-        --tasks_running_;
-        running_[die] = Running{};
-        busy_dies_gauge_.set(static_cast<double>(tasks_running_));
+        const bool job_done = core_.release(die, preempted);
+        busy_dies_gauge_.set(static_cast<double>(core_.tasks_running()));
         if (session)
             session->counter(obs::Track::kPool, "busy dies",
-                             static_cast<double>(tasks_running_));
+                             static_cast<double>(core_.tasks_running()));
+        // A die freed up: gang starts that did not fit may fit now,
+        // and a yielded task may go to whoever is more urgent now.
+        work_.notify_all();
         if (preempted) {
-            // Yielded at a layer boundary: the checkpoint lives in
-            // the job; requeue the task and let try_pick hand the die
-            // to whoever is more urgent now.
+            // Yielded at a layer boundary: the checkpoint lives in the
+            // job, and the core requeued the task.
             preempt_ctr_.add(1);
-            job.requeued.push_back(d.task);
-            if (std::find(queue_.begin(), queue_.end(), d.job) ==
-                queue_.end())
-                queue_.push_back(d.job);
-            queue_depth_gauge_.set(static_cast<double>(queue_.size()));
-            work_.notify_all();
+            queue_depth_gauge_.set(
+                static_cast<double>(core_.pending_jobs()));
             continue;
         }
-        job.results[d.task] = std::move(result);
+        job.results[task] = std::move(result);
         if (!ok && !job.error)
             job.error = error;
-        ++job.done_tasks;
-        bool job_done = job.done_tasks == job.results.size();
-        // A die freed up: gang starts that did not fit may fit now.
-        work_.notify_all();
         if (job_done) {
+            jobs_.erase(job.id);
             lock.unlock();
-            finalize(d.job); // merge is real work; never under the lock
+            finalize(jobp); // merge is real work; never under the lock
             lock.lock();
         }
     }
@@ -531,16 +382,16 @@ PoolScheduler::admit(const JobPtr &job)
             throw std::logic_error(
                 "PoolScheduler: submit after shutdown");
         if (config_.admission == AdmissionPolicy::kReject) {
-            if (queue_.size() >= config_.queue_capacity) {
+            if (core_.pending_jobs() >= config_.queue_capacity) {
                 ++path.rejected;
                 rejected_ctr_.add(1);
                 throw ServiceOverloaded();
             }
-        } else if (queue_.size() >= config_.queue_capacity) {
+        } else if (core_.pending_jobs() >= config_.queue_capacity) {
             ++blocked_producers_;
             admit_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
                 return closed_ ||
-                       queue_.size() < config_.queue_capacity;
+                       core_.pending_jobs() < config_.queue_capacity;
             });
             --blocked_producers_;
             if (closed_)
@@ -550,62 +401,30 @@ PoolScheduler::admit(const JobPtr &job)
         ++path.submitted;
         job->id = next_job_id_++;
         job->enqueued = std::chrono::steady_clock::now();
-        if (job->spec.deadline_ms > 0.0)
-            job->abs_deadline = job->enqueued +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        job->spec.deadline_ms));
         if (obs::TraceSession *session = obs::TraceSession::current())
             job->enq_ns = session->now_ns();
-        queue_.push_back(job);
+        DispatchCore::JobDesc desc;
+        desc.key = job->id;
+        desc.width = job->results.size();
+        desc.priority = job->spec.priority;
+        desc.arrival = now_ticks();
+        if (job->spec.deadline_ms > 0.0)
+            desc.deadline = desc.arrival + ms_to_ns(job->spec.deadline_ms);
+        if (job->spec.estimated_task_cycles > 0) // cycles / MHz = us
+            desc.task_ticks = static_cast<std::uint64_t>(std::llround(
+                static_cast<double>(job->spec.estimated_task_cycles) *
+                1e3 / pool_.engine(0).config().clock_mhz));
+        job->est_ticks = desc.task_ticks;
+        core_.admit(desc);
+        jobs_.emplace(job->id, job);
         jobs_ctr_.add(1);
-        queue_depth_gauge_.set(static_cast<double>(queue_.size()));
-        maybe_preempt(job);
+        queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
+        core_.preempt_for(job->id, [&](std::size_t die) {
+            die_tokens_[die]->request();
+            return true;
+        });
     }
     work_.notify_all();
-}
-
-void
-PoolScheduler::maybe_preempt(const JobPtr &urgent)
-{
-    if (!config_.enable_preemption)
-        return;
-    if (config_.policy != PoolPolicy::kPriority &&
-        config_.policy != PoolPolicy::kEdf)
-        return;
-    if (tasks_running_ < effective_active())
-        return; // a die is (about to be) free; no need to evict
-    // Evict enough of the least-urgent running tasks to fit the
-    // urgent job's width — each victim strictly less urgent than the
-    // newcomer, so preemption can only shorten its wait.
-    std::size_t want = urgent->remaining();
-    std::vector<std::size_t> victims;
-    for (std::size_t d = 0; d < running_.size(); ++d)
-        if (running_[d].job)
-            victims.push_back(d);
-    const bool edf = config_.policy == PoolPolicy::kEdf;
-    std::sort(victims.begin(), victims.end(),
-              [&](std::size_t a, std::size_t b)
-                  FLOWGNN_REQUIRES(mutex_) {
-                      const Job &ja = *running_[a].job;
-                      const Job &jb = *running_[b].job;
-                      return edf ? ja.abs_deadline > jb.abs_deadline
-                                 : ja.priority < jb.priority;
-                  });
-    for (std::size_t d : victims) {
-        if (want == 0)
-            break;
-        const Job &victim = *running_[d].job;
-        const bool more_urgent = edf
-            ? urgent->abs_deadline < victim.abs_deadline
-            : urgent->priority - victim.priority >=
-                  config_.preempt_priority_gap;
-        if (!more_urgent)
-            break; // sorted: nobody further is less urgent
-        die_tokens_[d]->request();
-        --want;
-    }
 }
 
 std::future<RunResult>
@@ -614,7 +433,6 @@ PoolScheduler::enqueue_fast(GraphSample sample, const RunOptions &opts,
 {
     opts.validate();
     auto job = std::make_shared<Job>();
-    job->priority = spec.priority;
     job->spec = spec;
     job->opts = opts;
     // Preparing on the submitting thread keeps dies lease-time pure
@@ -694,7 +512,6 @@ PoolScheduler::make_sharded_job(GraphSample sample,
     job->sharded_path = true;
     job->deliver = deliver_sharded ? Job::Deliver::kSharded
                                    : Job::Deliver::kRun;
-    job->priority = spec.priority;
     job->spec = spec;
     job->opts = opts;
     job->link = clamped.link;
@@ -759,9 +576,10 @@ PoolScheduler::set_active_dies(std::size_t n)
 {
     {
         MutexLock lock(&mutex_);
-        active_dies_ =
+        const std::size_t active =
             std::min(std::max<std::size_t>(n, 1), pool_.size());
-        active_dies_gauge_.set(static_cast<double>(active_dies_));
+        core_.set_active(active);
+        active_dies_gauge_.set(static_cast<double>(active));
     }
     // Scaling up frees capacity parked dies can pick up immediately.
     work_.notify_all();
@@ -771,7 +589,7 @@ std::size_t
 PoolScheduler::active_dies() const
 {
     MutexLock lock(&mutex_);
-    return active_dies_;
+    return core_.active();
 }
 
 void
@@ -815,11 +633,11 @@ PoolScheduler::stats() const
         MutexLock lock(&mutex_);
         out.fast = fast_;
         out.sharded = sharded_;
-        out.jobs_pending = queue_.size();
-        out.tasks_running = tasks_running_;
+        out.jobs_pending = core_.pending_jobs();
+        out.tasks_running = core_.tasks_running();
         out.blocked_producers = blocked_producers_;
         out.queue_capacity = config_.queue_capacity;
-        out.active_dies = active_dies_;
+        out.active_dies = core_.active();
     }
     out.deadline_misses =
         static_cast<std::size_t>(deadline_miss_ctr_.value());

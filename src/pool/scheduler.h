@@ -13,33 +13,16 @@
  * cycle-stepped engine and the merge is a pure function of the
  * per-slice results.
  *
- * Policies:
- *  - kFifoGang:  jobs start strictly in submission order, and a job
- *    starts only when its full width in dies is free at once (gang
- *    scheduling). A wide job at the head blocks everything behind it,
- *    idling dies — the baseline batch-scheduler behaviour.
- *  - kSpaceShare: work-conserving space sharing. Tasks dispatch in
- *    job-FIFO order as dies free up; when the head job has every task
- *    running, later jobs backfill the remaining dies. A die never
- *    idles while any task is pending.
- *  - kPriority:  like kSpaceShare but the next task comes from the
- *    job with the highest effective priority, which ages upward the
- *    longer the job waits (no starvation); ties break FIFO.
- *  - kEdf: gang starts in earliest-absolute-deadline order (admit
- *    time + JobSpec::deadline_ms); with equal deadlines everywhere it
- *    degenerates to kFifoGang exactly. Lateness and misses are
- *    reported per job through pool.lateness_ms /
- *    pool.deadline_misses_total whatever the policy.
- *
- * kFifoGang optionally adds EASY backfill (PoolConfig::easy_backfill):
- * a blocked head gang job takes a start-time reservation computed from
- * running tasks' estimated finishes, and later jobs may start out of
- * order only when their estimated runtime fits entirely before that
- * reservation — backfill can fill idle dies but provably never delays
- * the head. kPriority/kEdf optionally preempt running tasks at
- * message-passing layer boundaries (PoolConfig::enable_preemption):
- * the victim checkpoints, requeues, and later resumes bit-identically
- * (Engine::run_resumable).
+ * Policy (PoolConfig::policy; semantics at PoolPolicy in
+ * pool/dispatch.h): FIFO gang with optional EASY backfill,
+ * work-conserving space share, aging priority, or EDF. kPriority/kEdf
+ * optionally preempt running tasks at message-passing layer
+ * boundaries; the victim checkpoints, requeues and later resumes
+ * bit-identically (Engine::run_resumable). Every dispatch and victim
+ * decision comes from a DispatchCore on a clock of nanoseconds since
+ * construction, the same core simulate_pool_schedule drives on modeled
+ * cycles; the scheduler keeps only threads, locking, promises, engine
+ * runs, metrics and trace spans.
  *
  * Admission mirrors flowgnn::serve end to end: the pending-job queue
  * is bounded, and a full queue either blocks the producer
@@ -52,31 +35,19 @@
 #define FLOWGNN_POOL_SCHEDULER_H
 
 #include <chrono>
-#include <deque>
 #include <future>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "pool/die_pool.h"
+#include "pool/dispatch.h"
 #include "serve/service.h"
 #include "shard/shard_plan.h"
 
 namespace flowgnn {
-
-/** How pending tasks are matched to free dies. */
-enum class PoolPolicy {
-    kFifoGang,
-    kSpaceShare,
-    kPriority,
-    /** Earliest absolute deadline first (admit time + deadline_ms;
-     * no-deadline jobs sort last), ties broken FIFO — so with equal
-     * deadlines on every job kEdf IS kFifoGang. Gang width rule:
-     * the earliest-deadline job starts only when its full width is
-     * free at once. */
-    kEdf,
-};
 
 /** Human-readable policy name. */
 const char *pool_policy_name(PoolPolicy policy);
@@ -128,7 +99,8 @@ struct PoolConfig {
      * start, it takes a start-time reservation (the instant enough
      * running tasks' estimated finishes free its width) and later
      * jobs may jump it only when their estimated runtime provably
-     * ends before that reservation — the head can never be delayed.
+     * ends before that reservation, or when they fit in the dies the
+     * head will not need even then — the head can never be delayed.
      * Needs JobSpec::estimated_task_cycles on the running and
      * backfilling jobs; without estimates the policy degrades to
      * plain gang (no backfill), never to a delayed head.
@@ -319,10 +291,6 @@ class PoolScheduler
   private:
     struct Job;
     using JobPtr = std::shared_ptr<Job>;
-    struct Dispatch {
-        JobPtr job;
-        std::size_t task = 0;
-    };
 
     std::future<RunResult> enqueue_fast(GraphSample sample,
                                         const RunOptions &opts,
@@ -332,15 +300,15 @@ class PoolScheduler
                             bool deliver_sharded);
     void admit(const JobPtr &job);
     void die_loop(std::size_t die);
-    bool try_pick(Dispatch &out) FLOWGNN_REQUIRES(mutex_);
     void finalize(const JobPtr &job);
-    std::size_t effective_active() const FLOWGNN_REQUIRES(mutex_);
-    void maybe_preempt(const JobPtr &urgent) FLOWGNN_REQUIRES(mutex_);
+    /** The dispatch clock: nanoseconds since construction. */
+    std::uint64_t now_ticks() const;
 
     const Model &model_;
     PoolConfig config_;
     DiePool pool_;
     std::vector<std::thread> die_threads_;
+    const std::chrono::steady_clock::time_point epoch_;
 
     mutable Mutex mutex_; // guards everything below
     CondVar work_;   ///< dies: task may be pickable
@@ -350,22 +318,13 @@ class PoolScheduler
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
     bool shutdown_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< dies may exit
-    /** Jobs with undispatched tasks, FIFO. */
-    std::deque<JobPtr> queue_ FLOWGNN_GUARDED_BY(mutex_);
-    std::size_t tasks_running_ FLOWGNN_GUARDED_BY(mutex_) = 0;
-    /** Concurrency cap (autoscaler actuator); see set_active_dies. */
-    std::size_t active_dies_ FLOWGNN_GUARDED_BY(mutex_);
-    /** What each die is running right now (job null when idle), with
-     * the estimated finish EASY reservations are computed from. */
-    struct Running {
-        JobPtr job;
-        std::size_t task = 0;
-        bool has_est = false;
-        std::chrono::steady_clock::time_point est_finish{};
-    };
-    std::vector<Running> running_ FLOWGNN_GUARDED_BY(mutex_);
+    /** Every dispatch and victim decision; keyed by Job::id. */
+    DispatchCore core_ FLOWGNN_GUARDED_BY(mutex_);
+    /** Admitted jobs not yet finished, by Job::id. */
+    std::unordered_map<std::uint64_t, JobPtr>
+        jobs_ FLOWGNN_GUARDED_BY(mutex_);
     /** Per-die preemption flags (atomic; requested under mutex_ by
-     * maybe_preempt, polled lock-free by the engines). */
+     * core_.preempt_for, polled lock-free by the engines). */
     std::vector<std::unique_ptr<PreemptToken>> die_tokens_;
     std::size_t blocked_producers_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     PoolPathStats fast_ FLOWGNN_GUARDED_BY(mutex_);

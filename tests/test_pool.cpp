@@ -81,13 +81,15 @@ TEST(ScheduleSim, GangHeadOfLineBlocksWhereSpaceShareBackfills)
     };
 
     SimResult gang =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kFifoGang);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kFifoGang});
     // t20: j1 gang-starts + j2 backfills; t22: j3.
     EXPECT_EQ(gang.job_start(1), 20u);
     EXPECT_EQ(gang.makespan, 37u);
 
     SimResult share =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kSpaceShare);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kSpaceShare});
     // Idle dies take j1's tasks immediately, then the singles.
     EXPECT_EQ(share.job_start(1), 0u);
     EXPECT_EQ(share.makespan, 20u);
@@ -101,7 +103,8 @@ TEST(ScheduleSim, SpaceShareIsWorkConserving)
     // equal the trace's work, and the makespan on one die is the sum.
     std::vector<SimJob> trace = {{{5}, 0, 0}, {{7}, 0, 0}, {{3}, 0, 0}};
     SimResult r =
-        simulate_pool_schedule(trace, 1, PoolPolicy::kSpaceShare);
+        simulate_pool_schedule(trace, {.num_dies = 1,
+                                       .policy = PoolPolicy::kSpaceShare});
     EXPECT_EQ(r.makespan, 15u);
     EXPECT_DOUBLE_EQ(r.utilization(), 1.0);
 }
@@ -119,12 +122,16 @@ TEST(ScheduleSim, PriorityAgingPreventsStarvation)
     };
 
     SimResult no_aging =
-        simulate_pool_schedule(trace, 1, PoolPolicy::kPriority, 0);
+        simulate_pool_schedule(trace, {.num_dies = 1,
+                                       .policy = PoolPolicy::kPriority,
+                                       .aging_cycles = 0});
     EXPECT_EQ(no_aging.job_finish(2), 110u) << "c overtakes j0";
     EXPECT_EQ(no_aging.job_finish(0), 120u);
 
     SimResult aged =
-        simulate_pool_schedule(trace, 1, PoolPolicy::kPriority, 20);
+        simulate_pool_schedule(trace, {.num_dies = 1,
+                                       .policy = PoolPolicy::kPriority,
+                                       .aging_cycles = 20});
     EXPECT_EQ(aged.job_finish(0), 110u)
         << "100 cycles of waiting = +5 effective priority";
     EXPECT_EQ(aged.job_finish(2), 120u);
@@ -134,7 +141,8 @@ TEST(ScheduleSim, RejectsJobsWiderThanPool)
 {
     std::vector<SimJob> trace = {{{1, 1, 1}, 0, 0}};
     EXPECT_THROW(
-        simulate_pool_schedule(trace, 2, PoolPolicy::kSpaceShare),
+        simulate_pool_schedule(trace, {.num_dies = 2,
+                                       .policy = PoolPolicy::kSpaceShare}),
         std::invalid_argument);
 }
 
@@ -306,9 +314,11 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     trace.push_back({{e1.run(single_b).stats.total_cycles}, 0, 0});
 
     SimResult gang_sim =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kFifoGang);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kFifoGang});
     SimResult share_sim =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kSpaceShare);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kSpaceShare});
     EXPECT_LT(share_sim.makespan, gang_sim.makespan)
         << "modeled: backfill must shorten the mixed trace";
     EXPECT_GT(share_sim.utilization(), gang_sim.utilization());
@@ -367,6 +377,76 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     // first single's start are microseconds apart, in either order.)
     EXPECT_TRUE(backfilled(share))
         << "no single started before the 2-wide job's first slice ended";
+}
+
+TEST(PoolScheduler, LiveAndSimulatedPoolsPickInTheSameOrder)
+{
+    // One die, every job queued before start(), no aging: the live
+    // pool's lease order must equal the simulator's start order under
+    // every policy, since both take each pick from one DispatchCore.
+    // Deadlines sit 1 s apart, so the microseconds between live
+    // admissions cannot reorder kEdf.
+    Model model = make_model(ModelKind::kGcn16, 16, 0);
+    GraphSample sample = make_random_sample(
+        make_ring_lattice(64, 2), 16, 0, 0x5A);
+    const int priorities[] = {0, 2, 1, 2, 0};
+    const double deadlines_ms[] = {3000, 5000, 1000, 4000, 2000};
+    constexpr std::size_t kJobs = 5;
+    std::vector<SimJob> trace;
+    for (std::size_t j = 0; j < kJobs; ++j)
+        trace.push_back({{100}, 0, priorities[j],
+                         static_cast<std::uint64_t>(deadlines_ms[j])});
+
+    std::map<PoolPolicy, std::vector<std::size_t>> orders;
+    for (PoolPolicy policy :
+         {PoolPolicy::kFifoGang, PoolPolicy::kSpaceShare,
+          PoolPolicy::kPriority, PoolPolicy::kEdf}) {
+        SimResult sim =
+            simulate_pool_schedule(trace, {.num_dies = 1, .policy = policy});
+        std::vector<std::size_t> sim_order(kJobs);
+        for (std::size_t j = 0; j < kJobs; ++j)
+            sim_order[j] = j;
+        std::sort(sim_order.begin(), sim_order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return sim.job_start(a) < sim.job_start(b);
+                  });
+
+        obs::TraceSession session;
+        session.install();
+        PoolConfig pool;
+        pool.num_dies = 1;
+        pool.policy = policy;
+        pool.aging_ms = 0.0;
+        pool.start_paused = true;
+        PoolScheduler scheduler(model, {}, pool);
+        std::vector<std::future<RunResult>> futures;
+        for (std::size_t j = 0; j < kJobs; ++j) {
+            JobSpec spec;
+            spec.priority = priorities[j];
+            spec.deadline_ms = deadlines_ms[j];
+            futures.push_back(scheduler.submit(sample, RunOptions{}, spec));
+        }
+        scheduler.start();
+        scheduler.drain();
+        for (auto &f : futures)
+            f.get();
+        session.uninstall();
+        std::map<unsigned, JobLeases> leases = lease_schedule(session);
+        ASSERT_EQ(leases.size(), kJobs) << pool_policy_name(policy);
+        // Job ids follow submission from 1.
+        std::vector<std::size_t> live_order;
+        for (const auto &[id, job] : leases)
+            live_order.push_back(id - 1);
+        std::sort(live_order.begin(), live_order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return leases[a + 1].first_start <
+                          leases[b + 1].first_start;
+                  });
+        EXPECT_EQ(live_order, sim_order) << pool_policy_name(policy);
+        orders[policy] = sim_order;
+    }
+    EXPECT_NE(orders[PoolPolicy::kPriority], orders[PoolPolicy::kFifoGang]);
+    EXPECT_NE(orders[PoolPolicy::kEdf], orders[PoolPolicy::kFifoGang]);
 }
 
 TEST(PoolScheduler, EveryPolicySameAnswersDifferentSchedule)

@@ -9,6 +9,9 @@
  *    autoscaler's exact (cycle, target) timeline;
  *  - a 200-trace seeded property sweep: backfill never delays a
  *    reserved gang head, EDF degenerates to FIFO gang;
+ *  - DispatchCore cases both schedulers share: distinct victims for
+ *    back-to-back urgent admissions, a preempted job's FIFO place,
+ *    and no backfill without an estimate;
  *  - engine-level preemption: resume from every layer boundary is
  *    bit-identical to the uninterrupted run (token- and slice-driven);
  *  - the synthetic open-loop arrival generator's determinism + shape;
@@ -27,6 +30,7 @@
 #include "graph/generators.h"
 #include "pool/arrivals.h"
 #include "pool/autoscaler.h"
+#include "pool/dispatch.h"
 #include "pool/pool_energy.h"
 #include "pool/schedule_sim.h"
 #include "shard/sharded_engine.h"
@@ -64,7 +68,8 @@ TEST(SloSim, EdfOrdersByAbsoluteDeadlineAndAccountsLateness)
 
     // Deadlines feed lateness accounting under every policy.
     SimResult fifo =
-        simulate_pool_schedule(trace, 1, PoolPolicy::kFifoGang);
+        simulate_pool_schedule(trace, {.num_dies = 1,
+                                       .policy = PoolPolicy::kFifoGang});
     EXPECT_EQ(fifo.job_finish(2), 30u);
     EXPECT_EQ(fifo.deadline_misses, 1u);
     EXPECT_EQ(fifo.lateness(2), 13u);
@@ -89,7 +94,8 @@ TEST(SloSim, EdfWithEqualDeadlinesIsFifoGang)
     EXPECT_EQ(r.job_start(1), 20u);
     EXPECT_EQ(r.makespan, 37u);
     SimResult gang =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kFifoGang);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kFifoGang});
     for (std::size_t j = 0; j < trace.size(); ++j) {
         EXPECT_EQ(r.job_start(j), gang.job_start(j)) << j;
         EXPECT_EQ(r.job_finish(j), gang.job_finish(j)) << j;
@@ -238,7 +244,8 @@ TEST(SloSim, PropertyEdfDegeneratesToFifoGang)
         std::uint32_t dies = 0;
         const std::vector<SimJob> trace = random_trace(seed, dies);
         SimResult gang =
-            simulate_pool_schedule(trace, dies, PoolPolicy::kFifoGang);
+            simulate_pool_schedule(trace, {.num_dies = dies,
+                                           .policy = PoolPolicy::kFifoGang});
         SimOptions edf;
         edf.num_dies = dies;
         edf.policy = PoolPolicy::kEdf;
@@ -285,6 +292,145 @@ TEST(SloSim, PreemptionYieldsAtBoundaryAndRequeues)
     EXPECT_EQ(base.job_finish(1), 110u);
     EXPECT_EQ(base.deadline_misses, 1u);
     EXPECT_EQ(base.lateness(1), 35u);
+}
+
+// ---- DispatchCore: victims, requeue order, backfill estimates ----------
+
+namespace {
+
+/** Admits `desc` at its arrival and starts it on `die`. */
+void
+admit_and_start(DispatchCore &core, const DispatchCore::JobDesc &desc,
+                 std::size_t die, std::uint64_t finish)
+{
+    core.admit(desc);
+    DispatchCore::Pick pick;
+    ASSERT_TRUE(core.pick(desc.arrival, pick));
+    ASSERT_EQ(pick.key, desc.key);
+    core.start(die, pick, finish);
+}
+
+} // namespace
+
+TEST(DispatchCore, TwoUrgentAdmissionsEvictTwoDistinctVictims)
+{
+    // Three dies run loose-deadline jobs; two urgent jobs are admitted
+    // back to back. The second must not count the first one's victim
+    // again (its yield is still pending), or both would share one
+    // eviction and the second would wait for a die to free.
+    DispatchCore::Config cfg;
+    cfg.num_dies = 3;
+    cfg.policy = PoolPolicy::kEdf;
+    cfg.enable_preemption = true;
+    DispatchCore core(cfg);
+    for (std::size_t k = 0; k < 3; ++k) {
+        DispatchCore::JobDesc loose;
+        loose.key = k;
+        loose.deadline = 1000 + k;
+        admit_and_start(core, loose, k, DispatchCore::kNever);
+    }
+    std::vector<std::size_t> victims;
+    for (std::uint64_t key : {3, 4}) {
+        DispatchCore::JobDesc urgent;
+        urgent.key = key;
+        urgent.arrival = 1;
+        urgent.deadline = 10;
+        core.admit(urgent);
+        core.preempt_for(key, [&](std::size_t die) {
+            victims.push_back(die);
+            return true;
+        });
+    }
+    ASSERT_EQ(victims.size(), 2u);
+    EXPECT_EQ(victims[0], 2u) << "latest deadline yields first";
+    EXPECT_EQ(victims[1], 1u) << "then the next-latest, not die 2 again";
+    EXPECT_TRUE(core.die(1).preempt_pending);
+    EXPECT_TRUE(core.die(2).preempt_pending);
+    EXPECT_FALSE(core.die(0).preempt_pending);
+}
+
+TEST(DispatchCore, PreemptedJobKeepsItsFifoPlace)
+{
+    // kPriority, one die: A runs, B (same priority) queues behind it,
+    // urgent C evicts A. After C, the requeued A runs before B — ties
+    // break by admission order, and a yield is not a re-admission.
+    DispatchCore::Config cfg;
+    cfg.num_dies = 1;
+    cfg.policy = PoolPolicy::kPriority;
+    cfg.enable_preemption = true;
+    DispatchCore core(cfg);
+    DispatchCore::JobDesc a;
+    a.key = 0;
+    admit_and_start(core, a, 0, DispatchCore::kNever);
+    DispatchCore::JobDesc b;
+    b.key = 1;
+    b.arrival = 1;
+    core.admit(b);
+    DispatchCore::JobDesc c;
+    c.key = 2;
+    c.arrival = 2;
+    c.priority = 5;
+    core.admit(c);
+    core.preempt_for(2, [](std::size_t) { return true; });
+    ASSERT_TRUE(core.die(0).preempt_pending);
+    EXPECT_FALSE(core.release(0, /*yielded=*/true));
+    EXPECT_EQ(core.pending_jobs(), 3u);
+
+    DispatchCore::Pick pick;
+    ASSERT_TRUE(core.pick(3, pick));
+    EXPECT_EQ(pick.key, 2u) << "the urgent job takes the die";
+    core.start(0, pick, DispatchCore::kNever);
+    EXPECT_TRUE(core.release(0, /*yielded=*/false));
+
+    ASSERT_TRUE(core.pick(4, pick));
+    EXPECT_EQ(pick.key, 0u) << "requeued A keeps its place ahead of B";
+    EXPECT_EQ(pick.task, 0u);
+    EXPECT_FALSE(pick.first) << "a resume is not a start";
+}
+
+TEST(DispatchCore, BackfillNeedsAnEstimate)
+{
+    // D=4 gang with EASY backfill: a 2-wide job holds two dies until
+    // t=20 and a 3-wide head blocks. A 25-tick single would fit the
+    // head's extra die, but a job with an unknown estimate never
+    // backfills; with its estimate known, the extra-dies rule admits it.
+    for (bool known : {false, true}) {
+        DispatchCore::Config cfg;
+        cfg.num_dies = 4;
+        cfg.policy = PoolPolicy::kFifoGang;
+        cfg.easy_backfill = true;
+        DispatchCore core(cfg);
+        DispatchCore::JobDesc wide;
+        wide.key = 0;
+        wide.width = 2;
+        wide.task_ticks = 20;
+        admit_and_start(core, wide, 0, 20);
+        DispatchCore::Pick pick;
+        ASSERT_TRUE(core.pick(0, pick));
+        core.start(1, pick, 20);
+        DispatchCore::JobDesc head;
+        head.key = 1;
+        head.width = 3;
+        head.task_ticks = 2;
+        core.admit(head);
+        DispatchCore::JobDesc single;
+        single.key = 2;
+        single.task_ticks = known ? 25 : DispatchCore::kNever;
+        core.admit(single);
+
+        const bool picked = core.pick(0, pick);
+        EXPECT_EQ(picked, known);
+        if (picked) {
+            EXPECT_EQ(pick.key, 2u);
+            core.start(2, pick, 25);
+        }
+        // Either way the head's reservation is when the 2-wide job ends.
+        core.release(0, false);
+        core.release(1, false);
+        ASSERT_TRUE(core.pick(20, pick));
+        EXPECT_EQ(pick.key, 1u);
+        EXPECT_EQ(pick.reservation, known ? 20u : DispatchCore::kNever);
+    }
 }
 
 // ---- Simulator: elastic autoscaling ------------------------------------
@@ -434,7 +580,8 @@ TEST(PoolEnergy, MatchesHandComputedOccupancyTrace)
     // per-die busy {0.1, 0.05} ms — die1 idles half the makespan.
     std::vector<SimJob> trace = {{{100}, 0, 0}, {{50}, 0, 0}};
     SimResult r =
-        simulate_pool_schedule(trace, 2, PoolPolicy::kSpaceShare);
+        simulate_pool_schedule(trace, {.num_dies = 2,
+                                       .policy = PoolPolicy::kSpaceShare});
     ASSERT_EQ(r.makespan, 100u);
     ASSERT_EQ(r.die_busy[0], 100u);
     ASSERT_EQ(r.die_busy[1], 50u);
@@ -463,9 +610,11 @@ TEST(PoolEnergy, GangIdleHolesCostMoreThanSpaceShare)
         {{15}, 0, 0},
     };
     SimResult gang =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kFifoGang);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kFifoGang});
     SimResult share =
-        simulate_pool_schedule(trace, 4, PoolPolicy::kSpaceShare);
+        simulate_pool_schedule(trace, {.num_dies = 4,
+                                       .policy = PoolPolicy::kSpaceShare});
     MultiDieEnergy eg = pool_schedule_energy(gang, 1.0);
     MultiDieEnergy es = pool_schedule_energy(share, 1.0);
     EXPECT_GT(eg.idle_mj, es.idle_mj);
