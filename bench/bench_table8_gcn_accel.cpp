@@ -45,7 +45,7 @@ main()
         "Latency normalized by DSPs (x dsps / 4096). The paper's "
         "747-DSP kernel achieves 1.26x avg speedup over I-GCN; our "
         "conservative fp32 DSP model keeps the comparison within an "
-        "order of magnitude (analysis in EXPERIMENTS.md).");
+        "order of magnitude (rescale notes in docs/DESIGN.md).");
 
     // Moderate-parallelism config for the small-dim GCN kernel,
     // sized near the paper's 747-DSP operating point.

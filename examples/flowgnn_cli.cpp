@@ -2,12 +2,12 @@
  * @file
  * flowgnn_cli — command-line driver for the accelerator simulator.
  *
- * Spins up a flowgnn::serve InferenceService (N engine replicas
- * behind a bounded queue), streams graphs through it, and prints
- * latency, utilization, and service telemetry; with --dse it instead
- * searches for the fastest configuration that fits the Alveo U50;
- * with --graph-file it runs one sharded-from-disk graph through a
- * PoolScheduler ghost-exchange job.
+ * Spins up a flowgnn::serve InferenceService (a PoolScheduler preset:
+ * N engine replicas behind a bounded queue), streams graphs through
+ * it, and prints latency, utilization, and service telemetry; with
+ * --dse it instead searches for the fastest configuration that fits
+ * the Alveo U50; with --graph-file it runs one sharded-from-disk graph
+ * through a PoolScheduler ghost-exchange job.
  *
  * Observability: --trace FILE captures the whole run as a Chrome
  * trace (open in Perfetto: every subsystem is a process row, with
@@ -281,7 +281,7 @@ run_service(const CliOptions &opt)
     InferenceService service(model, opt.config, service_config);
 
     if (session) {
-        // Graph 0 with unit-trace capture: the replica merges the
+        // Graph 0 with unit-trace capture: the pool die merges the
         // engine's cycle rows onto the session timeline.
         RunOptions trace_opts;
         trace_opts.capture_trace = true;

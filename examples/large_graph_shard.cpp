@@ -2,9 +2,9 @@
  * @file
  * Sharded execution walkthrough: one service, two graph scales.
  *
- * A ShardedService routes small graphs (a molecule from the MolHIV
- * generator) through the multi-replica fast path and a 100k-node
- * point-cloud-like lattice through multi-die sharded execution —
+ * One PoolScheduler serves both: the caller routes small graphs (a
+ * molecule from the MolHIV generator) to one-die jobs and a 100k-node
+ * point-cloud-like lattice to a multi-die sharded job —
  * the workload the paper defers to future work (Sec. VI-E). The
  * example also runs the ShardedEngine directly to show the per-die
  * breakdown and verifies sharded == unsharded embeddings.
@@ -30,8 +30,8 @@
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "io/load.h"
+#include "pool/scheduler.h"
 #include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -158,25 +158,29 @@ main(int argc, char **argv)
             small.node_features(r, c) =
                 static_cast<float>(rng.normal(0.0, 0.5));
 
-    // ---- One service, one die pool, size-based routing ----
-    ShardedServiceConfig cfg;
-    cfg.shard_threshold_nodes = 4096;
-    cfg.shard.num_shards = 4;
-    cfg.shard.strategy = ShardStrategy::kContiguous;
-    cfg.pool.num_dies = 4;
-    cfg.pool.policy = PoolPolicy::kSpaceShare;
-    ShardedService service(model, {}, cfg);
+    // ---- One die pool, size-based routing by the caller ----
+    // A graph under the threshold runs whole on one die, a larger one
+    // shards; both kinds share the pool's dies.
+    constexpr std::size_t kShardThresholdNodes = 4096;
+    static_assert(kLargeNodes >= kShardThresholdNodes);
+    ShardConfig shard_cfg;
+    shard_cfg.num_shards = 4;
+    shard_cfg.strategy = ShardStrategy::kContiguous;
+    PoolConfig pool_cfg;
+    pool_cfg.num_dies = 4;
+    pool_cfg.policy = PoolPolicy::kSpaceShare;
+    PoolScheduler pool(model, {}, pool_cfg);
 
-    auto small_future = service.submit(small);
-    auto large_future = service.submit(large);
+    auto small_future = pool.submit(small);
+    auto large_future = pool.submit_sharded(large, shard_cfg);
     RunResult small_result = small_future.get();
-    RunResult large_result = large_future.get();
+    ShardedRunResult large_result = large_future.get();
 
-    PoolStats st = service.stats();
+    PoolStats st = pool.stats();
     std::printf("routing: %zu graph(s) on the fast path, %zu sharded "
                 "(peak %zu/%zu dies busy)\n",
                 st.fast.completed, st.sharded.completed,
-                st.peak_busy_dies, service.num_dies());
+                st.peak_busy_dies, pool.num_dies());
     std::printf("small graph:  %5u nodes -> %8llu cycles (%.3f ms)\n",
                 small.num_nodes(),
                 static_cast<unsigned long long>(
@@ -192,11 +196,11 @@ main(int argc, char **argv)
                     large_result.stats.comm_cycles));
 
     // ---- Per-die breakdown + equivalence check ----
-    ShardedEngine sharded(model, {}, cfg.shard);
+    ShardedEngine sharded(model, {}, shard_cfg);
     ShardedRunResult r = sharded.run(large);
     std::printf("per-die breakdown (%s, %u-hop halo, cut %.3f, "
                 "replication %.3f):\n",
-                shard_strategy_name(cfg.shard.strategy),
+                shard_strategy_name(shard_cfg.strategy),
                 ShardedEngine::message_hops(model),
                 static_cast<double>(r.cut_edges) /
                     static_cast<double>(large.num_edges()),
@@ -244,7 +248,7 @@ main(int argc, char **argv)
         }
     }
     std::printf("picked %s; every shard consumer (ShardedEngine, "
-                "ShardedService, pool jobs) takes it via ShardConfig\n",
+                "pool jobs) takes it via ShardConfig\n",
                 shard_strategy_name(pick));
     return 0;
 }

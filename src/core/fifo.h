@@ -2,16 +2,13 @@
  * @file
  * Bounded FIFO with occupancy statistics: a full queue refuses the push
  * (backpressure) and the queue records its peak occupancy and pushes.
- * It is the storage behind serve/bounded_queue.h's BoundedQueue, and
- * the test suite's per-cycle timing oracle models the engine's
+ * The test suite's per-cycle timing oracle models the engine's
  * adapter-to-MP queues with it. The engine's phase model itself keeps
  * those queues in fixed ring buffers (core/phase_model.cpp) with the
  * same semantics.
  *
  * Concurrency contract: this type is deliberately unsynchronized — it
- * carries no thread-safety annotations because it has no locks. The
- * thread-safe counterpart is serve/bounded_queue.h's BoundedQueue,
- * which wraps a Fifo behind an annotated flowgnn::Mutex (core/sync.h).
+ * carries no thread-safety annotations because it has no locks.
  */
 #ifndef FLOWGNN_CORE_FIFO_H
 #define FLOWGNN_CORE_FIFO_H

@@ -17,7 +17,7 @@
  * of the COO stream), are fully deterministic, and run in
  * O(E + V * P). They are exposed through ShardStrategy::{kLdg,
  * kFennel, kHdrf} so every shard consumer (make_shard_plan,
- * ShardedEngine, ShardedService, pool jobs) picks them up with zero
+ * ShardedEngine, pool jobs) picks them up with zero
  * call-site changes.
  *
  * Balance: a hard per-partition capacity of

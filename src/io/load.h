@@ -9,7 +9,7 @@
  * file when present, otherwise deterministic Gaussian features
  * generated from LoadOptions (the same N(0, 0.5) distribution every
  * synthetic workload in the repo uses). The result is an ordinary
- * GraphSample — Engine, ShardedEngine/ShardedService, and pool jobs
+ * GraphSample — Engine, ShardedEngine, and pool jobs
  * accept it unchanged; nothing downstream knows the graph came from
  * storage.
  */

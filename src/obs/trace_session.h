@@ -59,7 +59,7 @@ namespace obs {
 enum class Track : std::uint8_t {
     kHost = 0, ///< driver / bench stages (open, features, ...)
     kIo,       ///< graph ingestion: mmap, checksum, parse
-    kServe,    ///< InferenceService: submit, queue-wait, replica runs
+    kServe,    ///< host serving spans outside the pool
     kPool,     ///< PoolScheduler/DiePool: queue-wait, die leases
     kShard,    ///< halo sharding: planning, per-slice execution
     kGhost,    ///< ghost exchange: planning, pricing, modeled timeline
@@ -134,8 +134,8 @@ class TraceSession
      * stacked counter track on the Track's process row. */
     void counter(Track track, std::string_view name, double value);
 
-    /** Names the calling thread's row on `track` ("replica 0",
-     * "die 3"). Idempotent and cheap enough to call per dispatch. */
+    /** Names the calling thread's row on `track` (e.g. "die 3").
+     * Idempotent and cheap enough to call per dispatch. */
     void name_thread(Track track, std::string_view name);
 
     /** Names an explicitly-addressed row. */

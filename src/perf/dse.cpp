@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/service.h"
-
 namespace flowgnn {
 
 namespace {
@@ -47,9 +45,8 @@ explore_design_space(const Model &model, const GraphSample &probe,
         }
     }
 
-    // Measure every candidate through the serve API: one
-    // single-replica service per configuration. Evaluator threads
-    // work-steal point indices, so a core that finishes a cheap
+    // Measure every candidate with one engine run of the probe on the
+    // evaluator thread. Evaluator threads work-steal point indices, so a core that finishes a cheap
     // config immediately picks up the next one — no barrier waiting
     // on the slowest config of a batch — while each measurement stays
     // the deterministic cycle count of that config. The sweep's only
@@ -59,12 +56,9 @@ explore_design_space(const Model &model, const GraphSample &probe,
     std::atomic<std::size_t> next{0};
     auto evaluate_points = [&] {
         for (std::size_t i = next++; i < points.size(); i = next++) {
-            ServiceConfig svc;
-            svc.replicas = 1;
-            svc.queue_capacity = 1;
-            InferenceService service(model, points[i].config, svc);
-            points[i].cycles =
-                service.submit(probe).get().stats.total_cycles;
+            points[i].cycles = Engine(model, points[i].config)
+                                   .run(probe)
+                                   .stats.total_cycles;
         }
     };
     std::size_t evaluators =

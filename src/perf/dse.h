@@ -41,9 +41,9 @@ struct DseGrid {
 /**
  * Evaluates every grid point on the probe sample and returns all
  * points sorted by (fits-budget first, then cycles ascending).
- * Candidates are measured through flowgnn::serve — one single-replica
- * InferenceService per configuration, evaluated in parallel across
- * host cores; cycle counts stay deterministic per configuration.
+ * Candidates are measured with one Engine run of the probe each,
+ * evaluated in parallel across host cores; cycle counts stay
+ * deterministic per configuration.
  *
  * @param model  the GNN to configure
  * @param probe  a representative workload sample

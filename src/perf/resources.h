@@ -15,7 +15,7 @@
  *
  * Constants are calibrated so the six paper models land near Table III
  * and preserve its ordering (PNA/GAT DSP-heavy, PNA BRAM-heavy, GCN
- * lightest). EXPERIMENTS.md records the deviations.
+ * lightest).
  */
 #ifndef FLOWGNN_PERF_RESOURCES_H
 #define FLOWGNN_PERF_RESOURCES_H

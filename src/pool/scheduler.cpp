@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 
@@ -46,41 +47,48 @@ dispatch_config(const PoolConfig &config)
 
 } // namespace
 
-/** One admitted job: immutable inputs (prepared sample, plan, opts)
- * plus mutable dispatch/completion state guarded by the scheduler
- * mutex. Each task writes only its own results slot, so slices of one
- * job can run on many dies without further synchronization. */
+/** One admitted job: immutable inputs plus mutable dispatch and
+ * completion state guarded by the scheduler mutex. A whole-graph job
+ * is its raw sample, prepared in place by the die that first runs it,
+ * and its one RunResult goes straight to the promise. A sharded job
+ * carries its plan and merges its per-slice results. Each task writes
+ * only its own slot, so slices of one job can run on many dies without
+ * further synchronization. */
 struct PoolScheduler::Job {
-    enum class Deliver { kRun, kSharded };
+    struct Task {
+        RunResult result;
+        LayerCheckpoint ckpt; ///< layer-boundary resume state
+    };
+    /** What only sharded jobs carry. */
+    struct Sharded {
+        /** Ghost mode: layers are exchange-synchronous, so the slices
+         * cannot be scheduled independently. The job is one
+         * indivisible task — run_ghost_plan threads its modeled dies
+         * internally — and occupies one host die for its duration. */
+        bool ghost = false;
+        GhostPlan ghost_plan;
+        GhostResumeState ghost_resume; ///< preempted functional pass
+        ShardedRunResult ghost_result;
+        ShardPlan plan;
+        LinkConfig link{};
+        std::promise<ShardedRunResult> promise;
+    };
 
-    bool sharded_path = false; ///< admitted via submit_sharded*
-    Deliver deliver = Deliver::kRun;
     JobSpec spec;
-    /** Admission order: the dispatch key and the trace label. */
+    /** Admission order: the trace label. */
     std::uint64_t id = 0;
     /** estimated_task_cycles in dispatch ticks, or kNever. */
     std::uint64_t est_ticks = DispatchCore::kNever;
-    std::uint64_t enq_ns = 0;   ///< admit instant on the trace clock
-    GraphSample prepared;
-    /** Ghost-mode job: layers are exchange-synchronous, so the slices
-     * cannot be scheduled independently. The job is one indivisible
-     * task — run_ghost_plan threads its modeled dies internally — and
-     * occupies one host die for its duration. */
-    bool ghost = false;
-    GhostPlan ghost_plan;
-    ShardedRunResult ghost_result;
-    ShardPlan plan;
-    LinkConfig link{};
-    RunOptions opts;
-    std::vector<RunResult> results; ///< one slot per slice
-    /** Per-task layer-boundary checkpoints (engine tasks). */
-    std::vector<LayerCheckpoint> task_ckpts;
-    /** Ghost jobs: the functional pass's resume state. */
-    GhostResumeState ghost_resume;
-    std::exception_ptr error;
+    std::uint64_t enq_ns = 0; ///< admit instant on the trace clock
     std::chrono::steady_clock::time_point enqueued{};
-    std::promise<RunResult> run_promise;
-    std::promise<ShardedRunResult> sharded_promise;
+    /** Whole-graph jobs: raw until the first dispatch prepares it.
+     * Sharded jobs: prepared at submit. */
+    GraphSample sample;
+    RunOptions opts;
+    std::unique_ptr<Sharded> sharded; ///< null for whole-graph jobs
+    std::vector<Task> tasks;
+    std::exception_ptr error;
+    std::promise<RunResult> promise; ///< whole-graph jobs
 };
 
 PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
@@ -100,6 +108,7 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
       busy_dies_gauge_(metrics_->gauge("pool.busy_dies")),
       queue_depth_gauge_(metrics_->gauge("pool.queue_depth")),
       queue_delay_hist_(metrics_->histogram("pool.queue_delay_ms")),
+      latency_hist_(metrics_->histogram("pool.latency_ms")),
       deadline_miss_ctr_(metrics_->counter("pool.deadline_misses_total")),
       preempt_ctr_(metrics_->counter("pool.preemptions_total")),
       active_dies_gauge_(metrics_->gauge("pool.active_dies")),
@@ -107,7 +116,6 @@ PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
 {
     // Fail fast: a malformed config must never reach die threads.
     config_.validate();
-    config_.run_options.validate();
 
     active_dies_gauge_.set(static_cast<double>(pool_.size()));
     die_tokens_.reserve(pool_.size());
@@ -155,6 +163,10 @@ PoolScheduler::die_loop(std::size_t die)
         return started_ || shutdown_;
     });
 
+    // Wake-ups are targeted: pick() does not depend on which idle die
+    // asks, so one waiter is woken whenever a task may be pickable,
+    // and a die that picks wakes the next while tasks remain pending.
+    // A woken die that finds nothing proves no other idle die would.
     for (;;) {
         DispatchCore::Pick pick;
         bool picked = false;
@@ -166,8 +178,8 @@ PoolScheduler::die_loop(std::size_t die)
 
         // ---- Dispatch pick.task of its job onto this die. ----
         obs::TraceSession *session = obs::TraceSession::current();
-        const JobPtr jobp = jobs_.at(pick.key);
-        Job &job = *jobp;
+        Job &job = *reinterpret_cast<Job *>(
+            static_cast<std::uintptr_t>(pick.key));
         const std::size_t task = pick.task;
         if (pick.first) {
             queue_delay_hist_.record(ms_between(
@@ -186,9 +198,8 @@ PoolScheduler::die_loop(std::size_t die)
             // admission capacity) while its tasks finish on the dies.
             admit_.notify_one();
         }
-        // Other idle dies may now have work (e.g. the rest of a
-        // gang-started job's tasks).
-        work_.notify_all();
+        if (core_.pending_jobs() > 0)
+            work_.notify_one(); // e.g. the rest of a gang's tasks
         pool_.lease(die);
         busy_dies_gauge_.set(static_cast<double>(core_.tasks_running()));
         queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
@@ -210,74 +221,38 @@ PoolScheduler::die_loop(std::size_t die)
         bool preempted = false;
         RunResult result;
         std::exception_ptr error;
-        PreemptToken &token = *die_tokens_[die];
         try {
-            Engine &engine = pool_.engine(die);
-            if (job.ghost) {
-                if (config_.enable_preemption) {
-                    RunOptions popts = job.opts;
-                    popts.preempt = &token;
-                    job.ghost_result = run_ghost_plan(
-                        model_, engine.config(),
-                        SampleRef(job.prepared),
-                        std::move(job.ghost_plan), popts, job.link,
-                        &job.ghost_resume, 1);
-                    if (job.ghost_resume.preempted) {
-                        preempted = true;
-                        job.ghost_plan =
-                            std::move(job.ghost_resume.plan);
-                    }
-                } else {
-                    job.ghost_result = run_ghost_plan(
-                        model_, engine.config(), job.prepared,
-                        std::move(job.ghost_plan), job.opts,
-                        job.link);
-                }
-            } else {
-                RunWorkspace &ws = pool_.workspace(die);
-                if (config_.enable_preemption) {
-                    RunOptions popts = job.opts;
-                    popts.preempt = &token;
-                    const GraphSample &g = job.plan.sharded
-                        ? job.plan.slices[task].sub
-                        : job.prepared;
-                    preempted =
-                        engine.run_resumable(
-                            SampleRef(g), popts, ws,
-                            job.task_ckpts[task], result,
-                            std::size_t(-1),
-                            1) == SegmentOutcome::kPreempted;
-                } else {
-                    result = job.plan.sharded
-                        ? engine.run_prepared(
-                              job.plan.slices[task].sub, job.opts,
-                              ws)
-                        : engine.run_prepared(job.prepared, job.opts,
-                                              ws);
-                }
-            }
+            preempted = run_task(die, job, task, pick.first, result);
         } catch (...) {
             ok = false;
             error = std::current_exception();
         }
-        token.reset(); // never leak a request into the next lease
+        die_tokens_[die]->reset(); // never leak a request into the next lease
         pool_.release(die);
         if (session) {
             char nm[48];
-            if (job.ghost)
+            if (!job.sharded)
+                std::snprintf(nm, sizeof nm, "lease: job %llu",
+                              static_cast<unsigned long long>(job.id));
+            else if (job.sharded->ghost)
                 std::snprintf(nm, sizeof nm,
                               "lease: job %llu (ghost)",
                               static_cast<unsigned long long>(job.id));
-            else if (job.plan.sharded)
+            else
                 std::snprintf(nm, sizeof nm,
                               "lease: job %llu slice %zu/%zu",
                               static_cast<unsigned long long>(job.id),
-                              task, job.results.size());
-            else
-                std::snprintf(nm, sizeof nm, "lease: job %llu",
-                              static_cast<unsigned long long>(job.id));
+                              task, job.tasks.size());
             session->span(obs::Track::kPool, nm, lease_start_ns,
                           session->now_ns());
+            // The engine's cycle-domain unit trace, anchored at the
+            // instant this die started the modeled run.
+            if (ok && !preempted && !result.stats.trace.empty())
+                session->add_cycle_trace(
+                    result.stats.trace,
+                    obs::CycleClockMap{lease_start_ns,
+                                       result.stats.clock_mhz},
+                    static_cast<std::uint32_t>(die));
         }
 
         lock.lock();
@@ -288,7 +263,9 @@ PoolScheduler::die_loop(std::size_t die)
                              static_cast<double>(core_.tasks_running()));
         // A die freed up: gang starts that did not fit may fit now,
         // and a yielded task may go to whoever is more urgent now.
-        work_.notify_all();
+        // This die re-checks by itself once it loops back.
+        if (core_.pending_jobs() > 0)
+            work_.notify_one();
         if (preempted) {
             // Yielded at a layer boundary: the checkpoint lives in the
             // job, and the core requeued the task.
@@ -297,87 +274,120 @@ PoolScheduler::die_loop(std::size_t die)
                 static_cast<double>(core_.pending_jobs()));
             continue;
         }
-        job.results[task] = std::move(result);
+        job.tasks[task].result = std::move(result);
         if (!ok && !job.error)
             job.error = error;
         if (job_done) {
-            jobs_.erase(job.id);
+            // The core forgot the job: this die owns it now. The merge
+            // is real work; never under the lock.
             lock.unlock();
-            finalize(jobp); // merge is real work; never under the lock
+            finalize(JobPtr(&job));
             lock.lock();
         }
     }
 }
 
+bool
+PoolScheduler::run_task(std::size_t die, Job &job, std::size_t task,
+                        bool first, RunResult &result)
+{
+    RunOptions opts = job.opts;
+    if (config_.enable_preemption)
+        opts.preempt = die_tokens_[die].get();
+    Engine &engine = pool_.engine(die);
+    Job::Sharded *sh = job.sharded.get();
+    if (sh && sh->ghost) {
+        sh->ghost_result = run_ghost_plan(
+            model_, engine.config(), SampleRef(job.sample),
+            std::move(sh->ghost_plan), opts, sh->link,
+            config_.enable_preemption ? &sh->ghost_resume : nullptr, 1);
+        if (!sh->ghost_resume.preempted)
+            return false;
+        sh->ghost_plan = std::move(sh->ghost_resume.plan);
+        return true;
+    }
+    if (!sh && first) {
+        // Exactly Engine::run's preparation, on the die's own time.
+        job.sample = model_.prepare(job.sample);
+        if (!job.sample.consistent())
+            throw std::invalid_argument(
+                "PoolScheduler: inconsistent sample");
+    }
+    const GraphSample &g =
+        sh && sh->plan.sharded ? sh->plan.slices[task].sub : job.sample;
+    return engine.run_resumable(SampleRef(g), opts, pool_.workspace(die),
+                                job.tasks[task].ckpt, result,
+                                std::size_t(-1),
+                                1) == SegmentOutcome::kPreempted;
+}
+
 void
-PoolScheduler::finalize(const JobPtr &jobp)
+PoolScheduler::finalize(JobPtr jobp)
 {
     Job &job = *jobp;
-    bool ok = !job.error;
+    Job::Sharded *sh = job.sharded.get();
     ShardedRunResult merged;
-    if (ok) {
+    if (sh && sh->ghost) {
+        merged = std::move(sh->ghost_result);
+    } else if (sh && !job.error) {
+        std::vector<RunResult> results;
+        results.reserve(job.tasks.size());
+        for (Job::Task &t : job.tasks)
+            results.push_back(std::move(t.result));
         try {
-            merged = job.ghost
-                ? std::move(job.ghost_result)
-                : merge_shard_results(model_, job.prepared,
-                                      std::move(job.plan),
-                                      std::move(job.results),
-                                      job.link);
+            merged = merge_shard_results(model_, job.sample,
+                                         std::move(sh->plan),
+                                         std::move(results), sh->link);
         } catch (...) {
-            ok = false;
             job.error = std::current_exception();
         }
     }
+    const bool ok = !job.error;
 
     // Count the completion BEFORE fulfilling the promise, so a caller
     // that checks stats() right after future.get() sees it.
+    const double latency_ms =
+        ms_between(job.enqueued, std::chrono::steady_clock::now());
+    latency_hist_.record(latency_ms);
     completed_ctr_.add(ok);
     failed_ctr_.add(!ok);
     if (job.spec.deadline_ms > 0.0) {
         // Lateness vs the admission-relative deadline, clamped at 0
         // so the histogram's quantiles read "how late are the late
         // ones" over ALL deadline jobs.
-        const double lateness =
-            ms_between(job.enqueued, std::chrono::steady_clock::now()) -
-            job.spec.deadline_ms;
+        const double lateness = latency_ms - job.spec.deadline_ms;
         lateness_hist_.record(std::max(0.0, lateness));
         if (lateness > 0.0)
             deadline_miss_ctr_.add(1);
     }
     {
         MutexLock lock(&mutex_);
-        PoolPathStats &path = job.sharded_path ? sharded_ : fast_;
+        PoolPathStats &path = sh ? sharded_ : fast_;
         path.completed += ok;
         path.failed += !ok;
     }
     idle_.notify_all();
 
-    if (job.deliver == Job::Deliver::kSharded) {
-        if (ok)
-            job.sharded_promise.set_value(std::move(merged));
+    if (!ok) {
+        if (sh)
+            sh->promise.set_exception(job.error);
         else
-            job.sharded_promise.set_exception(job.error);
+            job.promise.set_exception(job.error);
+    } else if (sh) {
+        sh->promise.set_value(std::move(merged));
     } else {
-        if (ok) {
-            RunResult run;
-            run.embeddings = std::move(merged.embeddings);
-            run.prediction = merged.prediction;
-            run.stats = std::move(merged.stats);
-            job.run_promise.set_value(std::move(run));
-        } else {
-            job.run_promise.set_exception(job.error);
-        }
+        job.promise.set_value(std::move(job.tasks.front().result));
     }
 }
 
 void
-PoolScheduler::admit(const JobPtr &job)
+PoolScheduler::admit(JobPtr job)
 {
     {
         UniqueLock lock(&mutex_);
         // Select the path tally under the lock (fast_/sharded_ are
-        // guarded; job->sharded_path is immutable once admitted).
-        PoolPathStats &path = job->sharded_path ? sharded_ : fast_;
+        // guarded; job->sharded is immutable once admitted).
+        PoolPathStats &path = job->sharded ? sharded_ : fast_;
         if (closed_)
             throw std::logic_error(
                 "PoolScheduler: submit after shutdown");
@@ -404,8 +414,8 @@ PoolScheduler::admit(const JobPtr &job)
         if (obs::TraceSession *session = obs::TraceSession::current())
             job->enq_ns = session->now_ns();
         DispatchCore::JobDesc desc;
-        desc.key = job->id;
-        desc.width = job->results.size();
+        desc.key = reinterpret_cast<std::uintptr_t>(job.get());
+        desc.width = job->tasks.size();
         desc.priority = job->spec.priority;
         desc.arrival = now_ticks();
         if (job->spec.deadline_ms > 0.0)
@@ -416,107 +426,52 @@ PoolScheduler::admit(const JobPtr &job)
                 1e3 / pool_.engine(0).config().clock_mhz));
         job->est_ticks = desc.task_ticks;
         core_.admit(desc);
-        jobs_.emplace(job->id, job);
+        job.release(); // the core holds it now
         jobs_ctr_.add(1);
+        peak_pending_ = std::max(peak_pending_, core_.pending_jobs());
         queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
-        core_.preempt_for(job->id, [&](std::size_t die) {
+        core_.preempt_for(desc.key, [&](std::size_t die) {
             die_tokens_[die]->request();
             return true;
         });
     }
-    work_.notify_all();
-}
-
-std::future<RunResult>
-PoolScheduler::enqueue_fast(GraphSample sample, const RunOptions &opts,
-                            const JobSpec &spec)
-{
-    opts.validate();
-    auto job = std::make_shared<Job>();
-    job->spec = spec;
-    job->opts = opts;
-    // Preparing on the submitting thread keeps dies lease-time pure
-    // compute; run_prepared(prepare(s)) is exactly Engine::run(s), so
-    // the fast path stays bit-identical to a sequential engine loop.
-    job->prepared = model_.prepare(sample);
-    if (!job->prepared.consistent())
-        throw std::invalid_argument("PoolScheduler: inconsistent sample");
-    ShardConfig whole;
-    whole.num_shards = 1;
-    job->plan = make_shard_plan(model_, job->prepared, whole);
-    job->results.resize(job->plan.slices.size());
-    job->task_ckpts.resize(job->results.size());
-    std::future<RunResult> future = job->run_promise.get_future();
-    admit(job);
-    return future;
-}
-
-std::future<RunResult>
-PoolScheduler::submit(GraphSample sample, int priority)
-{
-    JobSpec spec;
-    spec.priority = priority;
-    return enqueue_fast(std::move(sample), config_.run_options, spec);
-}
-
-std::future<RunResult>
-PoolScheduler::submit(GraphSample sample, const RunOptions &opts,
-                      int priority)
-{
-    JobSpec spec;
-    spec.priority = priority;
-    return enqueue_fast(std::move(sample), opts, spec);
+    work_.notify_one();
 }
 
 std::future<RunResult>
 PoolScheduler::submit(GraphSample sample, const RunOptions &opts,
                       const JobSpec &spec)
 {
-    return enqueue_fast(std::move(sample), opts, spec);
+    opts.validate();
+    auto job = std::make_unique<Job>();
+    job->spec = spec;
+    job->opts = opts;
+    job->sample = std::move(sample);
+    job->tasks.resize(1);
+    std::future<RunResult> future = job->promise.get_future();
+    admit(std::move(job));
+    return future;
 }
 
 std::future<ShardedRunResult>
 PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
-                              int priority)
+                              const RunOptions &opts, const JobSpec &spec)
 {
-    return submit_sharded(std::move(sample), shard,
-                          config_.run_options, priority);
-}
-
-namespace {
-
-/** A job can never be wider than the pool (a gang that needs more
- * dies than exist would deadlock kFifoGang). */
-ShardConfig
-clamp_to_pool(const ShardConfig &shard, std::size_t num_dies)
-{
+    opts.validate();
+    // A job can never be wider than the pool (a gang that needs more
+    // dies than exist would deadlock kFifoGang).
     ShardConfig clamped = shard;
     clamped.validate();
     clamped.num_shards = static_cast<std::uint32_t>(std::min<std::size_t>(
-        clamped.num_shards, num_dies));
-    return clamped;
-}
-
-} // namespace
-
-PoolScheduler::JobPtr
-PoolScheduler::make_sharded_job(GraphSample sample,
-                                const ShardConfig &shard,
-                                const RunOptions &opts,
-                                const JobSpec &spec,
-                                bool deliver_sharded)
-{
-    opts.validate();
-    ShardConfig clamped = clamp_to_pool(shard, pool_.size());
-    auto job = std::make_shared<Job>();
-    job->sharded_path = true;
-    job->deliver = deliver_sharded ? Job::Deliver::kSharded
-                                   : Job::Deliver::kRun;
+        clamped.num_shards, pool_.size()));
+    auto job = std::make_unique<Job>();
+    job->sharded = std::make_unique<Job::Sharded>();
+    Job::Sharded &sh = *job->sharded;
     job->spec = spec;
     job->opts = opts;
-    job->link = clamped.link;
-    job->prepared = model_.prepare(sample);
-    if (!job->prepared.consistent())
+    sh.link = clamped.link;
+    job->sample = model_.prepare(sample);
+    if (!job->sample.consistent())
         throw std::invalid_argument("PoolScheduler: inconsistent sample");
     char span_name[32];
     std::snprintf(span_name, sizeof span_name, "plan %s P=%u",
@@ -525,49 +480,15 @@ PoolScheduler::make_sharded_job(GraphSample sample,
                   clamped.num_shards);
     obs::Span plan_span(obs::Track::kShard, span_name);
     if (clamped.mode == ShardMode::kGhostExchange) {
-        job->ghost = true;
-        job->ghost_plan = make_ghost_plan(model_, job->prepared, clamped);
-        job->results.resize(1); // one indivisible task
+        sh.ghost = true;
+        sh.ghost_plan = make_ghost_plan(model_, job->sample, clamped);
+        job->tasks.resize(1); // one indivisible task
     } else {
-        job->plan = make_shard_plan(model_, job->prepared, clamped);
-        job->results.resize(job->plan.slices.size());
+        sh.plan = make_shard_plan(model_, job->sample, clamped);
+        job->tasks.resize(sh.plan.slices.size());
     }
-    job->task_ckpts.resize(job->results.size());
-    return job;
-}
-
-std::future<ShardedRunResult>
-PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
-                              const RunOptions &opts, int priority)
-{
-    JobSpec spec;
-    spec.priority = priority;
-    return submit_sharded(std::move(sample), shard, opts, spec);
-}
-
-std::future<ShardedRunResult>
-PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
-                              const RunOptions &opts, const JobSpec &spec)
-{
-    JobPtr job = make_sharded_job(std::move(sample), shard, opts,
-                                  spec, /*deliver_sharded=*/true);
-    std::future<ShardedRunResult> future =
-        job->sharded_promise.get_future();
-    admit(job);
-    return future;
-}
-
-std::future<RunResult>
-PoolScheduler::submit_sharded_as_run(GraphSample sample,
-                                     const ShardConfig &shard,
-                                     const RunOptions &opts, int priority)
-{
-    JobSpec spec;
-    spec.priority = priority;
-    JobPtr job = make_sharded_job(std::move(sample), shard, opts,
-                                  spec, /*deliver_sharded=*/false);
-    std::future<RunResult> future = job->run_promise.get_future();
-    admit(job);
+    std::future<ShardedRunResult> future = sh.promise.get_future();
+    admit(std::move(job));
     return future;
 }
 
@@ -636,6 +557,7 @@ PoolScheduler::stats() const
         out.jobs_pending = core_.pending_jobs();
         out.tasks_running = core_.tasks_running();
         out.blocked_producers = blocked_producers_;
+        out.queue_peak_occupancy = peak_pending_;
         out.queue_capacity = config_.queue_capacity;
         out.active_dies = core_.active();
     }
@@ -654,6 +576,10 @@ PoolScheduler::stats() const
     out.queue_delay_p50_ms = delays.quantile(0.50);
     out.queue_delay_p95_ms = delays.quantile(0.95);
     out.queue_delay_p99_ms = delays.quantile(0.99);
+    obs::HistogramSnapshot latency = latency_hist_.snapshot();
+    out.latency_p50_ms = latency.quantile(0.50);
+    out.latency_p95_ms = latency.quantile(0.95);
+    out.latency_p99_ms = latency.quantile(0.99);
     out.uptime_ms = pool_.uptime_ms();
     out.peak_busy_dies = pool_.peak_busy();
     out.dies = pool_.die_stats();

@@ -24,12 +24,14 @@
  * cycles; the scheduler keeps only threads, locking, promises, engine
  * runs, metrics and trace spans.
  *
- * Admission mirrors flowgnn::serve end to end: the pending-job queue
- * is bounded, and a full queue either blocks the producer
+ * Admission is bounded: the pending-job queue holds at most
+ * queue_capacity jobs, and a full queue either blocks the producer
  * (AdmissionPolicy::kBlock) or sheds the job (kReject +
- * ServiceOverloaded). Planning (partitioning + halo extraction) runs
- * on the submitting thread, so an admitted job's exact width is known
- * to the scheduler and dies never burn lease time on planning.
+ * ServiceOverloaded). A whole-graph job is its raw sample: the die
+ * prepares and runs it, so submit() only admits. A sharded job is
+ * planned (partitioning + halo extraction) on the submitting thread,
+ * so its exact width is known to the scheduler and dies never burn
+ * lease time on planning.
  */
 #ifndef FLOWGNN_POOL_SCHEDULER_H
 #define FLOWGNN_POOL_SCHEDULER_H
@@ -37,26 +39,40 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/sync.h"
 #include "obs/metrics.h"
 #include "pool/die_pool.h"
 #include "pool/dispatch.h"
-#include "serve/service.h"
 #include "shard/shard_plan.h"
 
 namespace flowgnn {
+
+/** Thrown by submit() when the pending-job queue is full under
+ * AdmissionPolicy::kReject. */
+class ServiceOverloaded : public std::runtime_error
+{
+  public:
+    ServiceOverloaded()
+        : std::runtime_error("admission queue full: request shed")
+    {
+    }
+};
+
+/** What a full pending-job queue does to the next submit(). */
+enum class AdmissionPolicy {
+    kBlock,  ///< exert backpressure: submit() blocks until space frees
+    kReject, ///< shed load: submit() throws ServiceOverloaded
+};
 
 /** Human-readable policy name. */
 const char *pool_policy_name(PoolPolicy policy);
 
 /**
  * Per-job scheduling parameters (everything about a job the scheduler
- * cares about that is not the graph itself). The plain priority-int
- * submit overloads are shorthand for a JobSpec with only `priority`
- * set.
+ * cares about that is not the graph itself).
  */
 struct JobSpec {
     /** Higher runs earlier under kPriority; ages upward while queued. */
@@ -87,8 +103,6 @@ struct PoolConfig {
     /** Bounded pending-job queue (jobs with undispatched tasks). */
     std::size_t queue_capacity = 64;
     AdmissionPolicy admission = AdmissionPolicy::kBlock;
-    /** Default per-run options; submit() overloads can override. */
-    RunOptions run_options{};
     /** kPriority aging: one effective-priority step per this many
      * milliseconds a job has waited. <= 0 disables aging. */
     double aging_ms = 25.0;
@@ -118,9 +132,10 @@ struct PoolConfig {
     bool enable_preemption = false;
     int preempt_priority_gap = 1;
     /** Metrics sink. The scheduler registers pool.* counters/gauges
-     * and the pool.queue_delay_ms histogram here; pass a shared
-     * registry to aggregate with other subsystems, or leave null for
-     * a private one. PoolStats is a typed view over these metrics. */
+     * and the pool.queue_delay_ms / pool.latency_ms histograms here;
+     * pass a shared registry (e.g. obs::MetricsRegistry::global()) to
+     * aggregate with other subsystems, or leave null for a private
+     * one. PoolStats is a typed view over these metrics. */
     std::shared_ptr<obs::MetricsRegistry> metrics;
 
     void
@@ -165,6 +180,13 @@ struct PoolStats {
     double queue_delay_p50_ms = 0.0;
     double queue_delay_p95_ms = 0.0;
     double queue_delay_p99_ms = 0.0;
+    /** Submit-to-completion wall latency percentiles (ms) over every
+     * finished job, same histogram kind (pool.latency_ms). */
+    double latency_p50_ms = 0.0;
+    double latency_p95_ms = 0.0;
+    double latency_p99_ms = 0.0;
+    /** Highest jobs_pending observed at admission. */
+    std::size_t queue_peak_occupancy = 0;
     /** Highest number of simultaneously busy dies observed. */
     std::size_t peak_busy_dies = 0;
     /** Concurrency cap set by set_active_dies (<= dies.size()). */
@@ -214,16 +236,13 @@ class PoolScheduler
     /**
      * Admits one whole-graph job (one die). The future carries the
      * RunResult — bit-identical to Engine::run on the same sample —
-     * or the run's exception. `priority` matters under kPriority.
+     * or the run's exception. The die prepares the sample, so submit
+     * itself only admits, and a malformed sample fails through the
+     * future.
      */
-    std::future<RunResult> submit(GraphSample sample, int priority = 0);
     std::future<RunResult> submit(GraphSample sample,
-                                  const RunOptions &opts,
-                                  int priority = 0);
-    /** Full-spec admission: priority + deadline + runtime estimate. */
-    std::future<RunResult> submit(GraphSample sample,
-                                  const RunOptions &opts,
-                                  const JobSpec &spec);
+                                  const RunOptions &opts = {},
+                                  const JobSpec &spec = {});
 
     /**
      * Admits one sharded job: the sample is planned into
@@ -233,31 +252,13 @@ class PoolScheduler
      * identical to ShardedEngine::run with the same clamped config.
      * Ghost-mode jobs (ShardMode::kGhostExchange) are layer-synchronous
      * and schedule as one indivisible task on one host die; the ghost
-     * executor models its P dies internally.
+     * executor models its P dies internally. `estimated_task_cycles`
+     * is per slice (the unit the scheduler dispatches).
      */
     std::future<ShardedRunResult> submit_sharded(GraphSample sample,
                                                  const ShardConfig &shard,
-                                                 int priority = 0);
-    std::future<ShardedRunResult> submit_sharded(GraphSample sample,
-                                                 const ShardConfig &shard,
-                                                 const RunOptions &opts,
-                                                 int priority = 0);
-    /** Full-spec sharded admission. `estimated_task_cycles` is per
-     * slice (the unit the scheduler dispatches). */
-    std::future<ShardedRunResult> submit_sharded(GraphSample sample,
-                                                 const ShardConfig &shard,
-                                                 const RunOptions &opts,
-                                                 const JobSpec &spec);
-
-    /**
-     * Sharded admission that delivers the merged answer as a plain
-     * RunResult (per-die breakdown dropped) — used by routing layers
-     * (ShardedService) so both paths hand back one future type.
-     */
-    std::future<RunResult> submit_sharded_as_run(GraphSample sample,
-                                                 const ShardConfig &shard,
-                                                 const RunOptions &opts,
-                                                 int priority = 0);
+                                                 const RunOptions &opts = {},
+                                                 const JobSpec &spec = {});
 
     /** Blocks until every accepted job has completed. */
     void drain();
@@ -290,17 +291,17 @@ class PoolScheduler
 
   private:
     struct Job;
-    using JobPtr = std::shared_ptr<Job>;
+    using JobPtr = std::unique_ptr<Job>;
 
-    std::future<RunResult> enqueue_fast(GraphSample sample,
-                                        const RunOptions &opts,
-                                        const JobSpec &spec);
-    JobPtr make_sharded_job(GraphSample sample, const ShardConfig &shard,
-                            const RunOptions &opts, const JobSpec &spec,
-                            bool deliver_sharded);
-    void admit(const JobPtr &job);
+    /** Takes the job over; from then on the core holds it, keyed by
+     * its address, until the die that finishes it finalizes it. */
+    void admit(JobPtr job);
     void die_loop(std::size_t die);
-    void finalize(const JobPtr &job);
+    /** Runs `task` of `job` on `die` (`first`: the job's first
+     * dispatch); true when it yielded at a layer boundary. */
+    bool run_task(std::size_t die, Job &job, std::size_t task,
+                  bool first, RunResult &result);
+    void finalize(JobPtr job);
     /** The dispatch clock: nanoseconds since construction. */
     std::uint64_t now_ticks() const;
 
@@ -318,15 +319,14 @@ class PoolScheduler
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
     bool shutdown_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< dies may exit
-    /** Every dispatch and victim decision; keyed by Job::id. */
+    /** Every dispatch and victim decision, for every admitted job not
+     * yet finished; keyed by the Job's address. */
     DispatchCore core_ FLOWGNN_GUARDED_BY(mutex_);
-    /** Admitted jobs not yet finished, by Job::id. */
-    std::unordered_map<std::uint64_t, JobPtr>
-        jobs_ FLOWGNN_GUARDED_BY(mutex_);
     /** Per-die preemption flags (atomic; requested under mutex_ by
      * core_.preempt_for, polled lock-free by the engines). */
     std::vector<std::unique_ptr<PreemptToken>> die_tokens_;
     std::size_t blocked_producers_ FLOWGNN_GUARDED_BY(mutex_) = 0;
+    std::size_t peak_pending_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     PoolPathStats fast_ FLOWGNN_GUARDED_BY(mutex_);
     PoolPathStats sharded_ FLOWGNN_GUARDED_BY(mutex_);
     /** Labels die-lease trace spans. */
@@ -343,6 +343,7 @@ class PoolScheduler
     obs::Gauge &busy_dies_gauge_;
     obs::Gauge &queue_depth_gauge_;
     obs::Histogram &queue_delay_hist_;
+    obs::Histogram &latency_hist_;
     obs::Counter &deadline_miss_ctr_;
     obs::Counter &preempt_ctr_;
     obs::Gauge &active_dies_gauge_;

@@ -1,196 +1,34 @@
 #include "serve/service.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <utility>
 
-#include "core/telemetry.h"
-#include "obs/trace_session.h"
-
 namespace flowgnn {
+
+namespace {
+
+PoolConfig
+pool_config(const ServiceConfig &service)
+{
+    // Fail fast: a malformed config must never reach replica threads.
+    service.validate();
+    PoolConfig pool;
+    pool.num_dies = static_cast<std::uint32_t>(service.replicas);
+    pool.policy = PoolPolicy::kSpaceShare;
+    pool.queue_capacity = service.queue_capacity;
+    pool.admission = service.admission;
+    pool.start_paused = service.start_paused;
+    pool.metrics = service.metrics;
+    return pool;
+}
+
+} // namespace
 
 InferenceService::InferenceService(const Model &model,
                                    EngineConfig engine_config,
                                    ServiceConfig service_config)
-    : model_(model),
-      engine_config_(engine_config),
-      service_config_(service_config),
-      queue_(service_config.queue_capacity == 0
-                 ? 1
-                 : service_config.queue_capacity),
-      metrics_(service_config.metrics
-                   ? service_config.metrics
-                   : std::make_shared<obs::MetricsRegistry>()),
-      requests_ctr_(metrics_->counter("serve.requests_total")),
-      completed_ctr_(metrics_->counter("serve.completed_total")),
-      failed_ctr_(metrics_->counter("serve.failed_total")),
-      rejected_ctr_(metrics_->counter("serve.rejected_total")),
-      latency_hist_(metrics_->histogram("serve.latency_ms"))
+    : queue_capacity_(service_config.queue_capacity),
+      pool_(model, engine_config, pool_config(service_config))
 {
-    // Fail fast: a malformed config must never reach replica threads.
-    service_config_.validate();
-    engine_config_.validate();
-    service_config_.run_options.validate();
-
-    replica_stats_.resize(service_config_.replicas);
-    epoch_ = std::chrono::steady_clock::now();
-    started_ = !service_config_.start_paused;
-    workers_.reserve(service_config_.replicas);
-    for (std::size_t r = 0; r < service_config_.replicas; ++r)
-        workers_.emplace_back([this, r] { worker_loop(r); });
-}
-
-InferenceService::~InferenceService() { shutdown(); }
-
-void
-InferenceService::start()
-{
-    {
-        MutexLock lock(&mutex_);
-        if (started_)
-            return;
-        started_ = true;
-    }
-    unpark_.notify_all();
-}
-
-void
-InferenceService::worker_loop(std::size_t replica)
-{
-    // Each replica is one accelerator instance plus its reusable
-    // scratch memory: the steady-state hot path allocates nothing
-    // graph-sized.
-    Engine engine(model_, engine_config_);
-    RunWorkspace workspace;
-
-    {
-        UniqueLock lock(&mutex_);
-        unpark_.wait(lock,
-                     [&]() FLOWGNN_REQUIRES(mutex_) { return started_; });
-    }
-
-    obs::TraceSession *named_for = nullptr; // row named once per session
-    while (auto job = queue_.pop()) {
-        obs::TraceSession *session = obs::TraceSession::current();
-        std::uint64_t run_start_ns = 0;
-        if (session) {
-            if (session != named_for) {
-                char row[32];
-                std::snprintf(row, sizeof row, "replica %zu", replica);
-                session->name_thread(obs::Track::kServe, row);
-                named_for = session;
-            }
-            if (job->enq_ns != 0)
-                session->span(obs::Track::kServe, "queue-wait",
-                              job->enq_ns, session->now_ns());
-            run_start_ns = session->now_ns();
-        }
-
-        auto begin = std::chrono::steady_clock::now();
-        bool ok = true;
-        RunResult result;
-        std::exception_ptr error;
-        try {
-            result = engine.run(job->sample, job->opts, workspace);
-        } catch (...) {
-            ok = false;
-            error = std::current_exception();
-        }
-        auto end = std::chrono::steady_clock::now();
-
-        if (session) {
-            session->span(obs::Track::kServe, ok ? "run" : "run (failed)",
-                          run_start_ns, session->now_ns());
-            // Drop the engine's cycle-domain unit trace onto the same
-            // timeline, anchored at the instant this replica started
-            // the modeled run.
-            if (ok && !result.stats.trace.empty())
-                session->add_cycle_trace(
-                    result.stats.trace,
-                    obs::CycleClockMap{run_start_ns,
-                                       result.stats.clock_mhz});
-        }
-
-        // Record telemetry BEFORE fulfilling the promise: a caller
-        // that calls stats() right after future.get() must see this
-        // request counted.
-        latency_hist_.record(ms_between(job->enqueued, end));
-        completed_ctr_.add(ok);
-        failed_ctr_.add(!ok);
-        {
-            MutexLock lock(&mutex_);
-            ReplicaStats &rs = replica_stats_[replica];
-            rs.completed += ok;
-            rs.busy_ms += ms_between(begin, end);
-            completed_ += ok;
-            failed_ += !ok;
-        }
-        idle_.notify_all();
-
-        if (ok)
-            job->promise.set_value(std::move(result));
-        else
-            job->promise.set_exception(error);
-    }
-}
-
-std::future<RunResult>
-InferenceService::enqueue(GraphSample sample, const RunOptions &opts)
-{
-    opts.validate();
-    InferenceJob job;
-    job.sample = std::move(sample);
-    job.opts = opts;
-    job.enqueued = std::chrono::steady_clock::now();
-    if (obs::TraceSession *session = obs::TraceSession::current())
-        job.enq_ns = session->now_ns();
-    std::future<RunResult> future = job.promise.get_future();
-    requests_ctr_.add(1);
-
-    // Count the request as accepted before it can possibly complete,
-    // so drain()'s "all accepted work done" condition never observes
-    // completed > submitted.
-    {
-        MutexLock lock(&mutex_);
-        if (closed_)
-            throw std::logic_error(
-                "InferenceService: submit after shutdown");
-        ++submitted_;
-    }
-
-    auto withdraw = [this](bool reject) {
-        {
-            MutexLock lock(&mutex_);
-            --submitted_;
-            rejected_ += reject;
-        }
-        rejected_ctr_.add(reject);
-        idle_.notify_all();
-    };
-
-    if (service_config_.admission == AdmissionPolicy::kReject) {
-        if (!queue_.try_push(std::move(job))) {
-            withdraw(/*reject=*/true);
-            throw ServiceOverloaded();
-        }
-    } else if (!queue_.push(std::move(job))) {
-        withdraw(/*reject=*/false);
-        throw std::logic_error(
-            "InferenceService: submit after shutdown");
-    }
-    return future;
-}
-
-std::future<RunResult>
-InferenceService::submit(GraphSample sample)
-{
-    return enqueue(std::move(sample), service_config_.run_options);
-}
-
-std::future<RunResult>
-InferenceService::submit(GraphSample sample, const RunOptions &opts)
-{
-    return enqueue(std::move(sample), opts);
 }
 
 std::vector<std::future<RunResult>>
@@ -202,73 +40,36 @@ InferenceService::submit_batch(std::vector<GraphSample> samples)
         try {
             futures.push_back(submit(std::move(samples[i])));
         } catch (const ServiceOverloaded &) {
-            // Shed the tail, keep the accepted prefix's futures. The
-            // overflowing sample was already counted rejected by
-            // submit(); the unattempted tail is shed load too.
-            rejected_ctr_.add(samples.size() - i - 1);
-            MutexLock lock(&mutex_);
-            rejected_ += samples.size() - i - 1;
+            // Shed the tail, keep the accepted prefix's futures.
+            batch_shed_ += samples.size() - i - 1;
             break;
         }
     }
     return futures;
 }
 
-void
-InferenceService::drain()
-{
-    start(); // a paused service would otherwise never become idle
-    UniqueLock lock(&mutex_);
-    idle_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
-        return completed_ + failed_ == submitted_;
-    });
-}
-
-void
-InferenceService::shutdown()
-{
-    {
-        MutexLock lock(&mutex_);
-        if (closed_)
-            return;
-        closed_ = true;
-    }
-    drain();
-    queue_.close();
-    for (std::thread &worker : workers_)
-        worker.join();
-    MutexLock lock(&mutex_);
-    stop_time_ = std::chrono::steady_clock::now();
-    stopped_ = true;
-}
-
 ServiceStats
 InferenceService::stats() const
 {
-    MutexLock lock(&mutex_);
+    const PoolStats pool = pool_.stats();
     ServiceStats out;
-    out.submitted = submitted_;
-    out.completed = completed_;
-    out.failed = failed_;
-    out.rejected = rejected_;
-    auto end = stopped_ ? stop_time_ : std::chrono::steady_clock::now();
-    out.uptime_ms = ms_between(epoch_, end);
+    out.submitted = pool.fast.submitted;
+    out.completed = pool.fast.completed;
+    out.failed = pool.fast.failed;
+    out.rejected = pool.fast.rejected + batch_shed_;
+    out.uptime_ms = pool.uptime_ms;
     out.throughput_gps = out.uptime_ms <= 0.0
         ? 0.0
-        : static_cast<double>(completed_) * 1e3 / out.uptime_ms;
-    // Full-lifetime percentiles from the shared log-bucket histogram
-    // (each within ~alpha relative error of exact; see obs/metrics.h).
-    obs::HistogramSnapshot lat = latency_hist_.snapshot();
-    out.p50_ms = lat.quantile(0.50);
-    out.p95_ms = lat.quantile(0.95);
-    out.p99_ms = lat.quantile(0.99);
-    out.queue_peak_occupancy = queue_.peak_occupancy();
-    out.queue_capacity = queue_.capacity();
-    out.blocked_producers = queue_.waiting_producers();
-    out.replicas = replica_stats_;
-    for (ReplicaStats &rs : out.replicas)
-        rs.utilization =
-            out.uptime_ms <= 0.0 ? 0.0 : rs.busy_ms / out.uptime_ms;
+        : static_cast<double>(out.completed) * 1e3 / out.uptime_ms;
+    out.p50_ms = pool.latency_p50_ms;
+    out.p95_ms = pool.latency_p95_ms;
+    out.p99_ms = pool.latency_p99_ms;
+    out.queue_peak_occupancy = pool.queue_peak_occupancy;
+    out.queue_capacity = pool.queue_capacity;
+    out.blocked_producers = pool.blocked_producers;
+    out.replicas.reserve(pool.dies.size());
+    for (const DieStats &die : pool.dies)
+        out.replicas.push_back({die.leases, die.busy_ms, die.utilization});
     return out;
 }
 

@@ -1,74 +1,51 @@
 /**
  * @file
- * flowgnn::serve — the asynchronous multi-replica inference service.
+ * flowgnn::serve — InferenceService, the replica-pool preset of
+ * PoolScheduler.
  *
- * This is the one way to run graphs in deployment shape: a service
- * owns N identical engine replicas on worker threads behind a bounded
- * submission queue, callers submit raw COO samples and receive
- * std::future<RunResult>. Because every replica is a deterministic
- * cycle-stepped engine, results are bit-identical to a sequential
- * Engine::run loop regardless of replica count or scheduling — the
- * service changes throughput, never answers.
+ * A service is a PoolScheduler whose dies are the replicas, serving
+ * one-die whole-graph jobs under kSpaceShare: callers submit raw COO
+ * samples and receive std::future<RunResult>. Because every die is a
+ * deterministic cycle-stepped engine, results are bit-identical to a
+ * sequential Engine::run loop regardless of replica count or
+ * scheduling — the service changes throughput, never answers.
  *
  * Backpressure follows the paper's hardware discipline end to end:
- * the submission queue is a bounded FIFO exactly like the NT-to-MP
- * queues inside the engine, and a full queue either blocks the
- * producer (AdmissionPolicy::kBlock) or sheds the request
+ * the pending-job queue is bounded exactly like the NT-to-MP queues
+ * inside the engine, and a full queue either blocks the producer
+ * (AdmissionPolicy::kBlock) or sheds the request
  * (AdmissionPolicy::kReject + ServiceOverloaded) — it never grows
- * unbounded.
+ * unbounded. Metrics, trace rows ("die N") and admission are the
+ * pool's; ServiceStats is a view over PoolStats.
  */
 #ifndef FLOWGNN_SERVE_SERVICE_H
 #define FLOWGNN_SERVE_SERVICE_H
 
-#include <chrono>
+#include <atomic>
 #include <future>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/sync.h"
-#include "obs/metrics.h"
-#include "serve/bounded_queue.h"
+#include "pool/scheduler.h"
 
 namespace flowgnn {
 
-/** Thrown by submit() when the queue is full under kReject. */
-class ServiceOverloaded : public std::runtime_error
-{
-  public:
-    ServiceOverloaded()
-        : std::runtime_error("InferenceService: submission queue full")
-    {
-    }
-};
-
-/** What a full submission queue does to the next submit(). */
-enum class AdmissionPolicy {
-    kBlock,  ///< exert backpressure: submit() blocks until space frees
-    kReject, ///< shed load: submit() throws ServiceOverloaded
-};
-
 /** Deployment shape of an InferenceService. */
 struct ServiceConfig {
-    /** Engine replicas (worker threads). Each owns one Engine plus a
+    /** Engine replicas (pool dies). Each owns one Engine plus a
      * reusable RunWorkspace, so steady-state serving does not allocate
      * per graph. */
     std::size_t replicas = 2;
     /** Bounded submission-queue capacity (requests, not bytes). */
     std::size_t queue_capacity = 64;
     AdmissionPolicy admission = AdmissionPolicy::kBlock;
-    /** Default per-run options; submit() overloads can override. */
-    RunOptions run_options{};
-    /** Construct workers parked; no request is executed until start().
-     * Lets tests and batch loaders fill the queue deterministically. */
+    /** Construct replicas parked; no request is executed until
+     * start(). Lets tests and batch loaders fill the queue
+     * deterministically. */
     bool start_paused = false;
-    /** Metrics sink. The service registers serve.* counters and the
-     * serve.latency_ms histogram here; pass a shared registry (e.g.
-     * obs::MetricsRegistry::global()) to aggregate with other
-     * subsystems, or leave null for a private one. ServiceStats is a
-     * typed view over these metrics either way. */
+    /** Metrics sink for the pool.* counters and histograms; see
+     * PoolConfig::metrics. */
     std::shared_ptr<obs::MetricsRegistry> metrics;
 
     void
@@ -85,12 +62,12 @@ struct ServiceConfig {
 
 /** Per-replica share of the work, for utilization monitoring. */
 struct ReplicaStats {
-    std::size_t completed = 0;
-    double busy_ms = 0.0;     ///< wall time spent inside Engine::run
-    double utilization = 0.0; ///< busy_ms / service uptime
+    std::size_t completed = 0; ///< runs the replica executed
+    double busy_ms = 0.0;      ///< wall time spent running graphs
+    double utilization = 0.0;  ///< busy_ms / service uptime
 };
 
-/** Aggregate service telemetry since construction. */
+/** Aggregate service telemetry, derived from PoolStats. */
 struct ServiceStats {
     std::size_t submitted = 0;
     std::size_t completed = 0;
@@ -100,12 +77,8 @@ struct ServiceStats {
     /** Completed graphs per second of wall time. */
     double throughput_gps = 0.0;
     /** Submit-to-completion wall latency percentiles (ms) over the
-     * FULL service lifetime, read from the shared serve.latency_ms
-     * log-bucketed histogram: O(1) memory regardless of request
-     * count, and each reported quantile is within relative error
-     * alpha (= obs::Histogram's default 1%) of the exact
-     * order-statistic — see obs/metrics.h for the bound's
-     * derivation. */
+     * full service lifetime, from the pool.latency_ms log-bucket
+     * histogram (each within ~1% relative error; see obs/metrics.h). */
     double p50_ms = 0.0;
     double p95_ms = 0.0;
     double p99_ms = 0.0;
@@ -116,18 +89,6 @@ struct ServiceStats {
      * in action; always 0 under kReject). */
     std::size_t blocked_producers = 0;
     std::vector<ReplicaStats> replicas;
-};
-
-/** One queued request (internal; move-only because of the promise). */
-struct InferenceJob {
-    GraphSample sample;
-    RunOptions opts;
-    std::promise<RunResult> promise;
-    std::chrono::steady_clock::time_point enqueued;
-    /** Submit instant in the installed TraceSession's clock (0 when
-     * no session was installed at submit time); lets the replica emit
-     * the queue-wait span on the request's true timeline. */
-    std::uint64_t enq_ns = 0;
 };
 
 /**
@@ -143,23 +104,22 @@ class InferenceService
   public:
     InferenceService(const Model &model, EngineConfig engine_config = {},
                      ServiceConfig service_config = {});
-    ~InferenceService();
 
     InferenceService(const InferenceService &) = delete;
     InferenceService &operator=(const InferenceService &) = delete;
 
-    /** Unparks the workers (no-op when already running). */
-    void start();
+    /** Unparks the replicas (no-op when already running). */
+    void start() { pool_.start(); }
 
     /**
-     * Enqueues one graph with the service's default run options. The
-     * future carries the RunResult, or the run's exception.
+     * Enqueues one graph. The future carries the RunResult, or the
+     * run's exception.
      */
-    std::future<RunResult> submit(GraphSample sample);
-
-    /** Enqueues one graph with explicit per-run options. */
-    std::future<RunResult> submit(GraphSample sample,
-                                  const RunOptions &opts);
+    std::future<RunResult>
+    submit(GraphSample sample, const RunOptions &opts = {})
+    {
+        return pool_.submit(std::move(sample), opts);
+    }
 
     /**
      * Enqueues a batch, preserving order between samples & futures.
@@ -174,57 +134,23 @@ class InferenceService
     submit_batch(std::vector<GraphSample> samples);
 
     /** Blocks until every accepted request has completed. */
-    void drain();
+    void drain() { pool_.drain(); }
 
-    /** Drains, closes the queue, and joins the workers (idempotent). */
-    void shutdown();
+    /** Drains, closes admission, and joins the replicas
+     * (idempotent). */
+    void shutdown() { pool_.shutdown(); }
 
     ServiceStats stats() const;
 
-    const EngineConfig &engine_config() const { return engine_config_; }
-    std::size_t replica_count() const { return workers_.size(); }
-    std::size_t queue_capacity() const { return queue_.capacity(); }
+    std::size_t replica_count() const { return pool_.num_dies(); }
+    std::size_t queue_capacity() const { return queue_capacity_; }
 
   private:
-    void worker_loop(std::size_t replica);
-    std::future<RunResult> enqueue(GraphSample sample,
-                                   const RunOptions &opts);
-
-    const Model &model_;
-    EngineConfig engine_config_;
-    ServiceConfig service_config_;
-    BoundedQueue<InferenceJob> queue_;
-    std::vector<std::thread> workers_;
-
-    mutable Mutex mutex_; // guards everything below
-    CondVar idle_;
-    CondVar unpark_;
-    bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
-    bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false;
-    std::size_t submitted_ FLOWGNN_GUARDED_BY(mutex_) = 0;
-    std::size_t completed_ FLOWGNN_GUARDED_BY(mutex_) = 0;
-    std::size_t failed_ FLOWGNN_GUARDED_BY(mutex_) = 0;
-    std::size_t rejected_ FLOWGNN_GUARDED_BY(mutex_) = 0;
-    std::vector<ReplicaStats> replica_stats_ FLOWGNN_GUARDED_BY(mutex_);
-
-    // Shared-registry metrics (declared after service_config_ so the
-    // registry resolves first). The counters mirror the mutex-guarded
-    // tallies above — those stay because drain()'s condition variable
-    // needs a consistent submitted/completed view under mutex_.
-    std::shared_ptr<obs::MetricsRegistry> metrics_;
-    obs::Counter &requests_ctr_;
-    obs::Counter &completed_ctr_;
-    obs::Counter &failed_ctr_;
-    obs::Counter &rejected_ctr_;
-    obs::Histogram &latency_hist_;
-
-    // epoch_ is written once in the constructor (before any worker
-    // spawns) and immutable afterwards; stop_time_/stopped_ flip once
-    // under mutex_ during shutdown().
-    std::chrono::steady_clock::time_point epoch_;
-    std::chrono::steady_clock::time_point stop_time_
-        FLOWGNN_GUARDED_BY(mutex_);
-    bool stopped_ FLOWGNN_GUARDED_BY(mutex_) = false;
+    const std::size_t queue_capacity_;
+    PoolScheduler pool_;
+    /** Batch samples shed unattempted behind an overflow; the pool
+     * counts the overflowing one itself. */
+    std::atomic<std::size_t> batch_shed_{0};
 };
 
 } // namespace flowgnn

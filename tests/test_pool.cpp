@@ -5,8 +5,7 @@
  * priority aging), pool scheduling correctness (fast-path and sharded
  * jobs bit-identical to isolated runs under every policy), the
  * concurrency acceptance bar (two P=2 jobs fill a D=4 pool), admission
- * control, and the mixed small/sharded stress run through the pooled
- * ShardedService.
+ * control, and the mixed small/sharded stress run through one pool.
  */
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "obs/trace_session.h"
 #include "pool/schedule_sim.h"
 #include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -473,7 +471,7 @@ TEST(PoolScheduler, EveryPolicySameAnswersDifferentSchedule)
         pool.num_dies = 4;
         pool.policy = policy;
         PoolScheduler scheduler(model, cfg, pool);
-        auto fs = scheduler.submit(small, /*priority=*/1);
+        auto fs = scheduler.submit(small, {}, JobSpec{.priority = 1});
         auto fl = scheduler.submit_sharded(large, shard);
         RunResult rs = fs.get();
         ShardedRunResult rl = fl.get();
@@ -598,25 +596,25 @@ TEST(PoolScheduler, QueueDelayTelemetryRecorded)
     EXPECT_GT(st.dies[0].busy_ms, 0.0);
 }
 
-// ---- Mixed concurrent workloads through the pooled service -------------
+// ---- Mixed concurrent workloads through one pool ---------------------
 
-TEST(ShardedService, MixedStressStaysBitIdenticalAndDropsNothing)
+TEST(PoolRouting, MixedStressStaysBitIdenticalAndDropsNothing)
 {
     // Interleaved small (fast-path) and large (sharded) graphs through
-    // one pooled ShardedService: every future must be fulfilled and
-    // every answer must match the sequential single-engine reference
-    // bit for bit (p_node=1 preserves accumulation order end to end).
+    // one pool: every future must be fulfilled and every answer must
+    // match the sequential single-engine reference bit for bit
+    // (p_node=1 preserves accumulation order end to end).
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     EngineConfig cfg;
     cfg.p_node = 1;
 
-    ShardedServiceConfig svc;
-    svc.shard_threshold_nodes = 1000;
-    svc.shard.num_shards = 4;
-    svc.pool.num_dies = 4;
-    svc.pool.policy = PoolPolicy::kSpaceShare;
-    svc.pool.queue_capacity = 8; // small: exercises backpressure too
-    ShardedService service(model, cfg, svc);
+    ShardConfig shard;
+    shard.num_shards = 4;
+    PoolConfig pool;
+    pool.num_dies = 4;
+    pool.policy = PoolPolicy::kSpaceShare;
+    pool.queue_capacity = 8; // small: exercises backpressure too
+    PoolScheduler scheduler(model, cfg, pool);
 
     constexpr int kSmall = 30;
     constexpr int kLarge = 6;
@@ -632,19 +630,19 @@ TEST(ShardedService, MixedStressStaysBitIdenticalAndDropsNothing)
 
     // Interleave: every 5th submission is large.
     std::vector<std::future<RunResult>> small_futures;
-    std::vector<std::future<RunResult>> large_futures;
+    std::vector<std::future<ShardedRunResult>> large_futures;
     int s = 0, l = 0;
     while (s < kSmall || l < kLarge) {
         for (int k = 0; k < 5 && s < kSmall; ++k, ++s)
             small_futures.push_back(
-                service.submit(small_samples[s]));
+                scheduler.submit(small_samples[s]));
         if (l < kLarge)
             large_futures.push_back(
-                service.submit(large_samples[l++]));
+                scheduler.submit_sharded(large_samples[l++], shard));
     }
 
     Engine reference(model, cfg);
-    ShardedEngine sharded_ref(model, cfg, svc.shard);
+    ShardedEngine sharded_ref(model, cfg, shard);
     for (int i = 0; i < kSmall; ++i) {
         RunResult pooled = small_futures[i].get();
         RunResult direct = reference.run(small_samples[i]);
@@ -652,15 +650,15 @@ TEST(ShardedService, MixedStressStaysBitIdenticalAndDropsNothing)
         EXPECT_EQ(pooled.prediction, direct.prediction) << i;
     }
     for (int i = 0; i < kLarge; ++i) {
-        RunResult pooled = large_futures[i].get();
+        ShardedRunResult pooled = large_futures[i].get();
         ShardedRunResult direct = sharded_ref.run(large_samples[i]);
         EXPECT_TRUE(pooled.embeddings == direct.embeddings) << i;
         EXPECT_EQ(pooled.prediction, direct.prediction) << i;
         EXPECT_GT(pooled.stats.comm_cycles, 0u) << i;
     }
 
-    service.drain();
-    PoolStats st = service.stats();
+    scheduler.drain();
+    PoolStats st = scheduler.stats();
     EXPECT_EQ(st.fast.submitted, static_cast<std::size_t>(kSmall));
     EXPECT_EQ(st.fast.completed, static_cast<std::size_t>(kSmall));
     EXPECT_EQ(st.sharded.submitted, static_cast<std::size_t>(kLarge));

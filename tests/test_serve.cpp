@@ -1,89 +1,21 @@
-/** @file flowgnn::serve tests: bounded queue, determinism across
- * replicas, backpressure / load shedding, telemetry, workspace reuse. */
+/** @file flowgnn::serve tests: determinism across replicas,
+ * backpressure / load shedding, telemetry, tracing, workspace reuse. */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "datasets/dataset.h"
-#include "serve/bounded_queue.h"
+#include "obs/trace_session.h"
 #include "serve/service.h"
 
 namespace flowgnn {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---- BoundedQueue -----------------------------------------------------
-
-TEST(BoundedQueue, OrderingAndCapacity)
-{
-    BoundedQueue<int> q(3);
-    EXPECT_EQ(q.capacity(), 3u);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_TRUE(q.try_push(3));
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop(), 1);
-    EXPECT_EQ(q.pop(), 2);
-    EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(BoundedQueue, TryPushRejectsWhenFullInsteadOfGrowing)
-{
-    BoundedQueue<int> q(2);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    int spilled = 3;
-    EXPECT_FALSE(q.try_push(std::move(spilled)))
-        << "a full bounded queue must reject, not grow";
-    EXPECT_EQ(q.size(), 2u);
-    q.pop();
-    EXPECT_TRUE(q.try_push(std::move(spilled)));
-    EXPECT_EQ(q.peak_occupancy(), 2u);
-}
-
-TEST(BoundedQueue, BlockingPushWaitsForSpace)
-{
-    BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(1)); // fills the queue
-    EXPECT_EQ(q.waiting_producers(), 0u);
-
-    std::atomic<bool> pushed{false};
-    std::thread producer([&] {
-        q.push(2); // must block until the consumer pops
-        pushed = true;
-    });
-
-    // Deterministic: wait until the producer is provably parked inside
-    // push() (no timing assumption; a broken non-blocking push would
-    // flip `pushed` and fail the assert below instead).
-    while (q.waiting_producers() == 0)
-        std::this_thread::yield();
-    EXPECT_FALSE(pushed) << "push into a full queue must block";
-    EXPECT_EQ(q.size(), 1u);
-
-    EXPECT_EQ(q.pop(), 1);
-    producer.join();
-    EXPECT_TRUE(pushed);
-    EXPECT_EQ(q.waiting_producers(), 0u);
-    EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, CloseDrainsThenEndsConsumers)
-{
-    BoundedQueue<int> q(4);
-    ASSERT_TRUE(q.try_push(7));
-    q.close();
-    int rejected = 8;
-    EXPECT_FALSE(q.try_push(std::move(rejected)));
-    auto first = q.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, 7);
-    EXPECT_FALSE(q.pop().has_value()) << "closed+empty ends the consumer";
-}
 
 // ---- InferenceService -------------------------------------------------
 
@@ -101,11 +33,12 @@ TEST(InferenceService, ConstructionFailsFastOnBadConfig)
     EXPECT_THROW(InferenceService(m, {}, no_replicas),
                  std::invalid_argument);
 
-    ServiceConfig bad_opts;
-    bad_opts.run_options.emulate_fixed_point = true;
-    bad_opts.run_options.fixed_point = {8, 8};
-    EXPECT_THROW(InferenceService(m, {}, bad_opts),
-                 std::invalid_argument);
+    // Run options are checked per request, at submit.
+    InferenceService service(m);
+    RunOptions bad_opts;
+    bad_opts.emulate_fixed_point = true;
+    bad_opts.fixed_point = {8, 8};
+    EXPECT_THROW(service.submit(s, bad_opts), std::invalid_argument);
 }
 
 TEST(InferenceService, ConcurrentRepliesBitIdenticalToSequential)
@@ -343,6 +276,32 @@ TEST(InferenceService, PerRunOptionsOverrideServiceDefaults)
     EXPECT_TRUE(without.stats.trace.empty());
     // Same answers either way.
     EXPECT_EQ(with_trace.prediction, without.prediction);
+}
+
+TEST(InferenceService, TracedSubmitPutsEngineCycleRowsOnTheSession)
+{
+    // A capture_trace request's NT/MP unit trace lands on the
+    // installed session, on the rows of the die that ran it.
+    GraphSample s = make_sample(DatasetKind::kMolHiv, 3);
+    Model m = make_model(ModelKind::kGin, s.node_dim(), s.edge_dim());
+    ServiceConfig svc;
+    svc.replicas = 1;
+    InferenceService service(m, {}, svc);
+
+    obs::TraceSession session;
+    session.install();
+    RunOptions traced;
+    traced.capture_trace = true;
+    RunResult r = service.submit(s, traced).get();
+    session.uninstall();
+    ASSERT_FALSE(r.stats.trace.empty());
+
+    std::ostringstream os;
+    session.write_chrome_trace(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("die 0 \xc2\xb7 NT 0"), std::string::npos);
+    EXPECT_NE(json.find("die 0 \xc2\xb7 MP 0"), std::string::npos);
+    EXPECT_NE(json.find("lease: job 1"), std::string::npos);
 }
 
 TEST(InferenceService, StatsTelemetryIsConsistent)

@@ -3,7 +3,7 @@
  * flowgnn::shard tests: shard assignment strategies, cut metrics, halo
  * closure, sharded-vs-single-engine equivalence (bit-exact where the
  * message arrival order is preserved), multi-die stats composition and
- * communication modeling, and the ShardedService routing paths.
+ * communication modeling, and size routing onto one pool.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "graph/generators.h"
 #include "pool/scheduler.h"
 #include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -471,9 +470,9 @@ TEST(ShardedEngine, ShardingALocalGraphReducesModeledCycles)
         << "two dies with tiny halos must beat one die";
 }
 
-// ---- ShardedService ---------------------------------------------------
+// ---- Size routing onto one pool ---------------------------------------
 
-TEST(ShardedService, RoutesByThresholdAndMatchesDirectRuns)
+TEST(PoolRouting, RoutesByThresholdAndMatchesDirectRuns)
 {
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     GraphSample small =
@@ -483,17 +482,21 @@ TEST(ShardedService, RoutesByThresholdAndMatchesDirectRuns)
 
     EngineConfig cfg;
     cfg.p_node = 1;
-    ShardedServiceConfig svc;
-    svc.shard_threshold_nodes = 1000;
-    svc.shard.num_shards = 4;
-    svc.shard.strategy = ShardStrategy::kContiguous;
-    svc.pool.num_dies = 4;
-    ShardedService service(model, cfg, svc);
+    constexpr std::size_t kShardThresholdNodes = 1000;
+    ShardConfig shard;
+    shard.num_shards = 4;
+    shard.strategy = ShardStrategy::kContiguous;
+    PoolConfig pool;
+    pool.num_dies = 4;
+    PoolScheduler scheduler(model, cfg, pool);
 
-    RunResult small_result = service.submit(small).get();
-    RunResult large_result = service.submit(large).get();
+    ASSERT_LT(small.num_nodes(), kShardThresholdNodes);
+    ASSERT_GE(large.num_nodes(), kShardThresholdNodes);
+    RunResult small_result = scheduler.submit(small).get();
+    ShardedRunResult large_result =
+        scheduler.submit_sharded(large, shard).get();
 
-    PoolStats st = service.stats();
+    PoolStats st = scheduler.stats();
     EXPECT_EQ(st.fast.completed, 1u);
     EXPECT_EQ(st.sharded.completed, 1u);
     EXPECT_EQ(st.sharded.failed, 0u);
@@ -502,7 +505,7 @@ TEST(ShardedService, RoutesByThresholdAndMatchesDirectRuns)
     EXPECT_TRUE(small_result.embeddings == small_direct.embeddings);
 
     ShardedRunResult large_direct =
-        ShardedEngine(model, cfg, svc.shard).run(large);
+        ShardedEngine(model, cfg, shard).run(large);
     EXPECT_TRUE(large_result.embeddings == large_direct.embeddings);
     EXPECT_EQ(large_result.prediction, large_direct.prediction);
     EXPECT_EQ(large_result.stats.total_cycles,
@@ -510,27 +513,27 @@ TEST(ShardedService, RoutesByThresholdAndMatchesDirectRuns)
     EXPECT_GT(large_result.stats.comm_cycles, 0u);
 }
 
-TEST(ShardedService, RejectPolicyShedsShardedPathWhenFull)
+TEST(PoolRouting, RejectPolicyShedsShardedPathWhenFull)
 {
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     GraphSample large = make_random_sample(
         make_ring_lattice(2000, 2), 16, 0, 0x91);
 
-    ShardedServiceConfig svc;
-    svc.shard_threshold_nodes = 1000;
-    svc.shard.num_shards = 2;
-    svc.pool.queue_capacity = 1;
-    svc.pool.admission = AdmissionPolicy::kReject;
-    svc.pool.start_paused = true;
-    ShardedService service(model, {}, svc);
+    ShardConfig shard;
+    shard.num_shards = 2;
+    PoolConfig pool;
+    pool.queue_capacity = 1;
+    pool.admission = AdmissionPolicy::kReject;
+    pool.start_paused = true;
+    PoolScheduler scheduler(model, {}, pool);
 
-    auto f1 = service.submit(large);
-    EXPECT_THROW(service.submit(large), ServiceOverloaded);
-    EXPECT_EQ(service.stats().sharded.rejected, 1u);
+    auto f1 = scheduler.submit_sharded(large, shard);
+    EXPECT_THROW(scheduler.submit_sharded(large, shard), ServiceOverloaded);
+    EXPECT_EQ(scheduler.stats().sharded.rejected, 1u);
 
-    service.drain();
+    scheduler.drain();
     EXPECT_NO_THROW(f1.get());
-    PoolStats st = service.stats();
+    PoolStats st = scheduler.stats();
     EXPECT_EQ(st.sharded.completed, 1u);
     EXPECT_EQ(st.sharded.submitted, 1u);
 }
