@@ -173,7 +173,6 @@ main(int argc, char **argv)
         ShardConfig cfg;
         cfg.num_shards = shards;
         cfg.strategy = strategy;
-        cfg.mode = ShardMode::kGhostExchange;
         cfg.restream_passes = restream;
 
         // ---- plan: partition (adjacency reused across restreams)

@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "ghost/ghost_engine.h"
 #include "pool/schedule_sim.h"
-#include "shard/sharded_engine.h"
 
 namespace {
 
@@ -108,9 +108,10 @@ main(int argc, char **argv)
             shard.num_shards = job.width;
             ShardedRunResult r =
                 ShardedEngine(model, cfg, shard).run(job.sample);
-            for (const ShardInfo &info : r.shards)
-                sim.task_cycles.push_back(info.stats.total_cycles +
-                                          info.comm_cycles);
+            // Exchange-synchronous dies are busy or waiting for the
+            // whole composed chain.
+            sim.task_cycles.assign(r.shards.size(),
+                                   r.stats.total_cycles);
         }
         total_tasks += sim.task_cycles.size();
         sim_trace.push_back(std::move(sim));

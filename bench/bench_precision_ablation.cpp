@@ -21,8 +21,8 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "ghost/ghost_engine.h"
 #include "graph/generators.h"
-#include "shard/sharded_engine.h"
 #include "tensor/fixed_point.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -118,14 +118,14 @@ main()
                 "amplifies (untrained) activations beyond the 16-bit "
                 "range — why deployments calibrate formats per model.\n");
 
-    // ---- Quantization error vs shard count, halo vs ghost ------------
+    // ---- Quantization error vs shard count ---------------------------
     bench::banner(
         "Quantization error vs shard count (GCN-16, Barabási–Albert)",
         "Max |sharded fixed-point - fp32 reference| per format, shard "
         "count, and ShardMode, with one NT unit (order-preserving). "
         "Ghost mode re-quantizes at every boundary crossing; "
-        "idempotent quantization keeps the drift flat in P and "
-        "identical to halo — sharding never compounds datapath error.");
+        "idempotent quantization keeps the drift flat in P — "
+        "sharding never compounds datapath error.");
 
     Rng rng(0xFACE);
     GraphSample big = bench::with_features(
@@ -137,8 +137,6 @@ main()
     EngineConfig ecfg;
     ecfg.p_node = 1; // src-major everywhere: isolates quantization
     const std::uint32_t shard_counts[] = {1, 2, 4};
-    const ShardMode shard_modes[] = {ShardMode::kHaloReplication,
-                                     ShardMode::kGhostExchange};
 
     std::printf("%-9s %-7s", "format", "mode");
     for (std::uint32_t p : shard_counts)
@@ -150,34 +148,28 @@ main()
         RunOptions opts;
         opts.emulate_fixed_point = true;
         opts.fixed_point = fmt;
-        for (ShardMode mode : shard_modes) {
-            std::printf("%-9s %-7s",
-                        fmt.name_into(fmt_name, sizeof fmt_name),
-                        shard_mode_name(mode));
-            for (std::uint32_t p : shard_counts) {
-                ShardConfig shard;
-                shard.num_shards = p;
-                shard.strategy = ShardStrategy::kFennel;
-                shard.mode = mode;
-                ShardedRunResult r =
-                    ShardedEngine(gcn16, ecfg, shard).run(big, opts);
-                double drift = 0.0;
-                for (std::size_t k = 0; k < r.embeddings.size(); ++k)
-                    drift = std::max(
-                        drift,
-                        static_cast<double>(std::abs(
-                            r.embeddings.data()[k] -
-                            reference.data()[k])));
-                std::printf(" %15.2e", drift);
-            }
-            std::printf("\n");
+        std::printf("%-9s %-7s",
+                    fmt.name_into(fmt_name, sizeof fmt_name), "ghost");
+        for (std::uint32_t p : shard_counts) {
+            ShardConfig shard;
+            shard.num_shards = p;
+            shard.strategy = ShardStrategy::kFennel;
+            ShardedRunResult r =
+                ShardedEngine(gcn16, ecfg, shard).run(big, opts);
+            double drift = 0.0;
+            for (std::size_t k = 0; k < r.embeddings.size(); ++k)
+                drift = std::max(
+                    drift, static_cast<double>(std::abs(
+                               r.embeddings.data()[k] -
+                               reference.data()[k])));
+            std::printf(" %15.2e", drift);
         }
+        std::printf("\n");
     }
     bench::rule(66);
     std::printf(
-        "Expected: within each format the two mode rows agree exactly "
-        "and every P column repeats P=1 —\nerror growth with shard "
-        "count is zero by construction (idempotent re-quantization at "
-        "the boundary).\n");
+        "Expected: within each format every P column repeats P=1 —\n"
+        "error growth with shard count is zero by construction "
+        "(idempotent re-quantization at the boundary).\n");
     return 0;
 }

@@ -395,7 +395,6 @@ run_sharded_file(const CliOptions &opt)
 
     ShardConfig shard;
     shard.num_shards = opt.shards;
-    shard.mode = ShardMode::kGhostExchange;
 
     ShardedRunResult result;
     profiler.stage("run", [&] {

@@ -17,10 +17,9 @@
  * SNAP text / OGB CSV), sharded across P dies (default 8, default
  * strategy fennel — the right family for power-law graphs like the
  * full-scale Reddit-class file from flowgnn_make_reddit), and the
- * merged embeddings are verified BIT-IDENTICAL against a single-die
- * in-memory run of the same loaded graph (exit 1 on any mismatch).
- * Single NT unit per die, which is the bit-exactness condition (see
- * src/shard/sharded_engine.h).
+ * sharded embeddings are verified BIT-IDENTICAL against a single-die
+ * in-memory run of the same loaded graph (exit 1 on any mismatch;
+ * see src/ghost/ghost_engine.h for the exactness contract).
  */
 #include <cstdio>
 #include <cstring>
@@ -28,10 +27,10 @@
 #include <string>
 
 #include "datasets/dataset.h"
+#include "ghost/ghost_engine.h"
 #include "graph/generators.h"
 #include "io/load.h"
 #include "pool/scheduler.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -66,20 +65,20 @@ run_from_file(const std::string &path, std::uint32_t shards,
     shard_cfg.num_shards = shards;
     shard_cfg.strategy = strategy;
 
-    std::printf("sharded run: P=%u, %s, %u-hop halo...\n", shards,
-                shard_strategy_name(strategy),
-                ShardedEngine::message_hops(model));
+    std::printf("sharded run: P=%u, %s, %u exchanged layers...\n",
+                shards, shard_strategy_name(strategy),
+                message_hops(model));
     ShardedEngine sharded(model, engine_cfg, shard_cfg);
     ShardedRunResult r = sharded.run(sample);
     for (const ShardInfo &info : r.shards)
-        std::printf("  die %u: %7zu owned + %7zu halo nodes, "
+        std::printf("  die %u: %7zu owned + %7zu ghost nodes, "
                     "%9zu edges, %10llu compute + %8llu comm cycles\n",
-                    info.shard, info.owned_nodes, info.halo_nodes,
+                    info.shard, info.owned_nodes, info.ghost_nodes,
                     info.subgraph_edges,
                     static_cast<unsigned long long>(
                         info.stats.total_cycles),
                     static_cast<unsigned long long>(info.comm_cycles));
-    std::printf("cut %.4f, replication %.3f, merged %llu cycles\n",
+    std::printf("cut %.4f, replication %.3f, composed %llu cycles\n",
                 sample.num_edges() == 0
                     ? 0.0
                     : static_cast<double>(r.cut_edges) /
@@ -198,17 +197,17 @@ main(int argc, char **argv)
     // ---- Per-die breakdown + equivalence check ----
     ShardedEngine sharded(model, {}, shard_cfg);
     ShardedRunResult r = sharded.run(large);
-    std::printf("per-die breakdown (%s, %u-hop halo, cut %.3f, "
-                "replication %.3f):\n",
+    std::printf("per-die breakdown (%s, %u exchanged layers, "
+                "cut %.3f, replication %.3f):\n",
                 shard_strategy_name(shard_cfg.strategy),
-                ShardedEngine::message_hops(model),
+                message_hops(model),
                 static_cast<double>(r.cut_edges) /
                     static_cast<double>(large.num_edges()),
                 r.replication_factor);
     for (const ShardInfo &info : r.shards)
-        std::printf("  die %u: %6zu owned + %3zu halo nodes, "
+        std::printf("  die %u: %6zu owned + %3zu ghost nodes, "
                     "%7zu edges, %8llu compute + %5llu comm cycles\n",
-                    info.shard, info.owned_nodes, info.halo_nodes,
+                    info.shard, info.owned_nodes, info.ghost_nodes,
                     info.subgraph_edges,
                     static_cast<unsigned long long>(
                         info.stats.total_cycles),

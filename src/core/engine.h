@@ -120,9 +120,8 @@ class Engine
      * Runs a sample that is already in prepared form, skipping
      * Model::prepare. This is the entry point for callers that manage
      * preparation themselves — notably sharded execution, where the
-     * virtual node / DGN field must be applied to the full graph once
-     * and the per-die slices must NOT be re-prepared (a per-slice
-     * virtual node would change the model's semantics).
+     * virtual node / DGN field is applied to the full graph once,
+     * before planning.
      */
     RunResult run_prepared(const GraphSample &prepared,
                            const RunOptions &opts, RunWorkspace &ws) const;

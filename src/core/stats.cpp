@@ -32,90 +32,6 @@ RunStats::die_utilizations() const
     return out;
 }
 
-namespace {
-
-/**
- * The die-merging core shared by both compose_shard_stats overloads:
- * per-die chain lengths are supplied by the caller; everything else
- * (maxes, concatenations, trace unit-id offsets) is common.
- */
-RunStats
-compose_core(const std::vector<RunStats> &shards,
-             const std::vector<std::uint64_t> &chains,
-             const std::vector<std::uint64_t> &die_comm)
-{
-    RunStats out;
-    out.clock_mhz = shards.front().clock_mhz;
-    out.die_cycles.reserve(shards.size());
-    std::uint32_t nt_offset = 0;
-    std::uint32_t mp_offset = 0;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const RunStats &sh = shards[s];
-        out.die_cycles.push_back(chains[s]);
-        out.total_cycles = std::max(out.total_cycles, chains[s]);
-        out.comm_cycles = std::max(out.comm_cycles, die_comm[s]);
-        out.load_cycles = std::max(out.load_cycles, sh.load_cycles);
-        out.head_cycles = std::max(out.head_cycles, sh.head_cycles);
-        if (sh.phase_cycles.size() > out.phase_cycles.size())
-            out.phase_cycles.resize(sh.phase_cycles.size(), 0);
-        for (std::size_t p = 0; p < sh.phase_cycles.size(); ++p)
-            out.phase_cycles[p] =
-                std::max(out.phase_cycles[p], sh.phase_cycles[p]);
-        out.nt_units.insert(out.nt_units.end(), sh.nt_units.begin(),
-                            sh.nt_units.end());
-        out.mp_units.insert(out.mp_units.end(), sh.mp_units.begin(),
-                            sh.mp_units.end());
-        out.mp_edge_work.insert(out.mp_edge_work.end(),
-                                sh.mp_edge_work.begin(),
-                                sh.mp_edge_work.end());
-        out.adapter_stall_cycles += sh.adapter_stall_cycles;
-        out.queue_peak_occupancy = std::max(out.queue_peak_occupancy,
-                                            sh.queue_peak_occupancy);
-        out.queue_total_pushes += sh.queue_total_pushes;
-        for (TraceEvent ev : sh.trace) {
-            ev.unit += ev.kind == TraceKind::kMpWork ? mp_offset
-                                                     : nt_offset;
-            out.trace.push_back(ev);
-        }
-        nt_offset += static_cast<std::uint32_t>(sh.nt_units.size());
-        mp_offset += static_cast<std::uint32_t>(sh.mp_units.size());
-    }
-    return out;
-}
-
-} // namespace
-
-RunStats
-compose_shard_stats(const std::vector<RunStats> &shards,
-                    const std::vector<std::uint64_t> &comm_cycles,
-                    bool overlap_comm)
-{
-    if (shards.empty())
-        throw std::invalid_argument(
-            "compose_shard_stats: need at least one shard");
-    if (comm_cycles.size() != shards.size())
-        throw std::invalid_argument(
-            "compose_shard_stats: comm_cycles size mismatch");
-
-    // Dies run concurrently; the system finishes with the die whose
-    // fetch + compute chain is longest. Serial mode charges the full
-    // halo fetch before compute; overlap mode hides the fetch behind
-    // the die's own input DMA (load_cycles) and only the excess delays
-    // the compute remainder.
-    std::vector<std::uint64_t> chains(shards.size());
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        const RunStats &sh = shards[s];
-        if (overlap_comm) {
-            std::uint64_t prefix =
-                std::max(comm_cycles[s], sh.load_cycles);
-            chains[s] = prefix + (sh.total_cycles - sh.load_cycles);
-        } else {
-            chains[s] = sh.total_cycles + comm_cycles[s];
-        }
-    }
-    return compose_core(shards, chains, comm_cycles);
-}
-
 RunStats
 compose_shard_stats(
     const std::vector<RunStats> &shards,
@@ -152,7 +68,41 @@ compose_shard_stats(
         }
         chains[s] = sh.total_cycles + exposed;
     }
-    RunStats out = compose_core(shards, chains, die_comm);
+    RunStats out;
+    out.clock_mhz = shards.front().clock_mhz;
+    out.die_cycles = chains;
+    std::uint32_t nt_offset = 0;
+    std::uint32_t mp_offset = 0;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        const RunStats &sh = shards[s];
+        out.total_cycles = std::max(out.total_cycles, chains[s]);
+        out.comm_cycles = std::max(out.comm_cycles, die_comm[s]);
+        out.load_cycles = std::max(out.load_cycles, sh.load_cycles);
+        out.head_cycles = std::max(out.head_cycles, sh.head_cycles);
+        if (sh.phase_cycles.size() > out.phase_cycles.size())
+            out.phase_cycles.resize(sh.phase_cycles.size(), 0);
+        for (std::size_t p = 0; p < sh.phase_cycles.size(); ++p)
+            out.phase_cycles[p] =
+                std::max(out.phase_cycles[p], sh.phase_cycles[p]);
+        out.nt_units.insert(out.nt_units.end(), sh.nt_units.begin(),
+                            sh.nt_units.end());
+        out.mp_units.insert(out.mp_units.end(), sh.mp_units.begin(),
+                            sh.mp_units.end());
+        out.mp_edge_work.insert(out.mp_edge_work.end(),
+                                sh.mp_edge_work.begin(),
+                                sh.mp_edge_work.end());
+        out.adapter_stall_cycles += sh.adapter_stall_cycles;
+        out.queue_peak_occupancy = std::max(out.queue_peak_occupancy,
+                                            sh.queue_peak_occupancy);
+        out.queue_total_pushes += sh.queue_total_pushes;
+        for (TraceEvent ev : sh.trace) {
+            ev.unit += ev.kind == TraceKind::kMpWork ? mp_offset
+                                                     : nt_offset;
+            out.trace.push_back(ev);
+        }
+        nt_offset += static_cast<std::uint32_t>(sh.nt_units.size());
+        mp_offset += static_cast<std::uint32_t>(sh.mp_units.size());
+    }
     out.layer_comm_cycles.assign(n_layers, 0);
     for (const auto &comm : per_layer_comm)
         for (std::size_t p = 0; p < comm.size(); ++p)

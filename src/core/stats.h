@@ -42,22 +42,21 @@ struct RunStats {
     /** Edge-work items processed per MP unit (workload imbalance). */
     std::vector<std::uint64_t> mp_edge_work;
     std::uint64_t adapter_stall_cycles = 0; ///< multicast backpressure
-    /** Inter-die exchange cycles (zero for single-die runs). For halo
-     * runs this is the one-shot pre-run fetch; for ghost-exchange runs
-     * it is the sum over all per-layer exchanges on the worst die.
+    /** Inter-die exchange cycles (zero for single-die runs): the sum
+     * over all per-layer exchanges on the worst die.
      * Already included in total_cycles when set, so latency_ms()
      * reports the end-to-end figure. */
     std::uint64_t comm_cycles = 0;
-    /** Ghost-exchange runs only: per-exchange link cycles, maxed over
-     * dies (entry p is the boundary exchange feeding phase p's
-     * scatter). Empty for halo and single-die runs. */
+    /** Per-exchange link cycles of a sharded run, maxed over dies
+     * (entry p is the boundary exchange feeding phase p's scatter).
+     * Empty for single-die runs. */
     std::vector<std::uint64_t> layer_comm_cycles;
     std::size_t queue_peak_occupancy = 0;
     std::uint64_t queue_total_pushes = 0;
     /** Busy intervals per unit (when RunOptions::capture_trace). */
     std::vector<TraceEvent> trace;
     /**
-     * Per-die end-to-end chain length (halo fetch + compute) of a
+     * Per-die end-to-end chain length (exchanges + compute) of a
      * composed multi-die run, one entry per shard; empty for
      * single-die runs. total_cycles is the max of these, so
      * die_cycles[d] / total_cycles is die d's utilization of the
@@ -89,40 +88,24 @@ struct RunStats {
 
 /**
  * Composes per-die statistics of one sharded run into a single
- * RunStats, as if the multi-die system were one wider accelerator:
+ * RunStats, as if the multi-die system were one wider accelerator.
+ * `per_layer_comm[d][p]` is die d's link cycles for the boundary
+ * exchange feeding its phase p's scatter.
  *
- * - cycle totals take the slowest die (dies run concurrently); by
- *   default each die's halo-exchange cycles serialize in front of its
- *   compute, so die d's chain is comm[d] + total[d];
- * - with `overlap_comm` the halo fetch overlaps the die's input DMA
- *   (both are ingest streams): the chain becomes
- *   max(comm[d], load_cycles[d]) + (total[d] - load_cycles[d]) — the
- *   link hides behind the local load prefix and only the excess
- *   delays the compute remainder;
+ * - cycle totals take the slowest die (dies run concurrently). Die
+ *   d's chain is its compute total plus the exposed cost of every
+ *   exchange: serial composition charges each in full (total +
+ *   sum_p comm[p]); with `overlap_comm` exchange p streams
+ *   concurrently with the phase it feeds (ghost contributions arrive
+ *   as the scatter consumes them), so only
+ *   max(0, comm[p] - phase_cycles[p]) delays the chain;
  * - per-die chains are recorded in RunStats::die_cycles (die-level
- *   utilization of the makespan);
+ *   utilization of the makespan), and RunStats::layer_comm_cycles
+ *   holds each exchange's max over dies;
  * - per-unit and per-bank vectors concatenate across dies, so
  *   utilization and imbalance metrics span the whole system;
  * - trace events get their unit ids offset per die so a merged trace
  *   shows every die's units as separate rows.
- *
- * `comm_cycles` holds one entry per shard (the halo traffic charged
- * to that die); pass zeros for communication-free composition.
- */
-RunStats compose_shard_stats(const std::vector<RunStats> &shards,
-                             const std::vector<std::uint64_t> &comm_cycles,
-                             bool overlap_comm = false);
-
-/**
- * Layered overload for ghost-exchange runs: `per_layer_comm[d][p]` is
- * die d's link cycles for the boundary exchange feeding its phase p's
- * scatter. Serial composition charges every exchange in full (chain =
- * total + sum_p comm[p]); with `overlap_comm` the exchange streams
- * concurrently with the phase it feeds (ghost contributions arrive as
- * the scatter consumes them) — modeled by hiding it behind that die's
- * phase-p compute window, so only max(0, comm[p] - phase_cycles[p])
- * delays the chain. The composed stats additionally record
- * RunStats::layer_comm_cycles (per-exchange max over dies).
  */
 RunStats compose_shard_stats(
     const std::vector<RunStats> &shards,

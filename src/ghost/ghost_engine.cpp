@@ -32,7 +32,7 @@ price_ghost_die(const GhostShard &shard,
     const NodeId n_locals = shard.local_graph.num_nodes;
     const NodeId n_owned =
         static_cast<NodeId>(shard.info.owned_nodes);
-    const std::uint64_t n_ghosts = shard.info.halo_nodes;
+    const std::uint64_t n_ghosts = shard.info.ghost_nodes;
 
     RunStats stats;
     stats.clock_mhz = cfg.clock_mhz;
@@ -261,29 +261,28 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
     return out;
 }
 
-GhostExchangeEngine::GhostExchangeEngine(const Model &model,
-                                         EngineConfig config,
-                                         ShardConfig shard_config)
-    : model_(model), config_(config), shard_config_(shard_config)
+ShardedEngine::ShardedEngine(const Model &model, EngineConfig engine_config,
+                             ShardConfig shard_config)
+    : model_(model), config_(engine_config), shard_config_(shard_config)
 {
     config_.validate();
     shard_config_.validate();
 }
 
 ShardedRunResult
-GhostExchangeEngine::run(const GraphSample &sample) const
+ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
 {
-    return run(sample, RunOptions{});
-}
-
-ShardedRunResult
-GhostExchangeEngine::run(const GraphSample &sample,
-                         const RunOptions &opts) const
-{
+    opts.validate();
     GraphSample prepared = model_.prepare(sample);
-    GhostPlan plan = make_ghost_plan(model_, prepared, shard_config_);
-    return run_ghost_plan(model_, config_, prepared, std::move(plan),
-                          opts, shard_config_.link);
+    if (!prepared.consistent())
+        throw std::invalid_argument("ShardedEngine: inconsistent sample");
+    GhostPlan plan;
+    {
+        obs::Span span(obs::Track::kShard, "ghost plan");
+        plan = make_ghost_plan(model_, prepared, shard_config_);
+    }
+    return run_ghost_plan(model_, config_, prepared, std::move(plan), opts,
+                          shard_config_.link);
 }
 
 } // namespace flowgnn

@@ -12,12 +12,11 @@
  * (core/functional.h) computes the answer once over the whole graph.
  * Its gathers fold each destination's messages in src-major order,
  * exactly as in an unsharded run, so ghost results are bit-identical
- * to unsharded runs in every pipeline mode and at every NT-unit count
- * — the same exactness contract the halo mode has.
+ * to unsharded runs in every pipeline mode and at every NT-unit count.
  *
- * Per-layer exchange cycles compose through the layered
- * compose_shard_stats overload: serial by default, or hidden behind
- * each phase's compute window under LinkConfig::overlap.
+ * Per-layer exchange cycles compose through compose_shard_stats:
+ * serial by default, or hidden behind each phase's compute window
+ * under LinkConfig::overlap.
  */
 #ifndef FLOWGNN_GHOST_GHOST_ENGINE_H
 #define FLOWGNN_GHOST_GHOST_ENGINE_H
@@ -28,10 +27,10 @@ namespace flowgnn {
 
 /**
  * Runs a ghost plan: P concurrent per-die timing passes + one global
- * functional pass, composed into the same ShardedRunResult shape the
- * halo path produces. Non-sharded plans (fallbacks) run the plain
- * engine. `link` prices nothing here — the plan already did — but its
- * `overlap` flag picks the comm/compute composition.
+ * functional pass, composed into one ShardedRunResult. Non-sharded
+ * plans (fallbacks) run the plain engine. `link` prices nothing here
+ * — the plan already did — but its `overlap` flag picks the
+ * comm/compute composition.
  */
 ShardedRunResult run_ghost_plan(const Model &model,
                                 const EngineConfig &config,
@@ -102,18 +101,25 @@ ShardedRunResult run_ghost_plan(const Model &model,
                                 unsigned threads = 0);
 
 /**
- * Drop-in counterpart of ShardedEngine for ghost mode; ShardedEngine
- * itself routes here when ShardConfig::mode == kGhostExchange, so most
- * callers never name this class.
+ * Multi-die FlowGNN instance: one model, P identical dies, one job on
+ * all of them. run() is Model::prepare -> make_ghost_plan ->
+ * run_ghost_plan. Thread-safe for concurrent run() calls (each run
+ * owns its scratch).
  */
-class GhostExchangeEngine {
+class ShardedEngine
+{
   public:
-    GhostExchangeEngine(const Model &model, EngineConfig config,
-                        ShardConfig shard_config);
+    ShardedEngine(const Model &model, EngineConfig engine_config = {},
+                  ShardConfig shard_config = {});
 
-    ShardedRunResult run(const GraphSample &sample) const;
+    /**
+     * Runs one graph across all dies. Models with a virtual node run
+     * on a single die regardless of num_shards: the virtual node is
+     * connected to every node, so every vertex would be a boundary
+     * vertex and each exchange would ship the whole graph.
+     */
     ShardedRunResult run(const GraphSample &sample,
-                         const RunOptions &opts) const;
+                         const RunOptions &opts = {}) const;
 
   private:
     const Model &model_;

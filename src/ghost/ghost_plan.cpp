@@ -35,14 +35,15 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
 
     GhostPlan plan;
 
-    // Same fallbacks as make_shard_plan: these jobs run whole on one
-    // die (the virtual node makes every vertex a boundary vertex, so
-    // ghost exchange would ship the entire graph every layer).
+    // These jobs run whole on one die (the virtual node makes every
+    // vertex a boundary vertex, so ghost exchange would ship the
+    // entire graph every layer).
     if (P == 1 || model.uses_virtual_node() || n_nodes == 0) {
         GhostShard shard;
         shard.info.owned_nodes = n_nodes;
         shard.info.subgraph_edges = prepared.num_edges();
-        // Whole-graph resident footprint (matches the halo fallback).
+        // Whole-graph resident footprint, same record shapes as the
+        // sharded path so P=1 rows are comparable in benches.
         std::size_t whole_dim = prepared.node_dim;
         for (std::size_t i = 0; i < model.num_stages(); ++i)
             whole_dim = std::max(whole_dim, model.stage(i).out_dim());
@@ -132,8 +133,8 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
     plan.cut_edges =
         shard_cut_edges(prepared.graph, plan.assignment, threads);
 
-    // ---- Build the per-die shards (dies owning nothing are dropped,
-    // mirroring make_shard_plan's effective-P contract). Dies are
+    // ---- Build the per-die shards (dies owning nothing are dropped:
+    // shards.size() is the effective P). Dies are
     // independent, so the locals scans run one die per worker; the
     // serial collection below keeps shard order deterministic. ----
     std::vector<GhostShard> built(P);
@@ -153,7 +154,7 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
                     }
                 }
                 shard.info.owned_nodes = owned_count[d];
-                shard.info.halo_nodes =
+                shard.info.ghost_nodes =
                     shard.locals.size() - shard.info.owned_nodes;
                 shard.local_graph.num_nodes =
                     static_cast<NodeId>(shard.locals.size());
@@ -239,7 +240,7 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
     const std::uint64_t edge_rec = edge_dim + 2;
     for (GhostShard &shard : plan.shards) {
         shard.info.subgraph_edges = shard.local_graph.edges.size();
-        const std::uint64_t ghosts = shard.info.halo_nodes;
+        const std::uint64_t ghosts = shard.info.ghost_nodes;
         const std::uint64_t fan_out = send_mult[shard.info.shard];
         shard.layer_comm_cycles.assign(n_stages, 0);
         bool first_exchange = true;

@@ -1,17 +1,17 @@
 /**
  * @file
- * Planning for per-layer boundary-exchange ("ghost") sharded execution
- * — ShardMode::kGhostExchange.
+ * Planning for per-layer boundary-exchange ("ghost") sharded execution,
+ * the one sharded mode.
  *
- * Halo replication ships each die its owned nodes' L-hop closure once,
- * up front; on dense power-law graphs the closure saturates
- * (replication -> P) and sharding degenerates into a capacity escape
- * hatch. The ghost plan instead gives each die only its 0-hop
- * subgraph plus a one-deep *ghost fringe*: the boundary vertices whose
- * embeddings the die must receive from their owners before every
- * message-passing layer (the Dorylus-style scatter). Per-die state
- * stays ~n/P and the link carries per-layer traffic sized by the cut,
- * not by closure replication.
+ * The plan gives each die only its 0-hop subgraph plus a one-deep
+ * *ghost fringe*: the boundary vertices whose embeddings the die must
+ * receive from their owners before every message-passing layer (the
+ * Dorylus-style scatter). Per-die state stays ~n/P and the link
+ * carries per-layer traffic sized by the cut. (Replicating each die's
+ * L-hop closure instead would need no mid-run traffic, but on
+ * power-law graphs the closure approaches the whole graph;
+ * bench/results/halo_vs_ghost.txt has the head-to-head that retired
+ * that mode.)
  *
  * Definitions (die d, assignment a):
  * - ghost set of d  = { src of edge (src -> dst) : a[dst] == d,
@@ -65,8 +65,8 @@ struct GhostShard {
     /** Link cycles of the exchange feeding each stage (index =
      * stage/phase index; 0 for stages without an exchange). */
     std::vector<std::uint64_t> layer_comm_cycles;
-    /** Same bookkeeping as a halo slice (owned/ghost counts, words,
-     * comm totals, resident footprint, and later the die's stats). */
+    /** Owned/ghost counts, exchange words, comm totals, resident
+     * footprint, and later the die's stats. */
     ShardInfo info;
 };
 
@@ -75,11 +75,10 @@ struct GhostPlan {
     /** False: single-die fallback (num_shards == 1, virtual-node
      * models, empty graphs) — executors run the full sample. */
     bool sharded = false;
-    std::vector<GhostShard> shards; ///< >= 1 when sharded
+    std::vector<GhostShard> shards; ///< >= 1: the effective P
     std::vector<std::uint32_t> assignment; ///< node -> owner die
     std::size_t cut_edges = 0;
-    /** Mean copies per vertex: (owned + ghosts summed over dies) / n.
-     * The ghost-mode analogue of halo closure replication. */
+    /** Mean copies per vertex: (owned + ghosts summed over dies) / n. */
     double replication_factor = 1.0;
     /** Per stage: 1 if a boundary exchange precedes its phase (the
      * stage carries a scatter and the partition has a cut). */
@@ -91,10 +90,10 @@ struct GhostPlan {
 
 /**
  * Plans one prepared sample across `config.num_shards` dies in ghost
- * mode. Shares shard_plan_assignment with the halo planner (identical
- * partitions, restreaming included) and mirrors its fallbacks: one
- * shard, virtual-node models, and empty graphs yield a non-sharded
- * plan; dies owning no vertices are dropped.
+ * mode, partitioned by shard_plan_assignment (restreaming included).
+ * One shard, virtual-node models, and empty graphs yield a non-sharded
+ * plan with one bookkeeping entry; dies owning no vertices are
+ * dropped, so shards.size() is the effective P.
  */
 GhostPlan make_ghost_plan(const Model &model, const GraphSample &prepared,
                           const ShardConfig &config);

@@ -297,81 +297,6 @@ shard_cut_fraction(const CooGraph &graph,
            static_cast<double>(graph.num_edges());
 }
 
-std::vector<NodeId>
-shard_closure(const CscGraph &in_adjacency,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops)
-{
-    const NodeId n = in_adjacency.num_nodes();
-    if (assignment.size() != n)
-        throw std::invalid_argument(
-            "shard_closure: assignment size mismatch");
-
-    std::vector<bool> included(n, false);
-    std::vector<NodeId> frontier;
-    for (NodeId v = 0; v < n; ++v) {
-        if (assignment[v] == shard) {
-            included[v] = true;
-            frontier.push_back(v);
-        }
-    }
-    // Backward BFS: layer l of the model needs layer l-1 embeddings of
-    // in-neighbors, so `hops` levels of in-neighbors suffice.
-    std::vector<NodeId> next;
-    for (std::uint32_t h = 0; h < hops && !frontier.empty(); ++h) {
-        next.clear();
-        for (NodeId v : frontier) {
-            for (std::size_t s = in_adjacency.col_begin(v);
-                 s < in_adjacency.col_end(v); ++s) {
-                NodeId src = in_adjacency.src(s);
-                if (!included[src]) {
-                    included[src] = true;
-                    next.push_back(src);
-                }
-            }
-        }
-        std::swap(frontier, next);
-    }
-
-    std::vector<NodeId> closure;
-    for (NodeId v = 0; v < n; ++v)
-        if (included[v])
-            closure.push_back(v);
-    return closure;
-}
-
-std::vector<NodeId>
-shard_closure(const CooGraph &graph,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops)
-{
-    return shard_closure(CscGraph(graph), assignment, shard, hops);
-}
-
-std::vector<NodeId>
-shard_closure(const GraphRef &graph,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops, unsigned threads)
-{
-    return shard_closure(CscGraph(graph, threads), assignment, shard,
-                         hops);
-}
-
-double
-shard_replication_factor(const CooGraph &graph,
-                         const std::vector<std::uint32_t> &assignment,
-                         std::uint32_t num_shards, std::uint32_t hops)
-{
-    if (graph.num_nodes == 0)
-        return 1.0;
-    CscGraph csc(graph);
-    std::size_t copies = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s)
-        copies += shard_closure(csc, assignment, s, hops).size();
-    return static_cast<double>(copies) /
-           static_cast<double>(graph.num_nodes);
-}
-
 std::vector<std::size_t>
 bank_edge_counts(const CooGraph &graph,
                  const std::vector<std::uint32_t> &assignment,

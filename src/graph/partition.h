@@ -12,9 +12,8 @@
  * The same node-to-owner machinery generalizes one level up: a graph
  * too large for one die's buffers is split into shards, each owned by
  * one accelerator die. The shard-level helpers here provide the
- * assignment strategies, the cut metrics that predict inter-die
- * traffic, and the L-hop halo extraction that makes shard-local
- * recomputation exact for owned nodes (see src/shard/).
+ * assignment strategies and the cut metrics that predict inter-die
+ * traffic (see src/ghost/ for the sharded executor).
  */
 #ifndef FLOWGNN_GRAPH_PARTITION_H
 #define FLOWGNN_GRAPH_PARTITION_H
@@ -117,7 +116,7 @@ bank_edge_counts(const CooGraph &graph,
  * Splitting strategies (kContiguous, kBfsContiguous) use balanced
  * ranges: shard sizes differ by at most one node, and when
  * num_shards > num_nodes exactly num_nodes shards own one node each
- * (the rest own nothing and are dropped by make_shard_plan).
+ * (the rest own nothing and are dropped by make_ghost_plan).
  */
 enum class ShardStrategy {
     kModulo,
@@ -191,47 +190,6 @@ std::size_t shard_cut_edges(const GraphRef &graph,
 /** Cut edges as a fraction of all edges (0 = no inter-die traffic). */
 double shard_cut_fraction(const CooGraph &graph,
                           const std::vector<std::uint32_t> &assignment);
-
-/**
- * The `hops`-hop in-neighborhood closure of the given shard's owned
- * node set: owned nodes plus every node whose features can reach an
- * owned node within `hops` message-passing layers. Running the model
- * on the subgraph induced by this closure reproduces the full-graph
- * embeddings of the owned nodes exactly.
- *
- * Returned in ascending global id order, which preserves the engine's
- * src-major message-arrival order — the property that makes
- * single-NT-unit sharded runs bit-identical to unsharded runs.
- */
-std::vector<NodeId>
-shard_closure(const CscGraph &in_adjacency,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops);
-
-/** Convenience overload that builds the in-adjacency internally. */
-std::vector<NodeId>
-shard_closure(const CooGraph &graph,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops);
-
-/** Edge-view overload: the in-adjacency is built from the view on
- * `threads` host cores (0 = all). Callers extracting many shards
- * should build one CscGraph(GraphRef) and use the overload above. */
-std::vector<NodeId>
-shard_closure(const GraphRef &graph,
-              const std::vector<std::uint32_t> &assignment,
-              std::uint32_t shard, std::uint32_t hops,
-              unsigned threads = 0);
-
-/**
- * Average number of copies of each node across all shard closures
- * (>= 1; 1 means no replication at all). The memory-overhead metric
- * of vertex-cut partitioning literature, applied to halo replication.
- */
-double shard_replication_factor(const CooGraph &graph,
-                                const std::vector<std::uint32_t> &assignment,
-                                std::uint32_t num_shards,
-                                std::uint32_t hops);
 
 } // namespace flowgnn
 

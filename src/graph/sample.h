@@ -32,10 +32,9 @@ struct GraphSample {
     /**
      * Optional full-graph degree overrides, one entry per node when
      * non-empty. Degree-normalized layers (GCN/SGC) read degrees from
-     * these instead of counting `graph`'s edges. Multi-die sharding
-     * sets them on each die's subgraph: a halo node's local edge list
-     * is incomplete, so its true degrees ship with its features —
-     * exactly as distributed GNN systems ship ghost-vertex degrees.
+     * these instead of counting `graph`'s edges. A graph file may
+     * carry them (an extracted subgraph keeps its parent's degrees),
+     * as distributed GNN systems ship ghost-vertex degrees.
      */
     std::vector<std::uint32_t> true_in_deg;
     std::vector<std::uint32_t> true_out_deg;

@@ -8,7 +8,7 @@
  * subsystem is a *process* row (Track), each recording thread (or
  * explicitly-addressed unit) a *thread* row inside it, so a single
  * view shows: io open/parse/plan stages, serve submit + queue-wait,
- * pool die leases, per-slice shard execution, per-layer ghost
+ * pool die leases, ghost planning, per-layer ghost
  * exchanges — and, merged onto the same timeline through a cycle→µs
  * CycleClockMap, the engine's cycle-domain unit trace.
  *
@@ -61,7 +61,7 @@ enum class Track : std::uint8_t {
     kIo,       ///< graph ingestion: mmap, checksum, parse
     kServe,    ///< host serving spans outside the pool
     kPool,     ///< PoolScheduler/DiePool: queue-wait, die leases
-    kShard,    ///< halo sharding: planning, per-slice execution
+    kShard,    ///< sharding: ghost planning
     kGhost,    ///< ghost exchange: planning, pricing, modeled timeline
     kEngine,   ///< cycle-domain engine unit trace (mapped to µs)
 };

@@ -24,9 +24,9 @@
  *    busy-die means and queue depths, its active-die cap applied to
  *    dispatch and its decision sequence recorded for pinning.
  *
- * The simulator's estimates are exact, where the live pool backfills
- * only on JobSpec::estimated_task_cycles; easy_backfill defaults OFF
- * here to keep plain-gang pins stable, and tests opt in.
+ * The simulator's estimates are exact; the live pool has none, so it
+ * never backfills. easy_backfill defaults OFF here to keep plain-gang
+ * pins stable, and tests opt in.
  */
 #ifndef FLOWGNN_POOL_SCHEDULE_SIM_H
 #define FLOWGNN_POOL_SCHEDULE_SIM_H

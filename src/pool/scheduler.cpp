@@ -39,7 +39,6 @@ dispatch_config(const PoolConfig &config)
     core.num_dies = config.num_dies;
     core.policy = config.policy;
     core.aging_ticks = config.aging_ms > 0.0 ? ms_to_ns(config.aging_ms) : 0;
-    core.easy_backfill = config.easy_backfill;
     core.enable_preemption = config.enable_preemption;
     core.preempt_priority_gap = config.preempt_priority_gap;
     return core;
@@ -50,35 +49,28 @@ dispatch_config(const PoolConfig &config)
 /** One admitted job: immutable inputs plus mutable dispatch and
  * completion state guarded by the scheduler mutex. A whole-graph job
  * is its raw sample, prepared in place by the die that first runs it,
- * and its one RunResult goes straight to the promise. A sharded job
- * carries its plan and merges its per-slice results. Each task writes
- * only its own slot, so slices of one job can run on many dies without
- * further synchronization. */
+ * and its RunResult goes straight to the promise. A sharded job
+ * carries its ghost plan; whichever of its dies runs the plan writes
+ * the one result. */
 struct PoolScheduler::Job {
-    struct Task {
-        RunResult result;
-        LayerCheckpoint ckpt; ///< layer-boundary resume state
-    };
     /** What only sharded jobs carry. */
     struct Sharded {
-        /** Ghost mode: layers are exchange-synchronous, so the slices
-         * cannot be scheduled independently. The job is one
-         * indivisible task — run_ghost_plan threads its modeled dies
-         * internally — and occupies one host die for its duration. */
-        bool ghost = false;
-        GhostPlan ghost_plan;
-        GhostResumeState ghost_resume; ///< preempted functional pass
-        ShardedRunResult ghost_result;
-        ShardPlan plan;
+        GhostPlan plan;
+        GhostResumeState resume; ///< preempted functional pass
+        ShardedRunResult result;
         LinkConfig link{};
         std::promise<ShardedRunResult> promise;
+        /** A die of the job is running the plan right now. */
+        bool running = false;
+        /** The plan ran to completion (or threw). */
+        bool done = false;
+        /** Runs ended so far; a holder follows the run it waited on. */
+        std::uint64_t runs_ended = 0;
     };
 
     JobSpec spec;
     /** Admission order: the trace label. */
     std::uint64_t id = 0;
-    /** estimated_task_cycles in dispatch ticks, or kNever. */
-    std::uint64_t est_ticks = DispatchCore::kNever;
     std::uint64_t enq_ns = 0; ///< admit instant on the trace clock
     std::chrono::steady_clock::time_point enqueued{};
     /** Whole-graph jobs: raw until the first dispatch prepares it.
@@ -86,7 +78,8 @@ struct PoolScheduler::Job {
     GraphSample sample;
     RunOptions opts;
     std::unique_ptr<Sharded> sharded; ///< null for whole-graph jobs
-    std::vector<Task> tasks;
+    RunResult result;     ///< whole-graph jobs
+    LayerCheckpoint ckpt; ///< whole-graph jobs: layer-boundary resume
     std::exception_ptr error;
     std::promise<RunResult> promise; ///< whole-graph jobs
 };
@@ -180,7 +173,6 @@ PoolScheduler::die_loop(std::size_t die)
         obs::TraceSession *session = obs::TraceSession::current();
         Job &job = *reinterpret_cast<Job *>(
             static_cast<std::uintptr_t>(pick.key));
-        const std::size_t task = pick.task;
         if (pick.first) {
             queue_delay_hist_.record(ms_between(
                 job.enqueued, std::chrono::steady_clock::now()));
@@ -189,11 +181,7 @@ PoolScheduler::die_loop(std::size_t die)
                 session->span(obs::Track::kPool, "queue-wait",
                               job.enq_ns, session->now_ns());
         }
-        // The estimated finish feeds EASY reservations.
-        const std::uint64_t finish = job.est_ticks == DispatchCore::kNever
-            ? DispatchCore::kNever
-            : now_ticks() + job.est_ticks;
-        if (core_.start(die, pick, finish)) {
+        if (core_.start(die, pick, DispatchCore::kNever)) {
             // Fully dispatched: leaves the pending set (freeing
             // admission capacity) while its tasks finish on the dies.
             admit_.notify_one();
@@ -219,10 +207,10 @@ PoolScheduler::die_loop(std::size_t die)
 
         bool ok = true;
         bool preempted = false;
-        RunResult result;
         std::exception_ptr error;
         try {
-            preempted = run_task(die, job, task, pick.first, result);
+            preempted = job.sharded ? run_sharded(die, job)
+                                    : run_whole(die, job, pick.first);
         } catch (...) {
             ok = false;
             error = std::current_exception();
@@ -230,28 +218,19 @@ PoolScheduler::die_loop(std::size_t die)
         die_tokens_[die]->reset(); // never leak a request into the next lease
         pool_.release(die);
         if (session) {
-            char nm[48];
-            if (!job.sharded)
-                std::snprintf(nm, sizeof nm, "lease: job %llu",
-                              static_cast<unsigned long long>(job.id));
-            else if (job.sharded->ghost)
-                std::snprintf(nm, sizeof nm,
-                              "lease: job %llu (ghost)",
-                              static_cast<unsigned long long>(job.id));
-            else
-                std::snprintf(nm, sizeof nm,
-                              "lease: job %llu slice %zu/%zu",
-                              static_cast<unsigned long long>(job.id),
-                              task, job.tasks.size());
+            char nm[32];
+            std::snprintf(nm, sizeof nm, "lease: job %llu",
+                          static_cast<unsigned long long>(job.id));
             session->span(obs::Track::kPool, nm, lease_start_ns,
                           session->now_ns());
             // The engine's cycle-domain unit trace, anchored at the
             // instant this die started the modeled run.
-            if (ok && !preempted && !result.stats.trace.empty())
+            if (ok && !preempted && !job.sharded &&
+                !job.result.stats.trace.empty())
                 session->add_cycle_trace(
-                    result.stats.trace,
+                    job.result.stats.trace,
                     obs::CycleClockMap{lease_start_ns,
-                                       result.stats.clock_mhz},
+                                       job.result.stats.clock_mhz},
                     static_cast<std::uint32_t>(die));
         }
 
@@ -274,12 +253,10 @@ PoolScheduler::die_loop(std::size_t die)
                 static_cast<double>(core_.pending_jobs()));
             continue;
         }
-        job.tasks[task].result = std::move(result);
         if (!ok && !job.error)
             job.error = error;
         if (job_done) {
-            // The core forgot the job: this die owns it now. The merge
-            // is real work; never under the lock.
+            // The core forgot the job: this die owns it now.
             lock.unlock();
             finalize(JobPtr(&job));
             lock.lock();
@@ -288,37 +265,72 @@ PoolScheduler::die_loop(std::size_t die)
 }
 
 bool
-PoolScheduler::run_task(std::size_t die, Job &job, std::size_t task,
-                        bool first, RunResult &result)
+PoolScheduler::run_whole(std::size_t die, Job &job, bool first)
 {
     RunOptions opts = job.opts;
     if (config_.enable_preemption)
         opts.preempt = die_tokens_[die].get();
-    Engine &engine = pool_.engine(die);
-    Job::Sharded *sh = job.sharded.get();
-    if (sh && sh->ghost) {
-        sh->ghost_result = run_ghost_plan(
-            model_, engine.config(), SampleRef(job.sample),
-            std::move(sh->ghost_plan), opts, sh->link,
-            config_.enable_preemption ? &sh->ghost_resume : nullptr, 1);
-        if (!sh->ghost_resume.preempted)
-            return false;
-        sh->ghost_plan = std::move(sh->ghost_resume.plan);
-        return true;
-    }
-    if (!sh && first) {
+    if (first) {
         // Exactly Engine::run's preparation, on the die's own time.
         job.sample = model_.prepare(job.sample);
         if (!job.sample.consistent())
             throw std::invalid_argument(
                 "PoolScheduler: inconsistent sample");
     }
-    const GraphSample &g =
-        sh && sh->plan.sharded ? sh->plan.slices[task].sub : job.sample;
-    return engine.run_resumable(SampleRef(g), opts, pool_.workspace(die),
-                                job.tasks[task].ckpt, result,
-                                std::size_t(-1),
-                                1) == SegmentOutcome::kPreempted;
+    return pool_.engine(die).run_resumable(
+               SampleRef(job.sample), opts, pool_.workspace(die),
+               job.ckpt, job.result, std::size_t(-1),
+               1) == SegmentOutcome::kPreempted;
+}
+
+bool
+PoolScheduler::run_sharded(std::size_t die, Job &job)
+{
+    Job::Sharded &sh = *job.sharded;
+    {
+        UniqueLock lock(&mutex_);
+        if (sh.done)
+            return false; // a holder that starts after the job is done
+        if (sh.running) {
+            // Hold this die for the run another die of the job leads:
+            // follow that run's outcome, or yield alone when this die
+            // is asked to. The run has a die, so the wait ends.
+            const std::uint64_t run = sh.runs_ended;
+            held_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
+                return sh.runs_ended != run ||
+                       die_tokens_[die]->requested();
+            });
+            return sh.runs_ended == run || !sh.done;
+        }
+        sh.running = true;
+    }
+
+    RunOptions opts = job.opts;
+    if (config_.enable_preemption)
+        opts.preempt = die_tokens_[die].get();
+    bool yielded = false;
+    std::exception_ptr error;
+    try {
+        sh.result = run_ghost_plan(
+            model_, pool_.engine(die).config(), SampleRef(job.sample),
+            std::move(sh.plan), opts, sh.link,
+            config_.enable_preemption ? &sh.resume : nullptr, 1);
+        yielded = sh.resume.preempted;
+        if (yielded)
+            sh.plan = std::move(sh.resume.plan);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    {
+        MutexLock lock(&mutex_);
+        sh.running = false;
+        sh.done = !yielded;
+        ++sh.runs_ended;
+    }
+    held_.notify_all();
+    if (error)
+        std::rethrow_exception(error);
+    return yielded;
 }
 
 void
@@ -326,22 +338,6 @@ PoolScheduler::finalize(JobPtr jobp)
 {
     Job &job = *jobp;
     Job::Sharded *sh = job.sharded.get();
-    ShardedRunResult merged;
-    if (sh && sh->ghost) {
-        merged = std::move(sh->ghost_result);
-    } else if (sh && !job.error) {
-        std::vector<RunResult> results;
-        results.reserve(job.tasks.size());
-        for (Job::Task &t : job.tasks)
-            results.push_back(std::move(t.result));
-        try {
-            merged = merge_shard_results(model_, job.sample,
-                                         std::move(sh->plan),
-                                         std::move(results), sh->link);
-        } catch (...) {
-            job.error = std::current_exception();
-        }
-    }
     const bool ok = !job.error;
 
     // Count the completion BEFORE fulfilling the promise, so a caller
@@ -374,15 +370,16 @@ PoolScheduler::finalize(JobPtr jobp)
         else
             job.promise.set_exception(job.error);
     } else if (sh) {
-        sh->promise.set_value(std::move(merged));
+        sh->promise.set_value(std::move(sh->result));
     } else {
-        job.promise.set_value(std::move(job.tasks.front().result));
+        job.promise.set_value(std::move(job.result));
     }
 }
 
 void
 PoolScheduler::admit(JobPtr job)
 {
+    bool preempting = false;
     {
         UniqueLock lock(&mutex_);
         // Select the path tally under the lock (fast_/sharded_ are
@@ -415,16 +412,12 @@ PoolScheduler::admit(JobPtr job)
             job->enq_ns = session->now_ns();
         DispatchCore::JobDesc desc;
         desc.key = reinterpret_cast<std::uintptr_t>(job.get());
-        desc.width = job->tasks.size();
+        // A sharded job takes its plan's effective P dies.
+        desc.width = job->sharded ? job->sharded->plan.shards.size() : 1;
         desc.priority = job->spec.priority;
         desc.arrival = now_ticks();
         if (job->spec.deadline_ms > 0.0)
             desc.deadline = desc.arrival + ms_to_ns(job->spec.deadline_ms);
-        if (job->spec.estimated_task_cycles > 0) // cycles / MHz = us
-            desc.task_ticks = static_cast<std::uint64_t>(std::llround(
-                static_cast<double>(job->spec.estimated_task_cycles) *
-                1e3 / pool_.engine(0).config().clock_mhz));
-        job->est_ticks = desc.task_ticks;
         core_.admit(desc);
         job.release(); // the core holds it now
         jobs_ctr_.add(1);
@@ -432,10 +425,13 @@ PoolScheduler::admit(JobPtr job)
         queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
         core_.preempt_for(desc.key, [&](std::size_t die) {
             die_tokens_[die]->request();
+            preempting = true;
             return true;
         });
     }
     work_.notify_one();
+    if (preempting)
+        held_.notify_all(); // a victim may be a holding die
 }
 
 std::future<RunResult>
@@ -447,7 +443,6 @@ PoolScheduler::submit(GraphSample sample, const RunOptions &opts,
     job->spec = spec;
     job->opts = opts;
     job->sample = std::move(sample);
-    job->tasks.resize(1);
     std::future<RunResult> future = job->promise.get_future();
     admit(std::move(job));
     return future;
@@ -473,19 +468,12 @@ PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
     job->sample = model_.prepare(sample);
     if (!job->sample.consistent())
         throw std::invalid_argument("PoolScheduler: inconsistent sample");
-    char span_name[32];
-    std::snprintf(span_name, sizeof span_name, "plan %s P=%u",
-                  clamped.mode == ShardMode::kGhostExchange ? "ghost"
-                                                            : "halo",
-                  clamped.num_shards);
-    obs::Span plan_span(obs::Track::kShard, span_name);
-    if (clamped.mode == ShardMode::kGhostExchange) {
-        sh.ghost = true;
-        sh.ghost_plan = make_ghost_plan(model_, job->sample, clamped);
-        job->tasks.resize(1); // one indivisible task
-    } else {
-        sh.plan = make_shard_plan(model_, job->sample, clamped);
-        job->tasks.resize(sh.plan.slices.size());
+    {
+        char span_name[32];
+        std::snprintf(span_name, sizeof span_name, "plan ghost P=%u",
+                      clamped.num_shards);
+        obs::Span plan_span(obs::Track::kShard, span_name);
+        sh.plan = make_ghost_plan(model_, job->sample, clamped);
     }
     std::future<ShardedRunResult> future = sh.promise.get_future();
     admit(std::move(job));

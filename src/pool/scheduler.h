@@ -1,24 +1,24 @@
 /**
  * @file
- * flowgnn::pool — PoolScheduler: admits jobs and schedules their
- * shard tasks onto a DiePool.
+ * flowgnn::pool — PoolScheduler: admits jobs and schedules them onto
+ * a DiePool.
  *
  * A job is one graph: either a whole-graph job (one die, the small
- * graph fast path) or a sharded job (a ShardPlan of P <= D slices).
- * Because slices are independent engine runs, the scheduler is free to
- * interleave slices of *different* graphs across the pool — the
- * property that keeps a multi-die machine busy when no single job can
- * use every die. Results are bit-identical to isolated runs regardless
- * of policy or interleaving: every die is a deterministic
- * cycle-stepped engine and the merge is a pure function of the
- * per-slice results.
+ * graph fast path) or a sharded job (a GhostPlan over P <= D dies).
+ * A sharded job's layers are exchange-synchronous, so it is a gang of
+ * P tasks: the first of its dies to start while none of them is
+ * running the plan runs run_ghost_plan (one host thread), and the
+ * job's other dies hold their lease until that run ends. The pool's
+ * occupancy, die leases, energy and autoscaler therefore see the P
+ * dies the job models. Results are bit-identical to isolated runs
+ * regardless of policy or interleaving: every run is deterministic.
  *
  * Policy (PoolConfig::policy; semantics at PoolPolicy in
- * pool/dispatch.h): FIFO gang with optional EASY backfill,
- * work-conserving space share, aging priority, or EDF. kPriority/kEdf
- * optionally preempt running tasks at message-passing layer
- * boundaries; the victim checkpoints, requeues and later resumes
- * bit-identically (Engine::run_resumable). Every dispatch and victim
+ * pool/dispatch.h): FIFO gang, work-conserving space share, aging
+ * priority, or EDF. kPriority/kEdf optionally preempt running tasks
+ * at message-passing layer boundaries; the victim checkpoints,
+ * requeues and later resumes bit-identically (Engine::run_resumable,
+ * or run_ghost_plan's resume state). Every dispatch and victim
  * decision comes from a DispatchCore on a clock of nanoseconds since
  * construction, the same core simulate_pool_schedule drives on modeled
  * cycles; the scheduler keeps only threads, locking, promises, engine
@@ -29,9 +29,9 @@
  * (AdmissionPolicy::kBlock) or sheds the job (kReject +
  * ServiceOverloaded). A whole-graph job is its raw sample: the die
  * prepares and runs it, so submit() only admits. A sharded job is
- * planned (partitioning + halo extraction) on the submitting thread,
- * so its exact width is known to the scheduler and dies never burn
- * lease time on planning.
+ * planned (partitioning + ghost sets) on the submitting thread, so its
+ * exact width is known to the scheduler and dies never burn lease time
+ * on planning.
  */
 #ifndef FLOWGNN_POOL_SCHEDULER_H
 #define FLOWGNN_POOL_SCHEDULER_H
@@ -84,15 +84,6 @@ struct JobSpec {
      * finishes late) pool.deadline_misses_total.
      */
     double deadline_ms = 0.0;
-    /**
-     * Caller's estimate of one task's engine cycles (a slice for
-     * sharded jobs, the whole run otherwise) — the planted knowledge
-     * EASY backfill needs to prove a backfilled job cannot delay the
-     * reserved head. 0 = unknown: the job never backfills and, while
-     * it runs, blocks reservations from being computed (conservative
-     * on both sides).
-     */
-    std::uint64_t estimated_task_cycles = 0;
 };
 
 /** Deployment shape of a PoolScheduler. */
@@ -108,18 +99,6 @@ struct PoolConfig {
     double aging_ms = 25.0;
     /** Construct dies parked; nothing dispatches until start(). */
     bool start_paused = false;
-    /**
-     * kFifoGang only: EASY backfill. When the head gang job cannot
-     * start, it takes a start-time reservation (the instant enough
-     * running tasks' estimated finishes free its width) and later
-     * jobs may jump it only when their estimated runtime provably
-     * ends before that reservation, or when they fit in the dies the
-     * head will not need even then — the head can never be delayed.
-     * Needs JobSpec::estimated_task_cycles on the running and
-     * backfilling jobs; without estimates the policy degrades to
-     * plain gang (no backfill), never to a delayed head.
-     */
-    bool easy_backfill = true;
     /**
      * kPriority / kEdf: a newly admitted job that is more urgent than
      * a running one (priority gap >= preempt_priority_gap, or an
@@ -160,14 +139,13 @@ struct PoolPathStats {
 
 /** Aggregate pool telemetry since construction (or last start()).
  * All *_ms fields are wall-clock milliseconds; a sharded job that was
- * clamped or lost empty slices counts die leases at its effective P
- * (plan.slices.size(), see shard/shard_plan.h), never the requested
- * num_shards. */
+ * clamped or lost empty dies counts die leases at its effective P
+ * (GhostPlan::shards.size()), never the requested num_shards. */
 struct PoolStats {
     PoolPathStats fast;    ///< whole-graph (one-die) jobs
-    PoolPathStats sharded; ///< multi-slice jobs
+    PoolPathStats sharded; ///< ghost-plan jobs
     std::size_t jobs_pending = 0;  ///< jobs with undispatched tasks
-    std::size_t tasks_running = 0; ///< slices currently on dies
+    std::size_t tasks_running = 0; ///< dies currently leased
     /** Producers blocked in submit() right now (kBlock backpressure;
      * the deterministic sync point tests use instead of sleeping). */
     std::size_t blocked_producers = 0;
@@ -245,15 +223,12 @@ class PoolScheduler
                                   const JobSpec &spec = {});
 
     /**
-     * Admits one sharded job: the sample is planned into
-     * min(shard.num_shards, num_dies) slices (clamped so a job can
-     * never be wider than the pool) and its tasks dispatch per the
-     * pool policy. The future carries the merged ShardedRunResult —
-     * identical to ShardedEngine::run with the same clamped config.
-     * Ghost-mode jobs (ShardMode::kGhostExchange) are layer-synchronous
-     * and schedule as one indivisible task on one host die; the ghost
-     * executor models its P dies internally. `estimated_task_cycles`
-     * is per slice (the unit the scheduler dispatches).
+     * Admits one sharded job: the sample is ghost-planned over
+     * min(shard.num_shards, num_dies) dies (clamped so a job can never
+     * be wider than the pool) and the job takes the plan's effective
+     * P dies, dispatched per the pool policy. The future carries the
+     * ShardedRunResult — identical to ShardedEngine::run with the same
+     * clamped config.
      */
     std::future<ShardedRunResult> submit_sharded(GraphSample sample,
                                                  const ShardConfig &shard,
@@ -297,10 +272,12 @@ class PoolScheduler
      * its address, until the die that finishes it finalizes it. */
     void admit(JobPtr job);
     void die_loop(std::size_t die);
-    /** Runs `task` of `job` on `die` (`first`: the job's first
+    /** Runs a whole-graph job on `die` (`first`: its first
      * dispatch); true when it yielded at a layer boundary. */
-    bool run_task(std::size_t die, Job &job, std::size_t task,
-                  bool first, RunResult &result);
+    bool run_whole(std::size_t die, Job &job, bool first);
+    /** Runs or holds one of a sharded job's dies; true when the die
+     * yields. */
+    bool run_sharded(std::size_t die, Job &job);
     void finalize(JobPtr job);
     /** The dispatch clock: nanoseconds since construction. */
     std::uint64_t now_ticks() const;
@@ -316,6 +293,7 @@ class PoolScheduler
     CondVar admit_;  ///< producers: queue may have room
     CondVar idle_;   ///< drain(): a job finished
     CondVar unpark_; ///< start()
+    CondVar held_;   ///< holder dies: a ghost run ended or a yield was asked
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
     bool shutdown_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< dies may exit

@@ -1,22 +1,12 @@
 #include "shard/shard_plan.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "core/parallel.h"
 #include "graph/streaming_partition.h"
 
 namespace flowgnn {
 
 namespace {
-
-std::uint64_t
-ceil_div(std::uint64_t a, std::uint64_t b)
-{
-    return (a + b - 1) / b;
-}
-
-constexpr std::uint32_t kNotLocal = 0xFFFFFFFFu;
 
 bool
 strategy_uses_adjacency(ShardStrategy strategy)
@@ -33,18 +23,6 @@ strategy_uses_adjacency(ShardStrategy strategy)
 }
 
 } // namespace
-
-const char *
-shard_mode_name(ShardMode mode)
-{
-    switch (mode) {
-      case ShardMode::kHaloReplication:
-        return "halo";
-      case ShardMode::kGhostExchange:
-        return "ghost";
-    }
-    return "?";
-}
 
 std::vector<std::uint32_t>
 shard_plan_assignment(const CooGraph &graph, const ShardConfig &config)
@@ -97,255 +75,6 @@ message_hops(const Model &model)
     for (std::size_t i = 0; i < model.num_stages(); ++i)
         hops += model.stage(i).msg_dim() > 0;
     return hops;
-}
-
-ShardPlan
-make_shard_plan(const Model &model, const GraphSample &prepared,
-                const ShardConfig &config)
-{
-    return make_shard_plan(model, SampleRef(prepared), config, 1);
-}
-
-ShardPlan
-make_shard_plan(const Model &model, const SampleRef &prepared,
-                const ShardConfig &config, unsigned threads)
-{
-    config.validate();
-    const NodeId n_nodes = prepared.num_nodes();
-    const std::uint32_t num_shards = config.num_shards;
-    const bool has_dgn = prepared.dgn_field != nullptr;
-
-    ShardPlan plan;
-
-    // The virtual node is bidirectionally connected to every node, so
-    // any shard's 1-hop halo is the whole graph: replication would be
-    // total. Such models keep the single-die path, as do trivial
-    // shard counts and empty graphs.
-    if (num_shards == 1 || model.uses_virtual_node() || n_nodes == 0) {
-        ShardSlice slice;
-        slice.info.owned_nodes = n_nodes;
-        slice.info.subgraph_edges = prepared.num_edges();
-        // Whole-graph resident footprint, same record shapes as the
-        // sharded path so P=1 rows are comparable in benches.
-        std::size_t whole_dim = prepared.node_dim;
-        for (std::size_t i = 0; i < model.num_stages(); ++i)
-            whole_dim = std::max(whole_dim, model.stage(i).out_dim());
-        slice.info.resident_words =
-            std::uint64_t(n_nodes) *
-                (prepared.node_dim + 3 + has_dgn + 2 * whole_dim) +
-            std::uint64_t(prepared.num_edges()) *
-                (prepared.edge_dim + 2);
-        plan.slices.push_back(std::move(slice));
-        return plan;
-    }
-
-    plan.sharded = true;
-    plan.assignment =
-        shard_plan_assignment(prepared.graph, config, threads);
-    plan.hops = message_hops(model);
-    const CscGraph csc(prepared.graph, threads);
-
-    const std::size_t node_dim = prepared.node_dim;
-    const std::size_t edge_dim = prepared.edge_dim;
-    const std::size_t n_edges = prepared.num_edges();
-
-    // Widest embedding any stage materializes: sizes the double-
-    // buffered per-node embedding store in the resident footprint.
-    std::size_t max_dim = node_dim;
-    for (std::size_t i = 0; i < model.num_stages(); ++i)
-        max_dim = std::max(max_dim, model.stage(i).out_dim());
-
-    // Full-graph degrees ship with every replicated node: a halo
-    // node's local edge list is incomplete, and degree-normalized
-    // layers (GCN/SGC) must see the true degrees.
-    const std::vector<std::uint32_t> global_in_deg =
-        prepared.graph.in_degrees(threads);
-    const std::vector<std::uint32_t> global_out_deg =
-        prepared.graph.out_degrees(threads);
-
-    // ---- Extract each die's subgraph (closure in ascending global id
-    // order, so a single-NT-unit die reproduces the full graph's
-    // src-major message arrival order bit for bit). Shards are
-    // independent, so extraction runs one shard per worker, each with
-    // its own local-id scratch; the serial collection pass below keeps
-    // slice order — and thus the whole plan — bit-identical to the
-    // serial planner. ----
-    std::vector<ShardSlice> extracted(num_shards);
-    parallel_ranges(
-        num_shards, threads,
-        [&](std::size_t begin, std::size_t end, unsigned) {
-            std::vector<std::uint32_t> local_of(n_nodes, kNotLocal);
-            for (std::size_t s = begin; s < end; ++s) {
-                ShardSlice &slice = extracted[s];
-                slice.info.shard = static_cast<std::uint32_t>(s);
-                slice.nodes = shard_closure(csc, plan.assignment,
-                                            static_cast<std::uint32_t>(s),
-                                            plan.hops);
-                if (slice.nodes.empty())
-                    continue; // nothing owned here (n < num_shards)
-
-                for (std::uint32_t i = 0; i < slice.nodes.size(); ++i)
-                    local_of[slice.nodes[i]] = i;
-
-                GraphSample &sub = slice.sub;
-                sub.graph.num_nodes =
-                    static_cast<NodeId>(slice.nodes.size());
-                sub.node_features = Matrix(slice.nodes.size(), node_dim);
-                if (node_dim > 0)
-                    for (std::size_t i = 0; i < slice.nodes.size(); ++i)
-                        std::copy(prepared.node_row(slice.nodes[i]),
-                                  prepared.node_row(slice.nodes[i]) +
-                                      node_dim,
-                                  sub.node_features.row(i));
-                if (has_dgn) {
-                    sub.dgn_field.resize(slice.nodes.size());
-                    for (std::size_t i = 0; i < slice.nodes.size(); ++i)
-                        sub.dgn_field[i] =
-                            prepared.dgn_field[slice.nodes[i]];
-                }
-                sub.true_in_deg.resize(slice.nodes.size());
-                sub.true_out_deg.resize(slice.nodes.size());
-                for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
-                    sub.true_in_deg[i] = global_in_deg[slice.nodes[i]];
-                    sub.true_out_deg[i] = global_out_deg[slice.nodes[i]];
-                }
-
-                // Induced edges, preserving global edge order (keeps
-                // per-row CSR order identical to the full graph's).
-                std::vector<EdgeId> kept;
-                for (std::size_t e = 0; e < n_edges; ++e) {
-                    const NodeId src = prepared.graph.src(e);
-                    const NodeId dst = prepared.graph.dst(e);
-                    if (local_of[src] == kNotLocal ||
-                        local_of[dst] == kNotLocal)
-                        continue;
-                    kept.push_back(static_cast<EdgeId>(e));
-                    sub.graph.edges.push_back(
-                        {local_of[src], local_of[dst]});
-                    slice.info.fetched_edges += plan.assignment[src] != s;
-                }
-                if (edge_dim > 0) {
-                    sub.edge_features = Matrix(kept.size(), edge_dim);
-                    for (std::size_t i = 0; i < kept.size(); ++i)
-                        std::copy(prepared.edge_row(kept[i]),
-                                  prepared.edge_row(kept[i]) + edge_dim,
-                                  sub.edge_features.row(i));
-                }
-
-                slice.info.subgraph_edges = kept.size();
-                for (NodeId g : slice.nodes)
-                    slice.info.owned_nodes += plan.assignment[g] == s;
-                slice.info.halo_nodes =
-                    slice.nodes.size() - slice.info.owned_nodes;
-
-                // Halo fetch: the die owns its nodes' features and the
-                // edges sourced at them; everything else in its
-                // subgraph crosses the inter-die link once. Per halo
-                // node: features + id + its two true degrees (+ the
-                // DGN field scalar when shipped); per fetched edge:
-                // endpoints + features.
-                std::uint64_t halo_node_words = node_dim + 3 + has_dgn;
-                slice.info.halo_words =
-                    std::uint64_t(slice.info.halo_nodes) *
-                        halo_node_words +
-                    std::uint64_t(slice.info.fetched_edges) *
-                        (edge_dim + 2);
-                if (slice.info.halo_words > 0)
-                    slice.info.comm_cycles =
-                        ceil_div(slice.info.halo_words,
-                                 config.link.words_per_cycle) +
-                        config.link.latency_cycles;
-
-                // Resident footprint: the die keeps its whole closure's
-                // node records, double-buffered embeddings at the
-                // model's widest dim, and every subgraph edge record
-                // for the full run.
-                slice.info.resident_words =
-                    std::uint64_t(slice.nodes.size()) *
-                        (halo_node_words + 2 * max_dim) +
-                    std::uint64_t(slice.info.subgraph_edges) *
-                        (edge_dim + 2);
-
-                for (NodeId g : slice.nodes)
-                    local_of[g] = kNotLocal; // reset for the next shard
-            }
-        },
-        /*serial_cutoff=*/2);
-
-    plan.slices.reserve(num_shards);
-    std::size_t closure_total = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-        closure_total += extracted[s].nodes.size();
-        if (!extracted[s].nodes.empty())
-            plan.slices.push_back(std::move(extracted[s]));
-    }
-
-    plan.cut_edges =
-        shard_cut_edges(prepared.graph, plan.assignment, threads);
-    plan.replication_factor = static_cast<double>(closure_total) /
-                              static_cast<double>(n_nodes);
-    return plan;
-}
-
-ShardedRunResult
-merge_shard_results(const Model &model, const GraphSample &prepared,
-                    ShardPlan &&plan, std::vector<RunResult> &&results,
-                    const LinkConfig &link)
-{
-    return merge_shard_results(model, SampleRef(prepared),
-                               std::move(plan), std::move(results), link);
-}
-
-ShardedRunResult
-merge_shard_results(const Model &model, const SampleRef &prepared,
-                    ShardPlan &&plan, std::vector<RunResult> &&results,
-                    const LinkConfig &link)
-{
-    if (results.size() != plan.slices.size())
-        throw std::invalid_argument(
-            "merge_shard_results: one result per slice required");
-
-    ShardedRunResult out;
-    if (!plan.sharded) {
-        RunResult &r = results.front();
-        out.embeddings = std::move(r.embeddings);
-        out.prediction = r.prediction;
-        ShardSlice &slice = plan.slices.front();
-        slice.info.stats = r.stats;
-        out.shards.push_back(std::move(slice.info));
-        out.stats = std::move(r.stats);
-        return out;
-    }
-
-    // ---- Merge: each node's embedding comes from its owning die. ----
-    out.embeddings = Matrix(prepared.num_nodes(), model.embedding_dim());
-    for (std::size_t t = 0; t < plan.slices.size(); ++t) {
-        const ShardSlice &slice = plan.slices[t];
-        for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
-            NodeId g = slice.nodes[i];
-            if (plan.assignment[g] == slice.info.shard)
-                out.embeddings.set_row(
-                    g, results[t].embeddings.row_vec(i));
-        }
-    }
-    Vec pooled = model.global_pool(out.embeddings, prepared.pool_nodes());
-    out.prediction = model.head().forward(pooled)[0];
-
-    std::vector<RunStats> per_shard;
-    std::vector<std::uint64_t> comm;
-    per_shard.reserve(plan.slices.size());
-    comm.reserve(plan.slices.size());
-    for (std::size_t t = 0; t < plan.slices.size(); ++t) {
-        ShardSlice &slice = plan.slices[t];
-        slice.info.stats = results[t].stats;
-        per_shard.push_back(std::move(results[t].stats));
-        comm.push_back(slice.info.comm_cycles);
-        out.shards.push_back(std::move(slice.info));
-    }
-    out.stats = compose_shard_stats(per_shard, comm, link.overlap);
-    out.cut_edges = plan.cut_edges;
-    out.replication_factor = plan.replication_factor;
-    return out;
 }
 
 } // namespace flowgnn

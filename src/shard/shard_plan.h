@@ -1,25 +1,18 @@
 /**
  * @file
- * Shard planning and merging: the reusable core of multi-die
- * execution, shared by ShardedEngine (one job, all dies) and the
- * flowgnn::pool scheduler (many jobs interleaved over a die pool).
- *
- * A plan splits one prepared GraphSample into P die-local slices
- * (owned nodes + L-hop halo closure, L = the model's message-passing
- * depth) and prices each slice's halo fetch over the inter-die link.
- * Each slice is an independent engine run; merging the per-slice
- * results reproduces the single-engine answer (bit-identically with
- * one NT unit, since closures preserve ascending global id order).
- * Keeping planning separate from execution is what lets a scheduler
- * dispatch slices of *different* graphs onto whichever dies are free.
+ * The shapes shared by every sharded run: the inter-die link model,
+ * the scale-out config, the per-die breakdown and the run's result,
+ * plus the node -> die assignment a plan shards by. Planning and
+ * execution live in src/ghost (make_ghost_plan / run_ghost_plan, and
+ * ShardedEngine, which chains them for one job on all its dies).
  *
  * Units: every *_cycles field below is kernel cycles at the die's
  * configured clock (EngineConfig::clock_mhz); every *_words field is
- * 4-byte words. Effective P: a plan may hold fewer slices than
- * ShardConfig::num_shards requested (empty closures are dropped, e.g.
- * n < P); plan.slices.size() is the authoritative effective P, and
- * every downstream layer — merge_shard_results, the composed
- * RunStats::die_cycles, pool die leases — agrees with it.
+ * 4-byte words. Effective P: a plan may hold fewer dies than
+ * ShardConfig::num_shards requested (dies owning no vertex are
+ * dropped, e.g. n < P); GhostPlan::shards.size() is the authoritative
+ * effective P, and every downstream layer (the composed
+ * RunStats::die_cycles, pool die leases) agrees with it.
  */
 #ifndef FLOWGNN_SHARD_SHARD_PLAN_H
 #define FLOWGNN_SHARD_SHARD_PLAN_H
@@ -43,11 +36,10 @@ struct LinkConfig {
      * kernel cycles at the die clock. */
     std::uint64_t latency_cycles = 500;
     /**
-     * Overlap the halo fetch with the die's input DMA instead of
-     * serializing it in front of compute: the per-die chain becomes
-     * max(comm, load_prefix) + compute_remainder (see
-     * compose_shard_stats). Off by default — the conservative model
-     * where the link transfer must finish before the die starts.
+     * Overlap each boundary exchange with the compute window of the
+     * phase it feeds instead of serializing it in front of that phase
+     * (see compose_shard_stats). Off by default: the conservative
+     * model where every transfer finishes before its phase starts.
      */
     bool overlap = false;
 
@@ -61,30 +53,24 @@ struct LinkConfig {
 };
 
 /**
- * How shards cooperate across layers.
- *
- * - kHaloReplication: each die statically replicates its owned nodes'
- *   L-hop closure and runs the whole model independently — one up-front
- *   halo fetch, no mid-run traffic, but replication approaches P on
- *   dense power-law graphs (capacity escape hatch, not a speedup).
- * - kGhostExchange: each die keeps only its 0-hop subgraph plus a
- *   one-deep ghost fringe and exchanges boundary embeddings over the
- *   link after every message-passing layer (the Dorylus-style
- *   scatter) — per-layer traffic, but per-die state stays ~n/P.
+ * How shards cooperate across layers. kGhostExchange is the only mode:
+ * each die keeps its 0-hop subgraph plus a one-deep ghost fringe and
+ * exchanges boundary embeddings over the link before every
+ * message-passing layer (the Dorylus-style scatter), so per-die state
+ * stays ~n/P.
  */
 enum class ShardMode {
-    kHaloReplication,
     kGhostExchange,
 };
-
-const char *shard_mode_name(ShardMode mode);
 
 /** Scale-out shape of a sharded job. */
 struct ShardConfig {
     /** Number of dies. 1 degenerates to single-engine execution. */
     std::uint32_t num_shards = 2;
     ShardStrategy strategy = ShardStrategy::kContiguous;
-    ShardMode mode = ShardMode::kHaloReplication;
+    /** Read by nothing: ghost exchange is the only mode. Kept only
+     * because the repository benchmark (perfbench/) assigns it. */
+    ShardMode mode = ShardMode::kGhostExchange;
     LinkConfig link{};
     /** Extra restreaming passes for the streaming partitioners
      * (LDG/Fennel/HDRF): each pass re-runs the stream with the
@@ -105,41 +91,37 @@ struct ShardConfig {
 /** Per-die breakdown of one sharded run. */
 struct ShardInfo {
     /** Original shard index from the assignment (stable even when
-     * empty slices were dropped, so it may skip values). */
+     * empty dies were dropped, so it may skip values). */
     std::uint32_t shard = 0;
     std::size_t owned_nodes = 0;
-    std::size_t halo_nodes = 0;      ///< replicated (ghost) nodes
+    std::size_t ghost_nodes = 0;     ///< ghost (non-owned) vertices
     std::size_t subgraph_edges = 0;  ///< edges in the die's subgraph
     std::size_t fetched_edges = 0;   ///< subgraph edges not owned here
-    std::uint64_t halo_words = 0;    ///< 4-byte words over the link
-    /** Link cycles charged to this die: the one-shot halo fetch
-     * (halo mode) or the sum over per-layer boundary exchanges (ghost
-     * mode), at LinkConfig::words_per_cycle plus latency_cycles per
-     * transfer. 0 for the die of a non-sharded plan. */
+    /** Link cycles charged to this die: the sum over its per-layer
+     * boundary exchanges, at LinkConfig::words_per_cycle plus
+     * latency_cycles per transfer. 0 for the die of a non-sharded
+     * plan. */
     std::uint64_t comm_cycles = 0;
-    /** Ghost mode: total words this die sends across all per-layer
-     * exchanges (owned boundary embeddings, one copy per consuming
-     * die). 0 in halo mode. */
+    /** Total words this die sends across all per-layer exchanges
+     * (owned boundary embeddings, one copy per consuming die). */
     std::uint64_t exchange_send_words = 0;
-    /** Ghost mode: total words this die receives across all per-layer
-     * exchanges (its ghost set's embeddings, each layer). 0 in halo
-     * mode. */
+    /** Total words this die receives across all per-layer exchanges
+     * (its ghost set's embeddings, each layer). */
     std::uint64_t exchange_recv_words = 0;
     /** Peak die-local memory footprint in 4-byte words: node records +
      * double-buffered embeddings + edge records for everything the die
-     * keeps resident. The capacity axis of the halo-vs-ghost tradeoff
-     * (halo replicates closures; ghost keeps ~n/P plus a fringe). */
+     * keeps resident (~n/P plus the ghost fringe). */
     std::uint64_t resident_words = 0;
     RunStats stats;                  ///< the die's own engine stats
 };
 
-/** Output of one sharded run: the merged single-graph answer plus the
+/** Output of one sharded run: the single-graph answer plus the
  * per-die breakdown and the partition-quality metrics. */
 struct ShardedRunResult {
-    /** Final node embeddings [num_nodes x embedding_dim], merged from
-     * the owning die of every node. */
+    /** Final node embeddings [num_nodes x embedding_dim], bit-identical
+     * to an unsharded run's. */
     Matrix embeddings;
-    /** Graph-level prediction from the pooled head over the merge. */
+    /** Graph-level prediction from the pooled head. */
     float prediction = 0.0f;
     /** Composed multi-die statistics (see compose_shard_stats). */
     RunStats stats;
@@ -155,71 +137,17 @@ struct ShardedRunResult {
 };
 
 /**
- * One die's share of a sharded job: the closure node list (ascending
- * global ids), the extracted subgraph sample the die actually runs,
- * and the halo-fetch price. For a non-sharded plan the slice carries
- * bookkeeping only and executors run the full prepared sample.
- */
-struct ShardSlice {
-    std::vector<NodeId> nodes; ///< closure, ascending global ids
-    GraphSample sub;           ///< die-local subgraph (sharded plans)
-    ShardInfo info;
-};
-
-/**
- * The execution recipe for one graph across up to P dies. Slices are
- * independent: any die can run any slice at any time, which is the
- * property the pool scheduler exploits to interleave jobs.
- */
-struct ShardPlan {
-    /** False: the job runs whole on a single die (num_shards == 1,
-     * virtual-node models, or empty graphs) and `slices` holds one
-     * bookkeeping-only entry. */
-    bool sharded = false;
-    std::vector<ShardSlice> slices; ///< >= 1; only non-empty closures
-    std::vector<std::uint32_t> assignment; ///< node -> shard owner
-    std::uint32_t hops = 0;                ///< halo depth used
-    std::size_t cut_edges = 0;
-    double replication_factor = 1.0;
-};
-
-/**
  * The model's message-passing depth: how many stages consume neighbor
- * state, i.e. how many hops of halo a shard needs for exact owned-node
- * recomputation.
+ * state, i.e. how many hops an owned node's receptive field spans.
  */
 std::uint32_t message_hops(const Model &model);
-
-/**
- * Plans one prepared sample (Model::prepare already applied) across
- * `config.num_shards` dies. Falls back to a single-die plan for
- * virtual-node models (the VN's 1-hop halo is the whole graph), one
- * shard, or empty graphs. Shards whose closure is empty (more shards
- * than nodes) are dropped, so the plan may hold fewer slices than
- * requested.
- */
-ShardPlan make_shard_plan(const Model &model, const GraphSample &prepared,
-                          const ShardConfig &config);
-
-/**
- * SampleRef overload, the canonical planner: works off a borrowed view
- * (notably io::GraphView::sample for mmap-backed graphs), so planning
- * a full-scale graph never materializes a second in-memory copy of it.
- * `threads` parallelizes the host-side stages — the adjacency builds,
- * the degree counts, and the per-shard closure/extraction loop (each
- * worker carries its own local-id scratch) — with results bit-identical
- * to the serial plan for every thread count (0 = all cores). The ref's
- * backing must stay alive for the duration of the call.
- */
-ShardPlan make_shard_plan(const Model &model, const SampleRef &prepared,
-                          const ShardConfig &config, unsigned threads = 0);
 
 /**
  * The node -> shard assignment a plan for `config` would use:
  * shard_assignment under the configured strategy, plus
  * `config.restream_passes` prior-seeded restreaming refinement passes
- * for the streaming strategies. Shared by the halo planner and
- * make_ghost_plan so both modes shard identically.
+ * for the streaming strategies; the assignment make_ghost_plan
+ * shards by.
  */
 std::vector<std::uint32_t> shard_plan_assignment(const CooGraph &graph,
                                                  const ShardConfig &config);
@@ -235,25 +163,6 @@ std::vector<std::uint32_t> shard_plan_assignment(const CooGraph &graph,
 std::vector<std::uint32_t> shard_plan_assignment(const GraphRef &graph,
                                                  const ShardConfig &config,
                                                  unsigned threads = 0);
-
-/**
- * Merges per-slice engine results (same order as plan.slices) into the
- * single-graph answer: owned-node embeddings, pooled head prediction,
- * and composed multi-die RunStats (overlap mode per `link.overlap`).
- * Consumes the plan's slice metadata into the result's breakdown.
- */
-ShardedRunResult merge_shard_results(const Model &model,
-                                     const GraphSample &prepared,
-                                     ShardPlan &&plan,
-                                     std::vector<RunResult> &&results,
-                                     const LinkConfig &link);
-
-/** SampleRef overload (canonical; the GraphSample one delegates). */
-ShardedRunResult merge_shard_results(const Model &model,
-                                     const SampleRef &prepared,
-                                     ShardPlan &&plan,
-                                     std::vector<RunResult> &&results,
-                                     const LinkConfig &link);
 
 } // namespace flowgnn
 

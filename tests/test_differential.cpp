@@ -18,7 +18,6 @@
 
 #include "core/engine.h"
 #include "ghost/ghost_engine.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -96,61 +95,12 @@ TEST(DifferentialFuzz, EngineMatchesReferenceOn200RandomGraphs)
     }
 }
 
-TEST(DifferentialFuzz, ShardedMatchesUnshardedOn56RandomGraphs)
-{
-    constexpr ShardStrategy kStrategies[] = {
-        ShardStrategy::kModulo,        ShardStrategy::kContiguous,
-        ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,
-        ShardStrategy::kLdg,           ShardStrategy::kFennel,
-        ShardStrategy::kHdrf,
-    };
-    constexpr int kCases = 56; // exactly 8 cases per strategy (i % 7)
-    for (int i = 0; i < kCases; ++i) {
-        const std::uint64_t seed = 0x5AAD0000ull + i;
-        const ModelKind kind =
-            kAllKinds[i % std::size(kAllKinds)];
-
-        const NodeId n = 60 + 4 * i;
-        CooGraph g = make_random_graph(i, n, seed);
-        const std::size_t node_dim = 8;
-        // Decorrelated from p_node so bit-exact cases also cover the
-        // per-shard edge-feature gather.
-        const std::size_t edge_dim = ((i / 2) % 2) ? 4 : 0;
-        GraphSample sample =
-            make_random_sample(std::move(g), node_dim, edge_dim,
-                               seed + 1);
-
-        EngineConfig cfg;
-        cfg.p_node = 1 + i % 2;
-        ShardConfig shard;
-        shard.num_shards = 2 + i % 3;
-        shard.strategy = kStrategies[i % std::size(kStrategies)];
-
-        SCOPED_TRACE(::testing::Message()
-                     << "case " << i << ": " << model_name(kind)
-                     << " / shards=" << shard.num_shards << " / "
-                     << shard_strategy_name(shard.strategy)
-                     << " / pn=" << cfg.p_node << " / n=" << n);
-
-        Model model = make_model(kind, node_dim, edge_dim, seed);
-        RunResult single = Engine(model, cfg).run(sample);
-        ShardedRunResult sharded =
-            ShardedEngine(model, cfg, shard).run(sample);
-
-        ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());
-        EXPECT_EQ(max_abs_diff(sharded.embeddings, single.embeddings),
-                  0.0f);
-        EXPECT_EQ(sharded.prediction, single.prediction);
-    }
-}
-
 TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
 {
-    // The ghost-mode mirror of the sharded pass above: per-layer
-    // boundary exchange instead of halo replication, same exactness
-    // policy. The ghost path and the unsharded engine both take their
-    // values from the functional kernel, so results must be
-    // bit-identical at every NT-unit count.
+    // Every strategy, 2-4 dies, every model kind: the ghost path and
+    // the unsharded engine both take their values from the functional
+    // kernel, so results must be bit-identical at every NT-unit
+    // count.
     constexpr ShardStrategy kStrategies[] = {
         ShardStrategy::kModulo,        ShardStrategy::kContiguous,
         ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,
@@ -176,7 +126,6 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
         ShardConfig shard;
         shard.num_shards = 2 + i % 3;
         shard.strategy = kStrategies[i % std::size(kStrategies)];
-        shard.mode = ShardMode::kGhostExchange;
 
         SCOPED_TRACE(::testing::Message()
                      << "ghost case " << i << ": " << model_name(kind)
@@ -227,7 +176,6 @@ TEST(DifferentialFuzz, GhostFixedPointStaysBitExactWhenOrderPreserved)
             ShardConfig shard;
             shard.num_shards = 3;
             shard.strategy = strategy;
-            shard.mode = ShardMode::kGhostExchange;
 
             SCOPED_TRACE(::testing::Message()
                          << "fixed case " << i << ": "
@@ -277,7 +225,6 @@ TEST(DifferentialFuzz, GhostPreemptAtEveryLayerBitIdentical)
         ShardConfig shard;
         shard.num_shards = 3;
         shard.strategy = strategy;
-        shard.mode = ShardMode::kGhostExchange;
         SCOPED_TRACE(::testing::Message()
                      << shard_strategy_name(strategy));
 

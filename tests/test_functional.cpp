@@ -237,7 +237,6 @@ TEST(FunctionalKernel, ZeroNodeSampleIsRejectedAtEveryFrontDoor)
 
     ShardConfig shard;
     shard.num_shards = 2;
-    shard.mode = ShardMode::kGhostExchange;
     EXPECT_THROW(run_ghost_plan(model, EngineConfig{}, empty,
                                 make_ghost_plan(model, empty, shard),
                                 RunOptions{}, shard.link),

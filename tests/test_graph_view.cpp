@@ -5,8 +5,8 @@
  * >= 2 GiB ftell bug, FGNB v1/v2 coexistence, and the differential
  * contract of the parallel host hot paths — every GraphRef/SampleRef
  * overload at threads = 4 must be bit-identical to the serial
- * in-memory chain: assignments across all strategies, closures,
- * shard/ghost plans, and full modeled runs.
+ * in-memory chain: assignments across all strategies, ghost plans,
+ * and full modeled runs.
  */
 #include <cstring>
 #include <filesystem>
@@ -21,7 +21,6 @@
 #include "io/fgnb_layout.h"
 #include "io/graph_view.h"
 #include "io/load.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -362,21 +361,6 @@ TEST(OutOfCoreDifferentialTest, AssignmentMatchesAllStrategies)
     }
 }
 
-TEST(OutOfCoreDifferentialTest, ClosuresMatch)
-{
-    DiskGraph g;
-    io::GraphView view(g.path);
-    const std::vector<std::uint32_t> assignment =
-        shard_assignment(g.mem.graph, 4, ShardStrategy::kFennel);
-    for (std::uint32_t shard = 0; shard < 4; ++shard)
-        for (std::uint32_t hops : {1u, 2u})
-            EXPECT_EQ(shard_closure(view.graph(), assignment, shard,
-                                    hops, 4),
-                      shard_closure(g.mem.graph, assignment, shard,
-                                    hops))
-                << shard << " " << hops;
-}
-
 TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
 {
     // The bench_host_speed gate in test form: the full out-of-core
@@ -396,7 +380,6 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
     ShardConfig cfg;
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kFennel;
-    cfg.mode = ShardMode::kGhostExchange;
     cfg.restream_passes = 2;
 
     GhostPlan plan = make_ghost_plan(model, sample, cfg, 4);
@@ -422,47 +405,6 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
 
 // ---- Parallel planners: bit-identical to the serial GraphSample path -
 
-TEST(ParallelPlanTest, ShardPlanThreadsMatchSerial)
-{
-    GraphSample s = testing::make_random_sample(
-        testing::make_random_graph(2, 1200, 0x71A), 8, 0, 0x71A);
-    const Model model = make_model(ModelKind::kGcn16, 8, 0);
-    const GraphSample prepared = model.prepare(s);
-
-    ShardConfig cfg;
-    cfg.num_shards = 4;
-    cfg.strategy = ShardStrategy::kFennel;
-    cfg.restream_passes = 1;
-
-    const ShardPlan serial = make_shard_plan(model, prepared, cfg);
-    for (unsigned t : {2u, 4u}) {
-        const ShardPlan par =
-            make_shard_plan(model, SampleRef(prepared), cfg, t);
-        ASSERT_EQ(par.slices.size(), serial.slices.size()) << t;
-        EXPECT_EQ(par.assignment, serial.assignment) << t;
-        EXPECT_EQ(par.cut_edges, serial.cut_edges) << t;
-        EXPECT_EQ(par.replication_factor, serial.replication_factor)
-            << t;
-        for (std::size_t i = 0; i < serial.slices.size(); ++i) {
-            const ShardSlice &a = par.slices[i];
-            const ShardSlice &b = serial.slices[i];
-            EXPECT_EQ(a.nodes, b.nodes) << t << " " << i;
-            EXPECT_TRUE(a.sub.graph.edges == b.sub.graph.edges)
-                << t << " " << i;
-            EXPECT_TRUE(a.sub.node_features == b.sub.node_features)
-                << t << " " << i;
-            EXPECT_EQ(a.sub.true_in_deg, b.sub.true_in_deg)
-                << t << " " << i;
-            EXPECT_EQ(a.info.owned_nodes, b.info.owned_nodes)
-                << t << " " << i;
-            EXPECT_EQ(a.info.halo_words, b.info.halo_words)
-                << t << " " << i;
-            EXPECT_EQ(a.info.resident_words, b.info.resident_words)
-                << t << " " << i;
-        }
-    }
-}
-
 TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
 {
     GraphSample s = testing::make_random_sample(
@@ -473,7 +415,6 @@ TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
     ShardConfig cfg;
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kHdrf;
-    cfg.mode = ShardMode::kGhostExchange;
 
     const GhostPlan serial = make_ghost_plan(model, prepared, cfg);
     for (unsigned t : {2u, 4u}) {
@@ -495,7 +436,7 @@ TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
                 << t << " " << i;
             EXPECT_EQ(a.info.owned_nodes, b.info.owned_nodes)
                 << t << " " << i;
-            EXPECT_EQ(a.info.halo_nodes, b.info.halo_nodes)
+            EXPECT_EQ(a.info.ghost_nodes, b.info.ghost_nodes)
                 << t << " " << i;
             EXPECT_EQ(a.info.fetched_edges, b.info.fetched_edges)
                 << t << " " << i;

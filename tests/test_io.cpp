@@ -17,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "datasets/dataset.h"
+#include "ghost/ghost_engine.h"
 #include "graph/generators.h"
 #include "io/edge_list.h"
 #include "io/fgnb_layout.h"
 #include "io/graph_file.h"
 #include "io/load.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "testing_util.h"
@@ -592,7 +592,7 @@ TEST(LoadGraphSampleTest, SymmetrizeAppendsReverseEdges)
  * list, cache it as FGNB, reload, and verify the P=4 Fennel sharded
  * run of the reloaded sample is bit-identical to (a) the in-memory
  * engine run of the same sample and (b) the run of the never-saved
- * original. Single NT unit per die — the bit-exactness condition.
+ * original.
  */
 TEST(ShardedFromFileTest, FennelShardedRunBitIdenticalToInMemory)
 {

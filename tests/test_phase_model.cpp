@@ -257,7 +257,6 @@ TEST(PhaseModelOracle, GhostPerDieStatsMatchAtThreeDies)
             ShardConfig shard;
             shard.num_shards = 3;
             shard.strategy = ShardStrategy::kFennel;
-            shard.mode = ShardMode::kGhostExchange;
             GhostPlan plan = make_ghost_plan(model, prepared, shard);
             ASSERT_TRUE(plan.sharded);
             ASSERT_EQ(plan.shards.size(), 3u);

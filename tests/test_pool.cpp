@@ -17,10 +17,10 @@
 #include <sstream>
 #include <thread>
 
+#include "ghost/ghost_engine.h"
 #include "graph/generators.h"
 #include "obs/trace_session.h"
 #include "pool/schedule_sim.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -225,7 +225,7 @@ TEST(PoolScheduler, TwoP2JobsFillFourDiesAndStayBitIdentical)
 {
     // Two P=2 sharded jobs on a D=4 pool under kSpaceShare must run
     // concurrently — pool occupancy reaches all 4 dies — and their
-    // merged results must be bit-identical to isolated runs.
+    // results must be bit-identical to isolated runs.
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     EngineConfig cfg;
     cfg.p_node = 1;
@@ -298,12 +298,11 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     ShardedEngine e2(model, cfg, p2);
     ShardedEngine e3(model, cfg, p3);
     Engine e1(model, cfg);
+    // Exchange-synchronous dies are busy or waiting for the whole
+    // composed chain: P tasks of the run's total each.
     auto task_cycles = [](const ShardedRunResult &r) {
-        std::vector<std::uint64_t> cycles;
-        for (const ShardInfo &info : r.shards)
-            cycles.push_back(info.stats.total_cycles +
-                             info.comm_cycles);
-        return cycles;
+        return std::vector<std::uint64_t>(r.shards.size(),
+                                          r.stats.total_cycles);
     };
     std::vector<SimJob> trace;
     trace.push_back({task_cycles(e2.run(wide2)), 0, 0});
@@ -350,7 +349,7 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
         return lease_schedule(session);
     };
     // Backfill: a single starts while the 2-wide head job still holds
-    // both its dies, i.e. before either of its slices ends.
+    // both its dies, i.e. before either of its leases ends.
     auto backfilled = [](std::map<unsigned, JobLeases> &jobs) {
         const double single =
             std::min(jobs[3].first_start, jobs[4].first_start);
@@ -359,7 +358,7 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
 
     std::map<unsigned, JobLeases> gang = run_trace(PoolPolicy::kFifoGang);
     ASSERT_EQ(gang.size(), 4u);
-    // Gang: the 3-wide job starts only once a 2-wide slice has freed
+    // Gang: the 3-wide job starts only once a 2-wide lease has freed
     // its die, and strict FIFO holds the singles until it has started.
     EXPECT_GE(gang[2].first_start, gang[1].first_end);
     EXPECT_GE(std::min(gang[3].first_start, gang[4].first_start),
@@ -371,10 +370,10 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     ASSERT_EQ(share.size(), 4u);
     // Space share: the singles backfill beside the 2-wide job. (Not
     // "before the 3-wide job ends": when a late die wakeup lets the
-    // 3-wide job's last two slices run side by side, its end and the
+    // 3-wide job's last two leases run side by side, its end and the
     // first single's start are microseconds apart, in either order.)
     EXPECT_TRUE(backfilled(share))
-        << "no single started before the 2-wide job's first slice ended";
+        << "no single started before the 2-wide job's first lease ended";
 }
 
 TEST(PoolScheduler, LiveAndSimulatedPoolsPickInTheSameOrder)

@@ -1,17 +1,17 @@
 /**
  * @file
- * flowgnn::shard tests: shard assignment strategies, cut metrics, halo
- * closure, sharded-vs-single-engine equivalence (bit-exact where the
- * message arrival order is preserved), multi-die stats composition and
- * communication modeling, and size routing onto one pool.
+ * flowgnn::shard tests: shard assignment strategies, cut metrics,
+ * sharded-vs-single-engine equivalence (bit-exact), multi-die stats
+ * composition and communication modeling, and size routing onto one
+ * pool.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "ghost/ghost_engine.h"
 #include "graph/generators.h"
 #include "pool/scheduler.h"
-#include "shard/sharded_engine.h"
 #include "tensor/ops.h"
 #include "testing_util.h"
 
@@ -93,7 +93,7 @@ TEST(ShardAssignment, NearShardCountSplitsLeaveNoShardEmpty)
 TEST(ShardAssignment, FewerNodesThanShardsYieldsOnePerShard)
 {
     // n < P is defined behavior: exactly n shards own one node each;
-    // make_shard_plan drops the rest, so downstream layers see the
+    // make_ghost_plan drops the rest, so downstream layers see the
     // effective P.
     CooGraph g = make_chain(3);
     for (ShardStrategy strategy :
@@ -196,68 +196,22 @@ TEST(ShardCutMetrics, ModuloCutsEveryLocalEdgeContiguousAlmostNone)
     EXPECT_EQ(shard_cut_edges(g, one), 0u);
 }
 
-// ---- Halo closure -----------------------------------------------------
-
-TEST(ShardClosure, ChainClosureGrowsOneHopPerLevel)
-{
-    CooGraph g = make_chain(10);
-    auto assignment =
-        shard_assignment(g, 2, ShardStrategy::kContiguous); // 0-4 | 5-9
-
-    using V = std::vector<NodeId>;
-    EXPECT_EQ(shard_closure(g, assignment, 0, 0), (V{0, 1, 2, 3, 4}));
-    EXPECT_EQ(shard_closure(g, assignment, 0, 1),
-              (V{0, 1, 2, 3, 4, 5}));
-    EXPECT_EQ(shard_closure(g, assignment, 0, 2),
-              (V{0, 1, 2, 3, 4, 5, 6}));
-    EXPECT_EQ(shard_closure(g, assignment, 1, 2),
-              (V{3, 4, 5, 6, 7, 8, 9}));
-    // Deep closures saturate at the whole graph.
-    EXPECT_EQ(shard_closure(g, assignment, 0, 50).size(), 10u);
-}
-
-TEST(ShardClosure, AscendingOrderOnRandomGraph)
-{
-    Rng rng(99);
-    CooGraph g = make_barabasi_albert(200, 2, rng);
-    auto assignment = shard_assignment(g, 3, ShardStrategy::kModulo);
-    for (std::uint32_t s = 0; s < 3; ++s) {
-        auto closure = shard_closure(g, assignment, s, 2);
-        EXPECT_TRUE(
-            std::is_sorted(closure.begin(), closure.end()))
-            << "closure must preserve global id order (bit-exactness "
-               "of single-NT sharded runs depends on it)";
-    }
-}
-
-TEST(ShardClosure, ReplicationFactorMatchesHandCount)
-{
-    CooGraph g = make_chain(10);
-    auto assignment =
-        shard_assignment(g, 2, ShardStrategy::kContiguous);
-    // 2-hop closures are {0..6} and {3..9}: 14 copies of 10 nodes.
-    EXPECT_DOUBLE_EQ(
-        shard_replication_factor(g, assignment, 2, 2), 1.4);
-    EXPECT_DOUBLE_EQ(
-        shard_replication_factor(g, assignment, 2, 0), 1.0);
-}
-
 // ---- ShardedEngine functional equivalence -----------------------------
 
 TEST(ShardedEngine, MessageHopsCountsNeighborConsumingStages)
 {
     // 5 conv layers for the dim-100 families, encoder excluded.
     Model gin = make_model(ModelKind::kGin, 9, 3);
-    EXPECT_EQ(ShardedEngine::message_hops(gin), 5u);
+    EXPECT_EQ(message_hops(gin), 5u);
     Model gcn16 = make_model(ModelKind::kGcn16, 9, 0);
-    EXPECT_EQ(ShardedEngine::message_hops(gcn16), 2u);
+    EXPECT_EQ(message_hops(gcn16), 2u);
 }
 
 TEST(ShardedEngine, BitExactWithSingleNtUnitAcrossModels)
 {
-    // With one NT unit, message arrival is src-major on every die and
-    // on the single engine, and shard closures preserve global id
-    // order — so the merged embeddings must be bit-identical.
+    // Values come from one src-major functional pass over the whole
+    // graph, exactly as on the single engine, so the sharded
+    // embeddings must be bit-identical.
     Rng rng(0xACE);
     GraphSample sample = make_random_sample(
         make_barabasi_albert(300, 2, rng), 9, 3, 0xACE1);
@@ -328,8 +282,8 @@ TEST(ShardedEngine, VirtualNodeModelFallsBackToSingleDie)
     RunResult single = Engine(model, {}).run(sample);
 
     EXPECT_EQ(sharded.shards.size(), 1u)
-        << "the virtual node's halo is the whole graph; sharding must "
-           "fall back";
+        << "the virtual node makes every vertex a boundary vertex; "
+           "sharding must fall back";
     EXPECT_TRUE(sharded.embeddings == single.embeddings);
     EXPECT_EQ(sharded.prediction, single.prediction);
     EXPECT_EQ(sharded.stats.comm_cycles, 0u);
@@ -370,8 +324,8 @@ TEST(ShardedEngine, CommCyclesAndStatsComposition)
     std::uint64_t max_comm = 0;
     for (const ShardInfo &info : r.shards) {
         EXPECT_GT(info.owned_nodes, 0u);
-        EXPECT_GT(info.halo_nodes, 0u)
-            << "a cut ring must replicate boundary nodes";
+        EXPECT_GT(info.ghost_nodes, 0u)
+            << "a cut ring must give every die ghost vertices";
         EXPECT_GT(info.comm_cycles, 0u);
         EXPECT_GE(info.comm_cycles,
                   shard.link.latency_cycles);
@@ -380,7 +334,7 @@ TEST(ShardedEngine, CommCyclesAndStatsComposition)
         max_comm = std::max(max_comm, info.comm_cycles);
     }
     EXPECT_EQ(r.stats.total_cycles, slowest)
-        << "composed cycles must be the slowest fetch+compute chain";
+        << "composed cycles must be the slowest exchange+compute chain";
     EXPECT_EQ(r.stats.comm_cycles, max_comm);
     EXPECT_EQ(r.stats.nt_units.size(), 4u * cfg.p_node);
     EXPECT_EQ(r.stats.mp_units.size(), 4u * cfg.p_edge);
@@ -395,32 +349,36 @@ TEST(ShardStats, OverlapModePinsBothCompositionFormulas)
     // overlapped chain formulas exactly.
     RunStats a;
     a.total_cycles = 1000;
-    a.load_cycles = 300;
+    a.phase_cycles = {400, 300};
     RunStats b;
     b.total_cycles = 800;
-    b.load_cycles = 100;
+    b.phase_cycles = {200, 500};
     std::vector<RunStats> dies = {a, b};
-    std::vector<std::uint64_t> comm = {500, 50};
+    std::vector<std::vector<std::uint64_t>> comm = {{500, 100},
+                                                    {50, 0}};
 
-    // Serial: comm fully precedes compute on each die.
+    // Serial: every exchange precedes the phase it feeds.
     RunStats serial = compose_shard_stats(dies, comm, false);
     ASSERT_EQ(serial.die_cycles.size(), 2u);
-    EXPECT_EQ(serial.die_cycles[0], 1500u); // 1000 + 500
+    EXPECT_EQ(serial.die_cycles[0], 1600u); // 1000 + 500 + 100
     EXPECT_EQ(serial.die_cycles[1], 850u);  // 800 + 50
-    EXPECT_EQ(serial.total_cycles, 1500u);
+    EXPECT_EQ(serial.total_cycles, 1600u);
+    EXPECT_EQ(serial.comm_cycles, 600u);
+    EXPECT_EQ(serial.layer_comm_cycles,
+              (std::vector<std::uint64_t>{500, 100}));
 
-    // Overlap: the fetch hides behind the die's input DMA; only the
-    // excess over load_cycles delays the compute remainder.
+    // Overlap: exchange p hides behind phase p's compute window; only
+    // the excess delays the chain.
     RunStats overlap = compose_shard_stats(dies, comm, true);
-    EXPECT_EQ(overlap.die_cycles[0], 1200u); // max(500,300) + 700
-    EXPECT_EQ(overlap.die_cycles[1], 800u);  // max(50,100) + 700
-    EXPECT_EQ(overlap.total_cycles, 1200u);
+    EXPECT_EQ(overlap.die_cycles[0], 1100u); // 1000 + (500-400) + 0
+    EXPECT_EQ(overlap.die_cycles[1], 800u);  // 800 + 0 + 0
+    EXPECT_EQ(overlap.total_cycles, 1100u);
 
     // Die-level utilization of the makespan falls out of die_cycles.
     auto util = serial.die_utilizations();
     ASSERT_EQ(util.size(), 2u);
     EXPECT_DOUBLE_EQ(util[0], 1.0);
-    EXPECT_DOUBLE_EQ(util[1], 850.0 / 1500.0);
+    EXPECT_DOUBLE_EQ(util[1], 850.0 / 1600.0);
 }
 
 TEST(ShardedEngine, OverlapNeverSlowerThanSerialAndSameAnswer)
@@ -441,8 +399,8 @@ TEST(ShardedEngine, OverlapNeverSlowerThanSerialAndSameAnswer)
     EXPECT_TRUE(ro.embeddings == rs.embeddings)
         << "overlap changes timing composition only, never answers";
     EXPECT_LT(ro.stats.total_cycles, rs.stats.total_cycles)
-        << "a cut ring has real comm to hide behind the load prefix";
-    // Overlap can hide at most the whole fetch.
+        << "a cut ring has real comm to hide behind the compute windows";
+    // Overlap can hide at most every exchange.
     std::uint64_t compute_only = 0;
     for (const ShardInfo &info : ro.shards)
         compute_only =
@@ -467,7 +425,7 @@ TEST(ShardedEngine, ShardingALocalGraphReducesModeledCycles)
     std::uint64_t cycles2 =
         ShardedEngine(model, {}, two).run(sample).stats.total_cycles;
     EXPECT_LT(cycles2, cycles1)
-        << "two dies with tiny halos must beat one die";
+        << "two dies with tiny ghost fringes must beat one die";
 }
 
 // ---- Size routing onto one pool ---------------------------------------
@@ -538,14 +496,14 @@ TEST(PoolRouting, RejectPolicyShedsShardedPathWhenFull)
     EXPECT_EQ(st.sharded.submitted, 1u);
 }
 
-// ---- Effective-P agreement when slices are dropped --------------------
+// ---- Effective-P agreement when dies are dropped ----------------------
 
 TEST(ShardPlanEffectiveP, AllLayersAgreeWhenRequestExceedsNodes)
 {
-    // A P=4 request on a 3-node graph drops one empty slice. Every
-    // consumer of the plan — the plan itself, merge_shard_results,
-    // compose_shard_stats (via die_cycles), and the pool's die-lease
-    // accounting — must agree that the effective P is 3.
+    // A P=4 request on a 3-node graph drops one empty die. Every
+    // consumer of the plan — the plan itself, the run's per-die
+    // breakdown, compose_shard_stats (via die_cycles), and the pool's
+    // die-lease accounting — must agree that the effective P is 3.
     Model model = make_model(ModelKind::kGcn16, 16, 0);
     GraphSample sample = make_random_sample(make_chain(3), 16, 0, 0x3A);
     EngineConfig cfg;
@@ -555,24 +513,23 @@ TEST(ShardPlanEffectiveP, AllLayersAgreeWhenRequestExceedsNodes)
     shard.strategy = ShardStrategy::kContiguous;
 
     GraphSample prepared = model.prepare(sample);
-    ShardPlan plan = make_shard_plan(model, prepared, shard);
+    GhostPlan plan = make_ghost_plan(model, prepared, shard);
     EXPECT_TRUE(plan.sharded);
-    ASSERT_EQ(plan.slices.size(), 3u)
-        << "one slice per non-empty shard";
+    ASSERT_EQ(plan.shards.size(), 3u) << "one entry per non-empty die";
 
     RunResult single = Engine(model, cfg).run(sample);
     ShardedRunResult direct =
         ShardedEngine(model, cfg, shard).run(sample);
     EXPECT_EQ(direct.shards.size(), 3u);
     EXPECT_EQ(direct.stats.die_cycles.size(), 3u)
-        << "compose_shard_stats must see exactly the live slices";
+        << "compose_shard_stats must see exactly the live dies";
     EXPECT_EQ(direct.stats.die_utilizations().size(), 3u);
     EXPECT_TRUE(direct.embeddings == single.embeddings);
     EXPECT_EQ(direct.prediction, single.prediction);
 
-    // The pool must lease exactly one die per live slice — a lease
-    // for the dropped slice would deadlock a gang start on a full
-    // pool and skew utilization.
+    // The pool must lease exactly one die per live die — a lease for
+    // the dropped one would deadlock a gang start on a full pool and
+    // skew utilization.
     PoolConfig pool_cfg;
     pool_cfg.num_dies = 4;
     PoolScheduler scheduler(model, cfg, pool_cfg);

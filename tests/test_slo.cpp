@@ -33,7 +33,6 @@
 #include "pool/dispatch.h"
 #include "pool/pool_energy.h"
 #include "pool/schedule_sim.h"
-#include "shard/sharded_engine.h"
 #include "tensor/rng.h"
 #include "testing_util.h"
 
@@ -842,64 +841,6 @@ TEST(PoolSchedulerSlo, LivePreemptionKeepsResultsBitIdentical)
     EXPECT_EQ(ru.prediction, iu.prediction);
     EXPECT_GE(scheduler.stats().preemptions, 1u)
         << "the 16 layer boundaries leave ample room to yield";
-}
-
-TEST(PoolSchedulerSlo, LiveEasyBackfillRunsShortJobInTheHole)
-{
-    // D=2, FIFO gang with backfill. j0 (long single, with a runtime
-    // estimate) holds one die; j1 wants both dies and blocks; j2 is a
-    // tiny single whose estimate provably fits before j0's finish — it
-    // must run in the hole. Completion order against j0 itself is too
-    // noisy to assert on a loaded single-core host; the robust
-    // observable is the gang job: backfilled, the tiny job completes
-    // before the wide job can even start (it needs both dies), while
-    // plain FIFO order would run the tiny job last.
-    Model model = make_model(ModelKind::kGcn16, 16, 0);
-    EngineConfig cfg;
-    Engine probe(model, cfg);
-    GraphSample long_job = make_random_sample(
-        make_ring_lattice(100000, 2), 16, 0, 0x570);
-    GraphSample wide = make_random_sample(
-        make_ring_lattice(20000, 2), 16, 0, 0x571);
-    GraphSample tiny = make_random_sample(
-        make_ring_lattice(64, 2), 16, 0, 0x572);
-    const std::uint64_t long_cycles =
-        probe.run(long_job).stats.total_cycles;
-    const std::uint64_t tiny_cycles =
-        probe.run(tiny).stats.total_cycles;
-    ASSERT_LT(tiny_cycles * 10, long_cycles);
-
-    ShardConfig two;
-    two.num_shards = 2;
-    PoolConfig pool;
-    pool.num_dies = 2;
-    pool.policy = PoolPolicy::kFifoGang;
-    pool.easy_backfill = true;
-    pool.start_paused = true;
-    PoolScheduler scheduler(model, cfg, pool);
-
-    JobSpec js0;
-    js0.estimated_task_cycles = long_cycles;
-    auto f0 = scheduler.submit(long_job, RunOptions{}, js0);
-    JobSpec js1;
-    js1.estimated_task_cycles = tiny_cycles;
-    auto f1 = scheduler.submit_sharded(wide, two, RunOptions{}, js1);
-    JobSpec js2;
-    js2.estimated_task_cycles = tiny_cycles;
-    auto f2 = scheduler.submit(tiny, RunOptions{}, js2);
-    scheduler.start();
-
-    // The backfilled single must be done before the blocked gang head
-    // can have started (both dies free only after j0 AND the hole
-    // drain); without backfill FIFO would run it last, after the head.
-    f2.wait();
-    EXPECT_NE(f1.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "tiny job finished before the wide gang job => backfilled";
-    EXPECT_NO_THROW(f0.get());
-    EXPECT_NO_THROW(f1.get());
-    EXPECT_NO_THROW(f2.get());
-    EXPECT_EQ(scheduler.stats().completed(), 3u);
 }
 
 TEST(PoolSchedulerSlo, AutoscalerShrinksIdlePoolToMin)

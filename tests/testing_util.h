@@ -710,7 +710,7 @@ naive_ghost_die_stats(const Model &model, const GhostShard &shard,
         std::uint64_t(n_owned) * (node_dim + 1) +
             std::uint64_t(shard.local_graph.edges.size()) *
                 (edge_dim + 2) +
-            shard.info.halo_nodes,
+            shard.info.ghost_nodes,
         64);
     naive_detail::price_run(model, cfg, opts, shard.local_graph,
                             shard.is_owned, n_owned, stats);
