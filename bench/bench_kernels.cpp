@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the engine's primitive kernels:
- * FIFO traffic, input-stationary accumulation, aggregator folds, the
+ * FIFO traffic, row-block Linear forwards, aggregator folds, the
  * GCN-16 column gather, CSR construction from the streamed COO list,
  * and whole-engine runs.
  * These quantify simulator throughput (host-side), complementing the
@@ -32,21 +32,28 @@ BM_FifoPushPop(benchmark::State &state)
 BENCHMARK(BM_FifoPushPop);
 
 void
-BM_LinearAccumulate(benchmark::State &state)
+BM_LinearForwardRows(benchmark::State &state)
 {
-    const std::size_t dim = state.range(0);
+    // `rows` rows of a dim x dim layer per iteration: 1 row takes the
+    // per-row loop, 8 rows two 4-row tiles that load each weight once.
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    const auto rows = static_cast<std::size_t>(state.range(1));
     Rng rng(1);
     Linear lin(dim, dim);
     lin.init_glorot(rng);
-    Vec x(dim, 0.5f);
+    std::vector<float> x(rows * dim);
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-1, 1));
+    std::vector<float> out(rows * dim);
     for (auto _ : state) {
-        Vec acc = lin.bias();
-        lin.accumulate(acc, x, 0, dim);
-        benchmark::DoNotOptimize(acc.data());
+        lin.forward_rows(x.data(), out.data(), rows);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * dim * dim);
+    state.SetItemsProcessed(state.iterations() * rows * dim * dim);
 }
-BENCHMARK(BM_LinearAccumulate)->Arg(16)->Arg(64)->Arg(100);
+BENCHMARK(BM_LinearForwardRows)
+    ->ArgsProduct({{16, 64, 100}, {1, 8}});
 
 void
 BM_AggregatorFold(benchmark::State &state)

@@ -73,22 +73,33 @@ class NewGnnLayer : public Layer
                       });
     }
 
-    // Line 10-13: the node transformation, written into out_dim()
-    // floats.
+    // Line 10-13: the node transformation over a block of `count`
+    // nodes, one out_dim()-float row each; the Linear passes run a
+    // row tile at a time so each weight loads once per tile.
     void
-    transform(const float *x_self, const float *agg, NodeId,
-              const LayerContext &, float *out) const override
+    transform_rows(const float *x, const float *agg, NodeId,
+                   std::size_t count, const LayerContext &,
+                   float *out) const override
     {
-        ScratchRow mixed(dim_);
-        ScratchRow gate_in(2 * dim_);
-        ScratchRow gate(dim_);
-        mix_.forward(agg, mixed.data());
-        std::copy(x_self, x_self + dim_, gate_in.data());
-        std::copy(agg, agg + dim_, gate_in.data() + dim_);
-        gate_.forward(gate_in.data(), gate.data());
-        apply_activation(gate.data(), dim_, Activation::kSigmoid);
-        for (std::size_t i = 0; i < dim_; ++i)
-            out[i] = gate[i] * x_self[i] + (1.0f - gate[i]) * mixed[i];
+        constexpr std::size_t kTile = Linear::kTileRows;
+        ScratchRow mixed(kTile * dim_);
+        ScratchRow gate_in(kTile * 2 * dim_);
+        ScratchRow gate(kTile * dim_);
+        for_row_tiles(count, [&](std::size_t r0, std::size_t n) {
+            const float *xs = x + r0 * dim_;
+            const float *m = agg + r0 * dim_;
+            mix_.forward_rows(m, mixed.data(), n);
+            for (std::size_t r = 0; r < n; ++r) {
+                float *g = gate_in.data() + r * 2 * dim_;
+                std::copy(xs + r * dim_, xs + (r + 1) * dim_, g);
+                std::copy(m + r * dim_, m + (r + 1) * dim_, g + dim_);
+            }
+            gate_.forward_rows(gate_in.data(), gate.data(), n);
+            apply_activation(gate.data(), n * dim_, Activation::kSigmoid);
+            float *y = out + r0 * dim_;
+            for (std::size_t i = 0; i < n * dim_; ++i)
+                y[i] = gate[i] * xs[i] + (1.0f - gate[i]) * mixed[i];
+        });
     }
 
     std::vector<std::size_t> nt_pass_dims() const override

@@ -39,17 +39,20 @@ attention(const Layer &stage)
 
 /**
  * One kernel pass over a prepared sample: the layer context, the
- * lazily built in-adjacencies, and the per-stage phases over row-major
- * [num_nodes x width] buffers. Every phase writes only rows its worker
- * owns.
+ * in-adjacencies (the src-major one up front when a stage gathers, the
+ * stream-order one on first use), and the per-stage phases over
+ * row-major [num_nodes x width] buffers. Every phase writes only rows
+ * its worker owns.
  */
 class Pass
 {
   public:
+    /** `gathers`: some stage of this pass gathers messages, so the
+     * src-major in-adjacency is built up front and the context's
+     * degrees are read off its counting sorts. */
     Pass(const Model &model, const SampleRef &g, const RunOptions &opts,
-         unsigned threads)
-        : g_(g), n_(g.num_nodes()), opts_(opts), threads_(threads),
-          ctx_(make_layer_context(g, model.pna_params(), threads))
+         unsigned threads, bool gathers)
+        : g_(g), n_(g.num_nodes()), opts_(opts), threads_(threads)
     {
         if (g.num_edges() >= kKernelSerialCutoff)
             parts_ = std::min<unsigned>(host_threads(threads), n_);
@@ -58,6 +61,13 @@ class Pass
             edge_ids_ = edge_ids_ ||
                         (g.edge_dim > 0 && is_conv(model.stage(si)) &&
                          model.stage(si).uses_edge_features());
+        NodeDegrees counted;
+        if (gathers) {
+            src_major_ = build(CscOrder::kSrcMajor, &counted.out);
+            counted.in = src_major_->csc.in_degrees();
+        }
+        ctx_ = make_layer_context(g, model.pna_params(), threads,
+                                  gathers ? &counted : nullptr);
     }
 
     void
@@ -67,36 +77,37 @@ class Pass
             quantize_inplace(values, count, opts_.fixed_point);
     }
 
-    /** out = stage.transform(x, finalized aggregate), or the GAT
-     * projection of x when `gat` is set; quantized. */
+    /** out = stage.transform_rows(x, finalized aggregates) — the GAT
+     * projection for attention — once over each worker's node range;
+     * quantized. */
     void
-    transform(const Layer &stage, const GatLayer *gat,
-              const std::vector<float> &x, const Aggregator *agg,
-              const std::vector<float> &state, std::vector<float> &out)
+    transform(const Layer &stage, const std::vector<float> &x,
+              const Aggregator *agg, const std::vector<float> &state,
+              std::vector<float> &out)
     {
         const std::size_t in_dim = stage.in_dim();
         const std::size_t out_dim = stage.out_dim();
         const std::size_t sd = agg != nullptr ? agg->state_dim() : 0;
+        const std::size_t fd = agg != nullptr ? agg->out_dim() : 0;
         out.resize(std::size_t(n_) * out_dim);
         parallel_ranges(
             n_, parts_,
             [&](std::size_t begin, std::size_t end, unsigned) {
-                Vec fin(agg != nullptr ? agg->out_dim() : 0);
-                for (std::size_t i = begin; i < end; ++i) {
-                    const float *self = x.data() + i * in_dim;
-                    float *y = out.data() + i * out_dim;
-                    if (agg != nullptr) {
-                        agg->finalize(state.data() + i * sd,
-                                      ctx_.in_deg[i], ctx_.pna, fin.data());
-                        quantize(fin.data(), fin.size());
-                    }
-                    if (gat != nullptr)
-                        gat->project(self, y);
-                    else
-                        stage.transform(self, fin.data(),
-                                        static_cast<NodeId>(i), ctx_, y);
-                    quantize(y, out_dim);
+                const std::size_t count = end - begin;
+                // The range's finalized aggregates, one row per node.
+                std::vector<float> fin(count * fd);
+                if (agg != nullptr) {
+                    for (std::size_t i = begin; i < end; ++i)
+                        agg->finalize(state.data() + i * sd, ctx_.in_deg[i],
+                                      ctx_.pna, fin.data() + (i - begin) * fd);
+                    quantize(fin.data(), fin.size());
                 }
+                float *y = out.data() + begin * out_dim;
+                stage.transform_rows(x.data() + begin * in_dim,
+                                     agg != nullptr ? fin.data() : nullptr,
+                                     static_cast<NodeId>(begin), count,
+                                     ctx_, y);
+                quantize(y, count * out_dim);
             },
             /*serial_cutoff=*/1);
     }
@@ -168,19 +179,28 @@ class Pass
         std::vector<NodeId> bounds; ///< edge-balanced worker ranges
     };
 
-    /** The in-adjacency in `order`, built on first use. Attention never
-     * reads edge features, so only the src-major one keeps edge ids. */
+    /** The in-adjacency in `order` (src-major: out-degrees into
+     * `out_deg` when non-null). Attention never reads edge features,
+     * so only the src-major one keeps edge ids. */
+    std::unique_ptr<Adjacency>
+    build(CscOrder order, std::vector<std::uint32_t> *out_deg = nullptr) const
+    {
+        auto adj = std::make_unique<Adjacency>();
+        adj->csc = CscGraph(g_.graph, threads_, order,
+                            order == CscOrder::kSrcMajor && edge_ids_,
+                            out_deg);
+        adj->bounds = adj->csc.balanced_cols(parts_);
+        return adj;
+    }
+
+    /** The in-adjacency in `order`, built on first use. */
     const Adjacency &
     adjacency(CscOrder order)
     {
         std::unique_ptr<Adjacency> &slot =
             order == CscOrder::kSrcMajor ? src_major_ : stream_;
-        if (!slot) {
-            slot = std::make_unique<Adjacency>();
-            slot->csc = CscGraph(g_.graph, threads_, order,
-                                 order == CscOrder::kSrcMajor && edge_ids_);
-            slot->bounds = slot->csc.balanced_cols(parts_);
-        }
+        if (!slot)
+            slot = build(order);
         return *slot;
     }
 
@@ -203,7 +223,7 @@ class Pass
     const NodeId n_;
     const RunOptions &opts_;
     const unsigned threads_;
-    const LayerContext ctx_;
+    LayerContext ctx_;
     unsigned parts_ = 1;
     bool edge_ids_ = false;
     std::unique_ptr<Adjacency> src_major_;
@@ -237,7 +257,14 @@ functional_forward(const Model &model, const SampleRef &prepared,
     std::vector<float> &cur = ws.cur;
     std::vector<float> &out = ws.out;
     std::vector<float> &state = ws.state;
-    Pass pass(model, prepared, opts, threads);
+    // Every conv left to run gathers, except a resumed first stage
+    // whose messages the checkpoint carries.
+    bool gathers = false;
+    for (std::size_t si = first; si < n_stages; ++si)
+        gathers = gathers ||
+                  (is_conv(model.stage(si)) &&
+                   (si > first || first == 0 || !ckpt.have_agg));
+    Pass pass(model, prepared, opts, threads, gathers);
 
     bool have_agg = false;
     const GatLayer *pending_gat = nullptr;
@@ -280,8 +307,7 @@ functional_forward(const Model &model, const SampleRef &prepared,
         }
         const Aggregator agg = have_agg ? stage.aggregator() : Aggregator();
         pending_gat = attention(stage);
-        pass.transform(stage, pending_gat, cur, have_agg ? &agg : nullptr,
-                       state, out);
+        pass.transform(stage, cur, have_agg ? &agg : nullptr, state, out);
         std::swap(cur, out);
 
         // The fused scatter: the next conv's messages over this stage's

@@ -199,11 +199,14 @@ CsrGraph::CsrGraph(const GraphRef &graph, unsigned threads)
 CscGraph::CscGraph(const CooGraph &coo) : CscGraph(GraphRef(coo), 1) {}
 
 CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
-                   bool edge_ids)
+                   bool edge_ids, std::vector<std::uint32_t> *out_degrees)
     : num_nodes_(graph.num_nodes())
 {
     std::vector<EdgeId> *ids = edge_ids ? &edge_id_ : nullptr;
     if (order == CscOrder::kStream) {
+        if (out_degrees != nullptr)
+            throw std::invalid_argument(
+                "CscGraph: out-degrees need a src-major build");
         build_adjacency(graph, threads, /*by_src=*/false, "CscGraph",
                         offsets_, src_, ids);
         return;
@@ -216,6 +219,12 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
     std::vector<EdgeId> row_ids;
     build_adjacency(graph, threads, /*by_src=*/true, "CscGraph", row, dst,
                     edge_ids ? &row_ids : nullptr);
+    if (out_degrees != nullptr) {
+        out_degrees->resize(num_nodes_);
+        for (NodeId v = 0; v < num_nodes_; ++v)
+            (*out_degrees)[v] =
+                static_cast<std::uint32_t>(row[v + 1] - row[v]);
+    }
     auto stream = [&](std::size_t b, std::size_t end, auto &&fn) {
         // The row holding slot b, then advance row by row.
         auto r = static_cast<NodeId>(
@@ -228,6 +237,15 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
     };
     counting_sort(num_nodes_, dst.size(), threads, stream, offsets_, src_,
                   ids);
+}
+
+std::vector<std::uint32_t>
+CscGraph::in_degrees() const
+{
+    std::vector<std::uint32_t> deg(num_nodes_);
+    for (NodeId v = 0; v < num_nodes_; ++v)
+        deg[v] = in_degree(v);
+    return deg;
 }
 
 std::vector<NodeId>

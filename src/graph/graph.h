@@ -185,11 +185,15 @@ class CscGraph
      * kSrcMajor build runs two stable counting sorts — by src into a
      * transient CSR (4 B/edge, 8 B/edge with edge ids), then by dst in
      * CSR order. With `edge_ids` false the per-slot edge ids are not
-     * stored (edge_id() must not be called).
+     * stored (edge_id() must not be called). A non-null `out_degrees`
+     * receives every node's out-degree from the by-src sort's offsets;
+     * only a kSrcMajor build has that sort (std::invalid_argument
+     * otherwise).
      */
     explicit CscGraph(const GraphRef &graph, unsigned threads = 0,
                       CscOrder order = CscOrder::kStream,
-                      bool edge_ids = true);
+                      bool edge_ids = true,
+                      std::vector<std::uint32_t> *out_degrees = nullptr);
 
     NodeId num_nodes() const { return num_nodes_; }
     std::size_t num_edges() const { return src_.size(); }
@@ -216,6 +220,9 @@ class CscGraph
     {
         return static_cast<std::uint32_t>(col_end(n) - col_begin(n));
     }
+
+    /** Every node's in-degree, read off the column offsets. */
+    std::vector<std::uint32_t> in_degrees() const;
 
     /**
      * Splits the destinations into `parts` contiguous ranges holding

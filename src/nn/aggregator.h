@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "tensor/fixed_point.h"
 #include "tensor/matrix.h"
@@ -81,6 +82,49 @@ class Aggregator
 
 namespace detail {
 
+/**
+ * Folds message `m` into PNA's sum, sum of squares, max and min rows
+ * (dim floats each, consecutive from `sum`), four lanes at a time.
+ * Lane-wise IEEE adds and multiplies, and the selects `a < b ? b : a`
+ * / `b < a ? b : a` that define std::max / std::min (NaN and signed
+ * zero included), so the bits equal the scalar loop's.
+ */
+inline void
+fold_pna_row(float *sum, const float *m, std::size_t dim)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    float *sumsq = sum + dim;
+    float *mx = sumsq + dim;
+    float *mn = mx + dim;
+    std::size_t i = 0;
+    for (; i + 4 <= dim; i += 4) {
+        Lanes v;
+        Lanes s;
+        Lanes q;
+        Lanes hi;
+        Lanes lo;
+        std::memcpy(&v, m + i, sizeof v);
+        std::memcpy(&s, sum + i, sizeof s);
+        std::memcpy(&q, sumsq + i, sizeof q);
+        std::memcpy(&hi, mx + i, sizeof hi);
+        std::memcpy(&lo, mn + i, sizeof lo);
+        s += v;
+        q += v * v;
+        hi = hi < v ? v : hi;
+        lo = v < lo ? v : lo;
+        std::memcpy(sum + i, &s, sizeof s);
+        std::memcpy(sumsq + i, &q, sizeof q);
+        std::memcpy(mx + i, &hi, sizeof hi);
+        std::memcpy(mn + i, &lo, sizeof lo);
+    }
+    for (; i < dim; ++i) {
+        sum[i] += m[i];
+        sumsq[i] += m[i] * m[i];
+        mx[i] = std::max(mx[i], m[i]);
+        mn[i] = std::min(mn[i], m[i]);
+    }
+}
+
 /** fold_messages for one aggregator kind and fixed-point case. */
 template <AggregatorKind K, bool Fixed, class MessageFn>
 void
@@ -102,21 +146,11 @@ fold_messages(std::size_t dim, std::size_t state_dim,
                       K == AggregatorKind::kDgn) {
             add_row(payload, m, dim);
         } else if constexpr (K == AggregatorKind::kMax) {
-            for (std::size_t i = 0; i < dim; ++i)
-                payload[i] = std::max(payload[i], m[i]);
+            max_row(payload, m, dim);
         } else if constexpr (K == AggregatorKind::kMin) {
-            for (std::size_t i = 0; i < dim; ++i)
-                payload[i] = std::min(payload[i], m[i]);
+            min_row(payload, m, dim);
         } else { // kPna: sum, sum of squares, max, min
-            float *sumsq = payload + dim;
-            float *mx = sumsq + dim;
-            float *mn = mx + dim;
-            for (std::size_t i = 0; i < dim; ++i) {
-                payload[i] += m[i];
-                sumsq[i] += m[i] * m[i];
-                mx[i] = std::max(mx[i], m[i]);
-                mn[i] = std::min(mn[i], m[i]);
-            }
+            fold_pna_row(payload, m, dim);
         }
         if constexpr (Fixed)
             quantize_inplace(state, state_dim, *fixed);

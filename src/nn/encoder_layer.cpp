@@ -9,10 +9,11 @@ EncoderLayer::EncoderLayer(std::size_t in_dim, std::size_t out_dim, Rng &rng)
 }
 
 void
-EncoderLayer::transform(const float *x_self, const float *, NodeId,
-                        const LayerContext &, float *out) const
+EncoderLayer::transform_rows(const float *x, const float *, NodeId,
+                             std::size_t count, const LayerContext &,
+                             float *out) const
 {
-    linear_.forward(x_self, out);
+    linear_.forward_rows(x, out, count);
 }
 
 } // namespace flowgnn

@@ -23,8 +23,9 @@ class EncoderLayer : public Layer
     std::size_t in_dim() const override { return linear_.in_dim(); }
     std::size_t out_dim() const override { return linear_.out_dim(); }
 
-    void transform(const float *x_self, const float *agg, NodeId node,
-                   const LayerContext &ctx, float *out) const override;
+    void transform_rows(const float *x, const float *agg, NodeId first,
+                        std::size_t count, const LayerContext &ctx,
+                        float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

@@ -44,14 +44,11 @@ GatLayer::dst_scores(const float *h, float *out) const
 }
 
 void
-GatLayer::transform(const float *x_self, const float *, NodeId,
-                    const LayerContext &, float *out) const
+GatLayer::transform_rows(const float *x, const float *, NodeId,
+                         std::size_t count, const LayerContext &,
+                         float *out) const
 {
-    ScratchRow h(out_dim());
-    ScratchRow sc(2 * heads_);
-    project(x_self, h.data());
-    scores(h.data(), sc.data());
-    gat_combine(*this, h.data(), sc.data(), 0, nullptr, 0, out);
+    proj_.forward_rows(x, out, count);
 }
 
 void
@@ -67,8 +64,7 @@ gat_combine(const GatLayer &layer, const float *h, const float *scores,
     // Node v's logit on head k: its source half plus the destination
     // half, recomputed in each pass rather than stored per edge.
     auto logit = [&](NodeId v, std::size_t k) {
-        return activate(scores[std::size_t(v) * stride + k] + dst_half[k],
-                        Activation::kLeakyRelu);
+        return leaky_relu(scores[std::size_t(v) * stride + k] + dst_half[k]);
     };
 
     // Pass 1: per-head running max over {self} u in-neighbors.
@@ -79,27 +75,25 @@ gat_combine(const GatLayer &layer, const float *h, const float *scores,
         for (std::size_t k = 0; k < heads; ++k)
             max_score[k] = std::max(max_score[k], logit(srcs[j], k));
 
-    // Pass 2: exp-weighted sum in arrival order, self term first.
+    // Pass 2: exp-weighted sum in arrival order, self term first; the
+    // head rows run four lanes at a time.
     ScratchRow denom(heads);
     for (std::size_t k = 0; k < heads; ++k) {
         float w = std::exp(logit(dst, k) - max_score[k]);
         denom[k] = w;
-        for (std::size_t d = 0; d < hd; ++d)
-            out[k * hd + d] = w * h_dst[k * hd + d];
+        scale_row(out + k * hd, h_dst + k * hd, w, hd);
     }
     for (std::size_t j = 0; j < count; ++j) {
         const float *h_src = h + std::size_t(srcs[j]) * dim;
         for (std::size_t k = 0; k < heads; ++k) {
             float w = std::exp(logit(srcs[j], k) - max_score[k]);
             denom[k] += w;
-            for (std::size_t d = 0; d < hd; ++d)
-                out[k * hd + d] += w * h_src[k * hd + d];
+            axpy_row(out + k * hd, w, h_src + k * hd, hd);
         }
     }
 
     for (std::size_t k = 0; k < heads; ++k)
-        for (std::size_t d = 0; d < hd; ++d)
-            out[k * hd + d] /= denom[k];
+        div_row(out + k * hd, denom[k], hd);
     apply_activation(out, dim, layer.activation());
 }
 

@@ -40,10 +40,6 @@ class GatLayer : public Layer
     std::size_t num_heads() const { return heads_; }
     std::size_t head_dim() const { return head_dim_; }
 
-    /** Projection h = W x (all heads concatenated) into out
-     * (out_dim() floats). */
-    void project(const float *x, float *out) const { proj_.forward(x, out); }
-
     /** a_src . h_j per head into out[num_heads()]: the source half of
      * the attention logit. */
     void src_scores(const float *h, float *out) const;
@@ -66,12 +62,13 @@ class GatLayer : public Layer
     Activation activation() const { return act_; }
 
     /**
-     * Not used directly — GAT layers run through the attention path of
-     * the executor/engine. Kept to satisfy the interface; computes the
-     * full layer for a degenerate single-node neighborhood.
+     * The projection h = W x (all heads concatenated) of `count` rows
+     * into out_dim()-float rows; `agg` is unused. gat_combine turns
+     * the projections into the layer's output.
      */
-    void transform(const float *x_self, const float *agg, NodeId node,
-                   const LayerContext &ctx, float *out) const override;
+    void transform_rows(const float *x, const float *agg, NodeId first,
+                        std::size_t count, const LayerContext &ctx,
+                        float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

@@ -30,17 +30,26 @@ GcnLayer::gather(const InEdges &col, const MessageInputs &in,
 }
 
 void
-GcnLayer::transform(const float *x_self, const float *agg, NodeId node,
-                    const LayerContext &ctx, float *out) const
+GcnLayer::transform_rows(const float *x, const float *agg, NodeId first,
+                         std::size_t count, const LayerContext &ctx,
+                         float *out) const
 {
-    // Self-loop term: x_i / (deg_i + 1).
-    float d_hat = static_cast<float>(ctx.in_deg[node]) + 1.0f;
-    const float scale = 1.0f / d_hat;
-    ScratchRow combined(linear_.in_dim());
-    for (std::size_t i = 0; i < linear_.in_dim(); ++i)
-        combined[i] = agg[i] + scale * x_self[i];
-    linear_.forward(combined.data(), out);
-    apply_activation(out, linear_.out_dim(), act_);
+    const std::size_t dim = linear_.in_dim();
+    ScratchRow combined(Linear::kTileRows * dim);
+    for_row_tiles(count, [&](std::size_t r0, std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+            // Self-loop term: x_i / (deg_i + 1).
+            const float d_hat =
+                static_cast<float>(ctx.in_deg[first + r0 + r]) + 1.0f;
+            const float scale = 1.0f / d_hat;
+            const std::size_t row = (r0 + r) * dim;
+            for (std::size_t i = 0; i < dim; ++i)
+                combined[r * dim + i] = agg[row + i] + scale * x[row + i];
+        }
+        linear_.forward_rows(combined.data(), out + r0 * linear_.out_dim(),
+                             n);
+    });
+    apply_activation(out, count * linear_.out_dim(), act_);
 }
 
 } // namespace flowgnn

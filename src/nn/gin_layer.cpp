@@ -39,15 +39,19 @@ GinLayer::gather(const InEdges &col, const MessageInputs &in,
 }
 
 void
-GinLayer::transform(const float *x_self, const float *agg, NodeId,
-                    const LayerContext &, float *out) const
+GinLayer::transform_rows(const float *x, const float *agg, NodeId,
+                         std::size_t count, const LayerContext &,
+                         float *out) const
 {
     const float scale = 1.0f + eps_;
-    ScratchRow combined(dim_);
-    for (std::size_t i = 0; i < dim_; ++i)
-        combined[i] = agg[i] + scale * x_self[i];
-    mlp_.forward(combined.data(), out);
-    apply_activation(out, dim_, act_);
+    ScratchRow combined(Linear::kTileRows * dim_);
+    for_row_tiles(count, [&](std::size_t r0, std::size_t n) {
+        const std::size_t base = r0 * dim_;
+        for (std::size_t i = 0; i < n * dim_; ++i)
+            combined[i] = agg[base + i] + scale * x[base + i];
+        mlp_.forward_rows(combined.data(), out + base, n);
+    });
+    apply_activation(out, count * dim_, act_);
 }
 
 } // namespace flowgnn

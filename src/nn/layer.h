@@ -9,9 +9,10 @@
  *
  * as `gather` (phi fused with A: each in-edge's message folds into its
  * destination's aggregator state as it is computed), an
- * AggregatorKind (A), and `transform` (gamma), plus the timing
- * metadata the dataflow engine needs (widths of the input-stationary
- * fully-connected passes performed by the NT unit).
+ * AggregatorKind (A), and `transform_rows` (gamma over a block of
+ * nodes), plus the timing metadata the dataflow engine needs (widths
+ * of the input-stationary fully-connected passes performed by the NT
+ * unit).
  *
  * Adapting FlowGNN to a new GNN means writing one subclass — exactly
  * the "few highlighted lines" of Listing 1 in the paper.
@@ -19,12 +20,14 @@
 #ifndef FLOWGNN_NN_LAYER_H
 #define FLOWGNN_NN_LAYER_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "graph/sample.h"
 #include "nn/aggregator.h"
 #include "tensor/fixed_point.h"
+#include "tensor/linear.h"
 
 namespace flowgnn {
 
@@ -54,17 +57,27 @@ struct LayerContext {
     PnaParams pna;
 };
 
+/** Per-node degrees a caller has already counted (the functional
+ * kernel reads them off its src-major CSC build). */
+struct NodeDegrees {
+    std::vector<std::uint32_t> in;
+    std::vector<std::uint32_t> out;
+};
+
 /**
  * Builds the LayerContext for a sample (one pass over the edges; a
  * GraphSample converts to its borrowed SampleRef). Degree counting runs on
- * `threads` host cores (0 = all); the dgn_norm accumulation stays a
- * serial edge loop on purpose — float addition order is part of the
- * bit-identity contract. The context borrows the ref's dgn_field
- * pointer, so the backing must outlive the context.
+ * `threads` host cores (0 = all); a non-null `counted` is moved in
+ * instead of counting. The sample's true_in_deg / true_out_deg
+ * (subgraph execution) override either. The dgn_norm accumulation
+ * stays a serial edge loop on purpose — float addition order is part
+ * of the bit-identity contract. The context borrows the ref's
+ * dgn_field pointer, so the backing must outlive the context.
  */
 LayerContext make_layer_context(const SampleRef &sample,
                                 const PnaParams &pna = {},
-                                unsigned threads = 0);
+                                unsigned threads = 0,
+                                NodeDegrees *counted = nullptr);
 
 /** One destination's in-edges, in the order their messages fold. */
 struct InEdges {
@@ -109,6 +122,19 @@ struct MessageInputs {
         return edge_features + std::size_t(col.edge_id[k]) * edge_dim;
     }
 };
+
+/**
+ * fn(r0, n) over consecutive row tiles [r0, r0 + n) of [0, count),
+ * n at most Linear::kTileRows: the blocks in which a transform_rows
+ * builds a combined input tile for its Linear passes.
+ */
+template <class Fn>
+inline void
+for_row_tiles(std::size_t count, Fn &&fn)
+{
+    for (std::size_t r0 = 0; r0 < count; r0 += Linear::kTileRows)
+        fn(r0, std::min(Linear::kTileRows, count - r0));
+}
 
 /**
  * Base class of all FlowGNN layer kernels.
@@ -166,14 +192,22 @@ class Layer
                         const LayerContext &ctx, float *state) const;
 
     /**
-     * gamma: writes the new embedding (out_dim() floats) into `out`
-     * from the node's own embedding `x_self` (in_dim() floats) and the
-     * finalized aggregate `agg` (the aggregator's out_dim() floats;
-     * unused when msg_dim() == 0).
+     * gamma over the `count` nodes first, first + 1, ...: row r of
+     * `out` (out_dim() floats) receives node first + r's new embedding
+     * from its own embedding, row r of `x` (in_dim() floats), and its
+     * finalized aggregate, row r of `agg` (the aggregator's out_dim()
+     * floats; null when msg_dim() == 0). An attention layer (kMpToNt)
+     * writes its projection, which gat_combine finishes. Rows are
+     * independent: a block equals its rows one call each, bit for bit,
+     * and the built-in layers run their Linear passes over row tiles
+     * (Linear::forward_rows) so each weight loads once per tile.
+     * Called concurrently on disjoint rows from the functional
+     * kernel's workers.
      */
-    virtual void transform(const float *x_self, const float *agg,
-                           NodeId node, const LayerContext &ctx,
-                           float *out) const = 0;
+    virtual void transform_rows(const float *x, const float *agg,
+                                NodeId first, std::size_t count,
+                                const LayerContext &ctx,
+                                float *out) const = 0;
 
     /**
      * Timing metadata: input widths of the sequential input-stationary

@@ -37,15 +37,24 @@ PnaLayer::gather(const InEdges &col, const MessageInputs &in,
 }
 
 void
-PnaLayer::transform(const float *x_self, const float *agg, NodeId,
-                    const LayerContext &, float *out) const
+PnaLayer::transform_rows(const float *x, const float *agg, NodeId,
+                         std::size_t count, const LayerContext &,
+                         float *out) const
 {
     // [x_self || 12 aggregates] through the mixing layer.
-    ScratchRow combined(13 * dim_);
-    std::copy(x_self, x_self + dim_, combined.data());
-    std::copy(agg, agg + 12 * dim_, combined.data() + dim_);
-    mix_.forward(combined.data(), out);
-    apply_activation(out, dim_, act_);
+    const std::size_t width = 13 * dim_;
+    ScratchRow combined(Linear::kTileRows * width);
+    for_row_tiles(count, [&](std::size_t r0, std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+            const float *xs = x + (r0 + r) * dim_;
+            const float *a = agg + (r0 + r) * 12 * dim_;
+            float *c = combined.data() + r * width;
+            std::copy(xs, xs + dim_, c);
+            std::copy(a, a + 12 * dim_, c + dim_);
+        }
+        mix_.forward_rows(combined.data(), out + r0 * dim_, n);
+    });
+    apply_activation(out, count * dim_, act_);
 }
 
 } // namespace flowgnn

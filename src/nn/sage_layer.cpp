@@ -26,16 +26,19 @@ SageLayer::gather(const InEdges &col, const MessageInputs &in,
 }
 
 void
-SageLayer::transform(const float *x_self, const float *agg, NodeId,
-                     const LayerContext &, float *out) const
+SageLayer::transform_rows(const float *x, const float *agg, NodeId,
+                          std::size_t count, const LayerContext &,
+                          float *out) const
 {
+    const std::size_t in = self_.in_dim();
     const std::size_t dim = self_.out_dim();
-    ScratchRow nbr(dim);
-    self_.forward(x_self, out);
-    nbr_.forward(agg, nbr.data());
-    for (std::size_t i = 0; i < dim; ++i)
-        out[i] += nbr[i];
-    apply_activation(out, dim, act_);
+    self_.forward_rows(x, out, count);
+    ScratchRow nbr(Linear::kTileRows * dim);
+    for_row_tiles(count, [&](std::size_t r0, std::size_t n) {
+        nbr_.forward_rows(agg + r0 * in, nbr.data(), n);
+        add_row(out + r0 * dim, nbr.data(), n * dim);
+    });
+    apply_activation(out, count * dim, act_);
 }
 
 } // namespace flowgnn

@@ -21,13 +21,18 @@ SgcLayer::gather(const InEdges &col, const MessageInputs &in,
 }
 
 void
-SgcLayer::transform(const float *x_self, const float *agg, NodeId node,
-                    const LayerContext &ctx, float *out) const
+SgcLayer::transform_rows(const float *x, const float *agg, NodeId first,
+                         std::size_t count, const LayerContext &ctx,
+                         float *out) const
 {
-    float d_hat = static_cast<float>(ctx.in_deg[node]) + 1.0f;
-    const float scale = 1.0f / d_hat;
-    for (std::size_t i = 0; i < dim_; ++i)
-        out[i] = agg[i] + scale * x_self[i];
+    for (std::size_t r = 0; r < count; ++r) {
+        const float d_hat =
+            static_cast<float>(ctx.in_deg[first + r]) + 1.0f;
+        const float scale = 1.0f / d_hat;
+        const std::size_t row = r * dim_;
+        for (std::size_t i = 0; i < dim_; ++i)
+            out[row + i] = agg[row + i] + scale * x[row + i];
+    }
 }
 
 } // namespace flowgnn

@@ -31,8 +31,9 @@ class SgcLayer : public Layer
     void gather(const InEdges &col, const MessageInputs &in,
                 const LayerContext &ctx, float *state) const override;
 
-    void transform(const float *x_self, const float *agg, NodeId node,
-                   const LayerContext &ctx, float *out) const override;
+    void transform_rows(const float *x, const float *agg, NodeId first,
+                        std::size_t count, const LayerContext &ctx,
+                        float *out) const override;
 
     std::vector<std::size_t> nt_pass_dims() const override
     {

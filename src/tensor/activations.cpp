@@ -28,7 +28,7 @@ activate(float x, Activation act)
       case Activation::kRelu:
         return x > 0.0f ? x : 0.0f;
       case Activation::kLeakyRelu:
-        return x > 0.0f ? x : 0.2f * x;
+        return leaky_relu(x);
       case Activation::kElu:
         return x > 0.0f ? x : std::expm1(x);
       case Activation::kSigmoid:

@@ -31,6 +31,14 @@ void apply_activation(float *x, std::size_t count, Activation act);
 /** Scalar activation evaluation. */
 float activate(float x, Activation act);
 
+/** activate(x, Activation::kLeakyRelu), inline for the per-edge GAT
+ * attention logits. */
+inline float
+leaky_relu(float x)
+{
+    return x > 0.0f ? x : 0.2f * x;
+}
+
 /** Returns the activated copy of x. */
 Vec activated(const Vec &x, Activation act);
 

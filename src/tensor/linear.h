@@ -2,10 +2,12 @@
  * @file
  * Fully-connected (linear) layer with deterministic initialization.
  *
- * The forward pass is written in the same input-stationary order the
- * FlowGNN NT unit uses on the FPGA (each input element updates the
- * whole output vector), so reference and engine results are
- * bit-identical.
+ * Every output element starts at its bias and accumulates its inputs
+ * in index order, the NT unit's input-stationary order on the FPGA.
+ * The per-row forward and the row-block forward_rows keep that order
+ * for each element — the block form only reuses each weight across a
+ * tile of rows, with lane-wise IEEE multiplies and adds — so both give
+ * the same bits.
  */
 #ifndef FLOWGNN_TENSOR_LINEAR_H
 #define FLOWGNN_TENSOR_LINEAR_H
@@ -42,17 +44,18 @@ class Linear
      * in_dim() floats, out receives out_dim(). */
     void forward(const float *x, float *out) const;
 
-    /**
-     * Partial input-stationary accumulation: folds inputs
-     * [begin, end) of x into acc. Calling with the full range starting
-     * from a bias-initialized acc equals forward(). The NT unit uses
-     * this to model Papply-wide accumulation.
-     */
-    void accumulate(Vec &acc, const Vec &x, std::size_t begin,
-                    std::size_t end) const;
+    /** Rows per register tile of forward_rows. */
+    static constexpr std::size_t kTileRows = 4;
 
-    /** Returns a copy of the bias; the starting value for accumulate. */
-    Vec bias() const { return bias_; }
+    /**
+     * Row-block forward: x holds `rows` rows of in_dim() floats and out
+     * receives `rows` rows of out_dim() (row-major, not overlapping).
+     * Bit-identical to forward() on each row: full tiles of kTileRows
+     * rows are transposed so each weight is loaded once per tile and
+     * feeds one lane per row; leftover rows and the out_dim() % 4
+     * outputs take the per-row loop.
+     */
+    void forward_rows(const float *x, float *out, std::size_t rows) const;
 
     Matrix &weight() { return weight_; }
     const Matrix &weight() const { return weight_; }

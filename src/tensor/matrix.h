@@ -11,6 +11,7 @@
 #ifndef FLOWGNN_TENSOR_MATRIX_H
 #define FLOWGNN_TENSOR_MATRIX_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -126,6 +127,85 @@ scale_row(float *out, const float *x, float s, std::size_t n)
     }
     for (; i < n; ++i)
         out[i] = x[i] * s;
+}
+
+/** y[i] += a * x[i] for i < n, four lanes at a time: a lane-wise
+ * multiply, then a lane-wise add, rounding as the scalar loop does;
+ * the rows must not overlap. */
+inline void
+axpy_row(float *y, float a, const float *x, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes acc;
+        Lanes b;
+        std::memcpy(&acc, y + i, sizeof acc);
+        std::memcpy(&b, x + i, sizeof b);
+        acc += a * b;
+        std::memcpy(y + i, &acc, sizeof acc);
+    }
+    for (; i < n; ++i)
+        y[i] += a * x[i];
+}
+
+/** y[i] /= s for i < n, four lanes at a time; the same bits as the
+ * scalar loop (a true division, not a multiply by 1/s). */
+inline void
+div_row(float *y, float s, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes a;
+        std::memcpy(&a, y + i, sizeof a);
+        a /= s;
+        std::memcpy(y + i, &a, sizeof a);
+    }
+    for (; i < n; ++i)
+        y[i] /= s;
+}
+
+/**
+ * y[i] = std::max(y[i], x[i]) for i < n, four lanes at a time as the
+ * select `y < x ? x : y` — std::max's own definition, so a NaN or a
+ * signed zero resolves exactly as it does there. The rows must not
+ * overlap.
+ */
+inline void
+max_row(float *y, const float *x, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes a;
+        Lanes b;
+        std::memcpy(&a, y + i, sizeof a);
+        std::memcpy(&b, x + i, sizeof b);
+        a = a < b ? b : a;
+        std::memcpy(y + i, &a, sizeof a);
+    }
+    for (; i < n; ++i)
+        y[i] = std::max(y[i], x[i]);
+}
+
+/** y[i] = std::min(y[i], x[i]) for i < n as the select `x < y ? x :
+ * y` (std::min's definition), four lanes at a time. */
+inline void
+min_row(float *y, const float *x, std::size_t n)
+{
+    using Lanes = float __attribute__((vector_size(16)));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        Lanes a;
+        Lanes b;
+        std::memcpy(&a, y + i, sizeof a);
+        std::memcpy(&b, x + i, sizeof b);
+        a = b < a ? b : a;
+        std::memcpy(y + i, &a, sizeof a);
+    }
+    for (; i < n; ++i)
+        y[i] = std::min(y[i], x[i]);
 }
 
 /**

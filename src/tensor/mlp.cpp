@@ -36,21 +36,34 @@ Mlp::forward(const Vec &x) const
 void
 Mlp::forward(const float *x, float *out) const
 {
-    // Hidden activations ping-pong between two rows of the widest
-    // hidden layer; the last layer writes `out`.
+    forward_rows(x, out, 1);
+}
+
+void
+Mlp::forward_rows(const float *x, float *out, std::size_t rows) const
+{
+    // Each tile of rows runs through every layer before the next tile,
+    // its hidden activations ping-ponging between two tiles of the
+    // widest hidden layer; the last layer writes `out`.
+    constexpr std::size_t kTile = Linear::kTileRows;
     std::size_t width = 0;
     for (std::size_t i = 0; i + 1 < layers_.size(); ++i)
         width = std::max(width, layers_[i].out_dim());
-    ScratchRow ping(width);
-    ScratchRow pong(width);
-    const float *h = x;
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        const bool is_last = (i + 1 == layers_.size());
-        float *next = is_last ? out : (i % 2 == 0 ? ping : pong).data();
-        layers_[i].forward(h, next);
-        apply_activation(next, layers_[i].out_dim(),
-                         is_last ? final_activation_ : hidden_activation_);
-        h = next;
+    ScratchRow ping(kTile * width);
+    ScratchRow pong(kTile * width);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+        const std::size_t n = std::min(kTile, rows - r0);
+        const float *h = x + r0 * in_dim();
+        for (std::size_t i = 0; i < layers_.size(); ++i) {
+            const bool is_last = (i + 1 == layers_.size());
+            float *next = is_last ? out + r0 * out_dim()
+                                  : (i % 2 == 0 ? ping : pong).data();
+            layers_[i].forward_rows(h, next, n);
+            apply_activation(next, n * layers_[i].out_dim(),
+                             is_last ? final_activation_
+                                     : hidden_activation_);
+            h = next;
+        }
     }
 }
 

@@ -39,6 +39,11 @@ class Mlp
      * in_dim() floats, out receives out_dim(). */
     void forward(const float *x, float *out) const;
 
+    /** Row-block forward: `rows` rows of in_dim() floats into `rows`
+     * rows of out_dim(), tiles of Linear::kTileRows rows through every
+     * layer in turn; bit-identical to forward() on each row. */
+    void forward_rows(const float *x, float *out, std::size_t rows) const;
+
     std::size_t in_dim() const;
     std::size_t out_dim() const;
     std::size_t num_layers() const { return layers_.size(); }

@@ -15,7 +15,9 @@
 #include <utility>
 
 #include "core/engine.h"
+#include "datasets/dataset.h"
 #include "ghost/ghost_engine.h"
+#include "io/graph_file.h"
 #include "nn/gcn_layer.h"
 #include "nn/sage_layer.h"
 #include "testing_util.h"
@@ -103,6 +105,119 @@ TEST(FunctionalKernel, BitIdenticalToOracleForEveryKindAndThreadCount)
                               SegmentOutcome::kComplete);
                     EXPECT_TRUE(got == want) << "threads=" << threads;
                 }
+            }
+        }
+    }
+}
+
+/** One pinned embedding digest: FNV-1a of the final embeddings'
+ * bytes for a model kind on a dataset's sample 0. */
+struct EmbeddingDigest {
+    ModelKind kind;
+    DatasetKind dataset;
+    bool fixed;
+    std::uint64_t fnv;
+};
+
+// Generated before the node-tile transforms landed and never
+// regenerated since: a kernel change that moves any embedding bit
+// fails here even when the kernel and the oracle drift together.
+constexpr EmbeddingDigest kPinnedDigests[] = {
+    {ModelKind::kGcn, DatasetKind::kMolHiv, false, 0x8a651540854c4534ull},
+    {ModelKind::kGcn, DatasetKind::kMolHiv, true, 0x12013035d8fc0ae8ull},
+    {ModelKind::kGcn, DatasetKind::kHep, false, 0x73488f68a2aa84ebull},
+    {ModelKind::kGcn, DatasetKind::kHep, true, 0x5fb4a9603f7bf712ull},
+    {ModelKind::kGcn, DatasetKind::kCora, false, 0xb197a9219dabdfcbull},
+    {ModelKind::kGcn, DatasetKind::kCora, true, 0x70d60b51ff18f6a5ull},
+    {ModelKind::kGin, DatasetKind::kMolHiv, false, 0x7a9686eaefc168e8ull},
+    {ModelKind::kGin, DatasetKind::kMolHiv, true, 0xc7ceb971dcf8d234ull},
+    {ModelKind::kGin, DatasetKind::kHep, false, 0x2dc65c7a1702e756ull},
+    {ModelKind::kGin, DatasetKind::kHep, true, 0xc7fd91fcc468e10full},
+    {ModelKind::kGin, DatasetKind::kCora, false, 0x32566b84696ebc99ull},
+    {ModelKind::kGin, DatasetKind::kCora, true, 0x5f4988970d76ba46ull},
+    {ModelKind::kGinVn, DatasetKind::kMolHiv, false, 0x9b8bdbc9cd6e8335ull},
+    {ModelKind::kGinVn, DatasetKind::kMolHiv, true, 0x29b34a089f41ce8aull},
+    {ModelKind::kGinVn, DatasetKind::kHep, false, 0x475f193743bfffb0ull},
+    {ModelKind::kGinVn, DatasetKind::kHep, true, 0x88f38ea727a04d59ull},
+    {ModelKind::kGinVn, DatasetKind::kCora, false, 0xd09694a02d655cf7ull},
+    {ModelKind::kGinVn, DatasetKind::kCora, true, 0x2d7ce8fce355f61ull},
+    {ModelKind::kGat, DatasetKind::kMolHiv, false, 0x909076ced8099f16ull},
+    {ModelKind::kGat, DatasetKind::kMolHiv, true, 0x3eff566dc669101dull},
+    {ModelKind::kGat, DatasetKind::kHep, false, 0xe0290079eafa16ddull},
+    {ModelKind::kGat, DatasetKind::kHep, true, 0xd9c9d70699a4ab8aull},
+    {ModelKind::kGat, DatasetKind::kCora, false, 0xc071f8b36ca0145full},
+    {ModelKind::kGat, DatasetKind::kCora, true, 0xc987fea2888a5031ull},
+    {ModelKind::kPna, DatasetKind::kMolHiv, false, 0x54cb377813ce3e89ull},
+    {ModelKind::kPna, DatasetKind::kMolHiv, true, 0x542728c94d1d2436ull},
+    {ModelKind::kPna, DatasetKind::kHep, false, 0xd71254faf84b2eccull},
+    {ModelKind::kPna, DatasetKind::kHep, true, 0x56cdac02e7eefb0ull},
+    {ModelKind::kPna, DatasetKind::kCora, false, 0xcb7f026a8b75b3cdull},
+    {ModelKind::kPna, DatasetKind::kCora, true, 0xd23b2eac077f4d40ull},
+    {ModelKind::kDgn, DatasetKind::kMolHiv, false, 0xd534df457306a412ull},
+    {ModelKind::kDgn, DatasetKind::kMolHiv, true, 0x693f240a4e296105ull},
+    {ModelKind::kDgn, DatasetKind::kHep, false, 0xcc9718d78ac6ea4ull},
+    {ModelKind::kDgn, DatasetKind::kHep, true, 0x65d9d8f7bcc1da65ull},
+    {ModelKind::kDgn, DatasetKind::kCora, false, 0x394bb08bd01b7174ull},
+    {ModelKind::kDgn, DatasetKind::kCora, true, 0x86b2ce380de4516bull},
+    {ModelKind::kGcn16, DatasetKind::kMolHiv, false, 0x89898667054cdc48ull},
+    {ModelKind::kGcn16, DatasetKind::kMolHiv, true, 0x52737754227127f9ull},
+    {ModelKind::kGcn16, DatasetKind::kHep, false, 0x60472a039a21506dull},
+    {ModelKind::kGcn16, DatasetKind::kHep, true, 0xa3ffe5a11f151dc1ull},
+    {ModelKind::kGcn16, DatasetKind::kCora, false, 0x91d97db49c35ac17ull},
+    {ModelKind::kGcn16, DatasetKind::kCora, true, 0x842d0d288f81fcceull},
+    {ModelKind::kSage, DatasetKind::kMolHiv, false, 0x9275a47f649411b3ull},
+    {ModelKind::kSage, DatasetKind::kMolHiv, true, 0x6d34ea0a40db1a2ull},
+    {ModelKind::kSage, DatasetKind::kHep, false, 0xd3ef0fd0509d6252ull},
+    {ModelKind::kSage, DatasetKind::kHep, true, 0xe28481cdb17988b7ull},
+    {ModelKind::kSage, DatasetKind::kCora, false, 0x5cb358712aa011b1ull},
+    {ModelKind::kSage, DatasetKind::kCora, true, 0x6f1e743ea75577e4ull},
+    {ModelKind::kSgc, DatasetKind::kMolHiv, false, 0x7ac5823eaab4db44ull},
+    {ModelKind::kSgc, DatasetKind::kMolHiv, true, 0x7418e78a434c8de1ull},
+    {ModelKind::kSgc, DatasetKind::kHep, false, 0x7505d47828c408e3ull},
+    {ModelKind::kSgc, DatasetKind::kHep, true, 0xd6034d0619618040ull},
+    {ModelKind::kSgc, DatasetKind::kCora, false, 0xa457e3f307545505ull},
+    {ModelKind::kSgc, DatasetKind::kCora, true, 0xdef00a78217e4a54ull},
+};
+
+/** The pins are the baseline-ISA bits. Where the target has a fused
+ * multiply-add, GCC contracts `a += b * c` into it by default, which
+ * rounds once instead of twice: a different, equally deterministic set
+ * of bits that the pins do not describe. */
+#if defined(__FP_FAST_FMAF) || defined(__FMA__)
+constexpr bool kPinsApply = false;
+#else
+constexpr bool kPinsApply = true;
+#endif
+
+TEST(FunctionalKernel, EmbeddingDigestsArePinned)
+{
+    // Every build checks that the digest is the same at 1 and 3
+    // threads; builds without FMA also check it against the pin.
+    for (const EmbeddingDigest &pin : kPinnedDigests) {
+        const GraphSample sample = make_sample(pin.dataset, 0);
+        const Model model =
+            make_model(pin.kind, sample.node_dim(), sample.edge_dim());
+        const GraphSample prepared = model.prepare(sample);
+        RunOptions opts;
+        opts.emulate_fixed_point = pin.fixed;
+        std::uint64_t first = 0;
+        for (unsigned threads : {1u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << model_name(pin.kind) << " on "
+                         << dataset_spec(pin.dataset).name
+                         << (pin.fixed ? " Q16.10" : " float")
+                         << " threads=" << threads);
+            LayerCheckpoint ckpt;
+            Matrix got;
+            functional_forward(model, SampleRef(prepared), opts, threads,
+                               ckpt, std::size_t(-1), got);
+            const std::uint64_t fnv =
+                io::fnv1a64(got.data(), got.size() * sizeof(float));
+            if (threads == 1)
+                first = fnv;
+            EXPECT_EQ(fnv, first) << "thread count moved a bit";
+            if (kPinsApply) {
+                EXPECT_EQ(fnv, pin.fnv) << std::hex << "got 0x" << fnv;
             }
         }
     }

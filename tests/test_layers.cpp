@@ -28,9 +28,7 @@ using testing::transform_of;
 Vec
 project_of(const GatLayer &gat, const Vec &x)
 {
-    Vec h(gat.out_dim());
-    gat.project(x.data(), h.data());
-    return h;
+    return transform_of(gat, x, {}, 0, LayerContext{});
 }
 
 /** gat_combine at node 0 (projection h_self) over in-neighbors
@@ -395,6 +393,76 @@ TEST(LayerContract, FusedColumnEqualsOneEdgeCalls)
                     if (k > 0)
                         EXPECT_NE(fused, init) << "messages folded in";
                 }
+            }
+        }
+    }
+}
+
+TEST(LayerContract, TransformRowsEqualsOneRowCalls)
+{
+    // Layer::transform_rows over a block of rows == one one-row call
+    // per node, bit for bit: the row tiles never change a value. Every
+    // layer (built-in, the GAT projection and the custom_gnn example's)
+    // at a non-zero first node, on raw and on Q16.10-quantized inputs.
+    // PNA at dim 80 mixes a 13 x 80-wide row, so its 4-row tiles run
+    // past ScratchRow's stack.
+    GraphSample s = testing::make_random_sample(
+        testing::make_random_graph(2, 80, 0xD0), 4, 0, 0xD1);
+    const LayerContext ctx = make_layer_context(s);
+    constexpr NodeId kFirst = 13;
+
+    Rng rng(0xD2);
+    std::vector<std::unique_ptr<Layer>> layers;
+    layers.push_back(std::make_unique<EncoderLayer>(9, 16, rng));
+    layers.push_back(
+        std::make_unique<GcnLayer>(16, 7, Activation::kRelu, rng));
+    layers.push_back(
+        std::make_unique<GinLayer>(16, 3, Activation::kRelu, rng));
+    layers.push_back(
+        std::make_unique<PnaLayer>(80, 3, Activation::kRelu, rng));
+    layers.push_back(
+        std::make_unique<DgnLayer>(12, 0, Activation::kRelu, rng));
+    layers.push_back(
+        std::make_unique<SageLayer>(16, 9, Activation::kRelu, rng));
+    layers.push_back(std::make_unique<SgcLayer>(10));
+    layers.push_back(
+        std::make_unique<GatLayer>(64, 4, 16, Activation::kElu, rng));
+    layers.push_back(std::make_unique<examples::NewGnnLayer>(16, 3, rng));
+
+    for (const auto &layer : layers) {
+        const bool has_agg = layer->msg_dim() > 0 &&
+                             layer->dataflow() == DataflowKind::kNtToMp;
+        const std::size_t in = layer->in_dim();
+        const std::size_t ad = has_agg ? layer->aggregator().out_dim() : 0;
+        const std::size_t od = layer->out_dim();
+        for (bool fixed : {false, true}) {
+            for (std::size_t count : {0u, 1u, 3u, 4u, 5u, 8u, 9u, 50u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << layer->name() << " fixed=" << fixed
+                             << " count=" << count);
+                ASSERT_LE(kFirst + count, s.num_nodes());
+                std::vector<float> x(count * in);
+                std::vector<float> agg(count * ad);
+                for (float &v : x)
+                    v = static_cast<float>(rng.uniform(-2, 2));
+                for (float &v : agg)
+                    v = static_cast<float>(rng.uniform(-2, 2));
+                if (fixed) {
+                    quantize_inplace(x.data(), x.size(), kFixed16_10);
+                    quantize_inplace(agg.data(), agg.size(), kFixed16_10);
+                }
+                const float *a = has_agg ? agg.data() : nullptr;
+                std::vector<float> block(count * od);
+                layer->transform_rows(x.data(), a, kFirst, count, ctx,
+                                      block.data());
+                std::vector<float> rows(count * od);
+                for (std::size_t r = 0; r < count; ++r)
+                    layer->transform_rows(
+                        x.data() + r * in,
+                        has_agg ? agg.data() + r * ad : nullptr,
+                        static_cast<NodeId>(kFirst + r), 1, ctx,
+                        rows.data() + r * od);
+                EXPECT_EQ(block, rows);
             }
         }
     }

@@ -1,7 +1,9 @@
 /** @file Linear / MLP layer unit tests. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "tensor/linear.h"
 #include "tensor/mlp.h"
@@ -31,34 +33,84 @@ TEST(Linear, KnownMatrixVectorProduct)
     EXPECT_FLOAT_EQ(y[1], -3.0f + 2.0f);
 }
 
-TEST(Linear, PartialAccumulateEqualsForward)
-{
-    Rng rng(3);
-    Linear lin(10, 7);
-    lin.init_glorot(rng);
-    Vec x(10);
-    for (auto &v : x)
-        v = static_cast<float>(rng.uniform(-1, 1));
-
-    // Accumulating in Papply-sized chunks must equal one full pass —
-    // this is the NT unit's correctness contract.
-    for (std::size_t chunk : {1u, 2u, 3u, 4u, 10u}) {
-        Vec acc = lin.bias();
-        for (std::size_t b = 0; b < 10; b += chunk)
-            lin.accumulate(acc, x, b, std::min<std::size_t>(b + chunk, 10));
-        EXPECT_EQ(acc, lin.forward(x)) << "chunk=" << chunk;
-    }
-}
-
 TEST(Linear, DimensionChecks)
 {
     Linear lin(3, 2);
     EXPECT_THROW(lin.forward({1, 2}), std::invalid_argument);
-    Vec acc(2, 0.0f);
-    Vec x{1, 2, 3};
-    EXPECT_THROW(lin.accumulate(acc, x, 2, 5), std::invalid_argument);
-    Vec bad_acc(3, 0.0f);
-    EXPECT_THROW(lin.accumulate(bad_acc, x, 0, 3), std::invalid_argument);
+}
+
+/** `rows` rows of `dim` uniform values in [-2, 2), some exact zeros. */
+std::vector<float>
+random_rows(std::size_t rows, std::size_t dim, Rng &rng)
+{
+    std::vector<float> x(rows * dim);
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-2, 2));
+    for (std::size_t i = 0; i < x.size(); i += 7)
+        x[i] = i % 2 == 0 ? 0.0f : -0.0f;
+    return x;
+}
+
+constexpr std::size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 50};
+
+TEST(Linear, ForwardRowsEqualsForwardPerRow)
+{
+    // The 4-row tiles, the out_dim % 4 tail and the leftover rows all
+    // give forward()'s bits, row by row — a -0.0 bias included.
+    Rng rng(5);
+    for (std::size_t in : {1u, 3u, 64u}) {
+        for (std::size_t od : {1u, 7u, 16u, 64u}) {
+            Linear lin(in, od);
+            lin.init_glorot(rng);
+            lin.bias_ref()[0] = -0.0f;
+            for (std::size_t rows : kRowCounts) {
+                SCOPED_TRACE(::testing::Message() << "in=" << in << " out="
+                                                  << od << " rows=" << rows);
+                const std::vector<float> x = random_rows(rows, in, rng);
+                std::vector<float> block(rows * od);
+                lin.forward_rows(x.data(), block.data(), rows);
+                std::vector<float> each(rows * od);
+                for (std::size_t r = 0; r < rows; ++r)
+                    lin.forward(x.data() + r * in, each.data() + r * od);
+                EXPECT_EQ(block, each);
+            }
+        }
+    }
+}
+
+TEST(Mlp, ForwardRowsEqualsForwardPerRow)
+{
+    // The prediction heads ({64, 1}, {80, 40, 20, 1}), GIN's
+    // dim -> 2 dim -> dim MLP and a narrow one with a final
+    // activation.
+    Rng rng(6);
+    std::vector<Mlp> mlps;
+    mlps.emplace_back(std::vector<std::size_t>{64, 1});
+    mlps.emplace_back(std::vector<std::size_t>{80, 40, 20, 1});
+    mlps.emplace_back(std::vector<std::size_t>{16, 32, 16});
+    mlps.emplace_back(std::vector<std::size_t>{7, 7, 7}, Activation::kElu,
+                      Activation::kSigmoid);
+    for (Mlp &mlp : mlps) {
+        mlp.init_glorot(rng);
+        for (std::size_t rows : kRowCounts) {
+            SCOPED_TRACE(::testing::Message() << "in=" << mlp.in_dim()
+                                              << " layers=" << mlp.num_layers()
+                                              << " rows=" << rows);
+            const std::vector<float> x =
+                random_rows(rows, mlp.in_dim(), rng);
+            const std::size_t od = mlp.out_dim();
+            std::vector<float> block(rows * od);
+            mlp.forward_rows(x.data(), block.data(), rows);
+            std::vector<float> each(rows * od);
+            for (std::size_t r = 0; r < rows; ++r) {
+                const Vec row(x.begin() + r * mlp.in_dim(),
+                              x.begin() + (r + 1) * mlp.in_dim());
+                const Vec y = mlp.forward(row);
+                std::copy(y.begin(), y.end(), each.begin() + r * od);
+            }
+            EXPECT_EQ(block, each);
+        }
+    }
 }
 
 TEST(Linear, GlorotBoundsRespectFanInOut)

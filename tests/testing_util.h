@@ -55,20 +55,24 @@ message_of(const Layer &layer, const Vec &x_src, const float *edge_feat,
                state.begin() + payload + layer.msg_dim());
 }
 
-/** Layer::transform into a fresh out_dim() vector. */
+/** One node's Layer::transform_rows (a one-row block) into a fresh
+ * out_dim() vector; an empty `agg` passes null. */
 inline Vec
 transform_of(const Layer &layer, const Vec &x_self, const Vec &agg,
              NodeId node, const LayerContext &ctx)
 {
     Vec out(layer.out_dim());
-    layer.transform(x_self.data(), agg.data(), node, ctx, out.data());
+    layer.transform_rows(x_self.data(), agg.empty() ? nullptr : agg.data(),
+                         node, 1, ctx, out.data());
     return out;
 }
 
 /**
  * The independent functional oracle: the original per-edge executor.
  * Convs scatter src-major over a CSR, one Layer::gather call per edge;
- * attention gathers over the stream-order CSC. With
+ * attention gathers over the stream-order CSC; every transform is a
+ * one-row Layer::transform_rows call (the per-row path, never the row
+ * tiles the kernel runs). With
  * `opts.emulate_fixed_point` it quantizes at the engine's points
  * (inputs, messages, aggregator state after every accumulate,
  * finalized aggregates, stage outputs). It shares only the layer math
@@ -102,8 +106,8 @@ naive_reference_embeddings(const Model &model, const GraphSample &prepared,
         std::vector<float> next(std::size_t(n) * out_dim);
         if (stage.msg_dim() == 0) {
             for (NodeId i = 0; i < n; ++i)
-                stage.transform(x.data() + i * dim, nullptr, i, ctx,
-                                next.data() + i * out_dim);
+                stage.transform_rows(x.data() + i * dim, nullptr, i, 1, ctx,
+                                     next.data() + i * out_dim);
         } else if (stage.dataflow() == DataflowKind::kNtToMp) {
             const Aggregator agg = stage.aggregator();
             const std::size_t sd = agg.state_dim();
@@ -133,8 +137,8 @@ naive_reference_embeddings(const Model &model, const GraphSample &prepared,
                 agg.finalize(states.data() + i * sd, ctx.in_deg[i],
                              ctx.pna, fin.data());
                 q(fin.data(), fin.size());
-                stage.transform(x.data() + i * dim, fin.data(), i, ctx,
-                                next.data() + i * out_dim);
+                stage.transform_rows(x.data() + i * dim, fin.data(), i, 1,
+                                     ctx, next.data() + i * out_dim);
             }
         } else {
             const auto *gat = dynamic_cast<const GatLayer *>(&stage);
@@ -144,7 +148,8 @@ naive_reference_embeddings(const Model &model, const GraphSample &prepared,
             const std::size_t stride = 2 * gat->num_heads();
             std::vector<float> scores(std::size_t(n) * stride);
             for (NodeId i = 0; i < n; ++i) {
-                gat->project(x.data() + i * dim, h.data() + i * out_dim);
+                gat->transform_rows(x.data() + i * dim, nullptr, i, 1, ctx,
+                                    h.data() + i * out_dim);
                 q(h.data() + i * out_dim, out_dim);
                 gat->scores(h.data() + i * out_dim,
                             scores.data() + i * stride);
