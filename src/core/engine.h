@@ -2,8 +2,9 @@
  * @file
  * The FlowGNN dataflow engine: a cycle-stepped microarchitecture model
  * of the accelerator in paper Fig. 3(b). A run computes the GNN's
- * values with the functional kernel (core/functional.h) and counts
- * cycles with the structural phase model (core/phase_model.h) — the
+ * values with the functional kernel (core/functional.h), segment by
+ * segment if it is preempted, and counts cycles with the structural
+ * phase model (core/phase_model.h) once, when the run completes — the
  * two never interact, because timing depends on graph structure
  * alone. Embeddings are bit-identical to the reference executor in
  * every pipeline mode and at every NT-unit count: the kernel folds
@@ -62,8 +63,8 @@ struct RunResult {
 
 /**
  * Reusable per-run scratch memory. A workspace keeps the graph-sized
- * buffers (bank maps, the functional kernel's row-major embedding and
- * aggregator buffers) alive across runs so a long-lived replica's hot
+ * buffers (the pricing bank maps, the functional kernel's row-major
+ * embedding and aggregator buffers) alive across runs so a long-lived replica's hot
  * path stops paying per-graph allocation; each serve replica owns
  * exactly one. Not thread-safe: never share one workspace between
  * concurrent runs.
@@ -107,14 +108,13 @@ class Engine
      * global pooling, and the prediction head. The sample is prepared
      * internally (virtual node / DGN field) exactly as the reference
      * executor prepares it. Scratch memory comes from `ws`, which is
-     * reused across calls; the overloads without a workspace allocate
+     * reused across calls; the overload without a workspace allocates
      * a fresh one per call (convenient, but slower on a hot path).
      */
     RunResult run(const GraphSample &sample, const RunOptions &opts,
                   RunWorkspace &ws) const;
     RunResult run(const GraphSample &sample,
-                  const RunOptions &opts) const;
-    RunResult run(const GraphSample &sample) const;
+                  const RunOptions &opts = {}) const;
 
     /**
      * Runs a sample that is already in prepared form, skipping
@@ -149,10 +149,13 @@ class Engine
      * or after `max_stages` stages complete in THIS call — but always
      * runs at least one stage (progress guarantee) and never yields
      * after the final stage (the epilogue is cheaper than a
-     * checkpoint). Resuming from the returned checkpoint — on this
-     * engine or any identically-configured one — produces embeddings,
-     * prediction, and RunStats bit-identical to an uninterrupted run.
-     * The checkpoint's buffers are consumed (moved from) on resume.
+     * checkpoint). The checkpoint holds values only: timing is a pure
+     * function of (sample, config), so the segment that completes the
+     * run prices all of it. Resuming from the returned checkpoint — on
+     * this engine or any identically-configured one — produces
+     * embeddings, prediction, and RunStats bit-identical to an
+     * uninterrupted run. The checkpoint's buffers are consumed (moved
+     * from) on resume.
      */
     SegmentOutcome run_resumable(const SampleRef &prepared,
                                  const RunOptions &opts, RunWorkspace &ws,

@@ -15,16 +15,15 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/stats.h"
 #include "graph/sample.h"
 #include "nn/model.h"
 
 namespace flowgnn {
 
 /**
- * Functional + timing state captured at a message-passing layer
- * boundary — the preemption checkpoint format (docs/DESIGN.md, "The
- * preemption checkpoint").
+ * Value state captured at a message-passing layer boundary — the
+ * preemption checkpoint format (docs/DESIGN.md, "The preemption
+ * checkpoint").
  *
  * A boundary after stage k holds exactly three pieces of value state:
  * the embeddings entering stage k+1, the aggregation gathered for
@@ -33,8 +32,9 @@ namespace flowgnn {
  * projections whose combine is stage k+1's prologue). Everything else
  * — in-adjacency, bank maps, schedule — is a pure function of
  * (sample, config) rebuilt on resume, so resumed runs are
- * bit-identical to uninterrupted ones. `stats` and `phase_base` carry
- * the engine's timing so far; functional_forward leaves them alone.
+ * bit-identical to uninterrupted ones. No timing is carried: timing
+ * is structural, so Engine and the ghost executor price a run once,
+ * when it completes.
  */
 struct LayerCheckpoint {
     /** Stages completed; the resume point. 0 = a fresh run. */
@@ -49,11 +49,6 @@ struct LayerCheckpoint {
     bool have_agg = false;
     /** Stage next_stage-1 was GAT: `embeddings` holds projections. */
     bool pending_gat = false;
-    /** Timing accumulated over completed stages (load DMA included,
-     * head not yet). */
-    RunStats stats;
-    /** Timing cursor: total phase cycles completed (trace offsets). */
-    std::uint64_t phase_base = 0;
 
     /** Checkpoint size in 4-byte words — what a scheduler charges as
      * store/reload DMA when pricing preemption delay. */

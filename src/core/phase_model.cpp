@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "graph/partition.h"
+
 namespace flowgnn {
 
 namespace {
@@ -599,8 +601,13 @@ analytic_fixed(const PhaseEnv &env)
     return total;
 }
 
-} // namespace
-
+/**
+ * The destination-bank split of every node's out-edges, counted
+ * straight off the edge stream (no CSR): banks[v] lists (bank, edges
+ * of v into that bank) in ascending bank order, empty for sinks.
+ * Grows `banks` to the node count; inner vectors keep their capacity
+ * across calls.
+ */
 void
 split_banks(const GraphRef &graph, const std::vector<std::uint32_t> &bank_of,
             std::uint32_t p_edge, std::vector<std::vector<BankWork>> &banks)
@@ -618,6 +625,8 @@ split_banks(const GraphRef &graph, const std::vector<std::uint32_t> &bank_of,
                 banks[v].push_back({b, c});
     }
 }
+
+} // namespace
 
 std::uint64_t
 run_phase(const PhaseEnv &env)
@@ -725,16 +734,21 @@ add_phase_stats(RunStats &stats, const RunStats &phase, std::uint64_t base)
     }
 }
 
-} // namespace
-
+/**
+ * Prices every stage of `schedule` on one die: one phase per stage,
+ * two for GAT. Appends each stage's cycles to stats.phase_cycles and
+ * adds them to stats.total_cycles; trace events are offset by the
+ * cycles of the stages before them.
+ */
 void
 price_stages(const std::vector<StageSchedule> &schedule,
-             const PricedGraph &graph, const EngineConfig &cfg,
-             const RunOptions &opts, std::size_t first, std::size_t last,
-             RunStats &stats, std::uint64_t &phase_base)
+             const PricedGraph &die,
+             const std::vector<std::vector<BankWork>> &banks,
+             const EngineConfig &cfg, const RunOptions &opts,
+             RunStats &stats)
 {
-    // Every phase priced so far in this call. Banks and the owner mask
-    // are fixed for the call, so a PhaseWork equal to a recorded one
+    // Every phase priced so far in this run. Banks and the owner mask
+    // are fixed for the run, so a PhaseWork equal to a recorded one
     // has the same cycles and statistics: add them again instead.
     struct Priced {
         PhaseWork work;
@@ -758,8 +772,8 @@ price_stages(const std::vector<StageSchedule> &schedule,
         add_phase_stats(stats, hit->stats, base);
         return hit->cycles;
     };
-    for (std::size_t si = first; si < last; ++si) {
-        const StageSchedule &sched = schedule[si];
+    std::uint64_t phase_base = 0;
+    for (const StageSchedule &sched : schedule) {
         PhaseWork w;
         w.stream_elems = sched.stream_elems;
         w.has_scatter = sched.has_scatter;
@@ -768,13 +782,13 @@ price_stages(const std::vector<StageSchedule> &schedule,
         if (sched.has_scatter) {
             // Scatter phase: ghosts re-stream their received embedding
             // into the scatter (GAT ghosts pay the local projection).
-            w.n_nodes = graph.n_nodes;
-            w.banks = graph.banks;
-            w.is_owned = graph.is_owned;
+            w.n_nodes = die.graph.num_nodes();
+            w.banks = &banks;
+            w.is_owned = die.is_owned;
             w.acc_ghost = sched.is_gat ? sched.nt_pass_cycles : 0;
         } else {
             // Node-local stage: ghosts take no part at all.
-            w.n_nodes = graph.n_owned;
+            w.n_nodes = die.n_owned;
             w.acc_ghost = w.acc_owned;
         }
         std::uint64_t cycles = price(w, phase_base);
@@ -791,6 +805,12 @@ price_stages(const std::vector<StageSchedule> &schedule,
     }
 }
 
+/**
+ * Closes a run: the final GAT combine over the `n_owned` nodes when
+ * the last stage is attention, then the pooled MLP head. Sets
+ * stats.head_cycles and adds both, plus stats.load_cycles, to
+ * stats.total_cycles.
+ */
 void
 price_run_tail(const Model &model, const std::vector<StageSchedule> &schedule,
                NodeId n_owned, const EngineConfig &cfg, RunStats &stats)
@@ -813,6 +833,51 @@ price_run_tail(const Model &model, const std::vector<StageSchedule> &schedule,
             ceil_div_u64(model.head().layer(l).in_dim(), cfg.p_apply);
     stats.head_cycles = head_cycles;
     stats.total_cycles += head_cycles + stats.load_cycles;
+}
+
+} // namespace
+
+RunStats
+price_run(const Model &model, const EngineConfig &cfg, const RunOptions &opts,
+          const PricedGraph &die, unsigned threads, PricingScratch &scratch)
+{
+    const GraphRef &graph = die.graph;
+    const NodeId n_nodes = graph.num_nodes();
+    RunStats stats;
+    stats.clock_mhz = cfg.clock_mhz;
+    stats.nt_units.assign(cfg.p_node, {});
+    stats.mp_units.assign(cfg.p_edge, {});
+    stats.mp_edge_work.assign(cfg.p_edge, 0);
+
+    // Input DMA: owned nodes, features, and the raw COO edge list
+    // stream in at 64 words/cycle (a conservative fraction of the U50's
+    // 460 GB/s HBM2 bandwidth, ~380 words/cycle at 300 MHz); not
+    // overlapped with compute, as documented in docs/DESIGN.md. Ghost
+    // slots cost one id word each (their payload arrives over the
+    // link, priced separately).
+    stats.load_cycles = ceil_div_u64(
+        std::uint64_t(die.n_owned) * (die.node_dim + 1) +
+            std::uint64_t(graph.num_edges()) * (die.edge_dim + 2) +
+            (n_nodes - die.n_owned),
+        64);
+
+    // Destination-node -> MP-bank map. Modulo is the on-the-fly
+    // default; greedy balancing is the pre-processing ablation.
+    std::vector<std::uint32_t> &bank_of = scratch.bank_of;
+    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
+        bank_of = balanced_bank_assignment(graph, cfg.p_edge, threads);
+    } else {
+        bank_of.resize(n_nodes);
+        for (NodeId v = 0; v < n_nodes; ++v)
+            bank_of[v] = v % cfg.p_edge;
+    }
+    split_banks(graph, bank_of, cfg.p_edge, scratch.banks);
+
+    const std::vector<StageSchedule> schedule =
+        build_stage_schedule(model, cfg);
+    price_stages(schedule, die, scratch.banks, cfg, opts, stats);
+    price_run_tail(model, schedule, die.n_owned, cfg, stats);
+    return stats;
 }
 
 } // namespace flowgnn

@@ -8,19 +8,19 @@
  * values come from the functional kernel (core/functional.h), and no
  * phase ever touches an embedding.
  *
- * price_stages() is the one per-stage pricing loop. Engine runs it over
- * the whole graph; the ghost-exchange executor (src/ghost) runs it per
- * die, where accumulate costs differ between owned nodes (full NT work)
- * and ghost nodes (zero-cost re-stream of an embedding received over
- * the inter-die link — the same mechanism the GAT re-stream round
- * uses). Keeping the timing model in one place is what guarantees a
- * die of the ghost executor prices the same work the way an unsharded
- * engine does.
+ * price_run() is the one public pricing call: input DMA, the bank map,
+ * every stage and the tail of one die's whole run. Engine calls it over
+ * the whole graph once a run completes; the ghost-exchange executor
+ * (src/ghost) calls it per die, where accumulate costs differ between
+ * owned nodes (full NT work) and ghost nodes (zero-cost re-stream of an
+ * embedding received over the inter-die link — the same mechanism the
+ * GAT re-stream round uses). Keeping the timing model in one place is
+ * what guarantees a die of the ghost executor prices the same work the
+ * way an unsharded engine does.
  *
  * build_stage_schedule() derives the per-stage cost constants
  * (accumulate passes, stream width, scatter expansion) from a model +
- * engine config. Engine and the ghost executor both read their cost
- * numbers from it, so the two can never drift apart.
+ * engine config; price_run() reads its cost numbers from it.
  *
  * The cost of pricing follows the phase's state changes, not its
  * modeled cycles: event-free cycles are skipped in one step, queues are
@@ -52,18 +52,6 @@ struct BankWork {
     std::uint32_t bank;
     std::uint32_t edges;
 };
-
-/**
- * The destination-bank split of every node's out-edges, counted
- * straight off the edge stream (no CSR): banks[v] lists (bank, edges
- * of v into that bank) in ascending bank order, empty for sinks.
- * Grows `banks` to the node count; inner vectors keep their capacity
- * across calls.
- */
-void split_banks(const GraphRef &graph,
-                 const std::vector<std::uint32_t> &bank_of,
-                 std::uint32_t p_edge,
-                 std::vector<std::vector<BankWork>> &banks);
 
 /**
  * Static description of one pipeline phase's work, independent of the
@@ -145,45 +133,45 @@ std::vector<StageSchedule> build_stage_schedule(const Model &model,
 
 /**
  * The graph one die prices, fixed for a whole run. Scatter phases run
- * over all `n_nodes` (owned and ghost); node-local phases and the GAT
- * epilogue over the first `n_owned` only. A single-die run has
- * n_owned == n_nodes and no owner mask.
+ * over all of `graph`'s nodes (owned and ghost); node-local phases and
+ * the GAT epilogue over `n_owned` only. A single-die run has
+ * n_owned == graph.num_nodes() and no owner mask.
  */
 struct PricedGraph {
-    NodeId n_nodes = 0;
+    GraphRef graph;
     NodeId n_owned = 0;
     /** Per node: nonzero if owned (borrowed; null = all owned). */
     const std::uint8_t *is_owned = nullptr;
-    /** split_banks() of the die's graph (borrowed). */
-    const std::vector<std::vector<BankWork>> *banks = nullptr;
+    /** Feature widths of the die's input records (load DMA). */
+    std::size_t node_dim = 0;
+    std::size_t edge_dim = 0;
 };
 
 /**
- * Prices stages [first, last) of `schedule` on one die: one phase per
- * stage, two for GAT (the second re-streams the projections at zero
- * accumulate cost for the weighted sum). Appends each stage's cycles to
- * stats.phase_cycles, adds them to stats.total_cycles and advances
- * `phase_base`, the absolute cycle trace events are offset by. A phase
- * equal to an earlier one of the same call replays that phase's
- * recorded statistics instead of being simulated again. stats must be
- * sized as run_phase() requires.
+ * Graph-sized pricing buffers (the node -> MP-bank map and the
+ * destination-bank split of every node's out-edges). Resized, never
+ * shrunk, so a workspace that keeps one across runs stops allocating
+ * them per graph. Not thread-safe: one scratch per concurrent call.
  */
-void price_stages(const std::vector<StageSchedule> &schedule,
-                  const PricedGraph &graph, const EngineConfig &cfg,
-                  const RunOptions &opts, std::size_t first,
-                  std::size_t last, RunStats &stats,
-                  std::uint64_t &phase_base);
+struct PricingScratch {
+    std::vector<std::uint32_t> bank_of;
+    std::vector<std::vector<BankWork>> banks;
+};
 
 /**
- * Closes a completed run: the final GAT combine over the `n_owned`
- * nodes when the last stage is attention, then the pooled MLP head.
- * Sets stats.head_cycles and adds both, plus stats.load_cycles, to
- * stats.total_cycles.
+ * Prices one die's whole run of `model`: input DMA (owned records and
+ * edges, one id word per ghost slot), the bank policy's map, one phase
+ * per stage and two for GAT (the second re-streams the projections at
+ * zero accumulate cost for the weighted sum), the final GAT combine
+ * over the owned nodes when the last stage is attention, and the
+ * pooled MLP head. A phase equal to an earlier one of the run replays
+ * that phase's recorded statistics instead of being simulated again.
+ * `threads` runs the greedy bank policy's degree count (0 = all
+ * cores); the result is identical for every value.
  */
-void price_run_tail(const Model &model,
-                    const std::vector<StageSchedule> &schedule,
-                    NodeId n_owned, const EngineConfig &cfg,
-                    RunStats &stats);
+RunStats price_run(const Model &model, const EngineConfig &cfg,
+                   const RunOptions &opts, const PricedGraph &die,
+                   unsigned threads, PricingScratch &scratch);
 
 } // namespace flowgnn
 

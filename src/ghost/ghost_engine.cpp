@@ -6,72 +6,11 @@
 
 #include "core/functional.h"
 #include "core/phase_model.h"
-#include "graph/partition.h"
 #include "obs/trace_session.h"
 
 namespace flowgnn {
 
 namespace {
-
-/**
- * Prices one die's run: the shared per-stage pricing loop over the
- * die's local subgraph, with accumulate costs split between owned
- * vertices (full NT work from the shared schedule) and ghosts (zero —
- * their embedding arrived over the link and is only re-streamed into
- * the scatter; GAT ghosts pay the local projection). Timing is
- * structural: the functional answer is computed once globally by the
- * caller.
- */
-RunStats
-price_ghost_die(const GhostShard &shard,
-                const std::vector<StageSchedule> &schedule,
-                const Model &model, const EngineConfig &cfg,
-                const RunOptions &opts, std::size_t node_dim,
-                std::size_t edge_dim)
-{
-    const NodeId n_locals = shard.local_graph.num_nodes;
-    const NodeId n_owned =
-        static_cast<NodeId>(shard.info.owned_nodes);
-    const std::uint64_t n_ghosts = shard.info.ghost_nodes;
-
-    RunStats stats;
-    stats.clock_mhz = cfg.clock_mhz;
-    stats.nt_units.assign(cfg.p_node, {});
-    stats.mp_units.assign(cfg.p_edge, {});
-    stats.mp_edge_work.assign(cfg.p_edge, 0);
-
-    // Input DMA: the die loads only its owned vertices' records and
-    // its local edges; ghost slots cost one id word each (their
-    // payload arrives over the link, priced separately).
-    stats.load_cycles = ceil_div_u64(
-        std::uint64_t(n_owned) * (node_dim + 1) +
-            std::uint64_t(shard.local_graph.edges.size()) *
-                (edge_dim + 2) +
-            n_ghosts,
-        64);
-
-    // Destination-bank split over the local subgraph, mirroring the
-    // engine's policy choice on local ids.
-    std::vector<std::uint32_t> bank_of;
-    if (cfg.bank_policy == BankPolicy::kGreedyBalanced) {
-        bank_of = balanced_bank_assignment(shard.local_graph,
-                                           cfg.p_edge);
-    } else {
-        bank_of.resize(n_locals);
-        for (NodeId v = 0; v < n_locals; ++v)
-            bank_of[v] = v % cfg.p_edge;
-    }
-    std::vector<std::vector<BankWork>> banks;
-    split_banks(shard.local_graph, bank_of, cfg.p_edge, banks);
-
-    std::uint64_t phase_base = 0;
-    const PricedGraph graph{n_locals, n_owned, shard.is_owned.data(),
-                            &banks};
-    price_stages(schedule, graph, cfg, opts, 0, schedule.size(), stats,
-                 phase_base);
-    price_run_tail(model, schedule, n_owned, cfg, stats);
-    return stats;
-}
 
 /**
  * Emits the modeled per-die execution — load, per-layer boundary
@@ -124,59 +63,41 @@ emit_modeled_timeline(obs::TraceSession &session,
 
 ShardedRunResult
 run_ghost_plan(const Model &model, const EngineConfig &config,
-               const GraphSample &prepared, GhostPlan &&plan,
+               const GraphSample &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link)
 {
-    return run_ghost_plan(model, config, SampleRef(prepared),
-                          std::move(plan), opts, link, 1);
+    return run_ghost_plan(model, config, SampleRef(prepared), plan, opts,
+                          link, 1);
 }
 
 ShardedRunResult
 run_ghost_plan(const Model &model, const EngineConfig &config,
-               const SampleRef &prepared, GhostPlan &&plan,
+               const SampleRef &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link,
                unsigned host_cores)
 {
-    return run_ghost_plan(model, config, prepared, std::move(plan),
-                          opts, link, nullptr, host_cores);
+    // Run-to-completion wrapper: a fresh checkpoint and a masked
+    // preemption token.
+    RunOptions whole = opts;
+    whole.preempt = nullptr;
+    LayerCheckpoint ckpt;
+    ShardedRunResult out;
+    run_ghost_plan(model, config, prepared, plan, whole, link, ckpt, out,
+                   std::size_t(-1), host_cores);
+    return out;
 }
 
-ShardedRunResult
+SegmentOutcome
 run_ghost_plan(const Model &model, const EngineConfig &config,
-               const SampleRef &prepared, GhostPlan &&plan,
+               const SampleRef &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link,
-               GhostResumeState *resume, unsigned host_cores)
+               LayerCheckpoint &ckpt, ShardedRunResult &out,
+               std::size_t max_stages, unsigned host_cores)
 {
-    ShardedRunResult out;
+    config.validate();
     obs::TraceSession *session = obs::TraceSession::current();
     const std::uint64_t run_start_ns =
         session ? session->now_ns() : 0;
-
-    if (!plan.sharded) {
-        Engine engine(model, config);
-        RunWorkspace ws;
-        RunResult r;
-        if (resume != nullptr) {
-            if (engine.run_resumable(prepared, opts, ws,
-                                     resume->checkpoint, r,
-                                     resume->max_stages, host_cores) ==
-                SegmentOutcome::kPreempted) {
-                resume->preempted = true;
-                resume->plan = std::move(plan);
-                return out;
-            }
-            resume->preempted = false;
-        } else {
-            r = engine.run_prepared(prepared, opts, ws, host_cores);
-        }
-        out.embeddings = std::move(r.embeddings);
-        out.prediction = r.prediction;
-        GhostShard &shard = plan.shards.front();
-        shard.info.stats = r.stats;
-        out.shards.push_back(std::move(shard.info));
-        out.stats = std::move(r.stats);
-        return out;
-    }
 
     // ---- Global functional pass ----
     // Timing is structural, so the functional kernel computes the
@@ -186,37 +107,36 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
     // in every pipeline mode and invariant in the shard count.
     // Quantization points are the engine's own, and since its
     // quantizer is idempotent, the re-quantization at every boundary
-    // crossing is value-preserving.
+    // crossing is value-preserving. Only this pass checkpoints: it is
+    // the sole carrier of values. The structural pricing below runs
+    // exactly once, on the segment that completes.
+    Matrix embeddings;
     {
         obs::Span span(obs::Track::kGhost, "functional pass");
-        // Only the functional pass checkpoints: it is the sole carrier
-        // of values. The structural per-die pricing below runs exactly
-        // once, on the segment that completes. Without resume state
-        // the pass runs to completion (the token is masked).
-        LayerCheckpoint whole;
-        RunOptions func_opts = opts;
-        if (resume == nullptr)
-            func_opts.preempt = nullptr;
-        const SegmentOutcome seg = functional_forward(
-            model, prepared, func_opts, host_cores,
-            resume != nullptr ? resume->checkpoint : whole,
-            resume != nullptr ? resume->max_stages : std::size_t(-1),
-            out.embeddings);
-        if (resume != nullptr) {
-            resume->preempted = seg == SegmentOutcome::kPreempted;
-            if (resume->preempted) {
-                resume->plan = std::move(plan);
-                return out;
-            }
-        }
+        if (functional_forward(model, prepared, opts, host_cores, ckpt,
+                               max_stages, embeddings) ==
+            SegmentOutcome::kPreempted)
+            return SegmentOutcome::kPreempted;
     }
+    out = ShardedRunResult{};
+    out.embeddings = std::move(embeddings);
     out.prediction = model.readout(out.embeddings, prepared.pool_nodes());
 
+    if (!plan.sharded) {
+        // Fallback: one die over the whole sample, priced as Engine
+        // prices it.
+        PricingScratch scratch;
+        out.stats = price_run(model, config, opts,
+                              {prepared.graph, prepared.num_nodes(),
+                               nullptr, prepared.node_dim,
+                               prepared.edge_dim},
+                              host_cores, scratch);
+        out.shards.push_back(plan.shards.front().info);
+        out.shards.back().stats = out.stats;
+        return SegmentOutcome::kComplete;
+    }
+
     // ---- Per-die timing, one thread per die ----
-    const std::vector<StageSchedule> schedule =
-        build_stage_schedule(model, config);
-    const std::size_t node_dim = prepared.node_dim;
-    const std::size_t edge_dim = prepared.edge_dim;
     std::vector<RunStats> per_die(plan.shards.size());
     {
         std::vector<std::thread> threads;
@@ -228,9 +148,15 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
                 if (obs::TraceSession *s = obs::TraceSession::current())
                     s->name_thread(obs::Track::kGhost, nm);
                 obs::Span span(obs::Track::kGhost, nm);
-                per_die[t] =
-                    price_ghost_die(plan.shards[t], schedule, model,
-                                    config, opts, node_dim, edge_dim);
+                const GhostShard &shard = plan.shards[t];
+                PricingScratch scratch;
+                per_die[t] = price_run(
+                    model, config, opts,
+                    {shard.local_graph,
+                     static_cast<NodeId>(shard.info.owned_nodes),
+                     shard.is_owned.data(), prepared.node_dim,
+                     prepared.edge_dim},
+                    1, scratch);
             });
         }
         for (std::thread &th : threads)
@@ -241,10 +167,9 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
     std::vector<std::vector<std::uint64_t>> per_layer_comm;
     per_layer_comm.reserve(plan.shards.size());
     for (std::size_t t = 0; t < plan.shards.size(); ++t) {
-        GhostShard &shard = plan.shards[t];
-        shard.info.stats = per_die[t];
-        per_layer_comm.push_back(std::move(shard.layer_comm_cycles));
-        out.shards.push_back(std::move(shard.info));
+        out.shards.push_back(plan.shards[t].info);
+        out.shards.back().stats = per_die[t];
+        per_layer_comm.push_back(plan.shards[t].layer_comm_cycles);
     }
     out.stats =
         compose_shard_stats(per_die, per_layer_comm, link.overlap);
@@ -258,7 +183,7 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
         emit_modeled_timeline(
             *session, per_die, per_layer_comm,
             obs::CycleClockMap{run_start_ns, config.clock_mhz});
-    return out;
+    return SegmentOutcome::kComplete;
 }
 
 ShardedEngine::ShardedEngine(const Model &model, EngineConfig engine_config,
@@ -281,7 +206,7 @@ ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
         obs::Span span(obs::Track::kShard, "ghost plan");
         plan = make_ghost_plan(model_, prepared, shard_config_);
     }
-    return run_ghost_plan(model_, config_, prepared, std::move(plan), opts,
+    return run_ghost_plan(model_, config_, prepared, plan, opts,
                           shard_config_.link);
 }
 

@@ -101,12 +101,6 @@ workload_imbalance(const CooGraph &graph, std::uint32_t p_edge)
 }
 
 std::vector<std::uint32_t>
-balanced_bank_assignment(const CooGraph &graph, std::uint32_t p_edge)
-{
-    return balanced_bank_assignment(GraphRef(graph), p_edge, 1);
-}
-
-std::vector<std::uint32_t>
 balanced_bank_assignment(const GraphRef &graph, std::uint32_t p_edge,
                          unsigned threads)
 {

@@ -64,14 +64,12 @@ double workload_imbalance(const std::vector<std::size_t> &counts);
  * ablation for the paper's stated future work on workload imbalance
  * (Sec. VI-E: "we will consider improvements in future work").
  *
+ * The degree count runs on `threads` host cores (0 = all); the
+ * greedy pass itself is serial, so the output is identical for every
+ * thread count.
+ *
  * @return bank id per node, each in [0, p_edge)
  */
-std::vector<std::uint32_t>
-balanced_bank_assignment(const CooGraph &graph, std::uint32_t p_edge);
-
-/** Edge-view overload (mmap-backed graphs): the degree count runs on
- * `threads` host cores (0 = all); the greedy pass itself is serial.
- * Identical output to the CooGraph overload. */
 std::vector<std::uint32_t>
 balanced_bank_assignment(const GraphRef &graph, std::uint32_t p_edge,
                          unsigned threads = 0);

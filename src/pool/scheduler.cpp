@@ -56,7 +56,6 @@ struct PoolScheduler::Job {
     /** What only sharded jobs carry. */
     struct Sharded {
         GhostPlan plan;
-        GhostResumeState resume; ///< preempted functional pass
         ShardedRunResult result;
         LinkConfig link{};
         std::promise<ShardedRunResult> promise;
@@ -79,7 +78,7 @@ struct PoolScheduler::Job {
     RunOptions opts;
     std::unique_ptr<Sharded> sharded; ///< null for whole-graph jobs
     RunResult result;     ///< whole-graph jobs
-    LayerCheckpoint ckpt; ///< whole-graph jobs: layer-boundary resume
+    LayerCheckpoint ckpt; ///< layer-boundary resume, both job kinds
     std::exception_ptr error;
     std::promise<RunResult> promise; ///< whole-graph jobs
 };
@@ -311,13 +310,11 @@ PoolScheduler::run_sharded(std::size_t die, Job &job)
     bool yielded = false;
     std::exception_ptr error;
     try {
-        sh.result = run_ghost_plan(
-            model_, pool_.engine(die).config(), SampleRef(job.sample),
-            std::move(sh.plan), opts, sh.link,
-            config_.enable_preemption ? &sh.resume : nullptr, 1);
-        yielded = sh.resume.preempted;
-        if (yielded)
-            sh.plan = std::move(sh.resume.plan);
+        yielded = run_ghost_plan(model_, pool_.engine(die).config(),
+                                 SampleRef(job.sample), sh.plan, opts,
+                                 sh.link, job.ckpt, sh.result,
+                                 std::size_t(-1),
+                                 1) == SegmentOutcome::kPreempted;
     } catch (...) {
         error = std::current_exception();
     }

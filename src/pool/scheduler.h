@@ -18,7 +18,7 @@
  * priority, or EDF. kPriority/kEdf optionally preempt running tasks
  * at message-passing layer boundaries; the victim checkpoints,
  * requeues and later resumes bit-identically (Engine::run_resumable,
- * or run_ghost_plan's resume state). Every dispatch and victim
+ * or the resumable run_ghost_plan). Every dispatch and victim
  * decision comes from a DispatchCore on a clock of nanoseconds since
  * construction, the same core simulate_pool_schedule drives on modeled
  * cycles; the scheduler keeps only threads, locking, promises, engine

@@ -235,20 +235,18 @@ TEST(DifferentialFuzz, GhostPreemptAtEveryLayerBitIdentical)
 
         for (std::size_t k = 1;; ++k) {
             SCOPED_TRACE(::testing::Message() << "preempt at k=" << k);
-            GhostResumeState state;
-            state.max_stages = k;
-            GhostPlan plan = make_ghost_plan(model, prepared, shard);
-            ShardedRunResult got = run_ghost_plan(
-                model, cfg, SampleRef(prepared), std::move(plan), opts,
-                link, &state);
-            const bool hit_boundary = state.preempted;
+            LayerCheckpoint ckpt;
+            ShardedRunResult got;
+            const GhostPlan plan = make_ghost_plan(model, prepared, shard);
+            const bool hit_boundary =
+                run_ghost_plan(model, cfg, SampleRef(prepared), plan, opts,
+                               link, ckpt, got, k) ==
+                SegmentOutcome::kPreempted;
             if (hit_boundary) {
-                ASSERT_EQ(state.checkpoint.next_stage, k);
-                state.max_stages = std::size_t(-1);
-                got = run_ghost_plan(model, cfg, SampleRef(prepared),
-                                     std::move(state.plan), opts, link,
-                                     &state);
-                ASSERT_FALSE(state.preempted);
+                ASSERT_EQ(ckpt.next_stage, k);
+                ASSERT_EQ(run_ghost_plan(model, cfg, SampleRef(prepared),
+                                         plan, opts, link, ckpt, got),
+                          SegmentOutcome::kComplete);
             }
             EXPECT_EQ(max_abs_diff(got.embeddings, ref.embeddings),
                       0.0f);

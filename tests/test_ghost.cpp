@@ -4,8 +4,8 @@
  * on hand-checkable graphs, per-layer exchange word counts against the
  * planner's published schedule, degenerate shapes (empty boundaries,
  * n < P), the shared shard assignment, the resident footprint on
- * power-law graphs, layered comm composition, and the pool's ghost
- * jobs (P die leases, preemption under load).
+ * power-law graphs, layered comm composition, config validation, and
+ * the pool's ghost jobs (P die leases, preemption under load).
  */
 #include <gtest/gtest.h>
 
@@ -356,6 +356,29 @@ TEST(GhostEngine, OverlapHidesExchangesAndKeepsTheAnswer)
         compute_only =
             std::max(compute_only, info.stats.total_cycles);
     EXPECT_GE(ro.stats.total_cycles, compute_only);
+}
+
+TEST(GhostEngine, ShardedPlanRejectsAnInvalidEngineConfig)
+{
+    // The config is validated before any die is priced: a zero MP-unit
+    // count would divide by zero in the bank map, and a zero clock
+    // would report an infinite latency.
+    Model model = make_model(ModelKind::kGcn16, 8, 0);
+    GraphSample prepared = model.prepare(make_random_sample(
+        make_ring_lattice(200, 2), 8, 0, 0x68));
+    ShardConfig shard;
+    shard.num_shards = 2;
+    const GhostPlan plan = make_ghost_plan(model, prepared, shard);
+    ASSERT_TRUE(plan.sharded);
+
+    EngineConfig no_mp_units;
+    no_mp_units.p_edge = 0;
+    EngineConfig no_clock;
+    no_clock.clock_mhz = 0.0;
+    for (const EngineConfig &bad : {no_mp_units, no_clock})
+        EXPECT_THROW(run_ghost_plan(model, bad, prepared, plan, RunOptions{},
+                                    shard.link),
+                     std::invalid_argument);
 }
 
 // ---- Pool integration -------------------------------------------------

@@ -4,9 +4,10 @@
  * oracle (testing::naive_run_phase and its stage loop): every RunStats
  * field, trace events included, must match with tracing on and off,
  * across pipeline modes, queue depths, unit shapes, models and graph
- * shapes; through Engine resume at every layer boundary; and per die
- * of ghost-exchange runs. Also pins that ring storage follows the
- * phase's traffic, not a user-set queue depth.
+ * shapes; through Engine resume at every layer boundary; per die of
+ * ghost-exchange runs; and through resumed one-die fallback plans.
+ * Also pins that ring storage follows the phase's traffic, not a
+ * user-set queue depth.
  */
 #include <gtest/gtest.h>
 
@@ -276,6 +277,46 @@ TEST(PhaseModelOracle, GhostPerDieStatsMatchAtThreeDies)
                                           prepared.node_dim(),
                                           prepared.edge_dim()));
             }
+        }
+}
+
+TEST(PhaseModelOracle, GhostFallbackPlansResumeLikeTheEngine)
+{
+    // One shard, or a virtual node: the plan runs whole on one die.
+    // Resumed one stage per segment, it prices and computes exactly
+    // what an uninterrupted engine run does.
+    const GraphSample s =
+        make_random_sample(make_permuted_ba(50, 31), 6, 3, 6);
+    for (ModelKind kind : {ModelKind::kGcn16, ModelKind::kGinVn})
+        for (PipelineMode mode :
+             {PipelineMode::kFixedPipeline, PipelineMode::kFlowGnn}) {
+            SCOPED_TRACE(std::string(pipeline_mode_name(mode)));
+            const Model model = make_model(kind, 6, 3);
+            const GraphSample prepared = model.prepare(s);
+            ShardConfig shard;
+            shard.num_shards = kind == ModelKind::kGinVn ? 3 : 1;
+            const GhostPlan plan = make_ghost_plan(model, prepared, shard);
+            ASSERT_FALSE(plan.sharded);
+            EngineConfig cfg;
+            cfg.mode = mode;
+            cfg.queue_depth = 2;
+            RunOptions opts;
+            opts.capture_trace = true;
+            LayerCheckpoint ckpt;
+            ShardedRunResult r;
+            std::size_t segments = 0;
+            while (run_ghost_plan(model, cfg, SampleRef(prepared), plan,
+                                  opts, shard.link, ckpt, r, 1, 1) ==
+                   SegmentOutcome::kPreempted)
+                ++segments;
+            EXPECT_EQ(segments + 1, model.num_stages());
+            expect_same_stats(
+                r.stats, naive_engine_stats(model, prepared, cfg, opts));
+            RunWorkspace ws;
+            const RunResult want =
+                Engine(model, cfg).run_prepared(prepared, opts, ws);
+            EXPECT_TRUE(r.embeddings == want.embeddings);
+            EXPECT_EQ(r.prediction, want.prediction);
         }
 }
 
