@@ -1,16 +1,16 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the engine's primitive kernels:
- * FIFO traffic, row-block Linear forwards, aggregator folds, the
- * GCN-16 column gather, CSR construction from the streamed COO list,
- * and whole-engine runs.
+ * row-block Linear forwards, aggregator folds, the GCN-16 column
+ * gather, CSR construction from the streamed COO list, timing-only
+ * pricing of whole runs, and whole-engine runs.
  * These quantify simulator throughput (host-side), complementing the
  * modeled accelerator cycle counts.
  */
 #include <benchmark/benchmark.h>
 
 #include "core/engine.h"
-#include "core/fifo.h"
+#include "core/phase_model.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "nn/aggregator.h"
@@ -18,18 +18,6 @@
 
 namespace flowgnn {
 namespace {
-
-void
-BM_FifoPushPop(benchmark::State &state)
-{
-    Fifo<std::uint64_t> q(64);
-    std::uint64_t v = 0;
-    for (auto _ : state) {
-        q.push(++v);
-        benchmark::DoNotOptimize(q.pop());
-    }
-}
-BENCHMARK(BM_FifoPushPop);
 
 void
 BM_LinearForwardRows(benchmark::State &state)
@@ -119,6 +107,41 @@ BM_CsrBuildFromStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * s.num_edges());
 }
 BENCHMARK(BM_CsrBuildFromStream);
+
+void
+BM_PriceRun(benchmark::State &state)
+{
+    // price_run alone (no functional pass) on the serving workloads'
+    // shapes: 0 = a pool-mixed interactive job (GCN-16 on a 3,000-node
+    // BA graph, m = 6), 1 = a hep-stream request (GAT on one HEP
+    // event). Default engine config.
+    const bool hep = state.range(0) == 1;
+    GraphSample s;
+    if (hep) {
+        s = make_sample(DatasetKind::kHep, 0);
+    } else {
+        Rng rng(3);
+        s.graph = make_barabasi_albert(3000, 6, rng);
+        s.node_features = gaussian_features(s.num_nodes(), 64, 3);
+    }
+    const Model model =
+        hep ? make_model(ModelKind::kGat, s.node_dim(), s.edge_dim())
+            : make_model(ModelKind::kGcn16, 64, 0);
+    const GraphSample prepared = model.prepare(s);
+    const PricedGraph die{prepared.graph, prepared.num_nodes(), nullptr,
+                          prepared.node_dim(), prepared.edge_dim()};
+    PricingScratch scratch;
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        const RunStats stats =
+            price_run(model, EngineConfig{}, RunOptions{}, die, 1, scratch);
+        cycles = stats.total_cycles;
+        benchmark::DoNotOptimize(cycles);
+    }
+    state.counters["modeled_cycles_per_s"] = benchmark::Counter(
+        double(cycles), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PriceRun)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void
 BM_EngineMolHivGraph(benchmark::State &state)

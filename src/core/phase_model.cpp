@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "graph/partition.h"
 
@@ -10,10 +11,13 @@ namespace flowgnn {
 
 namespace {
 
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
 /** One entry in an adapter-to-MP queue. */
 struct QueueEntry {
     NodeId node = 0;
     std::uint32_t granules = 1; ///< scatter granules carried
+    std::uint32_t edges = 0;    ///< the node's edges into the queue's bank
 };
 
 /**
@@ -47,8 +51,6 @@ class QueueRings
     {
         return rings_[q].size >= rings_[q].cap;
     }
-    /** Entries queued across all rings. */
-    std::size_t queued() const { return queued_; }
 
     /** Enqueues; call only when !full(q). */
     void
@@ -60,7 +62,6 @@ class QueueRings
             tail -= r.cap;
         slots_[r.base + tail] = e;
         ++r.size;
-        ++queued_;
         r.peak = std::max(r.peak, r.size);
     }
 
@@ -73,7 +74,6 @@ class QueueRings
         if (++r.head == r.cap)
             r.head = 0;
         --r.size;
-        --queued_;
         return e;
     }
 
@@ -97,397 +97,429 @@ class QueueRings
     };
     std::vector<Ring> rings_;
     std::vector<QueueEntry> slots_;
-    std::size_t queued_ = 0;
 };
 
-/** NT unit: double-buffered accumulate/output state machine. Unit u
- * owns nodes u, u + Pnode, u + 2 Pnode, ... in that order. */
-struct NtUnitState {
+/**
+ * NT unit u and adapter port u, priced as one producer: only NT unit u
+ * feeds port u, and only port u pushes into the queues (u, *). The NT
+ * unit is a double-buffered accumulate/output state machine owning
+ * nodes u, u + Pnode, u + 2 Pnode, ... in that order; the port
+ * re-batches its Papply beats into Pscatter granules and multicasts
+ * each to every destination bank of the node. The state is exact as of
+ * the end of cycle `synced`.
+ */
+struct Producer {
     std::uint64_t next = 0; ///< next node to start accumulating
     bool acc_active = false;
     NodeId acc_node = 0;
     std::uint64_t acc_rem = 0;
     std::uint64_t acc_start = 0; ///< cycle the accumulate began (trace)
-    std::uint64_t out_start = 0; ///< cycle the output began (trace)
     bool pong_full = false; ///< node finished acc, waiting to stream
     NodeId pong_node = 0;
     bool out_active = false;
+    bool out_to_port = false; ///< the output node has scatter targets
     NodeId out_node = 0;
-    std::uint32_t out_sent = 0; ///< elements streamed so far
-
-    bool
-    done(NodeId n_nodes) const
-    {
-        return next >= n_nodes && !acc_active && !pong_full &&
-               !out_active;
-    }
-};
-
-/** Adapter port: Papply -> Pscatter re-batching + multicast. */
-struct AdapterPort {
-    bool active = false;
-    NodeId node = 0;
-    std::uint32_t received = 0; ///< elements received from NT
-    std::uint32_t emitted_granules = 0;
-    std::uint32_t total_granules = 0;
+    std::uint32_t out_beats = 0; ///< Papply beats streamed so far
+    std::uint64_t out_start = 0; ///< cycle the output began (trace)
+    bool port_active = false;
+    NodeId port_node = 0;
+    std::uint32_t received = 0; ///< elements the port received
+    std::uint32_t emitted = 0;  ///< granules the port multicast
     const std::vector<BankWork> *targets = nullptr;
+
+    std::uint64_t synced = 0;
+    std::uint64_t ready_at = kNever; ///< first cycle the port can emit
+    /** Target queues now full; while nonzero the port has no visit of
+     * its own, and the pop that frees the last one schedules it. */
+    std::uint32_t full_targets = 0;
+    std::uint64_t busy = 0; ///< NT busy cycles
 };
 
 /** MP unit: consumes queue entries, one edge-granule per cycle. */
-struct MpUnitState {
-    bool busy = false;
-    QueueEntry entry;
-    std::uint64_t rem = 0;
-    std::uint64_t entry_start = 0; ///< cycle the entry began (trace)
+struct MpUnit {
     std::uint32_t rr_cursor = 0; ///< round-robin over source queues
+    std::uint64_t free_at = 0;   ///< first cycle it may pop again
+    std::uint64_t queued = 0;    ///< entries waiting in queues (*, m)
+    std::uint64_t busy = 0;
+    std::uint64_t edge_work = 0;
 };
 
-std::uint32_t
-bank_edges(const std::vector<BankWork> &banks, std::uint32_t bank)
-{
-    for (const auto &bw : banks)
-        if (bw.bank == bank)
-            return bw.edges;
-    return 0;
-}
-
 /**
- * Cycle-stepped simulation of one phase for the queue-based modes
- * (baseline dataflow and FlowGNN). whole_node_handoff selects the
- * baseline behaviour where MP only starts a node after its entire
- * embedding arrived (Fig. 4(c) vs (d)).
+ * Event-driven simulation of one phase for the queue-based modes
+ * (baseline dataflow and FlowGNN), with exactly the semantics of a
+ * loop that steps every unit through every cycle: in each cycle the
+ * MP units pop first, then each port multicasts, each NT unit streams
+ * and promotes, and each NT unit accumulates. whole_node_handoff
+ * selects the baseline behaviour where MP only starts a node after its
+ * entire embedding arrived (Fig. 4(c) vs (d)).
  *
- * A cycle that changes nothing but the two countdowns (an MP entry's
- * `rem`, an NT accumulate's `acc_rem`) leaves every predicate the next
- * cycle reads as it was, so it repeats identically until the nearest
- * countdown expires; the loop then jumps straight there, adding the
- * repeated cycles' busy/idle and stall counts in one step.
+ * A unit is visited only at cycles where its own state changes; the
+ * cycles in between add their beats, countdowns, stalls and busy time
+ * in one step (docs/DESIGN.md, "Timing model: phase simulator").
  */
-std::uint64_t
-simulate_phase(const PhaseEnv &env, bool whole_node_handoff)
+class PhasePricer
 {
-    const PhaseWork &w = env.work;
-    const EngineConfig &cfg = env.cfg;
-    RunStats &stats = env.stats;
-    const std::uint32_t pn = cfg.p_node;
-    const std::uint32_t pe = cfg.p_edge;
-    const std::uint32_t pa = cfg.p_apply;
-    const std::uint32_t ps = cfg.p_scatter;
-    const std::uint32_t sg_total =
-        w.stream_elems == 0
-            ? 0
-            : static_cast<std::uint32_t>(
-                  ceil_div_u64(w.stream_elems, ps));
-    const std::uint32_t pushes_per_target =
-        whole_node_handoff ? (sg_total > 0 ? 1 : 0) : sg_total;
-
-    // Generous livelock guard (every unit of work costs >= 1 cycle),
-    // and the entries each queue will receive, which sizes its ring.
-    std::uint64_t work_bound = 1000000;
-    std::vector<std::uint64_t> pushes(std::size_t(pn) * pe, 0);
-    for (NodeId n = 0; n < w.n_nodes; ++n) {
-        work_bound += w.acc_of(n) + w.stream_elems;
-        if (w.has_scatter)
-            for (const auto &bw : (*w.banks)[n]) {
-                work_bound +=
-                    std::uint64_t(bw.edges) * sg_total * w.expansion;
-                pushes[std::size_t(n % pn) * pe + bw.bank] +=
-                    pushes_per_target;
-            }
+  public:
+    PhasePricer(const PhaseEnv &env, bool whole_node_handoff)
+        : w_(env.work), stats_(env.stats), base_cycle_(env.base_cycle),
+          tracing_(env.opts.capture_trace), whole_node_(whole_node_handoff),
+          pn_(env.cfg.p_node), pe_(env.cfg.p_edge), pa_(env.cfg.p_apply),
+          ps_(env.cfg.p_scatter), cap_(2 * std::max(pa_, ps_)),
+          sg_total_(static_cast<std::uint32_t>(
+              ceil_div_u64(w_.stream_elems, ps_))),
+          beats_total_(static_cast<std::uint32_t>(
+              ceil_div_u64(w_.stream_elems, pa_))),
+          beats_(sg_total_), queues_(queue_pushes(), env.cfg.queue_depth),
+          prod_(pn_), mp_(pe_), is_target_(std::size_t(pn_) * pe_, 0),
+          when_(std::size_t(pe_) + pn_, kNever)
+    {
+        for (std::uint32_t u = 0; u < pn_; ++u)
+            prod_[u].next = u;
+        for (std::uint32_t e = 0; e < sg_total_; ++e) {
+            const std::uint64_t goal = std::min<std::uint64_t>(
+                std::uint64_t(e + 1) * ps_, w_.stream_elems);
+            beats_[e] =
+                whole_node_
+                    ? GranuleBeats{beats_total_, beats_total_}
+                    : GranuleBeats{
+                          static_cast<std::uint32_t>(ceil_div_u64(goal, pa_)),
+                          static_cast<std::uint32_t>(
+                              (cap_ + ps_ + std::uint64_t(e) * ps_) / pa_)};
+        }
     }
-    work_bound = work_bound * 4 + 1000000;
 
-    std::vector<NtUnitState> nt(pn);
-    for (std::uint32_t u = 0; u < pn; ++u)
-        nt[u].next = u;
-    std::vector<AdapterPort> port(pn);
-    std::vector<MpUnitState> mp(pe);
-    QueueRings queues(pushes, cfg.queue_depth);
-    auto queue_id = [pe](std::uint32_t u, std::uint32_t m) {
-        return std::size_t(u) * pe + m;
-    };
-
-    const bool tracing = env.opts.capture_trace;
-    auto emit = [&](TraceKind kind, std::uint32_t unit, NodeId node,
-                    std::uint64_t start, std::uint64_t end) {
-        if (tracing && end > start)
-            stats.trace.push_back({kind, unit, node,
-                                   env.base_cycle + start,
-                                   env.base_cycle + end});
-    };
-
-    auto all_done = [&] {
-        for (const auto &u : nt)
-            if (!u.done(w.n_nodes))
-                return false;
-        for (const auto &p : port)
-            if (p.active)
-                return false;
-        for (const auto &m : mp)
-            if (m.busy)
-                return false;
-        return queues.queued() == 0;
-    };
-
-    std::uint64_t cycle = 0;
-    bool done = all_done();
-    while (!done) {
-        if (cycle > work_bound)
-            throw std::runtime_error("Engine: phase livelock detected");
-        ++cycle;
-        bool changed = false;      // any state besides the countdowns
-        std::uint64_t stalls = 0;  // adapter stalls this cycle
-
-        // 1. MP units consume (oldest pipeline stage first so data
-        //    moves at most one hop per cycle).
-        for (std::uint32_t m = 0; m < pe; ++m) {
-            auto &unit = mp[m];
-            if (unit.busy) {
-                --unit.rem;
-                stats.mp_units[m].busy++;
-                if (unit.rem == 0) {
-                    emit(TraceKind::kMpWork, m, unit.entry.node,
-                         unit.entry_start, cycle);
-                    unit.busy = false;
-                    changed = true;
-                }
-                continue;
-            }
-            // Pop next entry, round-robin over source NT queues.
-            bool popped = false;
-            for (std::uint32_t probe = 0; probe < pn && !popped; ++probe) {
-                // (cursor + probe) % pn, without a division per probe.
-                std::uint32_t u = unit.rr_cursor + probe;
-                if (u >= pn)
-                    u -= pn;
-                const std::size_t q = queue_id(u, m);
-                if (queues.empty(q))
-                    continue;
-                unit.entry = queues.pop(q);
-                unit.rr_cursor = u + 1 == pn ? 0 : u + 1;
-                std::uint32_t deg =
-                    bank_edges((*w.banks)[unit.entry.node], m);
-                unit.rem = std::uint64_t(deg) * unit.entry.granules *
-                           w.expansion;
-                if (unit.rem == 0)
-                    unit.rem = 1; // entry consumption itself
-                unit.busy = true;
-                unit.entry_start = cycle - 1;
-                popped = true;
-                changed = true;
-                stats.mp_edge_work[m] +=
-                    std::uint64_t(deg) * unit.entry.granules;
-                // Spend this cycle on the first unit of work.
-                --unit.rem;
-                stats.mp_units[m].busy++;
-                if (unit.rem == 0) {
-                    emit(TraceKind::kMpWork, m, unit.entry.node,
-                         unit.entry_start, cycle);
-                    unit.busy = false;
-                }
-            }
-            if (!popped && !unit.busy)
-                stats.mp_units[m].idle++;
+    /** Prices the phase into env.stats and returns its cycle count. */
+    std::uint64_t
+    run()
+    {
+        const std::size_t trace_begin = stats_.trace.size();
+        for (std::uint32_t u = 0; u < pn_ && u < w_.n_nodes; ++u)
+            when_[pe_ + u] = 1;
+        for (;;) {
+            // The earliest visit; on a tie the lowest slot.
+            std::uint32_t slot = 0;
+            for (std::uint32_t i = 1; i < when_.size(); ++i)
+                if (when_[i] < when_[slot])
+                    slot = i;
+            const std::uint64_t cycle = when_[slot];
+            if (cycle == kNever)
+                break;
+            when_[slot] = kNever;
+            if (slot < pe_)
+                pop(slot, cycle);
+            else
+                visit(slot - pe_, cycle);
         }
+        for (const Producer &p : prod_)
+            if (p.next < w_.n_nodes || p.acc_active || p.pong_full ||
+                p.out_active || p.port_active)
+                throw std::runtime_error("Engine: phase livelock detected");
 
-        // 2. Adapter ports: re-batch and multicast.
-        for (std::uint32_t u = 0; u < pn; ++u) {
-            auto &p = port[u];
-            if (!p.active)
-                continue;
-            std::uint32_t pending =
-                p.received - p.emitted_granules * ps;
-            bool node_complete = (p.received >= w.stream_elems);
-            bool can_emit = false;
-            std::uint32_t emit_granules = 0;
-            if (whole_node_handoff) {
-                // Baseline dataflow: one entry per node, only once the
-                // full embedding has arrived.
-                if (node_complete) {
-                    can_emit = true;
-                    emit_granules = p.total_granules;
-                }
-            } else if (pending >= ps || (node_complete && pending > 0)) {
-                can_emit = true;
-                emit_granules = 1;
-            }
-            if (!can_emit)
-                continue;
-
-            // All-or-nothing multicast: every target queue needs room.
-            bool room = true;
-            for (const auto &bw : *p.targets)
-                if (queues.full(queue_id(u, bw.bank)))
-                    room = false;
-            if (!room) {
-                stats.adapter_stall_cycles++;
-                ++stalls;
-                continue;
-            }
-            QueueEntry entry{p.node, emit_granules};
-            for (const auto &bw : *p.targets) {
-                queues.push(queue_id(u, bw.bank), entry);
-                stats.queue_total_pushes++;
-            }
-            p.emitted_granules += emit_granules;
-            if (p.emitted_granules >= p.total_granules)
-                p.active = false;
-            changed = true;
+        for (std::uint32_t u = 0; u < pn_; ++u) {
+            stats_.nt_units[u].busy += prod_[u].busy;
+            stats_.nt_units[u].idle += end_ - prod_[u].busy;
         }
+        for (std::uint32_t m = 0; m < pe_; ++m) {
+            stats_.mp_units[m].busy += mp_[m].busy;
+            stats_.mp_units[m].idle += end_ - mp_[m].busy;
+            stats_.mp_edge_work[m] += mp_[m].edge_work;
+        }
+        stats_.queue_total_pushes += pushes_;
+        stats_.queue_peak_occupancy =
+            std::max(stats_.queue_peak_occupancy, queues_.peak_occupancy());
+        // The order a cycle-stepped loop emits in: by end cycle, then MP
+        // before NT output before NT accumulate, then by unit.
+        auto rank = [](const TraceEvent &e) {
+            return std::tuple(e.end,
+                              e.kind == TraceKind::kMpWork     ? 0
+                              : e.kind == TraceKind::kNtOutput ? 1
+                                                               : 2,
+                              e.unit);
+        };
+        if (tracing_)
+            std::sort(stats_.trace.begin() + std::ptrdiff_t(trace_begin),
+                      stats_.trace.end(),
+                      [&](const TraceEvent &a, const TraceEvent &b) {
+                          return rank(a) < rank(b);
+                      });
+        return end_;
+    }
 
-        // 3. NT output streams into the adapter (or directly to the
-        //    node buffer when the phase has no scatter targets).
-        for (std::uint32_t u = 0; u < pn; ++u) {
-            auto &unit = nt[u];
-            if (unit.out_active) {
-                bool delivered = false;
-                if (!w.has_scatter || (*w.banks)[unit.out_node].empty()) {
-                    // Plain write to the node embedding buffer.
-                    unit.out_sent += pa;
-                    delivered = true;
-                } else {
-                    auto &p = port[u];
-                    // Bounded skid buffer in the adapter register; in
-                    // whole-node handoff mode the register models the
-                    // full ping-pong embedding buffer, so any not-yet
-                    // -complete embedding can absorb the next (final
-                    // beat possibly partial) delivery — gating it on
-                    // the granule-mode slack would wedge the pipeline
-                    // whenever Papply does not divide the embedding.
-                    std::uint32_t cap = 2 * std::max(pa, ps);
-                    std::uint32_t buffered =
-                        p.received - p.emitted_granules * ps;
-                    bool room = whole_node_handoff
-                        ? p.received < w.stream_elems
-                        : buffered + pa <= cap + ps;
-                    if (room) {
-                        p.received = std::min<std::uint32_t>(
-                            p.received + pa, w.stream_elems);
-                        unit.out_sent += pa;
-                        delivered = true;
+  private:
+    /** Entries each queue receives over the phase (sizes its ring). */
+    std::vector<std::uint64_t>
+    queue_pushes() const
+    {
+        std::vector<std::uint64_t> pushes(std::size_t(pn_) * pe_, 0);
+        const std::uint32_t per_target =
+            whole_node_ ? (sg_total_ > 0 ? 1 : 0) : sg_total_;
+        if (w_.has_scatter)
+            for (NodeId n = 0; n < w_.n_nodes; ++n)
+                for (const BankWork &bw : (*w_.banks)[n])
+                    pushes[std::size_t(n % pn_) * pe_ + bw.bank] +=
+                        per_target;
+        return pushes;
+    }
+
+    std::size_t queue_id(std::uint32_t u, std::uint32_t m) const
+    {
+        return std::size_t(u) * pe_ + m;
+    }
+
+    void
+    emit(TraceKind kind, std::uint32_t unit, NodeId node,
+         std::uint64_t start, std::uint64_t end)
+    {
+        if (tracing_ && end > start)
+            stats_.trace.push_back(
+                {kind, unit, node, base_cycle_ + start, base_cycle_ + end});
+    }
+
+    /** Beats the output of `p` can still deliver with no emission. */
+    std::uint64_t
+    beats_allowed(const Producer &p) const
+    {
+        return p.out_to_port ? beats_[p.emitted].limit - p.out_beats
+                             : kNever;
+    }
+
+    /** Beats the output of `p` still has to deliver. */
+    std::uint64_t
+    beats_left(const Producer &p) const
+    {
+        return beats_total_ - p.out_beats;
+    }
+
+    /** MP unit m pops at cycle c and works the entry to its end. */
+    void
+    pop(std::uint32_t m, std::uint64_t c)
+    {
+        MpUnit &unit = mp_[m];
+        std::uint32_t u = unit.rr_cursor;
+        while (queues_.empty(queue_id(u, m)))
+            u = u + 1 == pn_ ? 0 : u + 1;
+        const std::size_t q = queue_id(u, m);
+        const bool was_full = queues_.full(q);
+        const QueueEntry e = queues_.pop(q);
+        --unit.queued;
+        unit.rr_cursor = u + 1 == pn_ ? 0 : u + 1;
+        const std::uint64_t work = std::uint64_t(e.edges) * e.granules;
+        const std::uint64_t r = std::max<std::uint64_t>(1, work * w_.expansion);
+        unit.busy += r;
+        unit.edge_work += work;
+        emit(TraceKind::kMpWork, m, e.node, c - 1, c + r - 1);
+        end_ = std::max(end_, c + r - 1);
+        unit.free_at = c + r;
+        if (unit.queued > 0)
+            when_[m] = c + r;
+        // This pop may free the last full target of a stalled port,
+        // which then multicasts in this very cycle.
+        Producer &p = prod_[u];
+        if (was_full && is_target_[q] && --p.full_targets == 0)
+            when_[pe_ + u] = std::min(when_[pe_ + u], std::max(p.ready_at, c));
+    }
+
+    /** Producer u's cycle c: the port, then output, then accumulate. */
+    void
+    visit(std::uint32_t u, std::uint64_t c)
+    {
+        Producer &p = prod_[u];
+        // Cycles synced+1 .. c-1 changed nothing but output beats, the
+        // accumulate countdown and (from ready_at on) port stalls. An
+        // output whose last beat falls among them ends there: with the
+        // pong slot empty, nothing acts on its end before this visit.
+        if (const std::uint64_t quiet = c - 1 - p.synced) {
+            if (p.port_active && p.ready_at < c)
+                stats_.adapter_stall_cycles +=
+                    c - std::max(p.ready_at, p.synced + 1);
+            if (p.acc_active) {
+                p.acc_rem -= quiet;
+                p.busy += quiet;
+            }
+            if (p.out_active) {
+                const std::uint64_t left = beats_left(p);
+                const auto beats = static_cast<std::uint32_t>(
+                    std::min({quiet, beats_allowed(p), left}));
+                p.out_beats += beats;
+                if (p.out_to_port)
+                    p.received =
+                        std::min(p.received + beats * pa_, w_.stream_elems);
+                if (!p.acc_active)
+                    p.busy += beats == left ? beats - 1 : quiet;
+                if (beats == left) {
+                    emit(TraceKind::kNtOutput, u, p.out_node, p.out_start,
+                         p.synced + beats);
+                    p.out_active = false;
+                }
+            }
+        }
+        for (;; ++c) {
+            p.synced = c;
+            end_ = std::max(end_, c);
+            // 1. The port re-batches and multicasts, all targets or none.
+            if (p.port_active) {
+                const std::uint32_t pending = p.received - p.emitted * ps_;
+                const bool complete = p.received >= w_.stream_elems;
+                std::uint32_t granules = 0;
+                if (whole_node_)
+                    granules = complete ? sg_total_ : 0;
+                else if (pending >= ps_ || (complete && pending > 0))
+                    granules = 1;
+                if (granules > 0 && p.full_targets > 0) {
+                    stats_.adapter_stall_cycles++;
+                } else if (granules > 0) {
+                    p.emitted += granules;
+                    p.port_active = p.emitted < sg_total_;
+                    for (const BankWork &bw : *p.targets) {
+                        const std::size_t q = queue_id(u, bw.bank);
+                        queues_.push(q, {p.port_node, granules, bw.edges});
+                        ++pushes_;
+                        p.full_targets += queues_.full(q);
+                        is_target_[q] = p.port_active;
+                        MpUnit &unit = mp_[bw.bank];
+                        if (unit.queued++ == 0)
+                            when_[bw.bank] = std::max(c + 1, unit.free_at);
                     }
-                }
-                changed |= delivered;
-                if (delivered && unit.out_sent >= w.stream_elems) {
-                    emit(TraceKind::kNtOutput, u, unit.out_node,
-                         unit.out_start, cycle);
-                    unit.out_active = false;
+                    if (!p.port_active)
+                        p.full_targets = 0;
                 }
             }
-            // Promote a finished node from the pong slot to output,
-            // provided the adapter port is free for a new node.
-            if (!unit.out_active && unit.pong_full) {
-                bool port_free = true;
-                if (w.has_scatter && !(*w.banks)[unit.pong_node].empty())
-                    port_free = !port[u].active;
-                if (port_free && w.stream_elems > 0) {
-                    unit.out_active = true;
-                    unit.out_node = unit.pong_node;
-                    unit.out_sent = 0;
-                    unit.out_start = cycle;
-                    unit.pong_full = false;
-                    changed = true;
-                    if (w.has_scatter &&
-                        !(*w.banks)[unit.out_node].empty()) {
-                        auto &p = port[u];
-                        p.active = true;
-                        p.node = unit.out_node;
+
+            // 2. The NT output streams into the port (or straight to the
+            //    node buffer when the node has no scatter targets). The
+            //    port's register is a bounded skid buffer; in whole-node
+            //    handoff it models the full ping-pong embedding buffer, so
+            //    any not-yet-complete embedding absorbs the next beat.
+            if (p.out_active) {
+                bool delivered = true;
+                if (p.out_to_port) {
+                    delivered = whole_node_
+                        ? p.received < w_.stream_elems
+                        : p.received - p.emitted * ps_ + pa_ <= cap_ + ps_;
+                    if (delivered)
+                        p.received =
+                            std::min(p.received + pa_, w_.stream_elems);
+                }
+                if (delivered && ++p.out_beats == beats_total_) {
+                    emit(TraceKind::kNtOutput, u, p.out_node, p.out_start, c);
+                    p.out_active = false;
+                }
+            }
+            // Promote a finished node from the pong slot to output, provided
+            // the port is free for a new node.
+            if (!p.out_active && p.pong_full) {
+                const bool to_port =
+                    w_.has_scatter && !(*w_.banks)[p.pong_node].empty();
+                if (w_.stream_elems == 0) {
+                    p.pong_full = false; // nothing to stream
+                } else if (!to_port || !p.port_active) {
+                    p.out_active = true;
+                    p.out_to_port = to_port;
+                    p.out_node = p.pong_node;
+                    p.out_beats = 0;
+                    p.out_start = c;
+                    p.pong_full = false;
+                    if (to_port) {
+                        p.port_active = true;
+                        p.port_node = p.out_node;
                         p.received = 0;
-                        p.emitted_granules = 0;
-                        p.total_granules = sg_total;
-                        p.targets = &(*w.banks)[unit.out_node];
+                        p.emitted = 0;
+                        p.targets = &(*w_.banks)[p.out_node];
+                        for (const BankWork &bw : *p.targets) {
+                            const std::size_t q = queue_id(u, bw.bank);
+                            is_target_[q] = 1;
+                            p.full_targets += queues_.full(q);
+                        }
                     }
-                } else if (w.stream_elems == 0) {
-                    unit.pong_full = false; // nothing to stream
-                    changed = true;
                 }
             }
-        }
 
-        // 4. NT accumulate: advance, complete into the pong slot, and
-        //    start the next node when double buffering allows.
-        for (std::uint32_t u = 0; u < pn; ++u) {
-            auto &unit = nt[u];
-            bool was_busy = unit.acc_active || unit.out_active;
-            if (unit.acc_active) {
-                --unit.acc_rem;
-                if (unit.acc_rem == 0) {
-                    emit(TraceKind::kNtAccumulate, u, unit.acc_node,
-                         unit.acc_start, cycle);
-                    unit.acc_active = false;
-                    unit.pong_full = true;
-                    unit.pong_node = unit.acc_node;
-                    changed = true;
-                }
+            // 3. NT accumulate: complete into the pong slot, and start the
+            //    next node when double buffering allows. A zero-cost node
+            //    (a GAT re-stream, or a ghost whose embedding arrived over
+            //    the inter-die link) completes at once.
+            const bool was_busy = p.acc_active || p.out_active;
+            if (p.acc_active && --p.acc_rem == 0) {
+                emit(TraceKind::kNtAccumulate, u, p.acc_node, p.acc_start, c);
+                p.acc_active = false;
+                p.pong_full = true;
+                p.pong_node = p.acc_node;
             }
-            if (!unit.acc_active && !unit.pong_full &&
-                unit.next < w.n_nodes) {
-                unit.acc_node = static_cast<NodeId>(unit.next);
-                unit.next += pn;
-                changed = true;
-                std::uint64_t c = w.acc_of(unit.acc_node);
-                if (c == 0) {
-                    // Zero-cost accumulate (the re-stream round of GAT,
-                    // or a ghost node whose embedding arrived over the
-                    // inter-die link): complete immediately into the
-                    // pong slot.
-                    unit.pong_full = true;
-                    unit.pong_node = unit.acc_node;
+            if (!p.acc_active && !p.pong_full && p.next < w_.n_nodes) {
+                p.acc_node = static_cast<NodeId>(p.next);
+                p.next += pn_;
+                if (const std::uint64_t cost = w_.acc_of(p.acc_node)) {
+                    p.acc_active = true;
+                    p.acc_rem = cost;
+                    p.acc_start = c;
                 } else {
-                    unit.acc_active = true;
-                    unit.acc_rem = c;
-                    unit.acc_start = cycle;
+                    p.pong_full = true;
+                    p.pong_node = p.acc_node;
                 }
             }
-            if (was_busy)
-                stats.nt_units[u].busy++;
-            else
-                stats.nt_units[u].idle++;
-        }
+            p.busy += was_busy;
 
-        if (changed) {
-            done = all_done();
-            continue;
-        }
+            // The next cycle this producer's state changes: its accumulate
+            // or output ends, a promotion, or its port's next multicast.
+            std::uint64_t next = p.acc_active ? c + p.acc_rem : kNever;
+            if (!p.out_active && p.pong_full &&
+                (!p.port_active || !w_.has_scatter ||
+                 (*w_.banks)[p.pong_node].empty()))
+                next = c + 1;
 
-        // Quiet cycle: it repeats until the nearest countdown reaches
-        // zero. Without a running countdown it would repeat forever, so
-        // step on and let the livelock guard fire.
-        std::uint64_t skip = std::numeric_limits<std::uint64_t>::max();
-        for (const auto &unit : mp)
-            if (unit.busy)
-                skip = std::min(skip, unit.rem);
-        for (const auto &unit : nt)
-            if (unit.acc_active)
-                skip = std::min(skip, unit.acc_rem);
-        if (skip == std::numeric_limits<std::uint64_t>::max() || skip < 2)
-            continue;
-        skip -= 1; // the cycle that expires a countdown runs normally
-        cycle += skip;
-        for (std::uint32_t m = 0; m < pe; ++m) {
-            if (mp[m].busy) {
-                mp[m].rem -= skip;
-                stats.mp_units[m].busy += skip;
-            } else {
-                stats.mp_units[m].idle += skip;
+            if (p.port_active) {
+                // Until it can emit, the port takes a beat every cycle (its
+                // skid buffer holds a granule plus a beat by construction);
+                // a node no longer streaming has arrived whole.
+                const std::uint32_t ready = beats_[p.emitted].ready;
+                p.ready_at = c + 1;
+                if (p.out_active && p.out_to_port && ready > p.out_beats)
+                    p.ready_at += ready - p.out_beats;
+                if (p.full_targets == 0)
+                    next = std::min(next, p.ready_at);
+            }
+            // An output's end needs a visit of its own only to promote
+            // the pong node, or when nothing else is pending.
+            if (p.out_active && (p.pong_full || next == kNever) &&
+                beats_left(p) <= beats_allowed(p))
+                next = std::min(next, c + beats_left(p));
+            // A cycle that neither multicasts nor reads a queue can run
+            // now, ahead of that cycle's pops.
+            if (next != c + 1 || p.port_active) {
+                when_[pe_ + u] = next;
+                return;
             }
         }
-        for (std::uint32_t u = 0; u < pn; ++u) {
-            auto &unit = nt[u];
-            if (unit.acc_active)
-                unit.acc_rem -= skip;
-            if (unit.acc_active || unit.out_active)
-                stats.nt_units[u].busy += skip;
-            else
-                stats.nt_units[u].idle += skip;
-        }
-        stats.adapter_stall_cycles += stalls * skip;
     }
 
-    stats.queue_peak_occupancy =
-        std::max(stats.queue_peak_occupancy, queues.peak_occupancy());
-    return cycle;
-}
+    const PhaseWork &w_;
+    RunStats &stats_;
+    const std::uint64_t base_cycle_; ///< offset of trace events
+    const bool tracing_;
+    const bool whole_node_;
+    const std::uint32_t pn_, pe_, pa_, ps_;
+    const std::uint32_t cap_; ///< skid buffer capacity (elements)
+    const std::uint32_t sg_total_; ///< granules per streamed node
+    const std::uint32_t beats_total_; ///< Papply beats per streamed node
+    /** Per granule e of a node: the output beats after which the port
+     * can emit it, and the most beats the skid buffer takes before it
+     * leaves (no limit in whole-node handoff). */
+    struct GranuleBeats {
+        std::uint32_t ready = 0, limit = 0;
+    };
+    std::vector<GranuleBeats> beats_;
+    QueueRings queues_;
+    std::vector<Producer> prod_;
+    std::vector<MpUnit> mp_;
+    /** Per queue (u, m): m is a destination bank of port u's node. */
+    std::vector<std::uint8_t> is_target_;
+    /** Next visit cycle per slot (kNever: none). MP unit m is slot m
+     * and producer u slot Pedge + u, so a cycle's pops run before its
+     * ports. */
+    std::vector<std::uint64_t> when_;
+    std::uint64_t end_ = 0; ///< last cycle any state changed
+    std::uint64_t pushes_ = 0; ///< queue entries pushed
+};
 
 /** Per-node NT latency (accumulate + output stream) for the analytic
  * modes, where accumulate and output do not overlap across nodes. */
@@ -497,16 +529,13 @@ analytic_nt_cycles(const PhaseWork &w, const EngineConfig &cfg, NodeId n)
     return w.acc_of(n) + ceil_div_u64(w.stream_elems, cfg.p_apply);
 }
 
-/** Per-node MP cost on the unit owning `bank` work. */
+/** MP cost of one node's `edges` edges into one bank. */
 std::uint64_t
-analytic_mp_cycles(const PhaseWork &w, const EngineConfig &cfg, NodeId n,
-                   std::uint32_t bank)
+analytic_mp_cycles(const PhaseWork &w, const EngineConfig &cfg,
+                   std::uint32_t edges)
 {
-    if (!w.has_scatter)
-        return 0;
-    std::uint64_t sg = ceil_div_u64(w.stream_elems, cfg.p_scatter);
-    return std::uint64_t(bank_edges((*w.banks)[n], bank)) * sg *
-           w.expansion;
+    return std::uint64_t(edges) *
+           ceil_div_u64(w.stream_elems, cfg.p_scatter) * w.expansion;
 }
 
 /**
@@ -529,7 +558,7 @@ analytic_nonpipelined(const PhaseEnv &env)
     if (w.has_scatter) {
         for (NodeId n = 0; n < w.n_nodes; ++n) {
             for (const auto &bw : (*w.banks)[n]) {
-                std::uint64_t c = analytic_mp_cycles(w, cfg, n, bw.bank);
+                std::uint64_t c = analytic_mp_cycles(w, cfg, bw.edges);
                 mp_unit[bw.bank] += c;
                 env.stats.mp_edge_work[bw.bank] +=
                     std::uint64_t(bw.edges) *
@@ -569,7 +598,7 @@ analytic_fixed(const PhaseEnv &env)
         std::uint64_t c = 0;
         if (w.has_scatter)
             for (const auto &bw : (*w.banks)[n])
-                c += analytic_mp_cycles(w, cfg, n, bw.bank);
+                c += analytic_mp_cycles(w, cfg, bw.edges);
         return c;
     };
 
@@ -637,9 +666,9 @@ run_phase(const PhaseEnv &env)
       case PipelineMode::kFixedPipeline:
         return analytic_fixed(env);
       case PipelineMode::kBaselineDataflow:
-        return simulate_phase(env, /*whole_node_handoff=*/true);
+        return PhasePricer(env, /*whole_node_handoff=*/true).run();
       case PipelineMode::kFlowGnn:
-        return simulate_phase(env, /*whole_node_handoff=*/false);
+        return PhasePricer(env, /*whole_node_handoff=*/false).run();
     }
     throw std::logic_error("Engine: unknown pipeline mode");
 }

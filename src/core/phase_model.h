@@ -23,8 +23,9 @@
  * engine config; price_run() reads its cost numbers from it.
  *
  * The cost of pricing follows the phase's state changes, not its
- * modeled cycles: event-free cycles are skipped in one step, queues are
- * fixed ring buffers, and a phase equal to an earlier one of the same
+ * modeled cycles: each unit is visited only at cycles where its own
+ * state changes, with the cycles in between added in bulk; queues are
+ * fixed ring buffers; and a phase equal to an earlier one of the same
  * run replays its recorded statistics (docs/DESIGN.md, "Timing model:
  * phase simulator"). None of it changes a RunStats field.
  */
@@ -95,7 +96,7 @@ struct PhaseEnv {
 };
 
 /**
- * Prices one phase under env.cfg.mode (cycle-stepped simulation for
+ * Prices one phase under env.cfg.mode (event-driven simulation for
  * the queue-based modes, closed-form for the analytic ones) and
  * returns its cycle count. env.stats must have nt_units/mp_units/
  * mp_edge_work sized to the config's p_node/p_edge before the call.

@@ -2,7 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
-#include "core/fifo.h"
+
+#include "fifo.h"
 
 namespace flowgnn {
 namespace {

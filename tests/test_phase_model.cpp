@@ -5,15 +5,18 @@
  * field, trace events included, must match with tracing on and off,
  * across pipeline modes, queue depths, unit shapes, models and graph
  * shapes; through Engine resume at every layer boundary; per die of
- * ghost-exchange runs; and through resumed one-die fallback plans.
- * Also pins that ring storage follows the phase's traffic, not a
- * user-set queue depth.
+ * ghost-exchange runs; through resumed one-die fallback plans; on
+ * benchmark-scale graphs whose phases run long hub entries and deep
+ * stalls; and phase by phase on random phase descriptions. Also pins that ring storage follows the phase's traffic, not
+ * a user-set queue depth, and that no stage beats the roofline floor
+ * of its NT and MP parallelism.
  */
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/engine.h"
+#include "core/phase_model.h"
 #include "datasets/dataset.h"
 #include "ghost/ghost_engine.h"
 #include "graph/generators.h"
@@ -318,6 +321,190 @@ TEST(PhaseModelOracle, GhostFallbackPlansResumeLikeTheEngine)
             EXPECT_TRUE(r.embeddings == want.embeddings);
             EXPECT_EQ(r.prediction, want.prediction);
         }
+}
+
+TEST(PhaseModelOracle, BenchmarkScaleGraphsMatch)
+{
+    // The sweep's graphs are too small for the regime the serving
+    // workloads price: hub entries hundreds of cycles long and ports
+    // stalled behind them for many cycles at a time.
+    Rng rng(71);
+    const GraphSample ba =
+        make_random_sample(make_barabasi_albert(3000, 6, rng), 64, 0, 9);
+    const GraphSample star = make_random_sample(make_star(2000), 64, 0, 10);
+    for (ModelKind kind : {ModelKind::kGcn16, ModelKind::kGat})
+        for (const GraphSample *s : {&ba, &star}) {
+            const Model model = make_model(kind, 64, 0);
+            const GraphSample prepared = model.prepare(*s);
+            for (PipelineMode mode :
+                 {PipelineMode::kBaselineDataflow, PipelineMode::kFlowGnn})
+                for (std::size_t depth : {1, 8})
+                    for (bool trace : {false, true}) {
+                        SCOPED_TRACE(std::string(model_name(kind)) + " " +
+                                     std::to_string(s->num_nodes()) +
+                                     " nodes " + pipeline_mode_name(mode) +
+                                     " depth " + std::to_string(depth) +
+                                     (trace ? " traced" : ""));
+                        EngineConfig cfg;
+                        cfg.mode = mode;
+                        cfg.queue_depth = depth;
+                        RunOptions opts;
+                        opts.capture_trace = trace;
+                        PricingScratch scratch;
+                        const RunStats got = price_run(
+                            model, cfg, opts,
+                            {prepared.graph, prepared.num_nodes(), nullptr,
+                             prepared.node_dim(), prepared.edge_dim()},
+                            1, scratch);
+                        expect_same_stats(got, naive_engine_stats(
+                                                   model, prepared, cfg,
+                                                   opts));
+                        if (::testing::Test::HasFatalFailure())
+                            return;
+                    }
+        }
+}
+
+TEST(PhaseModelOracle, RandomPhaseWorksMatch)
+{
+    // run_phase straight against naive_run_phase on phases no model
+    // produces: any width (0 included), zero-cost and mixed owner/ghost
+    // accumulates, sinks, hub entries and odd unit shapes.
+    for (std::uint64_t it = 0; it < 600; ++it) {
+        Rng r(1000 + it);
+        EngineConfig cfg;
+        cfg.p_node = 1 + std::uint32_t(r.uniform_index(5));
+        cfg.p_edge = 1 + std::uint32_t(r.uniform_index(8));
+        cfg.p_apply = 1 + std::uint32_t(r.uniform_index(24));
+        cfg.p_scatter = 1 + std::uint32_t(r.uniform_index(24));
+        cfg.queue_depth = 1 + r.uniform_index(12);
+        cfg.mode = r.uniform_index(2) ? PipelineMode::kFlowGnn
+                                      : PipelineMode::kBaselineDataflow;
+        const auto n = NodeId(r.uniform_index(it % 5 == 0 ? 400 : 60));
+        const auto max_edges =
+            std::uint32_t(1 + r.uniform_index(it % 4 == 0 ? 300 : 12));
+        std::vector<std::vector<BankWork>> banks(n);
+        std::vector<std::uint8_t> owned(n);
+        for (NodeId v = 0; v < n; ++v) {
+            owned[v] = r.uniform_index(3) != 0;
+            for (std::uint32_t b = 0; b < cfg.p_edge; ++b)
+                if (r.uniform_index(3) != 0)
+                    banks[v].push_back(
+                        {b, std::uint32_t(1 + r.uniform_index(max_edges))});
+        }
+        PhaseWork w;
+        w.n_nodes = n;
+        w.acc_owned = r.uniform_index(40);
+        w.acc_ghost = r.uniform_index(2) ? 0 : r.uniform_index(40);
+        w.is_owned = r.uniform_index(2) ? owned.data() : nullptr;
+        w.stream_elems = r.uniform_index(10) == 0
+                             ? 0
+                             : std::uint32_t(1 + r.uniform_index(80));
+        w.has_scatter = r.uniform_index(4) != 0;
+        w.expansion = 1 + std::uint32_t(r.uniform_index(4));
+        w.banks = &banks;
+        testing::NaivePhaseWork naive;
+        naive.n_nodes = n;
+        for (NodeId v = 0; v < n; ++v)
+            naive.acc_cycles.push_back(w.acc_of(v));
+        naive.stream_elems = w.stream_elems;
+        naive.has_scatter = w.has_scatter;
+        naive.expansion = w.expansion;
+        naive.banks = &banks;
+        RunOptions opts;
+        opts.capture_trace = r.uniform_index(2) != 0;
+        const std::uint64_t base = r.uniform_index(1000);
+        auto fresh = [&] {
+            RunStats s;
+            s.clock_mhz = cfg.clock_mhz;
+            s.nt_units.assign(cfg.p_node, {});
+            s.mp_units.assign(cfg.p_edge, {});
+            s.mp_edge_work.assign(cfg.p_edge, 0);
+            return s;
+        };
+        RunStats got = fresh();
+        RunStats want = fresh();
+        SCOPED_TRACE("phase " + std::to_string(it));
+        EXPECT_EQ(run_phase({w, cfg, opts, got, base}),
+                  testing::naive_run_phase(naive, cfg, opts, want, base));
+        expect_same_stats(got, want);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+/**
+ * The roofline floor of stage s, derived from the model alone: every
+ * node's input-stationary passes run on one of Pnode NT units, and
+ * every edge-granule of a scatter round on one of Pedge MP units, so
+ * no phase is shorter than either share. A GAT stage runs two scatter
+ * rounds, the first of them alongside its accumulates.
+ */
+std::uint64_t
+stage_floor(const Model &model, std::size_t s, const GraphSample &prepared,
+            const EngineConfig &cfg)
+{
+    const Layer &stage = model.stage(s);
+    std::uint64_t acc = 0;
+    for (std::size_t d : stage.nt_pass_dims())
+        acc += ceil_div_u64(d, cfg.p_apply);
+    const std::uint64_t nt =
+        ceil_div_u64(acc * prepared.num_nodes(), cfg.p_node);
+    std::uint64_t expansion = 0;
+    const bool gat = stage.dataflow() == DataflowKind::kMpToNt;
+    if (gat) {
+        expansion = 1;
+    } else if (s + 1 < model.num_stages()) {
+        const Layer &next = model.stage(s + 1);
+        if (next.msg_dim() > 0 && next.dataflow() == DataflowKind::kNtToMp)
+            expansion = ceil_div_u64(next.msg_dim(), stage.out_dim());
+    }
+    const std::uint64_t mp = ceil_div_u64(
+        prepared.num_edges() * ceil_div_u64(stage.out_dim(), cfg.p_scatter) *
+            expansion,
+        cfg.p_edge);
+    return std::max(nt, mp) + (gat ? mp : 0);
+}
+
+TEST(PhaseModelRoofline, NoStageBeatsItsParallelism)
+{
+    // Checked against the model and graph only, never against the
+    // oracle, so a pricer and an oracle that drift together still
+    // cannot under-count.
+    const GraphSample hep = make_sample(DatasetKind::kHep, 3);
+    const GraphSample ba =
+        make_random_sample(make_permuted_ba(600, 61), 6, 3, 11);
+    std::size_t rows = 0;
+    for (ModelKind kind :
+         {ModelKind::kGin, ModelKind::kGinVn, ModelKind::kGcn, ModelKind::kGat,
+          ModelKind::kPna, ModelKind::kDgn, ModelKind::kGcn16})
+        for (const GraphSample *s : {&hep, &ba}) {
+            const Model model =
+                make_model(kind, s->node_dim(), s->edge_dim());
+            const GraphSample prepared = model.prepare(*s);
+            for (const Shape &shape : kShapes)
+                for (PipelineMode mode : kModes)
+                    for (std::size_t depth : {1, 8}) {
+                        const EngineConfig cfg =
+                            make_cfg(shape, mode, depth);
+                        PricingScratch scratch;
+                        const RunStats stats = price_run(
+                            model, cfg, RunOptions{},
+                            {prepared.graph, prepared.num_nodes(), nullptr,
+                             prepared.node_dim(), prepared.edge_dim()},
+                            1, scratch);
+                        for (std::size_t st = 0; st < model.num_stages();
+                             ++st, ++rows)
+                            EXPECT_GE(stats.phase_cycles[st],
+                                      stage_floor(model, st, prepared, cfg))
+                                << model_name(kind) << " stage " << st
+                                << " " << pipeline_mode_name(mode)
+                                << " depth " << depth << " shape "
+                                << shape.pn << "," << shape.pe << ","
+                                << shape.pa << "," << shape.ps;
+                    }
+        }
+    EXPECT_GT(rows, 1000u);
 }
 
 TEST(PhaseModelRings, HugeQueueDepthMatchesAnUnfillableDepth)

@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "core/config.h"
-#include "core/fifo.h"
 #include "core/phase_model.h"
 #include "core/stats.h"
 #include "ghost/ghost_plan.h"
@@ -23,6 +22,8 @@
 #include "nn/model.h"
 #include "tensor/fixed_point.h"
 #include "tensor/rng.h"
+
+#include "fifo.h"
 
 namespace flowgnn::testing {
 
