@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the engine's primitive kernels:
  * row-block Linear forwards, aggregator folds, the GCN-16 column
  * gather, CSR construction from the streamed COO list, timing-only
- * pricing of whole runs, and whole-engine runs.
+ * pricing of whole runs, sharded planning (partition and ghost plan),
+ * and whole-engine runs.
  * These quantify simulator throughput (host-side), complementing the
  * modeled accelerator cycle counts.
  */
@@ -12,6 +13,7 @@
 #include "core/engine.h"
 #include "core/phase_model.h"
 #include "datasets/dataset.h"
+#include "ghost/ghost_plan.h"
 #include "graph/generators.h"
 #include "nn/aggregator.h"
 #include "nn/gcn_layer.h"
@@ -142,6 +144,67 @@ BM_PriceRun(benchmark::State &state)
         double(cycles), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_PriceRun)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+/** The graph pool-mixed's batch jobs plan: the 1/64-scale
+ * Reddit-class BA graph (3,640 nodes, m = 246), GCN-16 features. */
+const GraphSample &
+batch_graph()
+{
+    static const GraphSample s = [] {
+        Rng rng(7);
+        GraphSample g;
+        g.graph = make_barabasi_albert(232965 / 64, 246, rng);
+        g.node_features = gaussian_features(g.num_nodes(), 64, 7);
+        return g;
+    }();
+    return s;
+}
+
+/** Fennel + 3 restreams over range(0) dies, as the batch jobs plan. */
+ShardConfig
+batch_shard(const benchmark::State &state)
+{
+    ShardConfig cfg;
+    cfg.num_shards = static_cast<std::uint32_t>(state.range(0));
+    cfg.strategy = ShardStrategy::kFennel;
+    cfg.restream_passes = 3;
+    return cfg;
+}
+
+void
+BM_ShardPlanAssignment(benchmark::State &state)
+{
+    // Partitioning alone (adjacency build + stream + restreams), at
+    // range(1) host threads.
+    const GraphSample &s = batch_graph();
+    const ShardConfig cfg = batch_shard(state);
+    const auto threads = static_cast<unsigned>(state.range(1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            shard_plan_assignment(GraphRef(s.graph), cfg, threads));
+    state.SetItemsProcessed(state.iterations() * s.num_edges());
+}
+BENCHMARK(BM_ShardPlanAssignment)
+    ->ArgsProduct({{2, 3}, {1, 3}})
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_MakeGhostPlan(benchmark::State &state)
+{
+    // The whole ghost plan: partitioning plus ghost sets, per-die
+    // counts and the local-graph fill.
+    const Model model = make_model(ModelKind::kGcn16, 64, 0);
+    const GraphSample prepared = model.prepare(batch_graph());
+    const ShardConfig cfg = batch_shard(state);
+    const auto threads = static_cast<unsigned>(state.range(1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            make_ghost_plan(model, SampleRef(prepared), cfg, threads));
+    state.SetItemsProcessed(state.iterations() * prepared.num_edges());
+}
+BENCHMARK(BM_MakeGhostPlan)
+    ->ArgsProduct({{2, 3}, {1, 3}})
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EngineMolHivGraph(benchmark::State &state)

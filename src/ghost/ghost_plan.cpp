@@ -98,45 +98,64 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
     for (std::size_t i = 0; i < n_stages; ++i)
         max_dim = std::max(max_dim, model.stage(i).out_dim());
 
-    // ---- Ghost membership: one edge scan + a node x die bitmap ----
-    // ghost_flag[v * P + d] = vertex v is in die d's ghost set. The
-    // scan only ever *sets* bytes, so concurrent workers write through
-    // relaxed atomic_refs: whichever edge sets a flag first, the final
-    // bitmap is the same set of 1s the serial scan produces.
+    // Dies owning nothing are dropped: shards.size() is the effective
+    // P, and slot_of maps a die to its shard slot.
+    std::vector<std::uint32_t> owned_count(P, 0);
+    for (NodeId v = 0; v < n_nodes; ++v)
+        ++owned_count[owner[v]];
+    std::vector<std::uint32_t> slot_of(P, 0xFFFFFFFFu);
+    std::uint32_t n_shards = 0;
+    for (std::uint32_t d = 0; d < P; ++d)
+        if (owned_count[d] != 0)
+            slot_of[d] = n_shards++;
+
+    // ---- One edge scan: ghost membership, per-die edge counts ----
+    // ghost_flag[v * P + d] = vertex v is in die d's ghost set. Every
+    // edge stores (owner[src] != owner[dst]) at [src * P +
+    // owner[dst]]; that value depends on the slot alone (the slot of
+    // src's own die only ever receives 0), so concurrent workers
+    // store through relaxed atomic_refs and the final bitmap is the
+    // serial one whatever the order. The same scan counts each die's
+    // local edges (every edge lands on its destination's owner) and
+    // the fetched ones among them, per thread range, for the fill's
+    // counting sort; the cut is the fetched total.
     std::vector<std::uint8_t> ghost_flag(std::size_t(n_nodes) * P, 0);
+    const unsigned n_ranges = parallel_range_count(n_edges, threads);
+    std::vector<std::vector<std::size_t>> range_count(n_ranges);
+    std::vector<std::vector<std::size_t>> range_fetched(n_ranges);
     parallel_ranges(
         n_edges, threads,
-        [&](std::size_t begin, std::size_t end, unsigned) {
+        [&](std::size_t begin, std::size_t end, unsigned tid) {
+            std::vector<std::size_t> count(n_shards, 0);
+            std::vector<std::size_t> fetched(n_shards, 0);
             for (std::size_t i = begin; i < end; ++i) {
                 const NodeId src = prepared.graph.src(i);
-                const std::uint32_t ds = owner[src];
-                const std::uint32_t dd = owner[prepared.graph.dst(i)];
-                if (ds != dd)
-                    std::atomic_ref<std::uint8_t>(
-                        ghost_flag[std::size_t(src) * P + dd])
-                        .store(1, std::memory_order_relaxed);
+                const std::uint32_t os = owner[src];
+                const std::uint32_t od = owner[prepared.graph.dst(i)];
+                const std::uint32_t t = slot_of[od];
+                std::atomic_ref<std::uint8_t>(
+                    ghost_flag[std::size_t(src) * P + od])
+                    .store(os != od, std::memory_order_relaxed);
+                ++count[t];
+                fetched[t] += os != od;
             }
+            range_count[tid] = std::move(count);
+            range_fetched[tid] = std::move(fetched);
         });
 
     // multiplicity[v] = how many foreign dies hold v as a ghost — the
     // per-layer send fan-out of v's owner.
-    std::vector<std::uint32_t> owned_count(P, 0);
     std::vector<std::uint64_t> send_mult(P, 0);
     for (NodeId v = 0; v < n_nodes; ++v) {
-        ++owned_count[owner[v]];
         std::uint32_t mult = 0;
         for (std::uint32_t d = 0; d < P; ++d)
             mult += ghost_flag[std::size_t(v) * P + d];
         send_mult[owner[v]] += mult;
     }
 
-    plan.cut_edges =
-        shard_cut_edges(prepared.graph, plan.assignment, threads);
-
-    // ---- Build the per-die shards (dies owning nothing are dropped:
-    // shards.size() is the effective P). Dies are
-    // independent, so the locals scans run one die per worker; the
-    // serial collection below keeps shard order deterministic. ----
+    // ---- Build the per-die shards. Dies are independent, so the
+    // locals scans run one die per worker; the serial collection
+    // below keeps shard order deterministic. ----
     std::vector<GhostShard> built(P);
     parallel_ranges(
         P, threads,
@@ -162,19 +181,16 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
         },
         /*serial_cutoff=*/2);
 
-    std::vector<std::uint32_t> slot_of(P, 0xFFFFFFFFu);
     std::size_t locals_total = 0;
     for (std::uint32_t d = 0; d < P; ++d) {
         if (owned_count[d] == 0)
             continue;
-        slot_of[d] = static_cast<std::uint32_t>(plan.shards.size());
         locals_total += built[d].locals.size();
         plan.shards.push_back(std::move(built[d]));
     }
 
-    // Local-id maps for every die at once, so the edge scans below are
-    // single passes whatever P is.
-    const std::size_t n_shards = plan.shards.size();
+    // Local-id maps for every die at once, so the fill below is a
+    // single pass whatever P is.
     std::vector<std::vector<std::uint32_t>> local_of(n_shards);
     parallel_ranges(
         n_shards, threads,
@@ -190,26 +206,10 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
 
     // ---- Local graphs: every edge lands on its destination's owner,
     // in global edge order (preserves per-row CSR order, hence the
-    // engine's arrival order, on every die). Parallelized as a
-    // counting sort keyed by the destination's die: per-thread-range
-    // per-die counts, a serial prefix scan in (die, thread) order, and
-    // a parallel stable fill — bit-identical to the serial append. ----
-    const unsigned n_ranges = parallel_range_count(n_edges, threads);
-    std::vector<std::vector<std::size_t>> range_count(
-        n_ranges, std::vector<std::size_t>(n_shards, 0));
-    std::vector<std::vector<std::size_t>> range_fetched(
-        n_ranges, std::vector<std::size_t>(n_shards, 0));
-    parallel_ranges(
-        n_edges, threads,
-        [&](std::size_t begin, std::size_t end, unsigned tid) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const std::uint32_t os = owner[prepared.graph.src(i)];
-                const std::uint32_t od = owner[prepared.graph.dst(i)];
-                const std::uint32_t t = slot_of[od];
-                ++range_count[tid][t];
-                range_fetched[tid][t] += os != od;
-            }
-        });
+    // engine's arrival order, on every die). A counting sort keyed by
+    // the destination's die over the scan's per-range counts: a
+    // serial prefix scan in (die, thread) order, and a parallel
+    // stable fill — bit-identical to the serial append. ----
     std::vector<std::vector<std::size_t>> cursor(
         n_ranges, std::vector<std::size_t>(n_shards, 0));
     for (std::size_t t = 0; t < n_shards; ++t) {
@@ -222,15 +222,17 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
         }
         plan.shards[t].local_graph.edges.resize(run);
         plan.shards[t].info.fetched_edges = fetched;
+        plan.cut_edges += fetched;
     }
     parallel_ranges(
         n_edges, threads,
         [&](std::size_t begin, std::size_t end, unsigned tid) {
+            std::vector<std::size_t> cur = cursor[tid];
             for (std::size_t i = begin; i < end; ++i) {
                 const NodeId src = prepared.graph.src(i);
                 const NodeId dst = prepared.graph.dst(i);
                 const std::uint32_t t = slot_of[owner[dst]];
-                plan.shards[t].local_graph.edges[cursor[tid][t]++] = {
+                plan.shards[t].local_graph.edges[cur[t]++] = {
                     local_of[t][src], local_of[t][dst]};
             }
         });

@@ -103,11 +103,11 @@ GhostPlan make_ghost_plan(const Model &model, const GraphSample &prepared,
  * borrowed view (io::GraphView::sample), so ghost-sharding a full-scale
  * mmap-backed graph never materializes an in-memory GraphSample.
  * `threads` parallelizes the host-side stages — partitioning's
- * adjacency build, the ghost-membership edge scan (per-thread flag
- * bitmaps OR-merged), the per-die locals extraction, and the
- * local-graph fill (a counting sort by owning die that preserves
- * global edge order) — with plans bit-identical to the serial planner
- * for every thread count (0 = all cores).
+ * adjacency build, the one edge scan that sets the ghost flags and
+ * counts each die's local and fetched edges, the per-die locals
+ * extraction, and the local-graph fill (a counting sort by owning die
+ * that preserves global edge order) — with plans bit-identical to the
+ * serial planner for every thread count (0 = all cores).
  */
 GhostPlan make_ghost_plan(const Model &model, const SampleRef &prepared,
                           const ShardConfig &config, unsigned threads = 0);

@@ -250,13 +250,6 @@ shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
 }
 
 std::size_t
-shard_cut_edges(const CooGraph &graph,
-                const std::vector<std::uint32_t> &assignment)
-{
-    return shard_cut_edges(GraphRef(graph), assignment, 1);
-}
-
-std::size_t
 shard_cut_edges(const GraphRef &graph,
                 const std::vector<std::uint32_t> &assignment,
                 unsigned threads)
@@ -287,7 +280,7 @@ shard_cut_fraction(const CooGraph &graph,
 {
     if (graph.num_edges() == 0)
         return 0.0;
-    return static_cast<double>(shard_cut_edges(graph, assignment)) /
+    return static_cast<double>(shard_cut_edges(graph, assignment, 1)) /
            static_cast<double>(graph.num_edges());
 }
 

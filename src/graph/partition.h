@@ -176,11 +176,8 @@ shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
                  const UndirectedCsr *adj = nullptr,
                  unsigned threads = 0);
 
-/** Number of edges whose endpoints live on different shards. */
-std::size_t shard_cut_edges(const CooGraph &graph,
-                            const std::vector<std::uint32_t> &assignment);
-
-/** Edge-view overload, counted on `threads` host cores (0 = all). */
+/** Number of edges whose endpoints live on different shards,
+ * counted on `threads` host cores (0 = all). */
 std::size_t shard_cut_edges(const GraphRef &graph,
                             const std::vector<std::uint32_t> &assignment,
                             unsigned threads = 0);

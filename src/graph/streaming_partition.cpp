@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "core/parallel.h"
 
@@ -27,11 +29,11 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
     // count arrays; a non-self edge contributes one entry to each
     // endpoint's row.
     const unsigned T = parallel_range_count(e, threads);
-    std::vector<std::vector<std::uint32_t>> counts(
-        T, std::vector<std::uint32_t>(n, 0));
+    std::vector<std::vector<std::size_t>> cursors(
+        T, std::vector<std::size_t>(n, 0));
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
-            std::vector<std::uint32_t> &c = counts[tid];
+            std::vector<std::size_t> &c = cursors[tid];
             for (std::size_t i = b; i < end; ++i) {
                 const NodeId s = graph.src(i);
                 const NodeId d = graph.dst(i);
@@ -46,27 +48,23 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
             }
         });
 
-    // Prefix scan in (node, thread) order: cursors[t][v] becomes the
-    // first slot thread t fills in row v. The per-range fill visits
-    // edges in stream order within each contiguous ascending range,
-    // so concatenating ranges in thread order reproduces the serial
-    // stream order exactly. Cursors are size_t: a symmetrized list
-    // holds up to 2 * num_edges entries, which can exceed 32 bits.
-    std::vector<std::vector<std::size_t>> cursors(T);
+    // Prefix scan in (node, thread) order: the count cursors[t][v]
+    // becomes the first slot thread t fills in row v. The per-range
+    // fill visits edges in stream order within each contiguous
+    // ascending range, so concatenating ranges in thread order
+    // reproduces the serial stream order exactly. Cursors are size_t:
+    // a symmetrized list holds up to 2 * num_edges entries, which can
+    // exceed 32 bits.
     std::size_t running = 0;
-    for (unsigned t = 0; t < T; ++t)
-        cursors[t].resize(n);
     for (NodeId v = 0; v < n; ++v) {
         out.offsets[v] = running;
-        for (unsigned t = 0; t < T; ++t) {
-            cursors[t][v] = running;
-            running += counts[t][v];
-        }
+        for (unsigned t = 0; t < T; ++t)
+            running += std::exchange(cursors[t][v], running);
     }
     out.offsets[n] = running;
-    counts.clear();
-    counts.shrink_to_fit();
 
+    // The resize leaves the list unwritten (DefaultInitAllocator), so
+    // the parallel fill is the first to touch its pages.
     out.nbr.resize(running);
     parallel_ranges(
         e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
@@ -83,48 +81,61 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
     cursors.clear();
     cursors.shrink_to_fit();
 
-    // Pass 2: compact each row in place, keeping only the first
-    // occurrence of every neighbor (order-preserving dedupe — a
-    // multigraph and its simple graph yield the same rows). Rows are
-    // disjoint, so threads dedupe disjoint row ranges with private
-    // seen[] arrays; seen[u] holds the last row that admitted u, and
-    // a thread visits its rows in ascending order, so `seen[u] == v`
-    // means "already in row v".
-    std::vector<std::size_t> new_len(n);
+    // Pass 2: dedupe every row, keeping only the first occurrence of
+    // each neighbor (order-preserving — a multigraph and its simple
+    // graph yield the same rows). Rows split into blocks of about
+    // equal entry count; each block compacts its rows toward its own
+    // first slot with a private seen[] (seen[u] holds the last row
+    // that admitted u, and rows are visited in ascending order, so
+    // `seen[u] == v` means "already in row v"). Blocks are disjoint,
+    // so they run in parallel; any split yields the same rows.
+    const unsigned B = parallel_range_count(running, threads);
+    std::vector<NodeId> block_row(B + 1, n);
+    block_row[0] = 0;
+    for (unsigned b = 1; b < B; ++b)
+        block_row[b] = static_cast<NodeId>(
+            std::lower_bound(out.offsets.begin(), out.offsets.end(),
+                             running * b / B) -
+            out.offsets.begin());
+    std::vector<std::uint32_t> new_len(n);
+    std::vector<std::size_t> block_len(B, 0);
     parallel_ranges(
-        n, threads, [&](std::size_t b, std::size_t end, unsigned) {
+        B, threads,
+        [&](std::size_t first, std::size_t last, unsigned) {
             std::vector<NodeId> seen(n, n);
-            for (std::size_t v = b; v < end; ++v) {
-                std::size_t w = out.offsets[v];
-                for (std::size_t i = out.offsets[v];
-                     i < out.offsets[v + 1]; ++i) {
-                    NodeId u = out.nbr[i];
-                    if (seen[u] == v)
-                        continue;
-                    seen[u] = static_cast<NodeId>(v);
-                    out.nbr[w++] = u;
+            for (std::size_t b = first; b < last; ++b) {
+                std::size_t w = out.offsets[block_row[b]];
+                const std::size_t block_begin = w;
+                for (NodeId v = block_row[b]; v < block_row[b + 1]; ++v) {
+                    const std::size_t row_w = w;
+                    for (std::size_t i = out.offsets[v];
+                         i < out.offsets[v + 1]; ++i) {
+                        const NodeId u = out.nbr[i];
+                        if (seen[u] == v)
+                            continue;
+                        seen[u] = v;
+                        out.nbr[w++] = u;
+                    }
+                    new_len[v] = static_cast<std::uint32_t>(w - row_w);
                 }
-                new_len[v] = w - out.offsets[v];
+                block_len[b] = w - block_begin;
             }
-        });
+        },
+        /*serial_cutoff=*/2);
 
-    // Serial left-shift compaction of the deduped rows (dest always
-    // precedes source, so forward copies are safe).
+    // Close the gaps: B block moves in ascending order (a block's
+    // destination never lies past its source), then the offsets.
     std::size_t w = 0;
-    std::vector<std::size_t> compact_offsets(std::size_t(n) + 1, 0);
-    for (NodeId v = 0; v < n; ++v) {
-        compact_offsets[v] = w;
-        const std::size_t begin = out.offsets[v];
-        if (w != begin)
-            std::copy(out.nbr.begin() + begin,
-                      out.nbr.begin() + begin + new_len[v],
-                      out.nbr.begin() + w);
-        w += new_len[v];
+    for (unsigned b = 0; b < B; ++b) {
+        const std::size_t src = out.offsets[block_row[b]];
+        if (w != src)
+            std::memmove(out.nbr.data() + w, out.nbr.data() + src,
+                         block_len[b] * sizeof(NodeId));
+        w += block_len[b];
     }
-    compact_offsets[n] = w;
+    for (NodeId v = 0; v < n; ++v)
+        out.offsets[v + 1] = out.offsets[v] + new_len[v];
     out.nbr.resize(w);
-    out.nbr.shrink_to_fit();
-    out.offsets = std::move(compact_offsets);
     return out;
 }
 
@@ -132,15 +143,25 @@ namespace {
 
 enum class StreamKind { kLdg, kFennel, kHdrf };
 
-constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
+/** Interleaved neighbor-count histograms: consecutive neighbors bump
+ * different copies, so runs of neighbors on one partition do not
+ * chain each increment on the store before it. */
+constexpr std::size_t kHistCopies = 4;
 
 /**
  * The shared one-pass skeleton: vertices stream in ascending id
  * order; each is placed by the kind's score over the partitions its
- * already-placed distinct neighbors chose. A hard capacity
- * (balance_slack * ideal share) is never exceeded — since total
- * capacity >= n, at least one partition is always below it — and ties
- * break to the least-loaded, then lowest-index partition.
+ * distinct neighbors chose. A hard capacity (balance_slack * ideal
+ * share) is never exceeded — since total capacity >= n, at least one
+ * partition is always below it — and ties break to the least-loaded,
+ * then lowest-index partition.
+ *
+ * One label array carries the whole pass: it starts as the prior
+ * (restreaming: a neighbor not yet re-placed this pass contributes
+ * its prior-pass partition), with a label >= P or no prior at all
+ * mapped to the dummy bin P that no score reads, and each vertex's
+ * label is overwritten in place once it is placed. After the pass it
+ * is the assignment.
  */
 std::vector<std::uint32_t>
 stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
@@ -158,9 +179,8 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
     if (prior != nullptr && prior->size() != n)
         throw std::invalid_argument(
             "stream_partition: prior assignment size mismatch");
-    std::vector<std::uint32_t> assignment(n, 0);
     if (n == 0 || num_partitions == 1)
-        return assignment;
+        return std::vector<std::uint32_t>(n, 0);
 
     const std::uint32_t P = num_partitions;
 
@@ -178,33 +198,48 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
         m_und * std::pow(double(P), gamma - 1.0) /
         std::pow(double(n), gamma);
 
-    std::fill(assignment.begin(), assignment.end(), kUnassigned);
+    std::vector<std::uint32_t> label(n, P);
+    if (prior != nullptr)
+        for (NodeId v = 0; v < n; ++v)
+            label[v] = std::min((*prior)[v], P);
+
+    const std::size_t bins = std::size_t(P) + 1; // + the dummy bin
     std::vector<std::size_t> load(P, 0);
-    std::vector<double> pull(P, 0.0); ///< per-partition neighbor score
-    std::vector<std::uint32_t> touched;
-    touched.reserve(P);
+    // Fennel's |S_p|^(gamma-1), recomputed only when load[p] changes.
+    std::vector<double> load_pow(P, std::pow(0.0, gamma - 1.0));
+    std::vector<double> pull(bins, 0.0); ///< per-partition neighbor score
+    std::vector<std::uint32_t> hist(kHistCopies * bins, 0);
 
     for (NodeId v = 0; v < n; ++v) {
-        const double dv = adj.degree(v);
-        for (std::size_t i = adj.row_begin(v); i < adj.row_end(v);
-             ++i) {
-            std::uint32_t p = assignment[adj.nbr[i]];
-            // Restreaming: a neighbor not yet re-placed this pass
-            // contributes its prior-pass partition instead of nothing.
-            if (p == kUnassigned && prior != nullptr)
-                p = (*prior)[adj.nbr[i]];
-            if (p == kUnassigned || p >= P)
-                continue; // not yet streamed (cold pass)
-            if (pull[p] == 0.0)
-                touched.push_back(p);
-            if (kind == StreamKind::kHdrf) {
-                // Low-degree neighbors pull harder than hubs: weight
-                // 2 - d(u)/(d(u)+d(v)), in (1, 2).
-                const double du = adj.degree(adj.nbr[i]);
-                pull[p] += 2.0 - du / (du + dv);
-            } else {
-                pull[p] += 1.0;
+        const std::size_t begin = adj.row_begin(v);
+        const std::size_t end = adj.row_end(v);
+        if (kind == StreamKind::kHdrf) {
+            // Low-degree neighbors pull harder than hubs: weight
+            // 2 - d(u)/(d(u)+d(v)), in (1, 2). A double sum, so it
+            // keeps row order within each partition's bin.
+            const double dv = adj.degree(v);
+            std::fill(pull.begin(), pull.end(), 0.0);
+            for (std::size_t i = begin; i < end; ++i) {
+                const NodeId u = adj.nbr[i];
+                const double du = adj.degree(u);
+                pull[label[u]] += 2.0 - du / (du + dv);
             }
+        } else {
+            // Distinct-neighbor counts, exact as integers; converted
+            // once per vertex, they equal a sum of 1.0s bit for bit.
+            std::size_t i = begin;
+            for (; i + kHistCopies <= end; i += kHistCopies)
+                for (std::size_t c = 0; c < kHistCopies; ++c)
+                    ++hist[c * bins + label[adj.nbr[i + c]]];
+            for (std::size_t c = 0; i < end; ++i, ++c)
+                ++hist[c * bins + label[adj.nbr[i]]];
+            for (std::uint32_t p = 0; p < P; ++p) {
+                std::uint32_t count = 0;
+                for (std::size_t c = 0; c < kHistCopies; ++c)
+                    count += hist[c * bins + p];
+                pull[p] = double(count);
+            }
+            std::fill(hist.begin(), hist.end(), 0);
         }
 
         double max_load = 0.0;
@@ -215,7 +250,7 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
             max_load = double(*mx);
         }
 
-        std::uint32_t best = kUnassigned;
+        std::uint32_t best = P;
         double best_score = 0.0;
         std::size_t best_load = 0;
         for (std::uint32_t p = 0; p < P; ++p) {
@@ -227,9 +262,7 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                 score = pull[p] * (1.0 - double(load[p]) / double(ideal));
                 break;
               case StreamKind::kFennel:
-                score = pull[p] -
-                        alpha * gamma *
-                            std::pow(double(load[p]), gamma - 1.0);
+                score = pull[p] - alpha * gamma * load_pow[p];
                 break;
               case StreamKind::kHdrf:
                 score = pull[p] +
@@ -237,60 +270,21 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                             (1.0 + max_load - min_load);
                 break;
             }
-            if (best == kUnassigned || score > best_score ||
+            if (best == P || score > best_score ||
                 (score == best_score && load[p] < best_load)) {
                 best = p;
                 best_score = score;
                 best_load = load[p];
             }
         }
-        assignment[v] = best;
+        label[v] = best;
         ++load[best];
-
-        for (std::uint32_t p : touched)
-            pull[p] = 0.0;
-        touched.clear();
+        load_pow[best] = std::pow(double(load[best]), gamma - 1.0);
     }
-    return assignment;
-}
-
-/**
- * CooGraph front door: validates (preserving the adjacency-free early
- * returns — an edgeless request with P == 1 never pays the build),
- * builds the adjacency, and streams.
- */
-std::vector<std::uint32_t>
-stream_partition_coo(const CooGraph &graph,
-                     std::uint32_t num_partitions,
-                     const StreamingPartitionConfig &config,
-                     StreamKind kind,
-                     const std::vector<std::uint32_t> *prior)
-{
-    if (num_partitions == 0)
-        throw std::invalid_argument(
-            "stream_partition: num_partitions must be > 0");
-    if (config.balance_slack < 1.0)
-        throw std::invalid_argument(
-            "stream_partition: balance_slack must be >= 1");
-    if (prior != nullptr && prior->size() != graph.num_nodes)
-        throw std::invalid_argument(
-            "stream_partition: prior assignment size mismatch");
-    if (graph.num_nodes == 0 || num_partitions == 1)
-        return std::vector<std::uint32_t>(graph.num_nodes, 0);
-    return stream_partition(build_undirected_csr(graph),
-                            num_partitions, config, kind, prior);
+    return label;
 }
 
 } // namespace
-
-std::vector<std::uint32_t>
-ldg_partition(const CooGraph &graph, std::uint32_t num_partitions,
-              const StreamingPartitionConfig &config,
-              const std::vector<std::uint32_t> *prior)
-{
-    return stream_partition_coo(graph, num_partitions, config,
-                                StreamKind::kLdg, prior);
-}
 
 std::vector<std::uint32_t>
 ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
@@ -302,30 +296,12 @@ ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
 }
 
 std::vector<std::uint32_t>
-fennel_partition(const CooGraph &graph, std::uint32_t num_partitions,
-                 const StreamingPartitionConfig &config,
-                 const std::vector<std::uint32_t> *prior)
-{
-    return stream_partition_coo(graph, num_partitions, config,
-                                StreamKind::kFennel, prior);
-}
-
-std::vector<std::uint32_t>
 fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                  const StreamingPartitionConfig &config,
                  const std::vector<std::uint32_t> *prior)
 {
     return stream_partition(adj, num_partitions, config,
                             StreamKind::kFennel, prior);
-}
-
-std::vector<std::uint32_t>
-hdrf_partition(const CooGraph &graph, std::uint32_t num_partitions,
-               const StreamingPartitionConfig &config,
-               const std::vector<std::uint32_t> *prior)
-{
-    return stream_partition_coo(graph, num_partitions, config,
-                                StreamKind::kHdrf, prior);
 }
 
 std::vector<std::uint32_t>

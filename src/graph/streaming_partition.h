@@ -42,11 +42,35 @@
 #define FLOWGNN_GRAPH_STREAMING_PARTITION_H
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace flowgnn {
+
+/**
+ * std::allocator whose value-less construct default-initializes, so
+ * resizing a vector of plain integers leaves the new slots unwritten:
+ * the pass that fills them is the first to touch their pages.
+ */
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    using std::allocator<T>::allocator;
+
+    template <class U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
 
 /**
  * Symmetrized, deduplicated adjacency: each pair of distinct nodes
@@ -62,7 +86,7 @@ namespace flowgnn {
  */
 struct UndirectedCsr {
     std::vector<std::size_t> offsets; ///< size num_nodes + 1
-    std::vector<NodeId> nbr;
+    std::vector<NodeId, DefaultInitAllocator<NodeId>> nbr;
 
     NodeId
     num_nodes() const
@@ -90,7 +114,10 @@ UndirectedCsr build_undirected_csr(const CooGraph &graph);
  * Same build from any edge view — including mmap-backed FGNB columns —
  * parallelized across host cores (threads 0 = all): per-thread-range
  * symmetrized counts with a prefix-sum merge in thread order, a
- * parallel stable fill, then per-row dedupe on disjoint row ranges.
+ * parallel stable fill into the unzeroed list, then an in-place
+ * dedupe: each row block (about equal entry counts) compacts its rows
+ * toward its own start, and one move per block closes the gaps. The
+ * list is never copied and keeps its pre-dedupe capacity.
  * Bit-identical to the serial build for every thread count.
  */
 UndirectedCsr build_undirected_csr(const GraphRef &graph,
@@ -121,20 +148,13 @@ struct StreamingPartitionConfig {
  * so neighborless vertices (including every vertex of an edgeless
  * graph) spread round-robin instead of collapsing onto partition 0.
  *
+ * Every partitioner takes the adjacency from build_undirected_csr:
+ * the stream itself is serial, and callers that restream
+ * (shard_plan_assignment) or try several strategies build the
+ * adjacency once (possibly in parallel, possibly from an mmap view)
+ * and pass it to every pass.
+ *
  * @return partition id per node, each in [0, num_partitions)
- */
-std::vector<std::uint32_t>
-ldg_partition(const CooGraph &graph, std::uint32_t num_partitions,
-              const StreamingPartitionConfig &config = {},
-              const std::vector<std::uint32_t> *prior = nullptr);
-
-/**
- * Adjacency-reusing overload: the stream itself is inherently serial,
- * but build_undirected_csr dominates a cold pass — callers that
- * restream (shard_plan_assignment) or try several strategies build
- * the adjacency once (possibly in parallel, possibly from an mmap
- * view) and pass it to every pass. Identical output to the CooGraph
- * overload on the same graph.
  */
 std::vector<std::uint32_t>
 ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
@@ -152,12 +172,6 @@ ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
  * on power-law graphs.
  */
 std::vector<std::uint32_t>
-fennel_partition(const CooGraph &graph, std::uint32_t num_partitions,
-                 const StreamingPartitionConfig &config = {},
-                 const std::vector<std::uint32_t> *prior = nullptr);
-
-/** Adjacency-reusing overload; see ldg_partition(UndirectedCsr). */
-std::vector<std::uint32_t>
 fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                  const StreamingPartitionConfig &config = {},
                  const std::vector<std::uint32_t> *prior = nullptr);
@@ -174,12 +188,6 @@ fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
  * normalized balance term. Degrees are distinct-neighbor counts
  * (see UndirectedCsr), so multi-edges do not inflate a hub's pull.
  */
-std::vector<std::uint32_t>
-hdrf_partition(const CooGraph &graph, std::uint32_t num_partitions,
-               const StreamingPartitionConfig &config = {},
-               const std::vector<std::uint32_t> *prior = nullptr);
-
-/** Adjacency-reusing overload; see ldg_partition(UndirectedCsr). */
 std::vector<std::uint32_t>
 hdrf_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                const StreamingPartitionConfig &config = {},

@@ -59,6 +59,9 @@ struct PoolScheduler::Job {
         ShardedRunResult result;
         LinkConfig link{};
         std::promise<ShardedRunResult> promise;
+        /** Dies of the job holding a lease for the current run, or
+         * for the next one while the gang forms. */
+        std::size_t holding = 0;
         /** A die of the job is running the plan right now. */
         bool running = false;
         /** The plan ran to completion (or threw). */
@@ -187,6 +190,8 @@ PoolScheduler::die_loop(std::size_t die)
         }
         if (core_.pending_jobs() > 0)
             work_.notify_one(); // e.g. the rest of a gang's tasks
+        if (holders_ > 0)
+            held_.notify_all(); // a forming gang may have to start now
         pool_.lease(die);
         busy_dies_gauge_.set(static_cast<double>(core_.tasks_running()));
         queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
@@ -235,6 +240,8 @@ PoolScheduler::die_loop(std::size_t die)
 
         lock.lock();
         const bool job_done = core_.release(die, preempted);
+        if (holders_ > 0)
+            held_.notify_all(); // a forming gang may have to start now
         busy_dies_gauge_.set(static_cast<double>(core_.tasks_running()));
         if (session)
             session->counter(obs::Track::kPool, "busy dies",
@@ -286,20 +293,33 @@ bool
 PoolScheduler::run_sharded(std::size_t die, Job &job)
 {
     Job::Sharded &sh = *job.sharded;
+    const std::size_t width = sh.plan.shards.size();
     {
         UniqueLock lock(&mutex_);
         if (sh.done)
             return false; // a holder that starts after the job is done
-        if (sh.running) {
-            // Hold this die for the run another die of the job leads:
-            // follow that run's outcome, or yield alone when this die
-            // is asked to. The run has a die, so the wait ends.
-            const std::uint64_t run = sh.runs_ended;
-            held_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
-                return sh.runs_ended != run ||
-                       die_tokens_[die]->requested();
-            });
-            return sh.runs_ended == run || !sh.done;
+        // Until a run starts the gang forms, and the die that completes
+        // it runs the plan, so every die of the job leases before the
+        // run starts. A gang waits only while a free die may still be
+        // dispatched; once none can be, it runs on the dies it holds,
+        // so no die waits on a run that cannot start. Once a run has
+        // started, hold this die until it ends and follow its outcome.
+        // Either way a die yields alone when it is asked to.
+        const std::uint64_t run = sh.runs_ended;
+        ++sh.holding;
+        DispatchCore::Pick probe; // pick() only asks; start() commits
+        ++holders_;
+        held_.wait(lock, [&]() FLOWGNN_REQUIRES(mutex_) {
+            return sh.runs_ended != run || die_tokens_[die]->requested() ||
+                   (!sh.running && (sh.holding == width ||
+                                    !core_.pick(now_ticks(), probe)));
+        });
+        --holders_;
+        if (sh.runs_ended != run)
+            return !sh.done; // the run this die held for ended
+        if (die_tokens_[die]->requested()) {
+            --sh.holding;
+            return true;
         }
         sh.running = true;
     }
@@ -322,6 +342,7 @@ PoolScheduler::run_sharded(std::size_t die, Job &job)
         MutexLock lock(&mutex_);
         sh.running = false;
         sh.done = !yielded;
+        sh.holding = 0; // the run's end releases its holders
         ++sh.runs_ended;
     }
     held_.notify_all();
@@ -376,7 +397,7 @@ PoolScheduler::finalize(JobPtr jobp)
 void
 PoolScheduler::admit(JobPtr job)
 {
-    bool preempting = false;
+    bool wake_holders = false;
     {
         UniqueLock lock(&mutex_);
         // Select the path tally under the lock (fast_/sharded_ are
@@ -422,13 +443,15 @@ PoolScheduler::admit(JobPtr job)
         queue_depth_gauge_.set(static_cast<double>(core_.pending_jobs()));
         core_.preempt_for(desc.key, [&](std::size_t die) {
             die_tokens_[die]->request();
-            preempting = true;
             return true;
         });
+        // A victim may be a holding die, and the new job may take
+        // the pick a forming gang waits on.
+        wake_holders = holders_ > 0;
     }
     work_.notify_one();
-    if (preempting)
-        held_.notify_all(); // a victim may be a holding die
+    if (wake_holders)
+        held_.notify_all();
 }
 
 std::future<RunResult>
@@ -487,8 +510,10 @@ PoolScheduler::set_active_dies(std::size_t n)
         core_.set_active(active);
         active_dies_gauge_.set(static_cast<double>(active));
     }
-    // Scaling up frees capacity parked dies can pick up immediately.
+    // Scaling up frees capacity parked dies can pick up immediately;
+    // scaling down may leave a forming gang no die to wait for.
     work_.notify_all();
+    held_.notify_all();
 }
 
 std::size_t

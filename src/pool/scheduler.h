@@ -6,8 +6,8 @@
  * A job is one graph: either a whole-graph job (one die, the small
  * graph fast path) or a sharded job (a GhostPlan over P <= D dies).
  * A sharded job's layers are exchange-synchronous, so it is a gang of
- * P tasks: the first of its dies to start while none of them is
- * running the plan runs run_ghost_plan (one host thread), and the
+ * P tasks: the die that completes the gang (the last of the P to
+ * take its lease) runs run_ghost_plan (one host thread), and the
  * job's other dies hold their lease until that run ends. The pool's
  * occupancy, die leases, energy and autoscaler therefore see the P
  * dies the job models. Results are bit-identical to isolated runs
@@ -293,7 +293,7 @@ class PoolScheduler
     CondVar admit_;  ///< producers: queue may have room
     CondVar idle_;   ///< drain(): a job finished
     CondVar unpark_; ///< start()
-    CondVar held_;   ///< holder dies: a ghost run ended or a yield was asked
+    CondVar held_;   ///< holder dies: a gang or run changed, or a yield was asked
     bool started_ FLOWGNN_GUARDED_BY(mutex_) = false;
     bool closed_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< no new submissions
     bool shutdown_ FLOWGNN_GUARDED_BY(mutex_) = false; ///< dies may exit
@@ -305,6 +305,8 @@ class PoolScheduler
     std::vector<std::unique_ptr<PreemptToken>> die_tokens_;
     std::size_t blocked_producers_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     std::size_t peak_pending_ FLOWGNN_GUARDED_BY(mutex_) = 0;
+    /** Dies of sharded jobs waiting on held_. */
+    std::size_t holders_ FLOWGNN_GUARDED_BY(mutex_) = 0;
     PoolPathStats fast_ FLOWGNN_GUARDED_BY(mutex_);
     PoolPathStats sharded_ FLOWGNN_GUARDED_BY(mutex_);
     /** Labels die-lease trace spans. */

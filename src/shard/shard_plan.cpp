@@ -6,24 +6,6 @@
 
 namespace flowgnn {
 
-namespace {
-
-bool
-strategy_uses_adjacency(ShardStrategy strategy)
-{
-    switch (strategy) {
-      case ShardStrategy::kBfsContiguous:
-      case ShardStrategy::kLdg:
-      case ShardStrategy::kFennel:
-      case ShardStrategy::kHdrf:
-        return true;
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
 std::vector<std::uint32_t>
 shard_plan_assignment(const CooGraph &graph, const ShardConfig &config)
 {
@@ -38,9 +20,11 @@ shard_plan_assignment(const GraphRef &graph, const ShardConfig &config,
     // simple adjacency; build it once here so restreaming passes reuse
     // it instead of rebuilding per pass. Skipped when shard_assignment
     // would early-return without ever touching it.
+    const ShardStrategy s = config.strategy;
     UndirectedCsr adj;
     const UndirectedCsr *adj_ptr = nullptr;
-    if (strategy_uses_adjacency(config.strategy) &&
+    if ((s == ShardStrategy::kBfsContiguous || s == ShardStrategy::kLdg ||
+         s == ShardStrategy::kFennel || s == ShardStrategy::kHdrf) &&
         graph.num_nodes() > 0 && config.num_shards > 1) {
         adj = build_undirected_csr(graph, threads);
         adj_ptr = &adj;

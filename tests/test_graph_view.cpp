@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -405,6 +406,40 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
 
 // ---- Parallel planners: bit-identical to the serial GraphSample path -
 
+/** Every field of two ghost plans, `label` naming the case. */
+void
+expect_same_ghost_plan(const GhostPlan &par, const GhostPlan &serial,
+                       const std::string &label)
+{
+    ASSERT_EQ(par.shards.size(), serial.shards.size()) << label;
+    EXPECT_EQ(par.assignment, serial.assignment) << label;
+    EXPECT_EQ(par.cut_edges, serial.cut_edges) << label;
+    EXPECT_EQ(par.replication_factor, serial.replication_factor)
+        << label;
+    for (std::size_t i = 0; i < serial.shards.size(); ++i) {
+        const GhostShard &a = par.shards[i];
+        const GhostShard &b = serial.shards[i];
+        EXPECT_EQ(a.locals, b.locals) << label << " " << i;
+        EXPECT_EQ(a.is_owned, b.is_owned) << label << " " << i;
+        EXPECT_TRUE(a.local_graph.edges == b.local_graph.edges)
+            << label << " " << i;
+        EXPECT_EQ(a.layer_comm_cycles, b.layer_comm_cycles)
+            << label << " " << i;
+        EXPECT_EQ(a.info.owned_nodes, b.info.owned_nodes)
+            << label << " " << i;
+        EXPECT_EQ(a.info.ghost_nodes, b.info.ghost_nodes)
+            << label << " " << i;
+        EXPECT_EQ(a.info.fetched_edges, b.info.fetched_edges)
+            << label << " " << i;
+        EXPECT_EQ(a.info.exchange_send_words, b.info.exchange_send_words)
+            << label << " " << i;
+        EXPECT_EQ(a.info.exchange_recv_words, b.info.exchange_recv_words)
+            << label << " " << i;
+        EXPECT_EQ(a.info.resident_words, b.info.resident_words)
+            << label << " " << i;
+    }
+}
+
 TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
 {
     GraphSample s = testing::make_random_sample(
@@ -417,39 +452,40 @@ TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
     cfg.strategy = ShardStrategy::kHdrf;
 
     const GhostPlan serial = make_ghost_plan(model, prepared, cfg);
-    for (unsigned t : {2u, 4u}) {
-        const GhostPlan par =
-            make_ghost_plan(model, SampleRef(prepared), cfg, t);
-        ASSERT_EQ(par.shards.size(), serial.shards.size()) << t;
-        EXPECT_EQ(par.assignment, serial.assignment) << t;
-        EXPECT_EQ(par.cut_edges, serial.cut_edges) << t;
-        EXPECT_EQ(par.replication_factor, serial.replication_factor)
-            << t;
-        for (std::size_t i = 0; i < serial.shards.size(); ++i) {
-            const GhostShard &a = par.shards[i];
-            const GhostShard &b = serial.shards[i];
-            EXPECT_EQ(a.locals, b.locals) << t << " " << i;
-            EXPECT_EQ(a.is_owned, b.is_owned) << t << " " << i;
-            EXPECT_TRUE(a.local_graph.edges == b.local_graph.edges)
-                << t << " " << i;
-            EXPECT_EQ(a.layer_comm_cycles, b.layer_comm_cycles)
-                << t << " " << i;
-            EXPECT_EQ(a.info.owned_nodes, b.info.owned_nodes)
-                << t << " " << i;
-            EXPECT_EQ(a.info.ghost_nodes, b.info.ghost_nodes)
-                << t << " " << i;
-            EXPECT_EQ(a.info.fetched_edges, b.info.fetched_edges)
-                << t << " " << i;
-            EXPECT_EQ(a.info.exchange_send_words,
-                      b.info.exchange_send_words)
-                << t << " " << i;
-            EXPECT_EQ(a.info.exchange_recv_words,
-                      b.info.exchange_recv_words)
-                << t << " " << i;
-            EXPECT_EQ(a.info.resident_words, b.info.resident_words)
-                << t << " " << i;
-        }
-    }
+    // The plan's cut is the sum of its fetched edges; it must equal
+    // the direct count.
+    EXPECT_EQ(serial.cut_edges,
+              shard_cut_edges(prepared.graph, serial.assignment));
+    for (unsigned t : {2u, 4u})
+        expect_same_ghost_plan(
+            make_ghost_plan(model, SampleRef(prepared), cfg, t), serial,
+            std::to_string(t));
+}
+
+TEST(ParallelPlanTest, LargeGhostPlanThreadsMatchSerial)
+{
+    // More than kSerialCutoff edges, so every thread count splits the
+    // plan's edge scans and the adjacency build, at the reddit-ghost
+    // planner's shape: Fennel + 3 restreams, P = 3.
+    Rng rng(0x604);
+    GraphSample s = testing::make_random_sample(
+        make_barabasi_albert(6000, 10, rng), 8, 0, 0x604);
+    const Model model = make_model(ModelKind::kGcn16, 8, 0);
+    const GraphSample prepared = model.prepare(s);
+    ASSERT_GT(prepared.num_edges(), kSerialCutoff);
+
+    ShardConfig cfg;
+    cfg.num_shards = 3;
+    cfg.strategy = ShardStrategy::kFennel;
+    cfg.restream_passes = 3;
+
+    const GhostPlan serial = make_ghost_plan(model, prepared, cfg);
+    EXPECT_EQ(serial.cut_edges,
+              shard_cut_edges(prepared.graph, serial.assignment));
+    for (unsigned t : {2u, 3u, 4u})
+        expect_same_ghost_plan(
+            make_ghost_plan(model, SampleRef(prepared), cfg, t), serial,
+            std::to_string(t));
 }
 
 // ---- dest_bank guard --------------------------------------------------

@@ -4,7 +4,9 @@
  * LDG/Fennel/HDRF quality and balance guarantees, and the property
  * tests every ShardStrategy (old and new) must satisfy on adversarial
  * inputs — empty graphs, fewer nodes than shards, disconnected
- * components, stars, heavy multigraphs, edgeless graphs.
+ * components, stars, heavy multigraphs, edgeless graphs — and a
+ * differential sweep that holds the adjacency build and every
+ * assignment to frozen references (tests/testing_util.h) bit for bit.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "graph/streaming_partition.h"
 #include "shard/shard_plan.h"
 #include "tensor/rng.h"
+#include "testing_util.h"
 
 namespace flowgnn {
 namespace {
@@ -201,10 +204,11 @@ TEST(StreamingPartitionProperty, InvalidArgumentsThrow)
 {
     CooGraph g;
     g.num_nodes = 4;
-    EXPECT_THROW(ldg_partition(g, 0), std::invalid_argument);
+    const UndirectedCsr adj = build_undirected_csr(g);
+    EXPECT_THROW(ldg_partition(adj, 0), std::invalid_argument);
     StreamingPartitionConfig bad;
     bad.balance_slack = 0.5;
-    EXPECT_THROW(fennel_partition(g, 2, bad), std::invalid_argument);
+    EXPECT_THROW(fennel_partition(adj, 2, bad), std::invalid_argument);
 }
 
 // ---- Balance guarantees -----------------------------------------------
@@ -407,6 +411,185 @@ TEST(StreamingPartitionQuality, BfsStillWinsOnLocalityGraphs)
             << shard_strategy_name(strategy)
             << " must still beat a blind id split";
     }
+}
+
+// ---- Differential sweep against the frozen references ----------------
+
+using testing::NaiveStreamKind;
+using testing::naive_build_undirected_csr;
+using testing::naive_stream_partition;
+
+struct SweepGraph {
+    const char *name;
+    CooGraph graph;
+};
+
+/** Adversarial and power-law inputs. The two large ones hold more
+ * than kSerialCutoff edges, so every thread count splits them. */
+std::vector<SweepGraph>
+sweep_graphs()
+{
+    std::vector<SweepGraph> out;
+    Rng rng(0x5EE9);
+    out.push_back({"empty", CooGraph{}});
+
+    CooGraph isolated;
+    isolated.num_nodes = 12; // 0, 3, 5..11 isolated; 4 only self-loops
+    isolated.edges = {{1, 2}, {2, 1}, {4, 4}, {1, 2}, {4, 4}, {2, 1}};
+    out.push_back({"isolated-nodes", isolated});
+
+    CooGraph tiny; // n < P for P = 5, 8
+    tiny.num_nodes = 3;
+    tiny.edges = {{0, 1}, {1, 2}, {2, 0}, {0, 1}, {1, 1}};
+    out.push_back({"n-below-P", tiny});
+
+    CooGraph star;
+    star.num_nodes = 80;
+    for (NodeId leaf = 1; leaf < star.num_nodes; ++leaf) {
+        star.edges.push_back({leaf, 0});
+        if (leaf % 3 == 0)
+            star.edges.push_back({0, leaf});
+    }
+    out.push_back({"star", star});
+
+    out.push_back(
+        {"ba-multigraph",
+         multigraphed(make_barabasi_albert(400, 3, rng))});
+    out.push_back({"rmat", make_rmat(512, 4000, rng)});
+    out.push_back({"rmat-large", make_rmat(8192, 70000, rng)});
+    out.push_back(
+        {"ba-multigraph-large",
+         multigraphed(make_barabasi_albert(9000, 4, rng))});
+    return out;
+}
+
+std::vector<std::uint32_t>
+naive_assignment(const UndirectedCsr &adj, NodeId n, std::uint32_t P,
+                 ShardStrategy strategy,
+                 const std::vector<std::uint32_t> *prior)
+{
+    if (n == 0 || P == 1)
+        return std::vector<std::uint32_t>(n, 0);
+    const NaiveStreamKind kind =
+        strategy == ShardStrategy::kLdg      ? NaiveStreamKind::kLdg
+        : strategy == ShardStrategy::kFennel ? NaiveStreamKind::kFennel
+                                             : NaiveStreamKind::kHdrf;
+    return naive_stream_partition(adj, P, {}, kind, prior);
+}
+
+TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
+{
+    constexpr std::uint32_t kShards[] = {1, 2, 3, 5, 8};
+    for (const SweepGraph &g : sweep_graphs()) {
+        const GraphRef ref(g.graph);
+        const NodeId n = g.graph.num_nodes;
+        const UndirectedCsr want_csr = naive_build_undirected_csr(ref, 1);
+        for (unsigned t = 1; t <= 4; ++t) {
+            const UndirectedCsr got = build_undirected_csr(ref, t);
+            ASSERT_EQ(got.offsets, want_csr.offsets) << g.name << " t" << t;
+            ASSERT_TRUE(got.nbr == want_csr.nbr) << g.name << " t" << t;
+        }
+
+        for (std::uint32_t P : kShards) {
+            // Random prior: labels in [0, P + 3), some >= P, and the
+            // unassigned marker.
+            Rng rng(0xA110C + P);
+            std::vector<std::uint32_t> random_prior(n);
+            for (NodeId v = 0; v < n; ++v)
+                random_prior[v] =
+                    v % 11 == 0 ? 0xFFFFFFFFu
+                                : static_cast<std::uint32_t>(
+                                      rng.uniform_index(P + 3));
+
+            for (ShardStrategy strategy : kStreaming) {
+                const std::vector<std::uint32_t> cold = naive_assignment(
+                    want_csr, n, P, strategy, nullptr);
+                const std::vector<std::uint32_t> *priors[] = {
+                    nullptr, &cold, &random_prior};
+                for (const std::vector<std::uint32_t> *prior : priors) {
+                    const std::vector<std::uint32_t> want =
+                        naive_assignment(want_csr, n, P, strategy, prior);
+                    for (unsigned t = 1; t <= 4; ++t)
+                        ASSERT_EQ(shard_assignment(ref, P, strategy, prior,
+                                                   nullptr, t),
+                                  want)
+                            << g.name << " P" << P << " "
+                            << shard_strategy_name(strategy) << " prior "
+                            << (prior == nullptr ? "none"
+                                : prior == &cold ? "previous"
+                                                 : "random")
+                            << " t" << t;
+                }
+
+                // Restreaming as shard_plan_assignment runs it.
+                ShardConfig config;
+                config.num_shards = P;
+                config.strategy = strategy;
+                config.restream_passes = 3;
+                std::vector<std::uint32_t> want = cold;
+                for (std::uint32_t pass = 0; pass < 3; ++pass) {
+                    std::vector<std::uint32_t> next = naive_assignment(
+                        want_csr, n, P, strategy, &want);
+                    if (next == want)
+                        break;
+                    want = std::move(next);
+                }
+                for (unsigned t = 1; t <= 4; ++t)
+                    ASSERT_EQ(shard_plan_assignment(ref, config, t), want)
+                        << g.name << " P" << P << " "
+                        << shard_strategy_name(strategy) << " restream t"
+                        << t;
+            }
+
+            // BFS renumbering walks the same adjacency.
+            const std::vector<std::uint32_t> bfs = shard_assignment(
+                ref, P, ShardStrategy::kBfsContiguous, nullptr,
+                &want_csr, 1);
+            for (unsigned t = 1; t <= 4; ++t)
+                ASSERT_EQ(shard_assignment(ref, P,
+                                           ShardStrategy::kBfsContiguous,
+                                           &random_prior, nullptr, t),
+                          bfs)
+                    << g.name << " P" << P << " bfs t" << t;
+        }
+    }
+}
+
+TEST(PartitionOracleSweep, HdrfSumsEachBinInRowOrder)
+{
+    // HDRF's pull is a double sum, so its bits depend on the order of
+    // the terms. Node 0 streams first (all loads 0, so the scores are
+    // the pulls) with six neighbors whose prior labels alternate 0, 1
+    // in row order. Their degrees make partition 0 sum the weights
+    // for degrees (1, 4, 3) and partition 1 the same weights in
+    // reverse, (3, 4, 1): equal as real numbers, one ulp apart as
+    // doubles. Row order favors partition 0; a pass that summed in
+    // any other order would flip node 0.
+    CooGraph g;
+    g.num_nodes = 17;
+    for (NodeId u = 1; u <= 6; ++u)
+        g.edges.push_back({0, u});
+    NodeId leaf = 7;
+    // Extra degree per neighbor: 3 and 5 on partition 0, 2 and 4 on 1.
+    for (auto [u, extra] : {std::pair<NodeId, int>{3, 3}, {5, 2},
+                            {2, 2}, {4, 3}})
+        for (int k = 0; k < extra; ++k)
+            g.edges.push_back({u, leaf++});
+    ASSERT_EQ(leaf, g.num_nodes);
+    std::vector<std::uint32_t> prior(g.num_nodes, 0);
+    for (NodeId u : {2u, 4u, 6u})
+        prior[u] = 1;
+
+    const GraphRef ref(g);
+    const std::vector<std::uint32_t> want = naive_stream_partition(
+        naive_build_undirected_csr(ref, 1), 2, {}, NaiveStreamKind::kHdrf,
+        &prior);
+    ASSERT_EQ(want[0], 0u);
+    for (unsigned t = 1; t <= 4; ++t)
+        EXPECT_EQ(shard_assignment(ref, 2, ShardStrategy::kHdrf, &prior,
+                                   nullptr, t),
+                  want)
+            << t;
 }
 
 } // namespace

@@ -9,15 +9,18 @@
 #define FLOWGNN_TESTS_TESTING_UTIL_H
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/config.h"
+#include "core/parallel.h"
 #include "core/phase_model.h"
 #include "core/stats.h"
 #include "ghost/ghost_plan.h"
 #include "graph/partition.h"
 #include "graph/generators.h"
 #include "graph/sample.h"
+#include "graph/streaming_partition.h"
 #include "nn/gat_layer.h"
 #include "nn/model.h"
 #include "tensor/fixed_point.h"
@@ -763,6 +766,251 @@ make_random_graph(std::uint32_t flavor, NodeId num_nodes,
       default:
         return make_barabasi_albert(num_nodes, 2, rng);
     }
+}
+
+// ---- Frozen partitioning references ---------------------------------
+//
+// The adjacency build and the streaming partitioner exactly as they
+// were before the label-array pass, the integer histograms and the
+// in-place dedupe: the differential sweep in test_streaming_partition
+// requires the library to match them bit for bit (CSR offsets and
+// neighbors, every assignment) at every thread count.
+
+/** The symmetrized, deduplicated adjacency, built the frozen way:
+ * a zero-filled list, per-row dedupe, a serial left-shift
+ * compaction and a shrink. */
+inline UndirectedCsr
+naive_build_undirected_csr(const GraphRef &graph, unsigned threads)
+{
+    const NodeId n = graph.num_nodes();
+    const std::size_t e = graph.num_edges();
+    UndirectedCsr out;
+    out.offsets.assign(std::size_t(n) + 1, 0);
+
+    // Pass 1: symmetrized counts, duplicates included (self-loops are
+    // dropped here: a node is never its own neighbor). Per-thread
+    // count arrays; a non-self edge contributes one entry to each
+    // endpoint's row.
+    const unsigned T = parallel_range_count(e, threads);
+    std::vector<std::vector<std::uint32_t>> counts(
+        T, std::vector<std::uint32_t>(n, 0));
+    parallel_ranges(
+        e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
+            std::vector<std::uint32_t> &c = counts[tid];
+            for (std::size_t i = b; i < end; ++i) {
+                const NodeId s = graph.src(i);
+                const NodeId d = graph.dst(i);
+                if (s >= n || d >= n)
+                    throw std::invalid_argument(
+                        "build_undirected_csr: edge endpoint out of "
+                        "range");
+                if (s == d)
+                    continue;
+                ++c[s];
+                ++c[d];
+            }
+        });
+
+    // Prefix scan in (node, thread) order: cursors[t][v] becomes the
+    // first slot thread t fills in row v. The per-range fill visits
+    // edges in stream order within each contiguous ascending range,
+    // so concatenating ranges in thread order reproduces the serial
+    // stream order exactly. Cursors are size_t: a symmetrized list
+    // holds up to 2 * num_edges entries, which can exceed 32 bits.
+    std::vector<std::vector<std::size_t>> cursors(T);
+    std::size_t running = 0;
+    for (unsigned t = 0; t < T; ++t)
+        cursors[t].resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+        out.offsets[v] = running;
+        for (unsigned t = 0; t < T; ++t) {
+            cursors[t][v] = running;
+            running += counts[t][v];
+        }
+    }
+    out.offsets[n] = running;
+    counts.clear();
+    counts.shrink_to_fit();
+
+    out.nbr.resize(running);
+    parallel_ranges(
+        e, threads, [&](std::size_t b, std::size_t end, unsigned tid) {
+            std::vector<std::size_t> &cur = cursors[tid];
+            for (std::size_t i = b; i < end; ++i) {
+                const NodeId s = graph.src(i);
+                const NodeId d = graph.dst(i);
+                if (s == d)
+                    continue;
+                out.nbr[cur[s]++] = d;
+                out.nbr[cur[d]++] = s;
+            }
+        });
+    cursors.clear();
+    cursors.shrink_to_fit();
+
+    // Pass 2: compact each row in place, keeping only the first
+    // occurrence of every neighbor (order-preserving dedupe — a
+    // multigraph and its simple graph yield the same rows). Rows are
+    // disjoint, so threads dedupe disjoint row ranges with private
+    // seen[] arrays; seen[u] holds the last row that admitted u, and
+    // a thread visits its rows in ascending order, so `seen[u] == v`
+    // means "already in row v".
+    std::vector<std::size_t> new_len(n);
+    parallel_ranges(
+        n, threads, [&](std::size_t b, std::size_t end, unsigned) {
+            std::vector<NodeId> seen(n, n);
+            for (std::size_t v = b; v < end; ++v) {
+                std::size_t w = out.offsets[v];
+                for (std::size_t i = out.offsets[v];
+                     i < out.offsets[v + 1]; ++i) {
+                    NodeId u = out.nbr[i];
+                    if (seen[u] == v)
+                        continue;
+                    seen[u] = static_cast<NodeId>(v);
+                    out.nbr[w++] = u;
+                }
+                new_len[v] = w - out.offsets[v];
+            }
+        });
+
+    // Serial left-shift compaction of the deduped rows (dest always
+    // precedes source, so forward copies are safe).
+    std::size_t w = 0;
+    std::vector<std::size_t> compact_offsets(std::size_t(n) + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
+        compact_offsets[v] = w;
+        const std::size_t begin = out.offsets[v];
+        if (w != begin)
+            std::copy(out.nbr.begin() + begin,
+                      out.nbr.begin() + begin + new_len[v],
+                      out.nbr.begin() + w);
+        w += new_len[v];
+    }
+    compact_offsets[n] = w;
+    out.nbr.resize(w);
+    out.nbr.shrink_to_fit();
+    out.offsets = std::move(compact_offsets);
+    return out;
+}
+
+enum class NaiveStreamKind { kLdg, kFennel, kHdrf };
+
+constexpr std::uint32_t kNaiveUnassigned = 0xFFFFFFFFu;
+
+/** The frozen streaming pass: a double score per neighbor, the
+ * assignment / prior double lookup, and a touched-list reset. */
+inline std::vector<std::uint32_t>
+naive_stream_partition(const UndirectedCsr &adj,
+                       std::uint32_t num_partitions,
+                       const StreamingPartitionConfig &config,
+                       NaiveStreamKind kind,
+                       const std::vector<std::uint32_t> *prior)
+{
+    if (num_partitions == 0)
+        throw std::invalid_argument(
+            "stream_partition: num_partitions must be > 0");
+    if (config.balance_slack < 1.0)
+        throw std::invalid_argument(
+            "stream_partition: balance_slack must be >= 1");
+
+    const NodeId n = adj.num_nodes();
+    if (prior != nullptr && prior->size() != n)
+        throw std::invalid_argument(
+            "stream_partition: prior assignment size mismatch");
+    std::vector<std::uint32_t> assignment(n, 0);
+    if (n == 0 || num_partitions == 1)
+        return assignment;
+
+    const std::uint32_t P = num_partitions;
+
+    const std::size_t ideal = (std::size_t(n) + P - 1) / P;
+    const std::size_t cap = std::max<std::size_t>(
+        ideal,
+        static_cast<std::size_t>(
+            std::ceil(config.balance_slack * double(ideal))));
+
+    // Fennel's standard alpha = m * P^(gamma-1) / n^gamma, with m the
+    // number of distinct undirected edges.
+    const double gamma = config.fennel_gamma;
+    const double m_und = double(adj.nbr.size()) / 2.0;
+    const double alpha =
+        m_und * std::pow(double(P), gamma - 1.0) /
+        std::pow(double(n), gamma);
+
+    std::fill(assignment.begin(), assignment.end(), kNaiveUnassigned);
+    std::vector<std::size_t> load(P, 0);
+    std::vector<double> pull(P, 0.0); ///< per-partition neighbor score
+    std::vector<std::uint32_t> touched;
+    touched.reserve(P);
+
+    for (NodeId v = 0; v < n; ++v) {
+        const double dv = adj.degree(v);
+        for (std::size_t i = adj.row_begin(v); i < adj.row_end(v);
+             ++i) {
+            std::uint32_t p = assignment[adj.nbr[i]];
+            // Restreaming: a neighbor not yet re-placed this pass
+            // contributes its prior-pass partition instead of nothing.
+            if (p == kNaiveUnassigned && prior != nullptr)
+                p = (*prior)[adj.nbr[i]];
+            if (p == kNaiveUnassigned || p >= P)
+                continue; // not yet streamed (cold pass)
+            if (pull[p] == 0.0)
+                touched.push_back(p);
+            if (kind == NaiveStreamKind::kHdrf) {
+                // Low-degree neighbors pull harder than hubs: weight
+                // 2 - d(u)/(d(u)+d(v)), in (1, 2).
+                const double du = adj.degree(adj.nbr[i]);
+                pull[p] += 2.0 - du / (du + dv);
+            } else {
+                pull[p] += 1.0;
+            }
+        }
+
+        double max_load = 0.0;
+        double min_load = 0.0;
+        if (kind == NaiveStreamKind::kHdrf) {
+            auto [mn, mx] = std::minmax_element(load.begin(), load.end());
+            min_load = double(*mn);
+            max_load = double(*mx);
+        }
+
+        std::uint32_t best = kNaiveUnassigned;
+        double best_score = 0.0;
+        std::size_t best_load = 0;
+        for (std::uint32_t p = 0; p < P; ++p) {
+            if (load[p] >= cap)
+                continue; // hard balance bound
+            double score = 0.0;
+            switch (kind) {
+              case NaiveStreamKind::kLdg:
+                score = pull[p] * (1.0 - double(load[p]) / double(ideal));
+                break;
+              case NaiveStreamKind::kFennel:
+                score = pull[p] -
+                        alpha * gamma *
+                            std::pow(double(load[p]), gamma - 1.0);
+                break;
+              case NaiveStreamKind::kHdrf:
+                score = pull[p] +
+                        config.hdrf_lambda * (max_load - double(load[p])) /
+                            (1.0 + max_load - min_load);
+                break;
+            }
+            if (best == kNaiveUnassigned || score > best_score ||
+                (score == best_score && load[p] < best_load)) {
+                best = p;
+                best_score = score;
+                best_load = load[p];
+            }
+        }
+        assignment[v] = best;
+        ++load[best];
+
+        for (std::uint32_t p : touched)
+            pull[p] = 0.0;
+        touched.clear();
+    }
+    return assignment;
 }
 
 } // namespace flowgnn::testing
