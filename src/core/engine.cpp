@@ -39,18 +39,7 @@ Engine::run(const GraphSample &sample, const RunOptions &opts,
             RunWorkspace &ws) const
 {
     GraphSample prepared = model_.prepare(sample);
-    return run_prepared(prepared, opts, ws);
-}
-
-RunResult
-Engine::run_prepared(const GraphSample &prepared, const RunOptions &opts,
-                     RunWorkspace &ws) const
-{
-    // The GraphSample front door keeps the stronger structural check
-    // (feature-row counts vs graph sizes) that SampleRef cannot see.
-    if (!prepared.consistent())
-        throw std::invalid_argument("Engine: inconsistent sample");
-    return run_prepared(SampleRef(prepared), opts, ws, 1);
+    return run_prepared(prepared, opts, ws, 1);
 }
 
 RunResult

@@ -107,9 +107,11 @@ class Engine
      * Runs one graph end to end: input DMA, all pipeline phases,
      * global pooling, and the prediction head. The sample is prepared
      * internally (virtual node / DGN field) exactly as the reference
-     * executor prepares it. Scratch memory comes from `ws`, which is
-     * reused across calls; the overload without a workspace allocates
-     * a fresh one per call (convenient, but slower on a hot path).
+     * executor prepares it, and runs on one host thread. Scratch
+     * memory comes from `ws`, which is reused across calls; the
+     * overload without a workspace allocates a fresh one per call
+     * (convenient, but slower on a hot path). Throws
+     * std::invalid_argument on a malformed sample (Model::prepare).
      */
     RunResult run(const GraphSample &sample, const RunOptions &opts,
                   RunWorkspace &ws) const;
@@ -121,20 +123,14 @@ class Engine
      * Model::prepare. This is the entry point for callers that manage
      * preparation themselves — notably sharded execution, where the
      * virtual node / DGN field is applied to the full graph once,
-     * before planning.
-     */
-    RunResult run_prepared(const GraphSample &prepared,
-                           const RunOptions &opts, RunWorkspace &ws) const;
-
-    /**
-     * The canonical run body: a borrowed SampleRef, so mmap-backed
-     * graphs (io::GraphView::sample) run without ever materializing a
-     * GraphSample. The GraphSample overloads delegate here (one
-     * thread). `threads` runs the functional kernel's workers and the
-     * host-side adjacency builds (0 = all cores); results are
-     * bit-identical for every value. Throws std::invalid_argument on a
-     * sample without nodes. The ref's backing must stay alive for the
-     * duration of the call.
+     * before planning. A GraphSample binds through its borrowed
+     * SampleRef, so mmap-backed graphs (io::GraphView::sample) and
+     * in-memory samples share this one run body. `threads` runs the
+     * functional kernel's workers and the host-side adjacency builds
+     * (0 = all cores); results are bit-identical for every value.
+     * Throws std::invalid_argument on a sample without nodes or with
+     * an endpoint out of range. The ref's backing must stay alive for
+     * the duration of the call.
      */
     RunResult run_prepared(const SampleRef &prepared,
                            const RunOptions &opts, RunWorkspace &ws,

@@ -355,10 +355,6 @@ functional_forward(const Model &model, const SampleRef &prepared,
 Matrix
 Model::reference_embeddings(const GraphSample &prepared) const
 {
-    // The GraphSample front door keeps the feature-row checks a
-    // SampleRef cannot see.
-    if (!prepared.consistent())
-        throw std::invalid_argument("Model: inconsistent sample");
     LayerCheckpoint fresh;
     Matrix embeddings;
     functional_forward(*this, SampleRef(prepared), RunOptions{}, 1, fresh,

@@ -63,15 +63,6 @@ emit_modeled_timeline(obs::TraceSession &session,
 
 ShardedRunResult
 run_ghost_plan(const Model &model, const EngineConfig &config,
-               const GraphSample &prepared, const GhostPlan &plan,
-               const RunOptions &opts, const LinkConfig &link)
-{
-    return run_ghost_plan(model, config, SampleRef(prepared), plan, opts,
-                          link, 1);
-}
-
-ShardedRunResult
-run_ghost_plan(const Model &model, const EngineConfig &config,
                const SampleRef &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link,
                unsigned host_cores)
@@ -198,16 +189,14 @@ ShardedRunResult
 ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
 {
     opts.validate();
-    GraphSample prepared = model_.prepare(sample);
-    if (!prepared.consistent())
-        throw std::invalid_argument("ShardedEngine: inconsistent sample");
+    const GraphSample prepared = model_.prepare(sample);
     GhostPlan plan;
     {
         obs::Span span(obs::Track::kShard, "ghost plan");
-        plan = make_ghost_plan(model_, prepared, shard_config_);
+        plan = make_ghost_plan(model_, prepared, shard_config_, 1);
     }
     return run_ghost_plan(model_, config_, prepared, plan, opts,
-                          shard_config_.link);
+                          shard_config_.link, 1);
 }
 
 } // namespace flowgnn

@@ -35,19 +35,11 @@ namespace flowgnn {
  * die over the whole sample, exactly as Engine prices it. `link`
  * prices nothing here — the plan already did — but its `overlap` flag
  * picks the comm/compute composition. The plan is only read. Throws
- * std::invalid_argument on an invalid `config`.
- */
-ShardedRunResult run_ghost_plan(const Model &model,
-                                const EngineConfig &config,
-                                const GraphSample &prepared,
-                                const GhostPlan &plan,
-                                const RunOptions &opts,
-                                const LinkConfig &link);
-
-/**
- * SampleRef overload (the GraphSample one delegates): the global
- * functional pass runs straight off the borrowed view — an mmap-backed
- * graph is never copied into a GraphSample — and `threads` runs the
+ * std::invalid_argument on an invalid `config` or a malformed sample.
+ *
+ * The global functional pass runs straight off the borrowed view — an
+ * mmap-backed graph is never copied into a GraphSample, and a
+ * GraphSample binds through its SampleRef — and `threads` runs the
  * functional kernel's workers (bit-identical results for every value;
  * the per-die timing passes already run one thread per die). The
  * ref's backing must stay alive for the duration of the call.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 
 #include "core/parallel.h"
 
@@ -16,13 +17,6 @@ ceil_div(std::uint64_t a, std::uint64_t b)
 }
 
 } // namespace
-
-GhostPlan
-make_ghost_plan(const Model &model, const GraphSample &prepared,
-                const ShardConfig &config)
-{
-    return make_ghost_plan(model, SampleRef(prepared), config, 1);
-}
 
 GhostPlan
 make_ghost_plan(const Model &model, const SampleRef &prepared,
@@ -109,7 +103,8 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
         if (owned_count[d] != 0)
             slot_of[d] = n_shards++;
 
-    // ---- One edge scan: ghost membership, per-die edge counts ----
+    // ---- One edge scan: endpoint range, ghost membership, per-die
+    // edge counts ----
     // ghost_flag[v * P + d] = vertex v is in die d's ghost set. Every
     // edge stores (owner[src] != owner[dst]) at [src * P +
     // owner[dst]]; that value depends on the slot alone (the slot of
@@ -130,8 +125,12 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
             std::vector<std::size_t> fetched(n_shards, 0);
             for (std::size_t i = begin; i < end; ++i) {
                 const NodeId src = prepared.graph.src(i);
+                const NodeId dst = prepared.graph.dst(i);
+                if (src >= n_nodes || dst >= n_nodes)
+                    throw std::invalid_argument(
+                        "make_ghost_plan: edge endpoint out of range");
                 const std::uint32_t os = owner[src];
-                const std::uint32_t od = owner[prepared.graph.dst(i)];
+                const std::uint32_t od = owner[dst];
                 const std::uint32_t t = slot_of[od];
                 std::atomic_ref<std::uint8_t>(
                     ghost_flag[std::size_t(src) * P + od])

@@ -93,21 +93,19 @@ struct GhostPlan {
  * mode, partitioned by shard_plan_assignment (restreaming included).
  * One shard, virtual-node models, and empty graphs yield a non-sharded
  * plan with one bookkeeping entry; dies owning no vertices are
- * dropped, so shards.size() is the effective P.
- */
-GhostPlan make_ghost_plan(const Model &model, const GraphSample &prepared,
-                          const ShardConfig &config);
-
-/**
- * SampleRef overload, the canonical planner: plans straight off a
- * borrowed view (io::GraphView::sample), so ghost-sharding a full-scale
- * mmap-backed graph never materializes an in-memory GraphSample.
+ * dropped, so shards.size() is the effective P. A sharded plan throws
+ * std::invalid_argument on an edge endpoint out of range.
+ *
+ * Plans straight off a borrowed view (io::GraphView::sample), so
+ * ghost-sharding a full-scale mmap-backed graph never materializes an
+ * in-memory GraphSample; a GraphSample binds through its SampleRef.
  * `threads` parallelizes the host-side stages — partitioning's
- * adjacency build, the one edge scan that sets the ghost flags and
- * counts each die's local and fetched edges, the per-die locals
- * extraction, and the local-graph fill (a counting sort by owning die
- * that preserves global edge order) — with plans bit-identical to the
- * serial planner for every thread count (0 = all cores).
+ * adjacency build, the one edge scan that range-checks the endpoints,
+ * sets the ghost flags and counts each die's local and fetched edges,
+ * the per-die locals extraction, and the local-graph fill (a counting
+ * sort by owning die that preserves global edge order) — with plans
+ * bit-identical to the serial planner for every thread count (0 = all
+ * cores).
  */
 GhostPlan make_ghost_plan(const Model &model, const SampleRef &prepared,
                           const ShardConfig &config, unsigned threads = 0);

@@ -43,7 +43,8 @@ namespace {
 /**
  * Per-endpoint counts for a GraphRef: per-thread-range count arrays
  * merged in thread order, so the result is bit-identical to a serial
- * count for any thread count.
+ * count for any thread count. Throws std::invalid_argument on a
+ * counted endpoint out of range.
  */
 std::vector<std::uint32_t>
 count_endpoints(const GraphRef &g, unsigned threads, bool by_src)
@@ -56,8 +57,14 @@ count_endpoints(const GraphRef &g, unsigned threads, bool by_src)
     parallel_ranges(e, threads,
                     [&](std::size_t b, std::size_t end, unsigned tid) {
                         std::vector<std::uint32_t> &c = parts[tid];
-                        for (std::size_t i = b; i < end; ++i)
-                            ++c[by_src ? g.src(i) : g.dst(i)];
+                        for (std::size_t i = b; i < end; ++i) {
+                            const NodeId v = by_src ? g.src(i) : g.dst(i);
+                            if (v >= n)
+                                throw std::invalid_argument(
+                                    "degree count: edge endpoint out of "
+                                    "range");
+                            ++c[v];
+                        }
                     });
     if (T == 1)
         return std::move(parts[0]);
@@ -187,16 +194,12 @@ GraphRef::valid(unsigned threads) const
     return true;
 }
 
-CsrGraph::CsrGraph(const CooGraph &coo) : CsrGraph(GraphRef(coo), 1) {}
-
 CsrGraph::CsrGraph(const GraphRef &graph, unsigned threads)
     : num_nodes_(graph.num_nodes())
 {
     build_adjacency(graph, threads, /*by_src=*/true, "CsrGraph",
                     offsets_, dst_, &edge_id_);
 }
-
-CscGraph::CscGraph(const CooGraph &coo) : CscGraph(GraphRef(coo), 1) {}
 
 CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
                    bool edge_ids, std::vector<std::uint32_t> *out_degrees)

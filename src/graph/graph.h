@@ -104,7 +104,8 @@ class GraphRef
     }
 
     /** Out-degree of every node (parallel, bit-identical to serial;
-     * threads 0 = all host cores). */
+     * threads 0 = all host cores). Both degree counts throw
+     * std::invalid_argument on a counted endpoint out of range. */
     std::vector<std::uint32_t> out_degrees(unsigned threads = 0) const;
     /** In-degree of every node (parallel, bit-identical to serial). */
     std::vector<std::uint32_t> in_degrees(unsigned threads = 0) const;
@@ -128,13 +129,13 @@ class CsrGraph
 {
   public:
     CsrGraph() = default;
-    explicit CsrGraph(const CooGraph &coo);
     /**
-     * Builds from any edge view — including mmap-backed columns — with
-     * a thread-parallel counting sort (per-thread-range degree counts,
-     * prefix-sum merge in thread order, per-range stable fill). The
-     * result is bit-identical to the serial build for every thread
-     * count; threads 0 = all host cores.
+     * Builds from any edge view — an in-memory CooGraph or mmap-backed
+     * columns — with a thread-parallel counting sort (per-thread-range
+     * degree counts, prefix-sum merge in thread order, per-range
+     * stable fill). The result is bit-identical to the serial build
+     * for every thread count; threads 0 = all host cores. Throws
+     * std::invalid_argument on an endpoint out of range.
      */
     explicit CsrGraph(const GraphRef &graph, unsigned threads = 0);
 
@@ -179,7 +180,6 @@ class CscGraph
 {
   public:
     CscGraph() = default;
-    explicit CscGraph(const CooGraph &coo);
     /**
      * Parallel build from any edge view; see CsrGraph(GraphRef). A
      * kSrcMajor build runs two stable counting sorts — by src into a

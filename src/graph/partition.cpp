@@ -27,9 +27,8 @@ balanced_rank_owner(std::uint64_t rank, std::uint64_t n, std::uint32_t p)
 
 /**
  * Undirected BFS renumbering over the symmetrized simple adjacency,
- * then a balanced split of the BFS ranks — the kBfsContiguous body,
- * shared by the CooGraph and GraphRef entry points so both see one
- * adjacency build. Disconnected components restart the BFS from the
+ * then a balanced split of the BFS ranks — the kBfsContiguous body.
+ * Disconnected components restart the BFS from the
  * lowest unvisited id, so every node gets a rank.
  */
 std::vector<std::uint32_t>
@@ -163,23 +162,6 @@ shard_strategy_from_name(const std::string &name)
     }
     throw std::invalid_argument("unknown shard strategy '" + name +
                                 "' (valid: " + valid + ")");
-}
-
-std::vector<std::uint32_t>
-shard_assignment(const CooGraph &graph, std::uint32_t num_shards,
-                 ShardStrategy strategy)
-{
-    return shard_assignment(GraphRef(graph), num_shards, strategy,
-                            nullptr, nullptr, 1);
-}
-
-std::vector<std::uint32_t>
-shard_assignment(const CooGraph &graph, std::uint32_t num_shards,
-                 ShardStrategy strategy,
-                 const std::vector<std::uint32_t> &prior)
-{
-    return shard_assignment(GraphRef(graph), num_shards, strategy,
-                            &prior, nullptr, 1);
 }
 
 std::vector<std::uint32_t>

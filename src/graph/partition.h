@@ -136,31 +136,17 @@ const char *shard_strategy_name(ShardStrategy strategy);
  */
 ShardStrategy shard_strategy_from_name(const std::string &name);
 
-/** Node -> shard owner map, each entry in [0, num_shards). */
-std::vector<std::uint32_t> shard_assignment(const CooGraph &graph,
-                                            std::uint32_t num_shards,
-                                            ShardStrategy strategy);
-
 /**
- * Restreaming overload (Nishimura & Ugander): re-runs the streaming
- * strategies (kLdg/kFennel/kHdrf) with `prior` — a previous pass's
- * assignment — feeding the scores of not-yet-re-placed neighbors, so
- * every vertex is scored against its full neighborhood. Non-streaming
- * strategies are unaffected by the prior and return the same
- * assignment as the prior-free overload.
- */
-std::vector<std::uint32_t>
-shard_assignment(const CooGraph &graph, std::uint32_t num_shards,
-                 ShardStrategy strategy,
-                 const std::vector<std::uint32_t> &prior);
-
-/**
- * The canonical assignment entry point, shared by both overloads
- * above (via GraphRef's zero-copy CooGraph view) and by mmap-backed
- * graphs. Optional knobs for the heavy strategies:
+ * Node -> shard owner map, each entry in [0, num_shards), from any
+ * edge view (an in-memory CooGraph or mmap-backed columns). Optional
+ * knobs for the heavy strategies:
  *
- *  - `prior`: restreaming prior for kLdg/kFennel/kHdrf (null = cold
- *    pass; ignored by non-streaming strategies).
+ *  - `prior`: restreaming prior (Nishimura & Ugander). The streaming
+ *    strategies (kLdg/kFennel/kHdrf) re-run with a previous pass's
+ *    assignment feeding the scores of not-yet-re-placed neighbors, so
+ *    every vertex is scored against its full neighborhood. Null = cold
+ *    pass; non-streaming strategies ignore it and return the
+ *    prior-free assignment.
  *  - `adj`: a prebuilt symmetrized simple adjacency
  *    (build_undirected_csr) consumed by kBfsContiguous and the
  *    streaming strategies. Callers that restream or compare

@@ -1,5 +1,8 @@
 #include "graph/sample.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "graph/generators.h"
 #include "tensor/rng.h"
 
@@ -17,10 +20,42 @@ gaussian_features(std::size_t rows, std::size_t cols,
     return m;
 }
 
+namespace {
+
+/**
+ * The section-length rules of a sample: every present section is
+ * sized to the graph, and pooling covers at most every node. Null
+ * when they hold, else the first rule broken. O(1): the endpoint
+ * range check is the caller's scan.
+ */
+const char *
+length_error(const GraphSample &sample)
+{
+    const NodeId n = sample.graph.num_nodes;
+    if (sample.node_features.rows() != n)
+        return "node feature rows != num_nodes";
+    if (sample.edge_features.rows() != 0 &&
+        sample.edge_features.rows() != sample.num_edges())
+        return "edge feature rows != num_edges";
+    if (!sample.dgn_field.empty() && sample.dgn_field.size() != n)
+        return "dgn_field size != num_nodes";
+    if (!sample.true_in_deg.empty() && sample.true_in_deg.size() != n)
+        return "true_in_deg size != num_nodes";
+    if (!sample.true_out_deg.empty() && sample.true_out_deg.size() != n)
+        return "true_out_deg size != num_nodes";
+    if (sample.num_pool_nodes > n)
+        return "num_pool_nodes > num_nodes";
+    return nullptr;
+}
+
+} // namespace
+
 SampleRef::SampleRef(const GraphSample &sample)
     : graph(sample.graph), num_pool_nodes(sample.num_pool_nodes),
       label(sample.label)
 {
+    if (const char *error = length_error(sample))
+        throw std::invalid_argument(std::string("SampleRef: ") + error);
     if (sample.node_features.cols() > 0) {
         node_features = sample.node_features.data();
         node_dim = sample.node_features.cols();
@@ -51,22 +86,7 @@ SampleRef::consistent(unsigned threads) const
 bool
 GraphSample::consistent() const
 {
-    if (!graph.valid())
-        return false;
-    if (node_features.rows() != graph.num_nodes)
-        return false;
-    if (edge_features.rows() != 0 &&
-        edge_features.rows() != graph.num_edges())
-        return false;
-    if (!dgn_field.empty() && dgn_field.size() != graph.num_nodes)
-        return false;
-    if (!true_in_deg.empty() && true_in_deg.size() != graph.num_nodes)
-        return false;
-    if (!true_out_deg.empty() && true_out_deg.size() != graph.num_nodes)
-        return false;
-    if (num_pool_nodes > graph.num_nodes)
-        return false;
-    return true;
+    return length_error(*this) == nullptr && graph.valid();
 }
 
 GraphSample
@@ -126,7 +146,8 @@ with_virtual_node(const GraphSample &sample)
         for (std::size_t c = 0; c < sample.node_features.cols(); ++c)
             out.node_features(n, c) = sample.node_features(n, c);
 
-    if (sample.edge_features.cols() > 0) {
+    if (sample.edge_features.cols() > 0 &&
+        sample.edge_features.rows() > 0) {
         out.edge_features = Matrix(out.graph.num_edges(),
                                    sample.edge_features.cols());
         for (std::size_t e = 0; e < sample.graph.num_edges(); ++e)

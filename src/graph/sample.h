@@ -52,7 +52,8 @@ struct GraphSample {
         return num_pool_nodes == 0 ? graph.num_nodes : num_pool_nodes;
     }
 
-    /** Structural sanity checks (feature rows match graph sizes). */
+    /** Structural sanity checks: every endpoint is below num_nodes,
+     * and SampleRef's length rules hold. */
     bool consistent() const;
 };
 
@@ -64,6 +65,8 @@ struct GraphSample {
  * larger than RAM straight into them without copying into a
  * GraphSample. Constructed from a GraphSample it borrows everything;
  * the columnar fields can also be filled directly from mapped sections.
+ * That constructor is where an in-memory sample's section lengths are
+ * checked (docs/DESIGN.md, "Where a sample is checked").
  * Null pointers mean "absent" exactly where GraphSample uses an empty
  * vector/matrix. The backing must outlive every use.
  */
@@ -84,6 +87,12 @@ struct SampleRef {
     float label = 0.0f;
 
     SampleRef() = default;
+    /**
+     * Borrows `sample`. Throws std::invalid_argument unless every
+     * present section has the length the graph implies (node-feature
+     * rows, edge-feature rows, dgn_field and the degree overrides) and
+     * num_pool_nodes <= num_nodes. O(1): endpoints are not scanned.
+     */
     SampleRef(const GraphSample &sample);
 
     NodeId num_nodes() const { return graph.num_nodes(); }

@@ -11,12 +11,6 @@
 namespace flowgnn {
 
 UndirectedCsr
-build_undirected_csr(const CooGraph &graph)
-{
-    return build_undirected_csr(GraphRef(graph), 1);
-}
-
-UndirectedCsr
 build_undirected_csr(const GraphRef &graph, unsigned threads)
 {
     const NodeId n = graph.num_nodes();

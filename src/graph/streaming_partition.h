@@ -107,11 +107,9 @@ struct UndirectedCsr {
     }
 };
 
-/** Builds the symmetrized simple adjacency of a (multi)graph. */
-UndirectedCsr build_undirected_csr(const CooGraph &graph);
-
 /**
- * Same build from any edge view — including mmap-backed FGNB columns —
+ * Builds the symmetrized simple adjacency of a (multi)graph from any
+ * edge view — an in-memory CooGraph or mmap-backed FGNB columns —
  * parallelized across host cores (threads 0 = all): per-thread-range
  * symmetrized counts with a prefix-sum merge in thread order, a
  * parallel stable fill into the unzeroed list, then an in-place

@@ -69,6 +69,10 @@ Model::embedding_dim() const
 GraphSample
 Model::prepare(const GraphSample &sample) const
 {
+    // The raw-sample door: the virtual node and the Fiedler vector
+    // both read the graph, so it is checked before either runs.
+    if (!sample.consistent())
+        throw std::invalid_argument("Model: inconsistent sample");
     GraphSample prepared =
         uses_virtual_node_ ? with_virtual_node(sample) : sample;
     if (needs_dgn_field_ && prepared.dgn_field.empty()) {

@@ -83,7 +83,9 @@ class Model
      * Model-specific sample preparation: appends the virtual node if
      * the model uses one and computes the DGN field if required but
      * missing. Deterministic. The engine and the reference both run on
-     * the prepared sample.
+     * the prepared sample. Throws std::invalid_argument on a sample
+     * that is not consistent(); a consistent sample prepares to a
+     * consistent one.
      */
     GraphSample prepare(const GraphSample &sample) const;
 

@@ -279,9 +279,6 @@ PoolScheduler::run_whole(std::size_t die, Job &job, bool first)
     if (first) {
         // Exactly Engine::run's preparation, on the die's own time.
         job.sample = model_.prepare(job.sample);
-        if (!job.sample.consistent())
-            throw std::invalid_argument(
-                "PoolScheduler: inconsistent sample");
     }
     return pool_.engine(die).run_resumable(
                SampleRef(job.sample), opts, pool_.workspace(die),
@@ -486,14 +483,12 @@ PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
     job->opts = opts;
     sh.link = clamped.link;
     job->sample = model_.prepare(sample);
-    if (!job->sample.consistent())
-        throw std::invalid_argument("PoolScheduler: inconsistent sample");
     {
         char span_name[32];
         std::snprintf(span_name, sizeof span_name, "plan ghost P=%u",
                       clamped.num_shards);
         obs::Span plan_span(obs::Track::kShard, span_name);
-        sh.plan = make_ghost_plan(model_, job->sample, clamped);
+        sh.plan = make_ghost_plan(model_, job->sample, clamped, 1);
     }
     std::future<ShardedRunResult> future = sh.promise.get_future();
     admit(std::move(job));

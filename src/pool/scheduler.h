@@ -215,8 +215,9 @@ class PoolScheduler
      * Admits one whole-graph job (one die). The future carries the
      * RunResult — bit-identical to Engine::run on the same sample —
      * or the run's exception. The die prepares the sample, so submit
-     * itself only admits, and a malformed sample fails through the
-     * future.
+     * itself only admits, and a malformed sample of any model fails
+     * through the future with std::invalid_argument (Model::prepare
+     * checks it before reading it).
      */
     std::future<RunResult> submit(GraphSample sample,
                                   const RunOptions &opts = {},
@@ -228,7 +229,8 @@ class PoolScheduler
      * be wider than the pool) and the job takes the plan's effective
      * P dies, dispatched per the pool policy. The future carries the
      * ShardedRunResult — identical to ShardedEngine::run with the same
-     * clamped config.
+     * clamped config. The sample is prepared and planned here, so a
+     * malformed one throws std::invalid_argument from this call.
      */
     std::future<ShardedRunResult> submit_sharded(GraphSample sample,
                                                  const ShardConfig &shard,

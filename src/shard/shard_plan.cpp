@@ -7,12 +7,6 @@
 namespace flowgnn {
 
 std::vector<std::uint32_t>
-shard_plan_assignment(const CooGraph &graph, const ShardConfig &config)
-{
-    return shard_plan_assignment(GraphRef(graph), config, 1);
-}
-
-std::vector<std::uint32_t>
 shard_plan_assignment(const GraphRef &graph, const ShardConfig &config,
                       unsigned threads)
 {

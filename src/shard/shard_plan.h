@@ -147,18 +147,12 @@ std::uint32_t message_hops(const Model &model);
  * shard_assignment under the configured strategy, plus
  * `config.restream_passes` prior-seeded restreaming refinement passes
  * for the streaming strategies; the assignment make_ghost_plan
- * shards by.
- */
-std::vector<std::uint32_t> shard_plan_assignment(const CooGraph &graph,
-                                                 const ShardConfig &config);
-
-/**
- * GraphRef overload, the canonical implementation. For the
- * adjacency-driven strategies (LDG/Fennel/HDRF/BFS) the undirected CSR
- * is built ONCE and reused across every restreaming pass — previously
- * each pass rebuilt it from scratch, which dominated multi-pass
- * partitioning on large graphs. Assignments are bit-identical to the
- * CooGraph overload for every thread count.
+ * shards by. For the adjacency-driven strategies (LDG/Fennel/HDRF/BFS)
+ * the undirected CSR is built ONCE and reused across every
+ * restreaming pass — previously each pass rebuilt it from scratch,
+ * which dominated multi-pass partitioning on large graphs.
+ * Assignments are bit-identical for every thread count (0 = all
+ * cores).
  */
 std::vector<std::uint32_t> shard_plan_assignment(const GraphRef &graph,
                                                  const ShardConfig &config,

@@ -5,8 +5,8 @@
  * every model kind, with and without edge features and fixed point, at
  * every thread count, on graphs whose COO stream is not src-sorted;
  * checkpoint/resume at every layer boundary; the src-major
- * in-adjacency the gathers walk; and the zero-node guard on every
- * front door.
+ * in-adjacency the gathers walk; the zero-node guard on every front
+ * door; and Model::prepare keeping every consistent sample consistent.
  */
 #include <gtest/gtest.h>
 
@@ -179,20 +179,12 @@ constexpr EmbeddingDigest kPinnedDigests[] = {
     {ModelKind::kSgc, DatasetKind::kCora, true, 0xdef00a78217e4a54ull},
 };
 
-/** The pins are the baseline-ISA bits. Where the target has a fused
- * multiply-add, GCC contracts `a += b * c` into it by default, which
- * rounds once instead of twice: a different, equally deterministic set
- * of bits that the pins do not describe. */
-#if defined(__FP_FAST_FMAF) || defined(__FMA__)
-constexpr bool kPinsApply = false;
-#else
-constexpr bool kPinsApply = true;
-#endif
-
 TEST(FunctionalKernel, EmbeddingDigestsArePinned)
 {
-    // Every build checks that the digest is the same at 1 and 3
-    // threads; builds without FMA also check it against the pin.
+    // Every build checks the digest at 1 and 3 threads against the
+    // pin. The library compiles with -ffp-contract=off (a PUBLIC
+    // option, so inline kernels in headers get it too): an FMA target
+    // never fuses `a += b * c`, and the pins hold on every ISA.
     for (const EmbeddingDigest &pin : kPinnedDigests) {
         const GraphSample sample = make_sample(pin.dataset, 0);
         const Model model =
@@ -216,9 +208,36 @@ TEST(FunctionalKernel, EmbeddingDigestsArePinned)
             if (threads == 1)
                 first = fnv;
             EXPECT_EQ(fnv, first) << "thread count moved a bit";
-            if (kPinsApply) {
-                EXPECT_EQ(fnv, pin.fnv) << std::hex << "got 0x" << fnv;
+            EXPECT_EQ(fnv, pin.fnv) << std::hex << "got 0x" << fnv;
+        }
+    }
+}
+
+TEST(FunctionalKernel, PrepareKeepsEveryConsistentSampleConsistent)
+{
+    // Model::prepare is the raw-sample door: what passes it must reach
+    // the kernel consistent, for every model and every optional
+    // section, including edge features present in width only.
+    std::uint64_t seed = 0xF0120000ull;
+    for (ModelKind kind : kAllKinds) {
+        for (int variant = 0; variant < 4; ++variant) {
+            GraphSample sample = hostile_sample(variant == 1 ? 3 : 0, ++seed);
+            if (variant == 2) {
+                sample.true_in_deg = sample.graph.in_degrees();
+                sample.true_out_deg = sample.graph.out_degrees();
+                sample.num_pool_nodes = sample.num_nodes() - 3;
+            } else if (variant == 3) {
+                sample.edge_features = Matrix(0, 3);
+                sample.dgn_field = Vec(sample.num_nodes(), 0.25f);
             }
+            SCOPED_TRACE(::testing::Message()
+                         << model_name(kind) << " variant " << variant);
+            ASSERT_TRUE(sample.consistent());
+            const Model model =
+                make_model(kind, kNodeDim, sample.edge_dim(), seed);
+            const GraphSample prepared = model.prepare(sample);
+            EXPECT_TRUE(prepared.consistent());
+            EXPECT_NO_THROW(SampleRef{prepared});
         }
     }
 }

@@ -298,9 +298,9 @@ TEST(ParallelHostBuildTest, AdjacencyBuildsMatchSerial)
     const CooGraph coo = testing::make_random_graph(2, 3000, 0xAD01);
     const GraphRef ref(coo);
 
-    const UndirectedCsr serial_und = build_undirected_csr(coo);
-    const CsrGraph serial_csr(coo);
-    const CscGraph serial_csc(coo);
+    const UndirectedCsr serial_und = build_undirected_csr(coo, 1);
+    const CsrGraph serial_csr(coo, 1);
+    const CscGraph serial_csc(coo, 1);
     for (unsigned t : {1u, 2u, 5u}) {
         const UndirectedCsr und = build_undirected_csr(ref, t);
         EXPECT_EQ(und.offsets, serial_und.offsets) << t;
@@ -346,7 +346,7 @@ TEST(OutOfCoreDifferentialTest, AssignmentMatchesAllStrategies)
     io::GraphView view(g.path);
     for (ShardStrategy strategy : kAllStrategies) {
         const std::vector<std::uint32_t> serial =
-            shard_assignment(g.mem.graph, 4, strategy);
+            shard_assignment(g.mem.graph, 4, strategy, nullptr, nullptr, 1);
         EXPECT_EQ(shard_assignment(view.graph(), 4, strategy, nullptr,
                                    nullptr, 4),
                   serial)
@@ -357,7 +357,8 @@ TEST(OutOfCoreDifferentialTest, AssignmentMatchesAllStrategies)
         const UndirectedCsr adj = build_undirected_csr(view.graph(), 4);
         EXPECT_EQ(shard_assignment(view.graph(), 4, strategy, &serial,
                                    &adj, 4),
-                  shard_assignment(g.mem.graph, 4, strategy, serial))
+                  shard_assignment(g.mem.graph, 4, strategy, &serial,
+                                   nullptr, 1))
             << shard_strategy_name(strategy);
     }
 }
@@ -392,10 +393,10 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
     lo.node_dim = 16;
     lo.feature_seed = 0x5EED;
     GraphSample mem = load_graph_sample(g.path, lo);
-    GhostPlan mem_plan = make_ghost_plan(model, mem, cfg);
+    GhostPlan mem_plan = make_ghost_plan(model, mem, cfg, 1);
     ShardedRunResult in_mem =
         run_ghost_plan(model, EngineConfig{}, mem,
-                       std::move(mem_plan), RunOptions{}, cfg.link);
+                       std::move(mem_plan), RunOptions{}, cfg.link, 1);
 
     EXPECT_TRUE(ooc.embeddings == in_mem.embeddings);
     EXPECT_EQ(ooc.prediction, in_mem.prediction);
@@ -451,7 +452,7 @@ TEST(ParallelPlanTest, GhostPlanThreadsMatchSerial)
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kHdrf;
 
-    const GhostPlan serial = make_ghost_plan(model, prepared, cfg);
+    const GhostPlan serial = make_ghost_plan(model, prepared, cfg, 1);
     // The plan's cut is the sum of its fetched edges; it must equal
     // the direct count.
     EXPECT_EQ(serial.cut_edges,
@@ -479,7 +480,7 @@ TEST(ParallelPlanTest, LargeGhostPlanThreadsMatchSerial)
     cfg.strategy = ShardStrategy::kFennel;
     cfg.restream_passes = 3;
 
-    const GhostPlan serial = make_ghost_plan(model, prepared, cfg);
+    const GhostPlan serial = make_ghost_plan(model, prepared, cfg, 1);
     EXPECT_EQ(serial.cut_edges,
               shard_cut_edges(prepared.graph, serial.assignment));
     for (unsigned t : {2u, 3u, 4u})

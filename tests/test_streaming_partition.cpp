@@ -349,7 +349,7 @@ TEST(Restreaming, ExplicitPriorOverloadFeedsUnplacedNeighbors)
     auto one_shot =
         shard_assignment(g, 4, ShardStrategy::kFennel);
     auto restreamed =
-        shard_assignment(g, 4, ShardStrategy::kFennel, one_shot);
+        shard_assignment(g, 4, ShardStrategy::kFennel, &one_shot);
     ASSERT_EQ(restreamed.size(), g.num_nodes);
     EXPECT_LE(shard_cut_fraction(g, restreamed),
               shard_cut_fraction(g, one_shot) * 1.02);
@@ -357,7 +357,7 @@ TEST(Restreaming, ExplicitPriorOverloadFeedsUnplacedNeighbors)
     auto contiguous =
         shard_assignment(g, 4, ShardStrategy::kContiguous);
     EXPECT_EQ(shard_assignment(g, 4, ShardStrategy::kContiguous,
-                               one_shot),
+                               &one_shot),
               contiguous)
         << "non-streaming strategies are prior-oblivious";
 }
