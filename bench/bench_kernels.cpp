@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the engine's primitive kernels:
  * row-block Linear forwards, aggregator folds, the GCN-16 column
- * gather, CSR construction from the streamed COO list, timing-only
- * pricing of whole runs, sharded planning (partition and ghost plan),
- * and whole-engine runs.
+ * gather, CSR construction from the streamed COO list, the src-major
+ * CSC build, the FGNB payload checksum, timing-only pricing of whole
+ * runs, sharded planning (partition and ghost plan), and whole-engine
+ * runs.
  * These quantify simulator throughput (host-side), complementing the
  * modeled accelerator cycle counts.
  */
@@ -15,6 +16,7 @@
 #include "datasets/dataset.h"
 #include "ghost/ghost_plan.h"
 #include "graph/generators.h"
+#include "io/fgnb_layout.h"
 #include "nn/aggregator.h"
 #include "nn/gcn_layer.h"
 
@@ -109,6 +111,61 @@ BM_CsrBuildFromStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * s.num_edges());
 }
 BENCHMARK(BM_CsrBuildFromStream);
+
+/** reddit-ghost's graph: the 1/16-scale Reddit-class BA graph
+ * (14,560 nodes, m = 246, about 7.1M edges). */
+const CooGraph &
+reddit_ghost_graph()
+{
+    static const CooGraph g = [] {
+        Rng rng(1);
+        return make_barabasi_albert(232965 / 16, 246, rng);
+    }();
+    return g;
+}
+
+void
+BM_PayloadChecksum(benchmark::State &state)
+{
+    // The FGNB payload check on reddit-ghost's file: its src/dst
+    // columns (56.8 MB), format range(0) (2: one 64 MiB FNV-1a chunk,
+    // 3: 1 MiB XXH64 chunks), at range(1) host threads.
+    const CooGraph &g = reddit_ghost_graph();
+    std::vector<std::uint32_t> payload(2 * g.num_edges());
+    for (std::size_t i = 0; i < g.num_edges(); ++i) {
+        payload[i] = g.edges[i].src;
+        payload[g.num_edges() + i] = g.edges[i].dst;
+    }
+    const auto version = static_cast<std::uint32_t>(state.range(0));
+    const auto threads = static_cast<unsigned>(state.range(1));
+    const std::uint64_t bytes = payload.size() * sizeof(std::uint32_t);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(io::fgnb_payload_checksum(
+            version, payload.data(), bytes, threads));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_PayloadChecksum)
+    ->ArgsProduct({{2, 3}, {1, 3}})
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_CscSrcMajor(benchmark::State &state)
+{
+    // The functional pass's in-adjacency on reddit-ghost's graph:
+    // src-major CSC without edge ids, out-degrees read off the by-src
+    // sort, at range(0) host threads.
+    const GraphRef g(reddit_ghost_graph());
+    const auto threads = static_cast<unsigned>(state.range(0));
+    std::vector<std::uint32_t> out_deg;
+    for (auto _ : state) {
+        CscGraph csc(g, threads, CscOrder::kSrcMajor, false, &out_deg);
+        benchmark::DoNotOptimize(csc.col_srcs(0));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK(BM_CscSrcMajor)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void
 BM_PriceRun(benchmark::State &state)

@@ -48,7 +48,7 @@ class NewGnnLayer : public Layer
     {
         return AggregatorKind::kMax;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
     // Line 14-17: the per-edge message function. fold_messages hands
     // it edge k's msg_dim()-float row and folds the row into the

@@ -13,8 +13,10 @@
  *
  * Layout: [nodes % 65] [edges % 97] [section byte A] [section byte B]
  * [src, dst byte per edge] [feature bytes, cycled]. Each section field
- * is two bits (see decode); an endpoint byte below 0xF8 is taken
- * modulo the node count, the rest land at or past it.
+ * is two bits (see decode), and bit 4 of byte B widens the edge
+ * features one column past what the models read; an endpoint byte
+ * below 0xF8 is taken modulo the node count, the rest land at or
+ * past it.
  */
 #include "fuzz/fuzz_common.h"
 
@@ -115,7 +117,7 @@ decode(Bytes &in)
     if (edge_mode != 0)
         s.edge_features = flowgnn::Matrix(
             edge_mode == 3 ? 0 : section_rows(edge_mode, e, true),
-            kEdgeDim);
+            kEdgeDim + ((b >> 4) & 1u));
     for (flowgnn::Matrix *m : {&s.node_features, &s.edge_features})
         for (std::size_t i = 0; i < m->size(); ++i)
             m->data()[i] = in.value();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.h"
 #include "nn/gat_layer.h"
@@ -248,6 +249,19 @@ functional_forward(const Model &model, const SampleRef &prepared,
         prepared.node_dim != model.stage(0).in_dim())
         throw std::invalid_argument(
             "functional_forward: inconsistent sample");
+    // A stage that reads edge features would silently drop rows of
+    // another width (LayerInputs::has_edge_rows); a featureless
+    // sample runs without them.
+    if (prepared.edge_dim > 0)
+        for (std::size_t si = 0; si < n_stages; ++si) {
+            const std::size_t want = model.stage(si).edge_dim();
+            if (want > 0 && want != prepared.edge_dim)
+                throw std::invalid_argument(
+                    "functional_forward: edge features are " +
+                    std::to_string(prepared.edge_dim) +
+                    " wide, stage " + std::to_string(si) + " reads " +
+                    std::to_string(want));
+        }
     if (first >= n_stages)
         throw std::invalid_argument(
             "functional_forward: resume point past the last stage");

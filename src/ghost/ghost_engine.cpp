@@ -143,7 +143,7 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
                 PricingScratch scratch;
                 per_die[t] = price_run(
                     model, config, opts,
-                    {shard.local_graph,
+                    {plan.local_graph(t),
                      static_cast<NodeId>(shard.info.owned_nodes),
                      shard.is_owned.data(), prepared.node_dim,
                      prepared.edge_dim},

@@ -174,8 +174,6 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
                 shard.info.owned_nodes = owned_count[d];
                 shard.info.ghost_nodes =
                     shard.locals.size() - shard.info.owned_nodes;
-                shard.local_graph.num_nodes =
-                    static_cast<NodeId>(shard.locals.size());
             }
         },
         /*serial_cutoff=*/2);
@@ -203,26 +201,31 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
         },
         /*serial_cutoff=*/2);
 
-    // ---- Local graphs: every edge lands on its destination's owner,
+    // ---- Local edges: every edge lands on its destination's owner,
     // in global edge order (preserves per-row CSR order, hence the
     // engine's arrival order, on every die). A counting sort keyed by
     // the destination's die over the scan's per-range counts: a
     // serial prefix scan in (die, thread) order, and a parallel
-    // stable fill — bit-identical to the serial append. ----
+    // stable fill into the unzeroed columns — bit-identical to the
+    // serial append. ----
     std::vector<std::vector<std::size_t>> cursor(
         n_ranges, std::vector<std::size_t>(n_shards, 0));
+    std::size_t run = 0;
     for (std::size_t t = 0; t < n_shards; ++t) {
-        std::size_t run = 0;
+        GhostShard &shard = plan.shards[t];
+        shard.edge_begin = run;
         std::size_t fetched = 0;
         for (unsigned tid = 0; tid < n_ranges; ++tid) {
             cursor[tid][t] = run;
             run += range_count[tid][t];
             fetched += range_fetched[tid][t];
         }
-        plan.shards[t].local_graph.edges.resize(run);
-        plan.shards[t].info.fetched_edges = fetched;
+        shard.edge_count = run - shard.edge_begin;
+        shard.info.fetched_edges = fetched;
         plan.cut_edges += fetched;
     }
+    plan.local_src.resize(run);
+    plan.local_dst.resize(run);
     parallel_ranges(
         n_edges, threads,
         [&](std::size_t begin, std::size_t end, unsigned tid) {
@@ -231,8 +234,9 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
                 const NodeId src = prepared.graph.src(i);
                 const NodeId dst = prepared.graph.dst(i);
                 const std::uint32_t t = slot_of[owner[dst]];
-                plan.shards[t].local_graph.edges[cur[t]++] = {
-                    local_of[t][src], local_of[t][dst]};
+                const std::size_t slot = cur[t]++;
+                plan.local_src[slot] = local_of[t][src];
+                plan.local_dst[slot] = local_of[t][dst];
             }
         });
 
@@ -240,7 +244,7 @@ make_ghost_plan(const Model &model, const SampleRef &prepared,
     const std::uint64_t node_rec = node_dim + 3 + has_dgn;
     const std::uint64_t edge_rec = edge_dim + 2;
     for (GhostShard &shard : plan.shards) {
-        shard.info.subgraph_edges = shard.local_graph.edges.size();
+        shard.info.subgraph_edges = shard.edge_count;
         const std::uint64_t ghosts = shard.info.ghost_nodes;
         const std::uint64_t fan_out = send_mult[shard.info.shard];
         shard.layer_comm_cycles.assign(n_stages, 0);

@@ -59,9 +59,10 @@ struct GhostShard {
     std::vector<NodeId> locals;
     /** Parallel to `locals`: 1 if the vertex is owned by this die. */
     std::vector<std::uint8_t> is_owned;
-    /** Die-local subgraph: every edge into an owned destination,
-     * endpoints remapped to `locals` indices, global order kept. */
-    CooGraph local_graph;
+    /** This die's edges are [edge_begin, edge_begin + edge_count) of
+     * the plan's local_src/local_dst (GhostPlan::local_graph). */
+    std::size_t edge_begin = 0;
+    std::size_t edge_count = 0;
     /** Link cycles of the exchange feeding each stage (index =
      * stage/phase index; 0 for stages without an exchange). */
     std::vector<std::uint64_t> layer_comm_cycles;
@@ -86,6 +87,26 @@ struct GhostPlan {
     /** Per stage: words shipped per ghost vertex in that exchange
      * (0 for stages without one). */
     std::vector<std::uint32_t> exchange_dim;
+    /** Every die's local edges, grouped by die in shard order: each
+     * edge into an owned destination, endpoints remapped to that
+     * die's `locals` indices, global order kept within a die. Empty
+     * for a non-sharded plan. */
+    IdColumn local_src;
+    IdColumn local_dst;
+
+    /**
+     * Die `t`'s local subgraph over `shards[t].locals.size()` nodes:
+     * a borrowed view of its slice of local_src/local_dst, built from
+     * the shard's offsets, so a copied plan views its own columns.
+     */
+    GraphRef
+    local_graph(std::size_t t) const
+    {
+        const GhostShard &s = shards[t];
+        return GraphRef(static_cast<NodeId>(s.locals.size()), s.edge_count,
+                        local_src.data() + s.edge_begin,
+                        local_dst.data() + s.edge_begin);
+    }
 };
 
 /**
@@ -102,8 +123,9 @@ struct GhostPlan {
  * `threads` parallelizes the host-side stages — partitioning's
  * adjacency build, the one edge scan that range-checks the endpoints,
  * sets the ghost flags and counts each die's local and fetched edges,
- * the per-die locals extraction, and the local-graph fill (a counting
- * sort by owning die that preserves global edge order) — with plans
+ * the per-die locals extraction, and the local-edge fill (a counting
+ * sort by owning die that preserves global edge order, into columns
+ * that are never zeroed first) — with plans
  * bit-identical to the serial planner for every thread count (0 = all
  * cores).
  */

@@ -92,7 +92,7 @@ template <class Stream>
 void
 counting_sort(NodeId n, std::size_t e, unsigned threads,
               const Stream &stream, std::vector<std::size_t> &offsets,
-              std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
+              IdColumn &val, IdColumn *edge_id)
 {
     const unsigned T = parallel_range_count(e, threads);
     std::vector<std::vector<std::uint32_t>> counts(
@@ -142,7 +142,7 @@ counting_sort(NodeId n, std::size_t e, unsigned threads,
 void
 build_adjacency(const GraphRef &g, unsigned threads, bool by_src,
                 const char *what, std::vector<std::size_t> &offsets,
-                std::vector<NodeId> &val, std::vector<EdgeId> *edge_id)
+                IdColumn &val, IdColumn *edge_id)
 {
     const NodeId n = g.num_nodes();
     auto stream = [&](std::size_t b, std::size_t end, auto &&fn) {
@@ -205,7 +205,7 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
                    bool edge_ids, std::vector<std::uint32_t> *out_degrees)
     : num_nodes_(graph.num_nodes())
 {
-    std::vector<EdgeId> *ids = edge_ids ? &edge_id_ : nullptr;
+    IdColumn *ids = edge_ids ? &edge_id_ : nullptr;
     if (order == CscOrder::kStream) {
         if (out_degrees != nullptr)
             throw std::invalid_argument(
@@ -218,8 +218,8 @@ CscGraph::CscGraph(const GraphRef &graph, unsigned threads, CscOrder order,
     // (src, edge id) order), then that CSR stream by dst — which leaves
     // every column in (src, edge id) order.
     std::vector<std::size_t> row;
-    std::vector<NodeId> dst;
-    std::vector<EdgeId> row_ids;
+    IdColumn dst;
+    IdColumn row_ids;
     build_adjacency(graph, threads, /*by_src=*/true, "CscGraph", row, dst,
                     edge_ids ? &row_ids : nullptr);
     if (out_degrees != nullptr) {

@@ -14,12 +14,41 @@
 #define FLOWGNN_GRAPH_GRAPH_H
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 namespace flowgnn {
 
 using NodeId = std::uint32_t;
 using EdgeId = std::uint32_t;
+
+/**
+ * std::allocator whose value-less construct default-initializes, so
+ * resizing a vector of plain integers leaves the new slots unwritten:
+ * the pass that fills them is the first to touch their pages.
+ */
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    using std::allocator<T>::allocator;
+
+    template <class U>
+    void
+    construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
+/** An id column that a fill writes in full: resizing it does not
+ * zero it first. */
+using IdColumn =
+    std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>>;
 
 /** A directed edge from src to dst with an attached attribute index. */
 struct Edge {
@@ -159,8 +188,8 @@ class CsrGraph
   private:
     NodeId num_nodes_ = 0;
     std::vector<std::size_t> offsets_; ///< size num_nodes+1
-    std::vector<NodeId> dst_;
-    std::vector<EdgeId> edge_id_;
+    IdColumn dst_;
+    IdColumn edge_id_;
 };
 
 /** Order of one destination's in-edges inside a CscGraph column. */
@@ -234,8 +263,8 @@ class CscGraph
   private:
     NodeId num_nodes_ = 0;
     std::vector<std::size_t> offsets_;
-    std::vector<NodeId> src_;
-    std::vector<EdgeId> edge_id_;
+    IdColumn src_;
+    IdColumn edge_id_;
 };
 
 } // namespace flowgnn

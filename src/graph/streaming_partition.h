@@ -42,35 +42,11 @@
 #define FLOWGNN_GRAPH_STREAMING_PARTITION_H
 
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace flowgnn {
-
-/**
- * std::allocator whose value-less construct default-initializes, so
- * resizing a vector of plain integers leaves the new slots unwritten:
- * the pass that fills them is the first to touch their pages.
- */
-template <class T>
-struct DefaultInitAllocator : std::allocator<T> {
-    template <class U>
-    struct rebind {
-        using other = DefaultInitAllocator<U>;
-    };
-
-    using std::allocator<T>::allocator;
-
-    template <class U>
-    void
-    construct(U *p)
-    {
-        ::new (static_cast<void *>(p)) U;
-    }
-};
 
 /**
  * Symmetrized, deduplicated adjacency: each pair of distinct nodes
@@ -86,7 +62,7 @@ struct DefaultInitAllocator : std::allocator<T> {
  */
 struct UndirectedCsr {
     std::vector<std::size_t> offsets; ///< size num_nodes + 1
-    std::vector<NodeId, DefaultInitAllocator<NodeId>> nbr;
+    IdColumn nbr;
 
     NodeId
     num_nodes() const

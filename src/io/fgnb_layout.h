@@ -13,10 +13,17 @@
  *    concatenated little-endian digests. Same header, same sections —
  *    only the checksum definition changes, which lets a reader verify
  *    chunks on all host cores instead of one.
+ *  - v3: the same scheme with 1 MiB chunks and XXH64 (seed 0) for both
+ *    the chunk digests and the fold. A graph of tens of MB spans tens
+ *    of chunks, so every core takes a share, and XXH64's four 8-byte
+ *    lanes run near memory speed where FNV-1a is one serial per-byte
+ *    chain. Neither hash defends against a hostile file; the endpoint
+ *    range checks do that.
  */
 #ifndef FLOWGNN_IO_FGNB_LAYOUT_H
 #define FLOWGNN_IO_FGNB_LAYOUT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -32,8 +39,14 @@ inline constexpr std::uint32_t kGraphFileVersionChunked = 2;
  * every v2 checksum. */
 inline constexpr std::uint64_t kChecksumChunkBytes = 64ull << 20;
 
+/** FGNB v3: 1 MiB-chunked XXH64 payload checksum. */
+inline constexpr std::uint32_t kGraphFileVersionXxh64 = 3;
+
+/** v3 checksum chunk size, fixed by the format like v2's. */
+inline constexpr std::uint64_t kXxh64ChunkBytes = 1ull << 20;
+
 /**
- * The fixed 88-byte FGNB header, shared by v1 and v2. Every field is
+ * The fixed 88-byte FGNB header, shared by every version. Every field is
  * little-endian; reserved words are written as zero and ignored on
  * read (the version-bump escape hatch for additions that do not
  * change section layout).
@@ -87,7 +100,7 @@ std::uint64_t fgnb_expected_payload_bytes(const FgnbHeader &h);
  * stream loader and GraphView. `file_bytes` is the file's true 64-bit
  * size (from ftello or fstat — NOT a 32-bit ftell, which is exactly
  * the >=2 GiB misdiagnosis this seam exists to prevent and to unit
- * test without a multi-GiB file). Checks, in order: version (1 or 2),
+ * test without a multi-GiB file). Checks, in order: version (1-3),
  * header_bytes, id-space bounds, pool-node bound, feature-dim bounds,
  * flag/dim agreement, payload_bytes vs section flags, and file_bytes
  * == header + payload (truncation / trailing bytes). Magic and
@@ -98,14 +111,22 @@ std::uint64_t fgnb_expected_payload_bytes(const FgnbHeader &h);
 void fgnb_validate_header(const FgnbHeader &h, std::uint64_t file_bytes,
                           const std::string &path);
 
+/** XXH64 of a byte range (the reference algorithm, little-endian
+ * reads): the v3 chunk digest and fold. */
+std::uint64_t xxh64(const void *data, std::size_t bytes,
+                    std::uint64_t seed = 0);
+
 /**
- * The v2 payload checksum: per-64 MiB-chunk FNV-1a-64 digests, folded
- * by an FNV-1a-64 pass over the concatenated little-endian digest
- * words. Chunk digests are computed in parallel (threads 0 = all host
- * cores); the result is thread-count independent by construction. An
- * empty payload folds zero digests, yielding the FNV offset basis.
+ * The payload checksum of format `version` (1-3; std::invalid_argument
+ * otherwise). v1 is one linear FNV-1a-64 pass. v2 and v3 hash fixed
+ * chunks (v2: 64 MiB, FNV-1a-64; v3: 1 MiB, XXH64 seed 0; the last
+ * chunk may be shorter) in parallel (threads 0 = all host cores) and
+ * fold the little-endian chunk digests, in chunk order, with the same
+ * hash. The result is thread-count independent by construction. An
+ * empty payload folds zero digests: the hash of no bytes.
  */
-std::uint64_t fgnb_chunked_checksum(const void *payload,
+std::uint64_t fgnb_payload_checksum(std::uint32_t version,
+                                    const void *payload,
                                     std::uint64_t bytes,
                                     unsigned threads = 0);
 

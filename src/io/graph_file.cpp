@@ -36,7 +36,6 @@ namespace {
 
 using io::FgnbHeader;
 using io::fgnb_fail;
-using io::fnv1a64;
 
 struct FileCloser {
     void
@@ -48,16 +47,12 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/** Bulk section writer. For v1 it folds a running FNV over everything
- * written; for v2 checksumming happens afterwards over the mapped
- * file, so the fold is skipped. */
+/** Bulk section writer; counts what it wrote. The checksum is taken
+ * afterwards, over a mapping of the flushed file. */
 class Writer
 {
   public:
-    Writer(std::FILE *f, const std::string &path, bool fold_checksum)
-        : f_(f), path_(path), fold_(fold_checksum)
-    {
-    }
+    Writer(std::FILE *f, const std::string &path) : f_(f), path_(path) {}
 
     void
     write(const void *data, std::size_t bytes)
@@ -66,19 +61,14 @@ class Writer
             return;
         if (std::fwrite(data, 1, bytes, f_) != bytes)
             fgnb_fail(path_, "write failed (disk full?)");
-        if (fold_)
-            checksum_ = fnv1a64(data, bytes, checksum_);
         written_ += bytes;
     }
 
-    std::uint64_t checksum() const { return checksum_; }
     std::uint64_t written() const { return written_; }
 
   private:
     std::FILE *f_;
     const std::string &path_;
-    bool fold_;
-    std::uint64_t checksum_ = 0xCBF29CE484222325ull;
     std::uint64_t written_ = 0;
 };
 
@@ -88,8 +78,8 @@ void
 GraphFile::save(const std::string &path, const GraphSample &sample,
                 const GraphSaveOptions &opts)
 {
-    if (opts.version != io::kGraphFileVersion &&
-        opts.version != io::kGraphFileVersionChunked)
+    if (opts.version < io::kGraphFileVersion ||
+        opts.version > io::kGraphFileVersionXxh64)
         fgnb_fail(path, "cannot write format version " +
                             std::to_string(opts.version));
     if (!sample.consistent())
@@ -133,13 +123,11 @@ GraphFile::save(const std::string &path, const GraphSample &sample,
         sizeof placeholder)
         fgnb_fail(path, "write failed (disk full?)");
 
-    const bool chunked = opts.version == io::kGraphFileVersionChunked;
-
     // Edge endpoints as two columns: one bulk write each, and the
     // natural layout for an mmap reader that views src[] then dst[].
     const std::size_t e = sample.graph.num_edges();
     std::vector<std::uint32_t> column(e);
-    Writer w(f.get(), path, /*fold_checksum=*/!chunked);
+    Writer w(f.get(), path);
     parallel_ranges(e, opts.threads,
                     [&](std::size_t b, std::size_t end, unsigned) {
                         for (std::size_t i = b; i < end; ++i)
@@ -174,16 +162,14 @@ GraphFile::save(const std::string &path, const GraphSample &sample,
     if (std::fflush(f.get()) != 0)
         fgnb_fail(path, "flush failed (disk full?)");
 
-    if (chunked) {
-        // v2: checksum the payload from a fresh mapping of the flushed
-        // file, one 64 MiB chunk per digest, all host cores.
+    {
+        // Checksum the payload from a fresh mapping of the flushed
+        // file, on all host cores for the chunked versions.
         io::MappedFile m(path);
         if (m.size() != sizeof h + h.payload_bytes)
             fgnb_fail(path, "internal error: flushed size mismatch");
-        h.payload_checksum = io::fgnb_chunked_checksum(
-            m.data() + sizeof h, h.payload_bytes, opts.threads);
-    } else {
-        h.payload_checksum = w.checksum();
+        h.payload_checksum = io::fgnb_payload_checksum(
+            h.version, m.data() + sizeof h, h.payload_bytes, opts.threads);
     }
 
     if (std::fseek(f.get(), 0, SEEK_SET) != 0 ||

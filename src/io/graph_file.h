@@ -42,8 +42,8 @@ namespace io {
 /** First four bytes of every FGNB file: "FGNB". */
 inline constexpr std::uint32_t kGraphFileMagic = 0x424E4746u;
 /** Original format version: linear FNV-1a payload checksum. Readers
- * accept v1 and v2 (see io/fgnb_layout.h for the v2 chunked-checksum
- * spec); the writer defaults to v2. */
+ * accept v1, v2 and v3 (see io/fgnb_layout.h for the chunked-checksum
+ * specs); the writer defaults to v3. */
 inline constexpr std::uint32_t kGraphFileVersion = 1;
 
 /** Section-presence bits in the header's flags word. The two degree
@@ -71,9 +71,10 @@ std::uint64_t fnv1a64(const void *data, std::size_t bytes,
 
 /** Writer knobs for GraphFile::save. */
 struct GraphSaveOptions {
-    /** Format version to emit: 2 (chunked checksum, default) or 1. */
-    std::uint32_t version = 2;
-    /** Host threads for the v2 checksum; 0 = all cores. */
+    /** Format version to emit: 3 (1 MiB-chunked XXH64 checksum,
+     * default), 2 (64 MiB-chunked FNV-1a) or 1 (linear FNV-1a). */
+    std::uint32_t version = 3;
+    /** Host threads for the chunked checksums; 0 = all cores. */
     unsigned threads = 0;
 };
 
@@ -87,16 +88,17 @@ struct GraphFile {
      * for whichever optional parts the sample carries (node/edge
      * features, DGN field, true-degree overrides); edge endpoints and
      * the header scalars (label, num_pool_nodes) are always stored.
-     * Defaults to format v2 (chunked checksum, computed in parallel
-     * over the written file); pass {.version = 1} for the legacy
-     * linear checksum. Throws GraphFileError on any I/O failure.
+     * Defaults to format v3 (chunked checksum, computed in parallel
+     * over the written file); pass {.version = 1} or {.version = 2}
+     * for the older checksums. Throws GraphFileError on any I/O
+     * failure.
      */
     static void save(const std::string &path, const GraphSample &sample,
                      const GraphSaveOptions &opts = {});
 
     /**
      * Reads a sample back, bit-identical to what save() was given —
-     * either version. Throws GraphFileError on: unopenable path,
+     * any version. Throws GraphFileError on: unopenable path,
      * short/bad-magic/unknown-version header, header inconsistent
      * with the actual file size (truncated or padded), num_nodes
      * exceeding the 32-bit NodeId space, any edge endpoint >=

@@ -150,13 +150,8 @@ GraphView::GraphView(const std::string &path, GraphViewOptions opts)
     if (opts.verify_checksum) {
         obs::Span checksum_span(obs::Track::kIo, "payload checksum");
         const unsigned char *payload = map_.data() + sizeof h_;
-        const std::uint64_t actual =
-            h_.version == kGraphFileVersionChunked
-                ? fgnb_chunked_checksum(payload, h_.payload_bytes,
-                                        opts.threads)
-                : fnv1a64(payload,
-                          static_cast<std::size_t>(h_.payload_bytes));
-        if (actual != h_.payload_checksum)
+        if (fgnb_payload_checksum(h_.version, payload, h_.payload_bytes,
+                                  opts.threads) != h_.payload_checksum)
             fgnb_fail(path, "payload checksum mismatch (corrupt or "
                             "partially-written file)");
     }

@@ -68,7 +68,7 @@ struct GraphViewOptions {
 };
 
 /**
- * Validated, mmap-backed, read-only view of one FGNB file (v1 or v2).
+ * Validated, mmap-backed, read-only view of one FGNB file (v1-v3).
  * Accessors return pointers into the mapping; null means the section
  * is absent. The view must outlive every GraphRef/SampleRef taken
  * from it.

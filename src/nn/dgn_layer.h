@@ -37,7 +37,7 @@ class DgnLayer : public Layer
     {
         return AggregatorKind::kDgn;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
     void gather(const InEdges &col, const MessageInputs &in,
                 const LayerContext &ctx, float *state) const override;

@@ -31,7 +31,7 @@ class GinLayer : public Layer
     std::size_t in_dim() const override { return dim_; }
     std::size_t out_dim() const override { return dim_; }
     std::size_t msg_dim() const override { return dim_; }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
     void gather(const InEdges &col, const MessageInputs &in,
                 const LayerContext &ctx, float *state) const override;

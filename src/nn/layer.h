@@ -174,9 +174,12 @@ class Layer
         return Aggregator(aggregator_kind(), msg_dim());
     }
 
-    /** Whether phi reads edge features; the functional kernel hands
-     * edge ids only to layers that say so. */
-    virtual bool uses_edge_features() const { return false; }
+    /** Width of the edge features phi reads; 0 when it reads none.
+     * The functional kernel hands edge ids only to layers that read
+     * them, and rejects a sample whose edge features are another
+     * width. */
+    virtual std::size_t edge_dim() const { return 0; }
+    bool uses_edge_features() const { return edge_dim() > 0; }
 
     /**
      * phi fused with A: folds the message of every edge in `col`, in

@@ -33,7 +33,7 @@ class PnaLayer : public Layer
     {
         return AggregatorKind::kPna;
     }
-    bool uses_edge_features() const override { return edge_dim_ > 0; }
+    std::size_t edge_dim() const override { return edge_dim_; }
 
     void gather(const InEdges &col, const MessageInputs &in,
                 const LayerContext &ctx, float *state) const override;

@@ -74,25 +74,27 @@ TEST(GhostPlan, ChainGhostSetsAndLocalGraphsByHand)
     EXPECT_EQ(d0.info.ghost_nodes, 1u);
     // Edges into {0,1}: (0,1),(1,0),(2,1) — 3 local edges, one fetched
     // across the cut.
-    EXPECT_EQ(d0.local_graph.num_nodes, 3u);
-    EXPECT_EQ(d0.local_graph.edges.size(), 3u);
+    EXPECT_EQ(plan.local_graph(0).num_nodes(), 3u);
+    EXPECT_EQ(plan.local_graph(0).num_edges(), 3u);
     EXPECT_EQ(d0.info.fetched_edges, 1u);
 
     const GhostShard &d1 = plan.shards[1];
     EXPECT_EQ(d1.locals, (std::vector<NodeId>{1, 2, 3}));
     EXPECT_EQ(d1.is_owned, (std::vector<std::uint8_t>{0, 1, 1}));
     EXPECT_EQ(d1.info.ghost_nodes, 1u);
-    EXPECT_EQ(d1.local_graph.edges.size(), 3u);
+    EXPECT_EQ(plan.local_graph(1).num_edges(), 3u);
 
     // Local endpoints are remapped into each die's `locals` index
     // space and stay in global edge order.
-    for (const GhostShard &shard : plan.shards)
-        for (const Edge &e : shard.local_graph.edges) {
-            ASSERT_LT(e.src, shard.local_graph.num_nodes);
-            ASSERT_LT(e.dst, shard.local_graph.num_nodes);
-            EXPECT_TRUE(shard.is_owned[e.dst])
+    for (std::size_t t = 0; t < plan.shards.size(); ++t) {
+        const GraphRef local = plan.local_graph(t);
+        for (std::size_t i = 0; i < local.num_edges(); ++i) {
+            ASSERT_LT(local.src(i), local.num_nodes());
+            ASSERT_LT(local.dst(i), local.num_nodes());
+            EXPECT_TRUE(plan.shards[t].is_owned[local.dst(i)])
                 << "every local edge lands on an owned destination";
         }
+    }
 
     // 4 owned + 2 ghosts over 4 vertices.
     EXPECT_DOUBLE_EQ(plan.replication_factor, 1.5);

@@ -2,15 +2,18 @@
  * @file
  * Out-of-core suite: io::GraphView (mmap FGNB reader) against the
  * copying loader, the 64-bit-file-size header seam that fixes the
- * >= 2 GiB ftell bug, FGNB v1/v2 coexistence, and the differential
+ * >= 2 GiB ftell bug, FGNB v1/v2/v3 coexistence and v3's chunked
+ * XXH64 checksum, and the differential
  * contract of the parallel host hot paths — every GraphRef/SampleRef
  * overload at threads = 4 must be bit-identical to the serial
  * in-memory chain: assignments across all strategies, ghost plans,
  * and full modeled runs.
  */
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,7 +176,7 @@ TEST(GraphViewTest, MappedSectionsMatchCopyingLoader)
     GraphFile::save(tmp.path("g.fgnb"), s);
 
     io::GraphView view(tmp.path("g.fgnb"));
-    EXPECT_EQ(view.version(), io::kGraphFileVersionChunked);
+    EXPECT_EQ(view.version(), io::kGraphFileVersionXxh64);
     expect_view_matches_sample(view, s);
 
     SampleRef ref = view.sample();
@@ -183,35 +186,36 @@ TEST(GraphViewTest, MappedSectionsMatchCopyingLoader)
     EXPECT_EQ(ref.edge_dim, s.edge_dim());
 }
 
-TEST(GraphViewTest, ReadsBothFormatVersions)
+TEST(GraphViewTest, ReadsEveryFormatVersion)
 {
     TempDir tmp;
     GraphSample s = make_full_sample();
-    GraphFile::save(tmp.path("v1.fgnb"), s, {.version = 1});
-    GraphFile::save(tmp.path("v2.fgnb"), s, {.version = 2});
+    std::vector<std::vector<char>> files;
+    for (std::uint32_t version : {1u, 2u, 3u}) {
+        const std::string path =
+            tmp.path("v" + std::to_string(version) + ".fgnb");
+        GraphFile::save(path, s, {.version = version});
+        io::GraphView v(path);
+        EXPECT_EQ(v.version(), version);
+        expect_view_matches_sample(v, s);
+        files.push_back(read_bytes(path));
+    }
 
-    io::GraphView v1(tmp.path("v1.fgnb"));
-    io::GraphView v2(tmp.path("v2.fgnb"));
-    EXPECT_EQ(v1.version(), 1u);
-    EXPECT_EQ(v2.version(), 2u);
-    expect_view_matches_sample(v1, s);
-    expect_view_matches_sample(v2, s);
-
-    // The two encodings differ only in the checksum definition: the
+    // The encodings differ only in the checksum definition: the
     // payload bytes themselves are identical.
-    std::vector<char> b1 = read_bytes(tmp.path("v1.fgnb"));
-    std::vector<char> b2 = read_bytes(tmp.path("v2.fgnb"));
-    ASSERT_EQ(b1.size(), b2.size());
-    EXPECT_EQ(std::memcmp(b1.data() + 88, b2.data() + 88,
-                          b1.size() - 88),
-              0);
+    for (const std::vector<char> &b : files) {
+        ASSERT_EQ(b.size(), files[0].size());
+        EXPECT_EQ(std::memcmp(b.data() + 88, files[0].data() + 88,
+                              b.size() - 88),
+                  0);
+    }
 }
 
 TEST(GraphViewTest, RejectsCorruptAndTruncatedFiles)
 {
     TempDir tmp;
     GraphSample s = make_full_sample();
-    for (std::uint32_t version : {1u, 2u}) {
+    for (std::uint32_t version : {1u, 2u, 3u}) {
         const std::string base =
             "v" + std::to_string(version) + ".fgnb";
         GraphFile::save(tmp.path(base), s, {.version = version});
@@ -275,20 +279,102 @@ TEST(GraphViewTest, HeaderValidationUses64BitFileSizes)
 
 TEST(GraphViewTest, ChunkedChecksumIsThreadCountInvariant)
 {
-    // Spans several chunk boundaries at a test-friendly size by
-    // checking the public contract pieces: equal inputs hash equal for
-    // every thread count, and the chunking changes the answer vs the
-    // linear v1 hash (so readers cannot mix the definitions up).
+    // Spans several chunk boundaries of both chunked versions at a
+    // test-friendly size: equal inputs hash equal for every thread
+    // count, and the three definitions give three answers (so readers
+    // cannot mix them up). The values are pinned: v1 and v2 are the
+    // checksums every earlier writer stored, and v3 is XXH64 over the
+    // XXH64 digests of four chunks (three of 1 MiB, one short).
     std::vector<unsigned char> payload(3 * (1u << 20) + 12345);
     for (std::size_t i = 0; i < payload.size(); ++i)
         payload[i] = static_cast<unsigned char>(i * 2654435761u >> 13);
-    const std::uint64_t serial =
-        io::fgnb_chunked_checksum(payload.data(), payload.size(), 1);
-    for (unsigned t : {2u, 3u, 8u})
-        EXPECT_EQ(io::fgnb_chunked_checksum(payload.data(),
-                                            payload.size(), t),
-                  serial);
-    EXPECT_NE(serial, io::fnv1a64(payload.data(), payload.size()));
+    const std::uint64_t pinned[] = {0xFD7E99C0653A3311ull,
+                                    0x19769D9954FE9F86ull,
+                                    0xD2634A84276D2E6Full};
+    for (std::uint32_t version : {1u, 2u, 3u})
+        for (unsigned t : {1u, 2u, 3u, 8u})
+            EXPECT_EQ(io::fgnb_payload_checksum(version, payload.data(),
+                                                payload.size(), t),
+                      pinned[version - 1])
+                << "v" << version << " threads " << t;
+    EXPECT_EQ(pinned[0], io::fnv1a64(payload.data(), payload.size()));
+    // An empty payload folds zero digests: the hash of no bytes.
+    EXPECT_EQ(io::fgnb_payload_checksum(3, payload.data(), 0),
+              io::xxh64(nullptr, 0));
+    EXPECT_THROW(io::fgnb_payload_checksum(4, payload.data(), 1),
+                 std::invalid_argument);
+}
+
+TEST(GraphViewTest, Xxh64MatchesTheReferenceVectors)
+{
+    EXPECT_EQ(io::xxh64("", 0), 0xEF46DB3751D8E999ull);
+    EXPECT_EQ(io::xxh64("abc", 3), 0x44BC2CF5AD770999ull);
+}
+
+// ---- FGNB v3: 1 MiB-chunked XXH64 ------------------------------------
+
+/** A plain sample whose payload is three full 1 MiB v3 chunks and a
+ * short fourth, nearly all node features: the endpoint section ends
+ * inside chunk 0, so damage past it reaches the checksum check. */
+GraphSample
+make_multi_chunk_sample()
+{
+    GraphSample s = testing::make_random_sample(
+        testing::make_random_graph(2, 30000, 0x3C), 32, 0, 0x3C);
+    s.graph.edges.resize(64);
+    return s;
+}
+
+TEST(GraphViewV3Test, RejectsDamageInEveryChunk)
+{
+    TempDir tmp;
+    const GraphSample s = make_multi_chunk_sample();
+    GraphFile::save(tmp.path("g.fgnb"), s);
+    const std::vector<char> bytes = read_bytes(tmp.path("g.fgnb"));
+    const std::size_t payload = bytes.size() - 88;
+    const std::size_t chunk = io::kXxh64ChunkBytes;
+    ASSERT_EQ(payload / chunk, 3u);
+    ASSERT_NE(payload % chunk, 0u) << "the last chunk must be short";
+    ASSERT_LT(2 * s.num_edges() * sizeof(std::uint32_t), chunk / 2);
+    EXPECT_NO_THROW(io::GraphView(tmp.path("g.fgnb"), {.threads = 3}));
+
+    auto expect_rejected = [&](const std::vector<char> &damaged,
+                               const std::string &what) {
+        SCOPED_TRACE(what);
+        write_bytes(tmp.path("bad.fgnb"), damaged);
+        for (unsigned t : {1u, 3u})
+            expect_view_error(tmp.path("bad.fgnb"), "checksum mismatch",
+                              {.threads = t});
+    };
+
+    // One bit in each chunk, the short last one included.
+    for (std::size_t c = 0; c * chunk < payload; ++c) {
+        std::vector<char> damaged = bytes;
+        const std::size_t end = std::min(payload, (c + 1) * chunk);
+        damaged[88 + end - 3] ^= 0x04;
+        expect_rejected(damaged, "bit flip in chunk " + std::to_string(c));
+    }
+
+    // Bit 63 of two words 32 bytes apart: the same XXH64 lane in two
+    // consecutive stripes.
+    {
+        std::vector<char> damaged = bytes;
+        const std::size_t word = 88 + chunk + 4096;
+        damaged[word + 7] ^= static_cast<char>(0x80);
+        damaged[word + 32 + 7] ^= static_cast<char>(0x80);
+        expect_rejected(damaged, "bit 63 in two words 32 bytes apart");
+    }
+
+    // Chunks 1 and 2 swapped: every digest is intact, only the order
+    // the fold sees them in differs.
+    {
+        std::vector<char> damaged = bytes;
+        std::swap_ranges(damaged.begin() + 88 + chunk,
+                         damaged.begin() + 88 + 2 * chunk,
+                         damaged.begin() + 88 + 2 * chunk);
+        ASSERT_NE(damaged, bytes);
+        expect_rejected(damaged, "chunks 1 and 2 swapped");
+    }
 }
 
 // ---- Parallel host builds: bit-identical to serial -------------------
@@ -422,7 +508,8 @@ expect_same_ghost_plan(const GhostPlan &par, const GhostPlan &serial,
         const GhostShard &b = serial.shards[i];
         EXPECT_EQ(a.locals, b.locals) << label << " " << i;
         EXPECT_EQ(a.is_owned, b.is_owned) << label << " " << i;
-        EXPECT_TRUE(a.local_graph.edges == b.local_graph.edges)
+        EXPECT_TRUE(testing::ghost_local_coo(par, i).edges ==
+                    testing::ghost_local_coo(serial, i).edges)
             << label << " " << i;
         EXPECT_EQ(a.layer_comm_cycles, b.layer_comm_cycles)
             << label << " " << i;

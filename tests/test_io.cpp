@@ -220,10 +220,14 @@ TEST(GraphFileTest, RejectsWrongVersion)
 {
     TempDir tmp;
     GraphFile::save(tmp.path("g.fgnb"), make_full_sample());
-    std::vector<char> bytes = read_bytes(tmp.path("g.fgnb"));
-    bytes[4] = 99; // version field (offset 4, little-endian)
-    write_bytes(tmp.path("g.fgnb"), bytes);
-    expect_load_error(tmp.path("g.fgnb"), "unsupported format version");
+    for (char version : {4, 99}) {
+        std::vector<char> bytes = read_bytes(tmp.path("g.fgnb"));
+        bytes[4] = version; // version field (offset 4, little-endian)
+        write_bytes(tmp.path("bad.fgnb"), bytes);
+        expect_load_error(tmp.path("bad.fgnb"),
+                          "unsupported format version " +
+                              std::to_string(version));
+    }
 }
 
 TEST(GraphFileTest, RejectsTruncatedPayload)
@@ -318,18 +322,25 @@ TEST(GraphFileTest, RejectsCorruptPayload)
 
 TEST(GraphFileTest, WriterEmitsRequestedVersion)
 {
-    // The writer defaults to v2 (chunked checksum); {.version = 1}
-    // keeps emitting the legacy linear checksum. Both must reload
-    // bit-identically, and the version byte (offset 4) is pinned so a
-    // default change cannot slip through unnoticed.
+    // The writer defaults to v3 (1 MiB-chunked XXH64); {.version = 1}
+    // and {.version = 2} keep emitting the older checksums. All must
+    // reload bit-identically, and the version byte (offset 4) is
+    // pinned so a default change cannot slip through unnoticed.
     TempDir tmp;
     GraphSample s = make_full_sample();
-    GraphFile::save(tmp.path("v2.fgnb"), s);
+    GraphFile::save(tmp.path("v3.fgnb"), s);
+    GraphFile::save(tmp.path("v2.fgnb"), s, {.version = 2});
     GraphFile::save(tmp.path("v1.fgnb"), s, {.version = 1});
+    EXPECT_EQ(read_bytes(tmp.path("v3.fgnb"))[4], 3);
     EXPECT_EQ(read_bytes(tmp.path("v2.fgnb"))[4], 2);
     EXPECT_EQ(read_bytes(tmp.path("v1.fgnb"))[4], 1);
+    expect_bit_identical(s, GraphFile::load(tmp.path("v3.fgnb")));
     expect_bit_identical(s, GraphFile::load(tmp.path("v2.fgnb")));
     expect_bit_identical(s, GraphFile::load(tmp.path("v1.fgnb")));
+    for (std::uint32_t bad : {0u, 4u})
+        EXPECT_THROW(GraphFile::save(tmp.path("bad.fgnb"), s,
+                                     {.version = bad}),
+                     GraphFileError);
 }
 
 TEST(GraphFileTest, LoadIsThreadCountInvariant)

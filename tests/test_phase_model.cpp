@@ -276,7 +276,7 @@ TEST(PhaseModelOracle, GhostPerDieStatsMatchAtThreeDies)
                 SCOPED_TRACE("die " + std::to_string(d));
                 expect_same_stats(
                     r.shards[d].stats,
-                    naive_ghost_die_stats(model, copy.shards[d], cfg, opts,
+                    naive_ghost_die_stats(model, copy, d, cfg, opts,
                                           prepared.node_dim(),
                                           prepared.edge_dim()));
             }

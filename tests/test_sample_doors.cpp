@@ -186,6 +186,43 @@ TEST(SampleDoors, SampleRefChecksEverySectionLength)
                  std::invalid_argument);
 }
 
+TEST(SampleDoors, EdgeFeaturesOfAnotherWidthThrow)
+{
+    // GIN, PNA and DGN built for 3-wide edge features. A sample whose
+    // edge features are 2 or 4 wide would run without them; it throws
+    // at the functional kernel, the one check every path (an in-memory
+    // sample, a prepared one, a mapped file's view) passes through.
+    Rng rng(0xD7);
+    const GraphSample narrow =
+        make_random_sample(make_molecule(14, rng), kNodeDim, 2, 0xD7);
+    const GraphSample wide =
+        make_random_sample(narrow.graph, kNodeDim, 4, 0xD8);
+    const GraphSample exact =
+        make_random_sample(narrow.graph, kNodeDim, 3, 0xD9);
+    GraphSample featureless = exact;
+    featureless.edge_features = Matrix();
+    ShardConfig shard;
+    shard.num_shards = 2;
+    for (ModelKind kind : {ModelKind::kGin, ModelKind::kPna,
+                           ModelKind::kDgn}) {
+        SCOPED_TRACE(model_name(kind));
+        const Model model = make_model(kind, kNodeDim, 3);
+        for (const GraphSample *bad : {&narrow, &wide}) {
+            EXPECT_THROW(Engine(model).run(*bad), std::invalid_argument);
+            EXPECT_THROW(ShardedEngine(model, {}, shard).run(*bad),
+                         std::invalid_argument);
+            const GraphSample prepared = model.prepare(*bad);
+            EXPECT_THROW(model.reference_embeddings(prepared),
+                         std::invalid_argument);
+        }
+        EXPECT_NO_THROW(Engine(model).run(exact));
+        EXPECT_NO_THROW(Engine(model).run(featureless));
+    }
+    // A model that reads no edge features takes any width.
+    const Model gat = make_model(ModelKind::kGat, kNodeDim, 0);
+    EXPECT_NO_THROW(Engine(gat).run(narrow));
+}
+
 constexpr ShardStrategy kAllStrategies[] = {
     ShardStrategy::kModulo,        ShardStrategy::kContiguous,
     ShardStrategy::kGreedyBalanced, ShardStrategy::kBfsContiguous,

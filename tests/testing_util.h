@@ -707,22 +707,36 @@ naive_engine_stats(const Model &model, const GraphSample &prepared,
     return stats;
 }
 
-/** The oracle's RunStats for one die of a ghost-exchange plan. */
-inline RunStats
-naive_ghost_die_stats(const Model &model, const GhostShard &shard,
-                      const EngineConfig &cfg, const RunOptions &opts,
-                      std::size_t node_dim, std::size_t edge_dim)
+/** Die `t`'s local subgraph of a ghost plan, copied out of its slice. */
+inline CooGraph
+ghost_local_coo(const GhostPlan &plan, std::size_t t)
 {
+    const GraphRef local = plan.local_graph(t);
+    CooGraph coo;
+    coo.num_nodes = local.num_nodes();
+    for (std::size_t i = 0; i < local.num_edges(); ++i)
+        coo.edges.push_back({local.src(i), local.dst(i)});
+    return coo;
+}
+
+/** The oracle's RunStats for die `t` of a ghost-exchange plan. */
+inline RunStats
+naive_ghost_die_stats(const Model &model, const GhostPlan &plan,
+                      std::size_t t, const EngineConfig &cfg,
+                      const RunOptions &opts, std::size_t node_dim,
+                      std::size_t edge_dim)
+{
+    const GhostShard &shard = plan.shards[t];
+    const CooGraph local = ghost_local_coo(plan, t);
     RunStats stats = naive_detail::fresh_stats(cfg);
     const NodeId n_owned = static_cast<NodeId>(shard.info.owned_nodes);
     stats.load_cycles = ceil_div_u64(
         std::uint64_t(n_owned) * (node_dim + 1) +
-            std::uint64_t(shard.local_graph.edges.size()) *
-                (edge_dim + 2) +
+            std::uint64_t(local.edges.size()) * (edge_dim + 2) +
             shard.info.ghost_nodes,
         64);
-    naive_detail::price_run(model, cfg, opts, shard.local_graph,
-                            shard.is_owned, n_owned, stats);
+    naive_detail::price_run(model, cfg, opts, local, shard.is_owned,
+                            n_owned, stats);
     return stats;
 }
 
