@@ -14,12 +14,15 @@
  * Layout: [nodes % 65] [edges % 97] [section byte A] [section byte B]
  * [src, dst byte per edge] [feature bytes, cycled]. Each section field
  * is two bits (see decode), and bit 4 of byte B widens the edge
- * features one column past what the models read; an endpoint byte
+ * features one column past what the models read; bits 5 and 6 of
+ * byte B put a NaN into a node feature and an infinity into an edge
+ * feature, at a slot read from the next input byte. An endpoint byte
  * below 0xF8 is taken modulo the node count, the rest land at or
  * past it.
  */
 #include "fuzz/fuzz_common.h"
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -121,6 +124,12 @@ decode(Bytes &in)
     for (flowgnn::Matrix *m : {&s.node_features, &s.edge_features})
         for (std::size_t i = 0; i < m->size(); ++i)
             m->data()[i] = in.value();
+    const float poison[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()};
+    flowgnn::Matrix *poisoned[] = {&s.node_features, &s.edge_features};
+    for (unsigned k = 0; k < 2; ++k)
+        if (((b >> (5 + k)) & 1u) && poisoned[k]->size() > 0)
+            poisoned[k]->data()[in.next() % poisoned[k]->size()] = poison[k];
     s.dgn_field.resize(section_rows(a >> 4, n, true));
     for (float &u : s.dgn_field)
         u = in.value();

@@ -1,6 +1,7 @@
 #include "core/functional.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,31 @@ namespace {
  * (message + accumulate) costs far more than a counting-sort element,
  * so workers pay off from a few thousand edges. */
 constexpr std::size_t kKernelSerialCutoff = std::size_t(1) << 12;
+
+/** True when every value of `x[0, count)` is finite: a NaN or ±Inf
+ * has all exponent bits set. Read as bits, so the test holds under
+ * any floating-point flags, and the loop vectorizes. */
+bool
+all_finite(const float *x, std::size_t count)
+{
+    std::uint32_t bad = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+        std::uint32_t bits;
+        std::memcpy(&bits, x + k, sizeof(bits));
+        bad |= static_cast<std::uint32_t>((bits & 0x7F800000u) ==
+                                          0x7F800000u);
+    }
+    return bad == 0;
+}
+
+[[noreturn]] void
+throw_non_finite(const char *what, std::size_t row)
+{
+    throw std::invalid_argument("functional_forward: " +
+                                std::string(what) + " row " +
+                                std::to_string(row) +
+                                " holds a NaN or infinite value");
+}
 
 bool
 is_conv(const Layer &stage)
@@ -249,10 +275,15 @@ functional_forward(const Model &model, const SampleRef &prepared,
         prepared.node_dim != model.stage(0).in_dim())
         throw std::invalid_argument(
             "functional_forward: inconsistent sample");
+    if (first >= n_stages)
+        throw std::invalid_argument(
+            "functional_forward: resume point past the last stage");
     // A stage that reads edge features would silently drop rows of
     // another width (LayerInputs::has_edge_rows); a featureless
-    // sample runs without them.
-    if (prepared.edge_dim > 0)
+    // sample runs without them. The stages left to run read every
+    // value, so a NaN or infinity among them is rejected too.
+    if (prepared.edge_dim > 0) {
+        bool reads_edges = false;
         for (std::size_t si = 0; si < n_stages; ++si) {
             const std::size_t want = model.stage(si).edge_dim();
             if (want > 0 && want != prepared.edge_dim)
@@ -261,10 +292,13 @@ functional_forward(const Model &model, const SampleRef &prepared,
                     std::to_string(prepared.edge_dim) +
                     " wide, stage " + std::to_string(si) + " reads " +
                     std::to_string(want));
+            reads_edges = reads_edges || (si >= first && want > 0);
         }
-    if (first >= n_stages)
-        throw std::invalid_argument(
-            "functional_forward: resume point past the last stage");
+        if (reads_edges)
+            for (std::size_t e = 0; e < prepared.num_edges(); ++e)
+                if (!all_finite(prepared.edge_row(e), prepared.edge_dim))
+                    throw_non_finite("edge-feature", e);
+    }
 
     FunctionalScratch local;
     FunctionalScratch &ws = scratch != nullptr ? *scratch : local;
@@ -283,9 +317,18 @@ functional_forward(const Model &model, const SampleRef &prepared,
     bool have_agg = false;
     const GatLayer *pending_gat = nullptr;
     if (first == 0) {
-        cur.assign(prepared.node_features,
-                   prepared.node_features +
-                       std::size_t(n) * prepared.node_dim);
+        // The copy checks each row while it is in cache: every stage
+        // would carry a NaN or infinity into its neighbors' outputs.
+        const std::size_t dim = prepared.node_dim;
+        cur.clear();
+        cur.reserve(std::size_t(n) * dim);
+        for (NodeId i = 0; i < n; ++i) {
+            const float *row =
+                prepared.node_features + std::size_t(i) * dim;
+            cur.insert(cur.end(), row, row + dim);
+            if (!all_finite(row, dim))
+                throw_non_finite("node-feature", i);
+        }
         pass.quantize(cur.data(), cur.size());
     } else {
         // A boundary's value state is exactly what the checkpoint holds.

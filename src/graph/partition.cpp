@@ -168,6 +168,7 @@ std::vector<std::uint32_t>
 shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
                  ShardStrategy strategy,
                  const std::vector<std::uint32_t> *prior,
+                 const std::vector<std::uint32_t> *weight,
                  const UndirectedCsr *adj, unsigned threads)
 {
     if (num_shards == 0)
@@ -181,6 +182,9 @@ shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
     if (streaming && prior != nullptr && prior->size() != num_nodes)
         throw std::invalid_argument(
             "stream_partition: prior assignment size mismatch");
+    if (streaming && weight != nullptr && weight->size() != num_nodes)
+        throw std::invalid_argument(
+            "stream_partition: weight size mismatch");
 
     // The streaming strategies (the only prior-sensitive ones) and
     // kBfsContiguous consume the symmetrized simple adjacency; build
@@ -218,15 +222,18 @@ shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
       case ShardStrategy::kLdg:
         if (num_nodes == 0 || num_shards == 1)
             return std::vector<std::uint32_t>(num_nodes, 0);
-        return ldg_partition(adjacency(), num_shards, {}, prior);
+        return ldg_partition(adjacency(), num_shards, {}, prior,
+                             weight);
       case ShardStrategy::kFennel:
         if (num_nodes == 0 || num_shards == 1)
             return std::vector<std::uint32_t>(num_nodes, 0);
-        return fennel_partition(adjacency(), num_shards, {}, prior);
+        return fennel_partition(adjacency(), num_shards, {}, prior,
+                                weight);
       case ShardStrategy::kHdrf:
         if (num_nodes == 0 || num_shards == 1)
             return std::vector<std::uint32_t>(num_nodes, 0);
-        return hdrf_partition(adjacency(), num_shards, {}, prior);
+        return hdrf_partition(adjacency(), num_shards, {}, prior,
+                              weight);
     }
     throw std::invalid_argument("shard_assignment: unknown strategy");
 }

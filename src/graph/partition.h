@@ -147,6 +147,9 @@ ShardStrategy shard_strategy_from_name(const std::string &name);
  *    every vertex is scored against its full neighborhood. Null = cold
  *    pass; non-streaming strategies ignore it and return the
  *    prior-free assignment.
+ *  - `weight`: per-node weights >= 1 that the streaming strategies
+ *    balance instead of the node count (streaming_partition.h). Null
+ *    = 1 per node; non-streaming strategies ignore it.
  *  - `adj`: a prebuilt symmetrized simple adjacency
  *    (build_undirected_csr) consumed by kBfsContiguous and the
  *    streaming strategies. Callers that restream or compare
@@ -159,6 +162,7 @@ std::vector<std::uint32_t>
 shard_assignment(const GraphRef &graph, std::uint32_t num_shards,
                  ShardStrategy strategy,
                  const std::vector<std::uint32_t> *prior = nullptr,
+                 const std::vector<std::uint32_t> *weight = nullptr,
                  const UndirectedCsr *adj = nullptr,
                  unsigned threads = 0);
 

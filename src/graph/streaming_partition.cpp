@@ -11,7 +11,8 @@
 namespace flowgnn {
 
 UndirectedCsr
-build_undirected_csr(const GraphRef &graph, unsigned threads)
+build_undirected_csr(const GraphRef &graph, unsigned threads,
+                     std::vector<std::uint32_t> *in_degrees)
 {
     const NodeId n = graph.num_nodes();
     const std::size_t e = graph.num_edges();
@@ -21,7 +22,18 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
     // Pass 1: symmetrized counts, duplicates included (self-loops are
     // dropped here: a node is never its own neighbor). Per-thread
     // count arrays; a non-self edge contributes one entry to each
-    // endpoint's row.
+    // endpoint's row. When the in-degrees are asked for, each count
+    // packs two 32-bit halves: the symmetrized count below, and above
+    // it the in-degree, to which every edge (self-loops included)
+    // adds one at its destination. Both halves are exact below 2^31
+    // edges; a larger graph counts its in-degrees in a pass of their
+    // own.
+    static_assert(sizeof(std::size_t) == 8, "packed counts need 64 bits");
+    const bool packed =
+        in_degrees != nullptr && e < (std::size_t(1) << 31);
+    const std::size_t in_unit = packed ? std::size_t(1) << 32 : 0;
+    const std::size_t count_mask =
+        packed ? (std::size_t(1) << 32) - 1 : ~std::size_t(0);
     const unsigned T = parallel_range_count(e, threads);
     std::vector<std::vector<std::size_t>> cursors(
         T, std::vector<std::size_t>(n, 0));
@@ -35,12 +47,18 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
                     throw std::invalid_argument(
                         "build_undirected_csr: edge endpoint out of "
                         "range");
-                if (s == d)
+                if (s == d) {
+                    c[d] += in_unit;
                     continue;
+                }
                 ++c[s];
-                ++c[d];
+                c[d] += in_unit + 1;
             }
         });
+    if (packed)
+        in_degrees->assign(n, 0);
+    else if (in_degrees != nullptr)
+        *in_degrees = graph.in_degrees(threads);
 
     // Prefix scan in (node, thread) order: the count cursors[t][v]
     // becomes the first slot thread t fills in row v. The per-range
@@ -52,8 +70,12 @@ build_undirected_csr(const GraphRef &graph, unsigned threads)
     std::size_t running = 0;
     for (NodeId v = 0; v < n; ++v) {
         out.offsets[v] = running;
-        for (unsigned t = 0; t < T; ++t)
-            running += std::exchange(cursors[t][v], running);
+        for (unsigned t = 0; t < T; ++t) {
+            const std::size_t c = std::exchange(cursors[t][v], running);
+            if (packed)
+                (*in_degrees)[v] += static_cast<std::uint32_t>(c >> 32);
+            running += c & count_mask;
+        }
     }
     out.offsets[n] = running;
 
@@ -145,10 +167,12 @@ constexpr std::size_t kHistCopies = 4;
 /**
  * The shared one-pass skeleton: vertices stream in ascending id
  * order; each is placed by the kind's score over the partitions its
- * distinct neighbors chose. A hard capacity (balance_slack * ideal
- * share) is never exceeded — since total capacity >= n, at least one
- * partition is always below it — and ties break to the least-loaded,
- * then lowest-index partition.
+ * distinct neighbors chose. Loads are vertex-weight sums (1 per
+ * vertex without weights). A partition is eligible while its load is
+ * below the hard capacity (balance_slack * ideal share) — the placed
+ * weight is below W <= P * capacity while a vertex of weight >= 1 is
+ * left, so some partition always is — and ties break to the
+ * least-loaded, then lowest-index partition.
  *
  * One label array carries the whole pass: it starts as the prior
  * (restreaming: a neighbor not yet re-placed this pass contributes
@@ -160,7 +184,8 @@ constexpr std::size_t kHistCopies = 4;
 std::vector<std::uint32_t>
 stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                  const StreamingPartitionConfig &config, StreamKind kind,
-                 const std::vector<std::uint32_t> *prior)
+                 const std::vector<std::uint32_t> *prior,
+                 const std::vector<std::uint32_t> *weight)
 {
     if (num_partitions == 0)
         throw std::invalid_argument(
@@ -173,24 +198,38 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
     if (prior != nullptr && prior->size() != n)
         throw std::invalid_argument(
             "stream_partition: prior assignment size mismatch");
+    if (weight != nullptr && weight->size() != n)
+        throw std::invalid_argument(
+            "stream_partition: weight size mismatch");
+    // The total weight W: n for unit weights.
+    std::uint64_t total = n;
+    if (weight != nullptr) {
+        total = 0;
+        for (std::uint32_t w : *weight) {
+            if (w == 0)
+                throw std::invalid_argument(
+                    "stream_partition: a vertex weight is 0");
+            total += w;
+        }
+    }
     if (n == 0 || num_partitions == 1)
         return std::vector<std::uint32_t>(n, 0);
 
     const std::uint32_t P = num_partitions;
 
-    const std::size_t ideal = (std::size_t(n) + P - 1) / P;
-    const std::size_t cap = std::max<std::size_t>(
+    const std::uint64_t ideal = (total + P - 1) / P;
+    const std::uint64_t cap = std::max<std::uint64_t>(
         ideal,
-        static_cast<std::size_t>(
+        static_cast<std::uint64_t>(
             std::ceil(config.balance_slack * double(ideal))));
 
-    // Fennel's standard alpha = m * P^(gamma-1) / n^gamma, with m the
+    // Fennel's standard alpha = m * P^(gamma-1) / W^gamma, with m the
     // number of distinct undirected edges.
     const double gamma = config.fennel_gamma;
     const double m_und = double(adj.nbr.size()) / 2.0;
     const double alpha =
         m_und * std::pow(double(P), gamma - 1.0) /
-        std::pow(double(n), gamma);
+        std::pow(double(total), gamma);
 
     std::vector<std::uint32_t> label(n, P);
     if (prior != nullptr)
@@ -198,8 +237,8 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
             label[v] = std::min((*prior)[v], P);
 
     const std::size_t bins = std::size_t(P) + 1; // + the dummy bin
-    std::vector<std::size_t> load(P, 0);
-    // Fennel's |S_p|^(gamma-1), recomputed only when load[p] changes.
+    std::vector<std::uint64_t> load(P, 0);
+    // Fennel's W_p^(gamma-1), recomputed only when load[p] changes.
     std::vector<double> load_pow(P, std::pow(0.0, gamma - 1.0));
     std::vector<double> pull(bins, 0.0); ///< per-partition neighbor score
     std::vector<std::uint32_t> hist(kHistCopies * bins, 0);
@@ -244,9 +283,12 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
             max_load = double(*mx);
         }
 
+        const std::uint32_t w = weight != nullptr ? (*weight)[v] : 1;
+        // Fennel's marginal penalty per unit of W_p^(gamma-1).
+        const double penalty = alpha * gamma * double(w);
         std::uint32_t best = P;
         double best_score = 0.0;
-        std::size_t best_load = 0;
+        std::uint64_t best_load = 0;
         for (std::uint32_t p = 0; p < P; ++p) {
             if (load[p] >= cap)
                 continue; // hard balance bound
@@ -256,7 +298,7 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                 score = pull[p] * (1.0 - double(load[p]) / double(ideal));
                 break;
               case StreamKind::kFennel:
-                score = pull[p] - alpha * gamma * load_pow[p];
+                score = pull[p] - penalty * load_pow[p];
                 break;
               case StreamKind::kHdrf:
                 score = pull[p] +
@@ -272,7 +314,7 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
             }
         }
         label[v] = best;
-        ++load[best];
+        load[best] += w;
         load_pow[best] = std::pow(double(load[best]), gamma - 1.0);
     }
     return label;
@@ -283,28 +325,31 @@ stream_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
 std::vector<std::uint32_t>
 ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
               const StreamingPartitionConfig &config,
-              const std::vector<std::uint32_t> *prior)
+              const std::vector<std::uint32_t> *prior,
+              const std::vector<std::uint32_t> *weight)
 {
     return stream_partition(adj, num_partitions, config,
-                            StreamKind::kLdg, prior);
+                            StreamKind::kLdg, prior, weight);
 }
 
 std::vector<std::uint32_t>
 fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                  const StreamingPartitionConfig &config,
-                 const std::vector<std::uint32_t> *prior)
+                 const std::vector<std::uint32_t> *prior,
+                 const std::vector<std::uint32_t> *weight)
 {
     return stream_partition(adj, num_partitions, config,
-                            StreamKind::kFennel, prior);
+                            StreamKind::kFennel, prior, weight);
 }
 
 std::vector<std::uint32_t>
 hdrf_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                const StreamingPartitionConfig &config,
-               const std::vector<std::uint32_t> *prior)
+               const std::vector<std::uint32_t> *prior,
+               const std::vector<std::uint32_t> *weight)
 {
     return stream_partition(adj, num_partitions, config,
-                            StreamKind::kHdrf, prior);
+                            StreamKind::kHdrf, prior, weight);
 }
 
 } // namespace flowgnn

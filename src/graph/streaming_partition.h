@@ -20,23 +20,36 @@
  * ShardedEngine, pool jobs) picks them up with zero
  * call-site changes.
  *
- * Balance: a hard per-partition capacity of
- * ceil(balance_slack * ceil(n/P)) owned vertices (default slack 1.1,
- * i.e. at most 10% over the ideal share) is never exceeded, whatever
- * the greedy scores prefer. The partitioners always emit P non-empty-
- * capable labels, but on degenerate inputs (n < P, heavy clustering
- * at tiny n) some partitions may end up owning nothing — downstream,
- * make_ghost_plan drops such empty dies and plan.shards.size()
- * becomes the effective P (see ghost/ghost_plan.h).
+ * Balance: every balance quantity counts vertex *weight*. With
+ * weights w_v (null = 1 per vertex) a partition's load is
+ * W_p = sum of its vertices' weights, W the total and the ideal share
+ * ceil(W/P). A partition takes a vertex only while W_p is below the
+ * hard capacity max(ideal, ceil(balance_slack * ideal)) (default slack
+ * 1.1, i.e. 10% over the ideal share), so no partition ever exceeds
+ * it by more than one vertex's weight, whatever the greedy scores
+ * prefer. A null weight gives the node-count assignments bit for
+ * bit. The ghost planner (shard_plan_assignment)
+ * passes w_v = 1 + in-degree(v): every edge is priced on the die that
+ * owns its destination, so a die's modeled time follows the in-edges
+ * it owns, not its node count. The partitioners always emit P
+ * non-empty-capable labels, but on degenerate inputs (n < P, heavy
+ * clustering at tiny n) some partitions may end up owning nothing —
+ * downstream, make_ghost_plan drops such empty dies and
+ * plan.shards.size() becomes the effective P (see ghost/ghost_plan.h).
  *
  * Restreaming (Nishimura & Ugander): each partitioner accepts an
  * optional `prior` assignment from an earlier pass. While streaming,
  * a neighbor not yet re-placed in the current pass contributes its
  * prior partition to the scores — so every vertex sees its *full*
- * neighborhood instead of only the prefix streamed before it, and a
- * handful of passes over the same stream order monotonically shrink
- * the cut in practice. Loads and capacities count current-pass
- * placements only, exactly as in a cold pass.
+ * neighborhood instead of only the prefix streamed before it. A
+ * handful of passes over the same stream order shrink the cut in
+ * practice, though not at every pass: on the 50k BA graph of
+ * bench/results/restream_ba.json, weighted LDG's first pass raises it
+ * and the next two cut it below the cold pass. Loads and capacities count current-pass placements only,
+ * exactly as in a cold pass, so the weighted capacity holds after
+ * every pass. A pass reads the labels placed earlier in the same
+ * pass, so it stays serial: a pass that read only the previous
+ * pass's labels could not enforce the capacity.
  */
 #ifndef FLOWGNN_GRAPH_STREAMING_PARTITION_H
 #define FLOWGNN_GRAPH_STREAMING_PARTITION_H
@@ -93,18 +106,25 @@ struct UndirectedCsr {
  * toward its own start, and one move per block closes the gaps. The
  * list is never copied and keeps its pre-dedupe capacity.
  * Bit-identical to the serial build for every thread count.
+ *
+ * A non-null `in_degrees` also receives every node's in-degree as
+ * GraphRef::in_degrees counts it (self-loops and parallel edges
+ * included), read off the same count pass instead of a pass of its
+ * own.
  */
-UndirectedCsr build_undirected_csr(const GraphRef &graph,
-                                   unsigned threads = 0);
+UndirectedCsr
+build_undirected_csr(const GraphRef &graph, unsigned threads = 0,
+                     std::vector<std::uint32_t> *in_degrees = nullptr);
 
 /** Tuning knobs shared by the streaming partitioners. Defaults follow
  * the literature; shard_assignment uses them as-is. */
 struct StreamingPartitionConfig {
     /**
      * Hard per-partition capacity as a multiple of the ideal share
-     * ceil(n/P) (Fennel's nu). No partition ever exceeds
-     * ceil(slack * ceil(n/P)) owned nodes, bounding load imbalance
-     * regardless of what the greedy scores prefer.
+     * ceil(W/P) of the total vertex weight W (Fennel's nu). A
+     * partition takes a vertex only while its load is below
+     * ceil(slack * ceil(W/P)), bounding load imbalance regardless of
+     * what the greedy scores prefer.
      */
     double balance_slack = 1.1;
     /** Fennel cost exponent gamma in alpha * |S|^gamma. */
@@ -115,10 +135,11 @@ struct StreamingPartitionConfig {
 
 /**
  * Linear Deterministic Greedy (Stanton & Kliot): place v on the
- * partition maximizing |N(v) ∩ S_p| * (1 - |S_p| / C) with
- * C = ceil(n/P). The multiplicative penalty interpolates between
- * pure neighbor-chasing (empty partitions) and pure balancing (full
- * ones). Ties break to the least-loaded, then lowest-index partition,
+ * partition maximizing |N(v) ∩ S_p| * (1 - W_p / C) with
+ * C = ceil(W/P) (W_p = |S_p| and C = ceil(n/P) for unit weights).
+ * The multiplicative penalty interpolates between pure
+ * neighbor-chasing (empty partitions) and pure balancing (full ones).
+ * Ties break to the least-loaded, then lowest-index partition,
  * so neighborless vertices (including every vertex of an edgeless
  * graph) spread round-robin instead of collapsing onto partition 0.
  *
@@ -126,29 +147,34 @@ struct StreamingPartitionConfig {
  * the stream itself is serial, and callers that restream
  * (shard_plan_assignment) or try several strategies build the
  * adjacency once (possibly in parallel, possibly from an mmap view)
- * and pass it to every pass.
+ * and pass it to every pass. `weight` holds one weight >= 1 per
+ * vertex (null = 1 each; see the balance paragraph above); a zero
+ * weight or a size mismatch throws std::invalid_argument.
  *
  * @return partition id per node, each in [0, num_partitions)
  */
 std::vector<std::uint32_t>
 ldg_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
               const StreamingPartitionConfig &config = {},
-              const std::vector<std::uint32_t> *prior = nullptr);
+              const std::vector<std::uint32_t> *prior = nullptr,
+              const std::vector<std::uint32_t> *weight = nullptr);
 
 /**
  * Fennel (Tsourakakis et al.): place v on the partition maximizing
- * |N(v) ∩ S_p| - alpha * gamma * |S_p|^(gamma-1), the marginal gain
- * of the interpolated objective (edges cut + alpha * sum |S_p|^gamma)
- * with the standard alpha = m * P^(gamma-1) / n^gamma. Compared to
- * LDG's hard interpolation, the additive penalty lets a partition
- * keep attracting a vertex with many neighbors there even when
- * slightly over the ideal share — usually the best cut of the family
- * on power-law graphs.
+ * |N(v) ∩ S_p| - alpha * gamma * w_v * W_p^(gamma-1), the marginal
+ * gain of the interpolated objective (edges cut + alpha * sum
+ * W_p^gamma) with the standard alpha = m * P^(gamma-1) / W^gamma
+ * (|S_p| and n for unit weights). Compared to LDG's hard
+ * interpolation, the additive penalty lets a partition keep
+ * attracting a vertex with many neighbors there even when slightly
+ * over the ideal share — usually the best cut of the family on
+ * power-law graphs.
  */
 std::vector<std::uint32_t>
 fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                  const StreamingPartitionConfig &config = {},
-                 const std::vector<std::uint32_t> *prior = nullptr);
+                 const std::vector<std::uint32_t> *prior = nullptr,
+                 const std::vector<std::uint32_t> *weight = nullptr);
 
 /**
  * Degree-aware greedy in the spirit of HDRF (Petroni et al.). HDRF is
@@ -159,13 +185,15 @@ fennel_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
  * harder than hubs, keeping tail clusters intact while hub edges
  * (which some partition must cut regardless) are ceded — plus
  * lambda * (maxload - load_p) / (1 + maxload - minload), HDRF's
- * normalized balance term. Degrees are distinct-neighbor counts
- * (see UndirectedCsr), so multi-edges do not inflate a hub's pull.
+ * normalized balance term over the weighted loads. Degrees are
+ * distinct-neighbor counts (see UndirectedCsr), so multi-edges do
+ * not inflate a hub's pull.
  */
 std::vector<std::uint32_t>
 hdrf_partition(const UndirectedCsr &adj, std::uint32_t num_partitions,
                const StreamingPartitionConfig &config = {},
-               const std::vector<std::uint32_t> *prior = nullptr);
+               const std::vector<std::uint32_t> *prior = nullptr,
+               const std::vector<std::uint32_t> *weight = nullptr);
 
 } // namespace flowgnn
 

@@ -148,11 +148,12 @@ std::uint32_t message_hops(const Model &model);
  * `config.restream_passes` prior-seeded restreaming refinement passes
  * for the streaming strategies; the assignment make_ghost_plan
  * shards by. For the adjacency-driven strategies (LDG/Fennel/HDRF/BFS)
- * the undirected CSR is built ONCE and reused across every
- * restreaming pass — previously each pass rebuilt it from scratch,
- * which dominated multi-pass partitioning on large graphs.
- * Assignments are bit-identical for every thread count (0 = all
- * cores).
+ * the undirected CSR is built once and reused across every
+ * restreaming pass. The streaming strategies balance the vertex
+ * weight 1 + in-degree(v), counted in the same build: a die prices
+ * every edge whose destination it owns, so its modeled time follows
+ * those edges rather than its node count. Assignments are
+ * bit-identical for every thread count (0 = all cores).
  */
 std::vector<std::uint32_t> shard_plan_assignment(const GraphRef &graph,
                                                  const ShardConfig &config,

@@ -13,12 +13,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "ghost/ghost_engine.h"
 #include "graph/partition.h"
 #include "graph/streaming_partition.h"
@@ -184,6 +186,28 @@ TEST(GraphViewTest, MappedSectionsMatchCopyingLoader)
     EXPECT_EQ(ref.num_nodes(), s.num_nodes());
     EXPECT_EQ(ref.node_dim, s.node_dim());
     EXPECT_EQ(ref.edge_dim, s.edge_dim());
+}
+
+TEST(GraphViewTest, NonFiniteMappedFeaturesThrowAtTheKernel)
+{
+    // The checksum covers a file's bytes, not what they mean: a NaN
+    // feature maps unchanged, and the functional kernel rejects it by
+    // row, as it does an in-memory sample's.
+    TempDir tmp;
+    GraphSample s = make_full_sample();
+    s.node_features(7, 4) = std::numeric_limits<float>::quiet_NaN();
+    GraphFile::save(tmp.path("nan.fgnb"), s);
+    io::GraphView view(tmp.path("nan.fgnb"));
+    const Model model = make_model(ModelKind::kGin, 12, 3);
+    RunWorkspace ws;
+    try {
+        Engine(model).run_prepared(view.sample(), {}, ws);
+        ADD_FAILURE() << "a NaN feature ran";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("node-feature row 7 "),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(GraphViewTest, ReadsEveryFormatVersion)
@@ -432,9 +456,10 @@ TEST(OutOfCoreDifferentialTest, AssignmentMatchesAllStrategies)
     io::GraphView view(g.path);
     for (ShardStrategy strategy : kAllStrategies) {
         const std::vector<std::uint32_t> serial =
-            shard_assignment(g.mem.graph, 4, strategy, nullptr, nullptr, 1);
+            shard_assignment(g.mem.graph, 4, strategy, nullptr, nullptr,
+                             nullptr, 1);
         EXPECT_EQ(shard_assignment(view.graph(), 4, strategy, nullptr,
-                                   nullptr, 4),
+                                   nullptr, nullptr, 4),
                   serial)
             << shard_strategy_name(strategy);
 
@@ -442,9 +467,9 @@ TEST(OutOfCoreDifferentialTest, AssignmentMatchesAllStrategies)
         // streaming strategies; no-op prior for the rest.
         const UndirectedCsr adj = build_undirected_csr(view.graph(), 4);
         EXPECT_EQ(shard_assignment(view.graph(), 4, strategy, &serial,
-                                   &adj, 4),
+                                   nullptr, &adj, 4),
                   shard_assignment(g.mem.graph, 4, strategy, &serial,
-                                   nullptr, 1))
+                                   nullptr, nullptr, 1))
             << shard_strategy_name(strategy);
     }
 }

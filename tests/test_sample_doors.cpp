@@ -10,7 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/engine.h"
 #include "core/parallel.h"
@@ -221,6 +223,54 @@ TEST(SampleDoors, EdgeFeaturesOfAnotherWidthThrow)
     // A model that reads no edge features takes any width.
     const Model gat = make_model(ModelKind::kGat, kNodeDim, 0);
     EXPECT_NO_THROW(Engine(gat).run(narrow));
+}
+
+TEST(SampleDoors, NonFiniteFeaturesThrowNamingTheRow)
+{
+    // A NaN or infinity would run through every stage into its
+    // neighbors' outputs. The functional kernel rejects it, naming the
+    // row, for an in-memory sample, a prepared one and a sharded run
+    // alike (test_graph_view covers a mapped file's view).
+    const float bad_values[] = {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()};
+    Rng rng(0xDA);
+    const GraphSample good =
+        make_random_sample(make_molecule(14, rng), kNodeDim, 3, 0xDA);
+    ShardConfig shard;
+    shard.num_shards = 2;
+    const Model gin = make_model(ModelKind::kGin, kNodeDim, 3);
+    const Model gcn = make_model(ModelKind::kGcn, kNodeDim, 0);
+    auto expect_row = [](auto &&run, const std::string &row) {
+        try {
+            run();
+            ADD_FAILURE() << "no throw, want " << row;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(row), std::string::npos)
+                << e.what();
+        }
+    };
+    for (float bad : bad_values) {
+        SCOPED_TRACE(bad);
+        GraphSample node = good;
+        node.node_features(9, 2) = bad;
+        for (const Model *model : {&gin, &gcn}) {
+            expect_row([&] { Engine(*model).run(node); },
+                       "node-feature row 9 ");
+            expect_row([&] { ShardedEngine(*model, {}, shard).run(node); },
+                       "node-feature row 9 ");
+            const GraphSample prepared = model->prepare(node);
+            expect_row([&] { model->reference_embeddings(prepared); },
+                       "node-feature row 9 ");
+        }
+
+        GraphSample edge = good;
+        edge.edge_features(5, 1) = bad;
+        expect_row([&] { Engine(gin).run(edge); }, "edge-feature row 5 ");
+        // A model that reads no edge features never sees them.
+        EXPECT_NO_THROW(Engine(gcn).run(edge));
+    }
+    EXPECT_NO_THROW(Engine(gin).run(good));
 }
 
 constexpr ShardStrategy kAllStrategies[] = {

@@ -209,6 +209,15 @@ TEST(StreamingPartitionProperty, InvalidArgumentsThrow)
     StreamingPartitionConfig bad;
     bad.balance_slack = 0.5;
     EXPECT_THROW(fennel_partition(adj, 2, bad), std::invalid_argument);
+    const std::vector<std::uint32_t> short_weight(3, 1);
+    const std::vector<std::uint32_t> zero_weight = {1, 0, 1, 1};
+    EXPECT_THROW(ldg_partition(adj, 2, {}, nullptr, &short_weight),
+                 std::invalid_argument);
+    EXPECT_THROW(hdrf_partition(adj, 2, {}, nullptr, &zero_weight),
+                 std::invalid_argument);
+    EXPECT_THROW(shard_assignment(g, 2, ShardStrategy::kFennel, nullptr,
+                                  &short_weight),
+                 std::invalid_argument);
 }
 
 // ---- Balance guarantees -----------------------------------------------
@@ -466,7 +475,8 @@ sweep_graphs()
 std::vector<std::uint32_t>
 naive_assignment(const UndirectedCsr &adj, NodeId n, std::uint32_t P,
                  ShardStrategy strategy,
-                 const std::vector<std::uint32_t> *prior)
+                 const std::vector<std::uint32_t> *prior,
+                 const std::vector<std::uint32_t> *weight = nullptr)
 {
     if (n == 0 || P == 1)
         return std::vector<std::uint32_t>(n, 0);
@@ -474,7 +484,18 @@ naive_assignment(const UndirectedCsr &adj, NodeId n, std::uint32_t P,
         strategy == ShardStrategy::kLdg      ? NaiveStreamKind::kLdg
         : strategy == ShardStrategy::kFennel ? NaiveStreamKind::kFennel
                                              : NaiveStreamKind::kHdrf;
-    return naive_stream_partition(adj, P, {}, kind, prior);
+    return naive_stream_partition(adj, P, {}, kind, prior, weight);
+}
+
+/** The ghost planner's vertex weights, 1 + in-degree, counted
+ * serially edge by edge. */
+std::vector<std::uint32_t>
+naive_plan_weights(const CooGraph &graph)
+{
+    std::vector<std::uint32_t> weight(graph.num_nodes, 1);
+    for (const Edge &e : graph.edges)
+        ++weight[e.dst];
+    return weight;
 }
 
 TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
@@ -490,6 +511,8 @@ TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
             ASSERT_TRUE(got.nbr == want_csr.nbr) << g.name << " t" << t;
         }
 
+        const std::vector<std::uint32_t> plan_weight =
+            naive_plan_weights(g.graph);
         for (std::uint32_t P : kShards) {
             // Random prior: labels in [0, P + 3), some >= P, and the
             // unassigned marker.
@@ -500,6 +523,10 @@ TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
                     v % 11 == 0 ? 0xFFFFFFFFu
                                 : static_cast<std::uint32_t>(
                                       rng.uniform_index(P + 3));
+            std::vector<std::uint32_t> random_weight(n);
+            for (NodeId v = 0; v < n; ++v)
+                random_weight[v] =
+                    1 + static_cast<std::uint32_t>(rng.uniform_index(40));
 
             for (ShardStrategy strategy : kStreaming) {
                 const std::vector<std::uint32_t> cold = naive_assignment(
@@ -511,7 +538,7 @@ TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
                         naive_assignment(want_csr, n, P, strategy, prior);
                     for (unsigned t = 1; t <= 4; ++t)
                         ASSERT_EQ(shard_assignment(ref, P, strategy, prior,
-                                                   nullptr, t),
+                                                   nullptr, nullptr, t),
                                   want)
                             << g.name << " P" << P << " "
                             << shard_strategy_name(strategy) << " prior "
@@ -521,15 +548,39 @@ TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
                             << " t" << t;
                 }
 
-                // Restreaming as shard_plan_assignment runs it.
+                // Random weights in [1, 40], with and without a prior.
+                if (P > 1) {
+                    const std::vector<std::uint32_t> *weighted_priors[] = {
+                        nullptr, &random_prior};
+                    for (const std::vector<std::uint32_t> *prior :
+                         weighted_priors) {
+                        const std::vector<std::uint32_t> want =
+                            naive_assignment(want_csr, n, P, strategy,
+                                             prior, &random_weight);
+                        for (unsigned t = 1; t <= 4; ++t)
+                            ASSERT_EQ(shard_assignment(ref, P, strategy,
+                                                       prior, &random_weight,
+                                                       nullptr, t),
+                                      want)
+                                << g.name << " P" << P << " "
+                                << shard_strategy_name(strategy)
+                                << " random weights, prior "
+                                << (prior == nullptr ? "none" : "random")
+                                << " t" << t;
+                    }
+                }
+
+                // Restreaming as shard_plan_assignment runs it: every
+                // pass balances 1 + in-degree.
                 ShardConfig config;
                 config.num_shards = P;
                 config.strategy = strategy;
                 config.restream_passes = 3;
-                std::vector<std::uint32_t> want = cold;
+                std::vector<std::uint32_t> want = naive_assignment(
+                    want_csr, n, P, strategy, nullptr, &plan_weight);
                 for (std::uint32_t pass = 0; pass < 3; ++pass) {
                     std::vector<std::uint32_t> next = naive_assignment(
-                        want_csr, n, P, strategy, &want);
+                        want_csr, n, P, strategy, &want, &plan_weight);
                     if (next == want)
                         break;
                     want = std::move(next);
@@ -543,12 +594,13 @@ TEST(PartitionOracleSweep, CsrAndAssignmentsMatchFrozenReferences)
 
             // BFS renumbering walks the same adjacency.
             const std::vector<std::uint32_t> bfs = shard_assignment(
-                ref, P, ShardStrategy::kBfsContiguous, nullptr,
+                ref, P, ShardStrategy::kBfsContiguous, nullptr, nullptr,
                 &want_csr, 1);
             for (unsigned t = 1; t <= 4; ++t)
                 ASSERT_EQ(shard_assignment(ref, P,
                                            ShardStrategy::kBfsContiguous,
-                                           &random_prior, nullptr, t),
+                                           &random_prior, &random_weight,
+                                           nullptr, t),
                           bfs)
                     << g.name << " P" << P << " bfs t" << t;
         }
@@ -587,7 +639,7 @@ TEST(PartitionOracleSweep, HdrfSumsEachBinInRowOrder)
     ASSERT_EQ(want[0], 0u);
     for (unsigned t = 1; t <= 4; ++t)
         EXPECT_EQ(shard_assignment(ref, 2, ShardStrategy::kHdrf, &prior,
-                                   nullptr, t),
+                                   nullptr, nullptr, t),
                   want)
             << t;
 }

@@ -912,13 +912,20 @@ enum class NaiveStreamKind { kLdg, kFennel, kHdrf };
 constexpr std::uint32_t kNaiveUnassigned = 0xFFFFFFFFu;
 
 /** The frozen streaming pass: a double score per neighbor, the
- * assignment / prior double lookup, and a touched-list reset. */
+ * assignment / prior double lookup, and a touched-list reset. With
+ * `weight`, a plain transcription of the weighted balance: loads are
+ * 64-bit weight sums W_p, ideal = ceil(W/P), cap = max(ideal,
+ * ceil(slack * ideal)), a partition is eligible while W_p < cap, LDG
+ * scales by 1 - W_p/ideal, Fennel's alpha = m * P^(gamma-1) / W^gamma
+ * and its penalty is alpha * gamma * w_v * W_p^(gamma-1), and HDRF's
+ * balance term reads the weighted loads. */
 inline std::vector<std::uint32_t>
 naive_stream_partition(const UndirectedCsr &adj,
                        std::uint32_t num_partitions,
                        const StreamingPartitionConfig &config,
                        NaiveStreamKind kind,
-                       const std::vector<std::uint32_t> *prior)
+                       const std::vector<std::uint32_t> *prior,
+                       const std::vector<std::uint32_t> *weight = nullptr)
 {
     if (num_partitions == 0)
         throw std::invalid_argument(
@@ -936,23 +943,29 @@ naive_stream_partition(const UndirectedCsr &adj,
         return assignment;
 
     const std::uint32_t P = num_partitions;
+    auto w_of = [&](NodeId v) -> std::uint64_t {
+        return weight == nullptr ? 1 : (*weight)[v];
+    };
+    std::uint64_t total = 0;
+    for (NodeId v = 0; v < n; ++v)
+        total += w_of(v);
 
-    const std::size_t ideal = (std::size_t(n) + P - 1) / P;
-    const std::size_t cap = std::max<std::size_t>(
+    const std::uint64_t ideal = (total + P - 1) / P;
+    const std::uint64_t cap = std::max<std::uint64_t>(
         ideal,
-        static_cast<std::size_t>(
+        static_cast<std::uint64_t>(
             std::ceil(config.balance_slack * double(ideal))));
 
-    // Fennel's standard alpha = m * P^(gamma-1) / n^gamma, with m the
+    // Fennel's standard alpha = m * P^(gamma-1) / W^gamma, with m the
     // number of distinct undirected edges.
     const double gamma = config.fennel_gamma;
     const double m_und = double(adj.nbr.size()) / 2.0;
     const double alpha =
         m_und * std::pow(double(P), gamma - 1.0) /
-        std::pow(double(n), gamma);
+        std::pow(double(total), gamma);
 
     std::fill(assignment.begin(), assignment.end(), kNaiveUnassigned);
-    std::vector<std::size_t> load(P, 0);
+    std::vector<std::uint64_t> load(P, 0);
     std::vector<double> pull(P, 0.0); ///< per-partition neighbor score
     std::vector<std::uint32_t> touched;
     touched.reserve(P);
@@ -990,7 +1003,7 @@ naive_stream_partition(const UndirectedCsr &adj,
 
         std::uint32_t best = kNaiveUnassigned;
         double best_score = 0.0;
-        std::size_t best_load = 0;
+        std::uint64_t best_load = 0;
         for (std::uint32_t p = 0; p < P; ++p) {
             if (load[p] >= cap)
                 continue; // hard balance bound
@@ -1001,7 +1014,7 @@ naive_stream_partition(const UndirectedCsr &adj,
                 break;
               case NaiveStreamKind::kFennel:
                 score = pull[p] -
-                        alpha * gamma *
+                        alpha * gamma * double(w_of(v)) *
                             std::pow(double(load[p]), gamma - 1.0);
                 break;
               case NaiveStreamKind::kHdrf:
@@ -1018,7 +1031,7 @@ naive_stream_partition(const UndirectedCsr &adj,
             }
         }
         assignment[v] = best;
-        ++load[best];
+        load[best] += w_of(v);
 
         for (std::uint32_t p : touched)
             pull[p] = 0.0;
