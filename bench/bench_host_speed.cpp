@@ -185,7 +185,7 @@ main(int argc, char **argv)
         const double replication = plan.replication_factor;
 
         // ---- run: functional pass + per-die structural pricing ----
-        ShardedRunResult result;
+        RunResult result;
         timed("run", [&] {
             result = run_ghost_plan(model, EngineConfig{}, sample,
                                     std::move(plan), RunOptions{},
@@ -223,7 +223,7 @@ main(int argc, char **argv)
             lo.feature_seed = kFeatureSeed;
             GraphSample mem = load_graph_sample(graph_file, lo);
             GhostPlan mem_plan = make_ghost_plan(model, mem, cfg);
-            ShardedRunResult mem_result = run_ghost_plan(
+            RunResult mem_result = run_ghost_plan(
                 model, EngineConfig{}, mem, std::move(mem_plan),
                 RunOptions{}, cfg.link);
             match = mem_result.embeddings == result.embeddings &&

@@ -106,7 +106,7 @@ main(int argc, char **argv)
         } else {
             ShardConfig shard;
             shard.num_shards = job.width;
-            ShardedRunResult r =
+            RunResult r =
                 ShardedEngine(model, cfg, shard).run(job.sample);
             // Exchange-synchronous dies are busy or waiting for the
             // whole composed chain.
@@ -139,7 +139,7 @@ main(int argc, char **argv)
         pool.policy = policy;
         pool.start_paused = true;
         PoolScheduler scheduler(model, cfg, pool);
-        std::vector<std::future<ShardedRunResult>> sharded;
+        std::vector<std::future<RunResult>> sharded;
         std::vector<std::future<RunResult>> singles;
         for (const TraceJob &job : trace) {
             if (job.width == 1) {

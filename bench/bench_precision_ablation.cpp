@@ -154,7 +154,7 @@ main()
             ShardConfig shard;
             shard.num_shards = p;
             shard.strategy = ShardStrategy::kFennel;
-            ShardedRunResult r =
+            RunResult r =
                 ShardedEngine(gcn16, ecfg, shard).run(big, opts);
             double drift = 0.0;
             for (std::size_t k = 0; k < r.embeddings.size(); ++k)

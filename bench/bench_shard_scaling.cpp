@@ -81,7 +81,7 @@ struct Point {
 
 /** Largest per-die resident footprint in one run's breakdown. */
 std::uint64_t
-peak_resident(const ShardedRunResult &r)
+peak_resident(const RunResult &r)
 {
     std::uint64_t peak = 0;
     for (const ShardInfo &info : r.shards)
@@ -134,7 +134,7 @@ parse_list(const char *arg, Parse parse)
  * run's per-die breakdown (dropped empty slices own zero nodes and
  * cannot be the max). */
 double
-owned_imbalance(const ShardedRunResult &r, NodeId num_nodes,
+owned_imbalance(const RunResult &r, NodeId num_nodes,
                 std::uint32_t shards)
 {
     std::size_t max_owned = 0;
@@ -268,7 +268,7 @@ main(int argc, char **argv)
             cfg.num_shards = shards;
             cfg.strategy = strategy;
             cfg.restream_passes = restream_passes;
-            ShardedRunResult r = ShardedEngine(model, {}, cfg).run(sample);
+            RunResult r = ShardedEngine(model, {}, cfg).run(sample);
             Point p;
             p.strategy = shard_strategy_name(strategy);
             p.shards = shards;
@@ -490,7 +490,7 @@ main(int argc, char **argv)
                 ShardConfig cfg;
                 cfg.num_shards = shards;
                 cfg.strategy = strategy;
-                ShardedRunResult r =
+                RunResult r =
                     ShardedEngine(model, {}, cfg).run(family.sample);
                 SweepPoint p;
                 p.strategy = shard_strategy_name(strategy);

@@ -116,7 +116,7 @@ main(int argc, char **argv)
         bench::make_lattice_workload(6000 * scale, 16, 0x511);
     ShardConfig two;
     two.num_shards = 2;
-    ShardedRunResult wide_run =
+    RunResult wide_run =
         ShardedEngine(model, cfg, two).run(wide_sample);
     // Exchange-synchronous dies are busy or waiting for the whole
     // composed chain: P tasks of the run's total each.

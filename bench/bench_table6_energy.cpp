@@ -101,7 +101,7 @@ main()
         ShardConfig shard;
         shard.num_shards = dies;
         shard.strategy = ShardStrategy::kContiguous;
-        ShardedRunResult r =
+        RunResult r =
             ShardedEngine(gcn16, {}, shard).run(large);
         std::uint64_t link_words = 0;
         for (const ShardInfo &info : r.shards)

@@ -396,7 +396,7 @@ run_sharded_file(const CliOptions &opt)
     ShardConfig shard;
     shard.num_shards = opt.shards;
 
-    ShardedRunResult result;
+    RunResult result;
     profiler.stage("run", [&] {
         result = pool.submit_sharded(std::move(sample), shard).get();
     });

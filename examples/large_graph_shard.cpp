@@ -69,7 +69,7 @@ run_from_file(const std::string &path, std::uint32_t shards,
                 shards, shard_strategy_name(strategy),
                 message_hops(model));
     ShardedEngine sharded(model, engine_cfg, shard_cfg);
-    ShardedRunResult r = sharded.run(sample);
+    RunResult r = sharded.run(sample);
     for (const ShardInfo &info : r.shards)
         std::printf("  die %u: %7zu owned + %7zu ghost nodes, "
                     "%9zu edges, %10llu compute + %8llu comm cycles\n",
@@ -173,7 +173,7 @@ main(int argc, char **argv)
     auto small_future = pool.submit(small);
     auto large_future = pool.submit_sharded(large, shard_cfg);
     RunResult small_result = small_future.get();
-    ShardedRunResult large_result = large_future.get();
+    RunResult large_result = large_future.get();
 
     PoolStats st = pool.stats();
     std::printf("routing: %zu graph(s) on the fast path, %zu sharded "
@@ -196,7 +196,7 @@ main(int argc, char **argv)
 
     // ---- Per-die breakdown + equivalence check ----
     ShardedEngine sharded(model, {}, shard_cfg);
-    ShardedRunResult r = sharded.run(large);
+    RunResult r = sharded.run(large);
     std::printf("per-die breakdown (%s, %u exchanged layers, "
                 "cut %.3f, replication %.3f):\n",
                 shard_strategy_name(shard_cfg.strategy),

@@ -1,7 +1,5 @@
 #include "core/engine.h"
 
-#include <stdexcept>
-
 #include "core/phase_model.h"
 
 namespace flowgnn {
@@ -65,9 +63,6 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
                       unsigned threads) const
 {
     RunWorkspace::Impl &wsi = *ws.impl_;
-    const NodeId n_nodes = prepared.num_nodes();
-    if (n_nodes == 0)
-        throw std::invalid_argument("Engine: sample has no nodes");
 
     // ---- Values: the functional kernel runs this segment's stages
     // and decides where it ends (it polls the preemption token) ----
@@ -83,9 +78,12 @@ Engine::run_resumable(const SampleRef &prepared, const RunOptions &opts,
         model_.readout(result.embeddings, prepared.pool_nodes());
     result.stats = price_run(
         model_, config_, opts,
-        {prepared.graph, n_nodes, nullptr, prepared.node_dim,
+        {prepared.graph, prepared.num_nodes(), nullptr, prepared.node_dim,
          prepared.edge_dim},
         threads, wsi.pricing);
+    result.shards.clear();
+    result.cut_edges = 0;
+    result.replication_factor = 1.0;
     return outcome;
 }
 

@@ -27,7 +27,9 @@
 #ifndef FLOWGNN_CORE_ENGINE_H
 #define FLOWGNN_CORE_ENGINE_H
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/config.h"
 #include "core/functional.h"
@@ -37,14 +39,53 @@
 
 namespace flowgnn {
 
-/** Output of one engine run. */
+/** Per-die breakdown of one run over a ghost plan (ghost/ghost_plan.h).
+ * Units: *_cycles are kernel cycles at the die clock, *_words are
+ * 4-byte words. */
+struct ShardInfo {
+    /** Original shard index from the assignment (stable even when
+     * empty dies were dropped, so it may skip values). */
+    std::uint32_t shard = 0;
+    std::size_t owned_nodes = 0;
+    std::size_t ghost_nodes = 0;     ///< ghost (non-owned) vertices
+    std::size_t subgraph_edges = 0;  ///< edges in the die's subgraph
+    std::size_t fetched_edges = 0;   ///< subgraph edges not owned here
+    /** Link cycles charged to this die: the sum over its per-layer
+     * boundary exchanges, at LinkConfig::words_per_cycle plus
+     * latency_cycles per transfer. 0 for the die of a non-sharded
+     * plan. */
+    std::uint64_t comm_cycles = 0;
+    /** Total words this die sends across all per-layer exchanges
+     * (owned boundary embeddings, one copy per consuming die). */
+    std::uint64_t exchange_send_words = 0;
+    /** Total words this die receives across all per-layer exchanges
+     * (its ghost set's embeddings, each layer). */
+    std::uint64_t exchange_recv_words = 0;
+    /** Peak die-local memory footprint in 4-byte words: node records +
+     * double-buffered embeddings + edge records for everything the die
+     * keeps resident (~n/P plus the ghost fringe). */
+    std::uint64_t resident_words = 0;
+    RunStats stats;                  ///< the die's own engine stats
+};
+
+/** Output of one run: an Engine run, or a ghost plan's run on its
+ * dies. */
 struct RunResult {
-    /** Final node embeddings [num_nodes x embedding_dim]. */
+    /** Final node embeddings [num_nodes x embedding_dim], bit-identical
+     * however the run was sharded. */
     Matrix embeddings;
     /** Graph-level prediction from the pooled head. */
     float prediction = 0.0f;
-    /** Timing and utilization statistics. */
+    /** Timing and utilization statistics; for a sharded run, the
+     * composed multi-die statistics (compose_shard_stats). */
     RunStats stats;
+    /** One entry per die of a ghost plan's run (one for a non-sharded
+     * plan); empty for a plain Engine run. */
+    std::vector<ShardInfo> shards;
+    /** Partition quality of the plan the run used: 0 and 1.0 unless it
+     * was sharded. */
+    std::size_t cut_edges = 0;
+    double replication_factor = 1.0;
 
     /** Wall latency at the clock the engine was configured with. */
     double
@@ -147,11 +188,15 @@ class Engine
      * after the final stage (the epilogue is cheaper than a
      * checkpoint). The checkpoint holds values only: timing is a pure
      * function of (sample, config), so the segment that completes the
-     * run prices all of it. Resuming from the returned checkpoint — on
+     * run prices all of it, and clears `result`'s per-die fields
+     * (`shards`, `cut_edges`, `replication_factor`) a reused result
+     * may still hold. Resuming from the returned checkpoint — on
      * this engine or any identically-configured one — produces
      * embeddings, prediction, and RunStats bit-identical to an
      * uninterrupted run. The checkpoint's buffers are consumed (moved
-     * from) on resume.
+     * from) on resume. This is also the body of a non-sharded ghost
+     * plan's run (run_ghost_plan). Throws std::invalid_argument on a
+     * malformed sample (functional_forward).
      */
     SegmentOutcome run_resumable(const SampleRef &prepared,
                                  const RunOptions &opts, RunWorkspace &ws,

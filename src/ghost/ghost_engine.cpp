@@ -61,7 +61,7 @@ emit_modeled_timeline(obs::TraceSession &session,
 
 } // namespace
 
-ShardedRunResult
+RunResult
 run_ghost_plan(const Model &model, const EngineConfig &config,
                const SampleRef &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link,
@@ -72,7 +72,7 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
     RunOptions whole = opts;
     whole.preempt = nullptr;
     LayerCheckpoint ckpt;
-    ShardedRunResult out;
+    RunResult out;
     run_ghost_plan(model, config, prepared, plan, whole, link, ckpt, out,
                    std::size_t(-1), host_cores);
     return out;
@@ -82,9 +82,23 @@ SegmentOutcome
 run_ghost_plan(const Model &model, const EngineConfig &config,
                const SampleRef &prepared, const GhostPlan &plan,
                const RunOptions &opts, const LinkConfig &link,
-               LayerCheckpoint &ckpt, ShardedRunResult &out,
+               LayerCheckpoint &ckpt, RunResult &out,
                std::size_t max_stages, unsigned host_cores)
 {
+    if (!plan.sharded) {
+        // Fallback: one die over the whole sample is an Engine run.
+        RunWorkspace ws;
+        const SegmentOutcome outcome = Engine(model, config).run_resumable(
+            prepared, opts, ws, ckpt, out, max_stages, host_cores);
+        if (outcome == SegmentOutcome::kComplete) {
+            out.shards.assign(1, plan.shards.front().info);
+            out.shards.back().stats = out.stats;
+            out.cut_edges = plan.cut_edges;
+            out.replication_factor = plan.replication_factor;
+        }
+        return outcome;
+    }
+
     config.validate();
     obs::TraceSession *session = obs::TraceSession::current();
     const std::uint64_t run_start_ns =
@@ -109,23 +123,9 @@ run_ghost_plan(const Model &model, const EngineConfig &config,
             SegmentOutcome::kPreempted)
             return SegmentOutcome::kPreempted;
     }
-    out = ShardedRunResult{};
+    out = RunResult{};
     out.embeddings = std::move(embeddings);
     out.prediction = model.readout(out.embeddings, prepared.pool_nodes());
-
-    if (!plan.sharded) {
-        // Fallback: one die over the whole sample, priced as Engine
-        // prices it.
-        PricingScratch scratch;
-        out.stats = price_run(model, config, opts,
-                              {prepared.graph, prepared.num_nodes(),
-                               nullptr, prepared.node_dim,
-                               prepared.edge_dim},
-                              host_cores, scratch);
-        out.shards.push_back(plan.shards.front().info);
-        out.shards.back().stats = out.stats;
-        return SegmentOutcome::kComplete;
-    }
 
     // ---- Per-die timing, one thread per die ----
     std::vector<RunStats> per_die(plan.shards.size());
@@ -185,7 +185,7 @@ ShardedEngine::ShardedEngine(const Model &model, EngineConfig engine_config,
     shard_config_.validate();
 }
 
-ShardedRunResult
+RunResult
 ShardedEngine::run(const GraphSample &sample, const RunOptions &opts) const
 {
     opts.validate();

@@ -12,7 +12,8 @@
  * over its local subgraph (owned vertices pay full NT work; ghost
  * vertices re-stream their received embeddings at zero accumulate
  * cost, GAT ghosts pay the local projection). This is the rule
- * Engine::run_resumable follows for one die. The kernel's gathers fold
+ * Engine::run_resumable follows for one die, and a non-sharded plan's
+ * run is exactly that Engine run. The kernel's gathers fold
  * each destination's messages in src-major order, exactly as in an
  * unsharded run, so ghost results are bit-identical to unsharded runs
  * in every pipeline mode and at every NT-unit count.
@@ -30,9 +31,10 @@ namespace flowgnn {
 
 /**
  * Runs a ghost plan to completion: one global functional pass + P
- * concurrent per-die timing passes, composed into one
- * ShardedRunResult. A non-sharded (fallback) plan is priced as one
- * die over the whole sample, exactly as Engine prices it. `link`
+ * concurrent per-die timing passes, composed into one RunResult with
+ * one `shards` entry per die. A non-sharded (fallback) plan runs as
+ * Engine::run_resumable over the whole sample, plus the plan's one
+ * ShardInfo, `cut_edges` (0) and `replication_factor` (1.0). `link`
  * prices nothing here — the plan already did — but its `overlap` flag
  * picks the comm/compute composition. The plan is only read. Throws
  * std::invalid_argument on an invalid `config` or a malformed sample.
@@ -44,13 +46,10 @@ namespace flowgnn {
  * the per-die timing passes already run one thread per die). The
  * ref's backing must stay alive for the duration of the call.
  */
-ShardedRunResult run_ghost_plan(const Model &model,
-                                const EngineConfig &config,
-                                const SampleRef &prepared,
-                                const GhostPlan &plan,
-                                const RunOptions &opts,
-                                const LinkConfig &link,
-                                unsigned threads = 0);
+RunResult run_ghost_plan(const Model &model, const EngineConfig &config,
+                         const SampleRef &prepared, const GhostPlan &plan,
+                         const RunOptions &opts, const LinkConfig &link,
+                         unsigned threads = 0);
 
 /**
  * Resumable ghost run, with Engine::run_resumable's contract: the
@@ -72,7 +71,7 @@ SegmentOutcome run_ghost_plan(const Model &model,
                               const RunOptions &opts,
                               const LinkConfig &link,
                               LayerCheckpoint &ckpt,
-                              ShardedRunResult &result,
+                              RunResult &result,
                               std::size_t max_stages = std::size_t(-1),
                               unsigned threads = 0);
 
@@ -94,8 +93,8 @@ class ShardedEngine
      * connected to every node, so every vertex would be a boundary
      * vertex and each exchange would ship the whole graph.
      */
-    ShardedRunResult run(const GraphSample &sample,
-                         const RunOptions &opts = {}) const;
+    RunResult run(const GraphSample &sample,
+                  const RunOptions &opts = {}) const;
 
   private:
     const Model &model_;

@@ -10,8 +10,8 @@
  * generated from LoadOptions (the same N(0, 0.5) distribution every
  * synthetic workload in the repo uses). The result is an ordinary
  * GraphSample — Engine, ShardedEngine (ghost/ghost_engine.h) and pool
- * jobs accept it unchanged; nothing downstream knows the graph came
- * from storage.
+ * jobs accept it unchanged and answer with the same RunResult; nothing
+ * downstream knows the graph came from storage.
  */
 #ifndef FLOWGNN_IO_LOAD_H
 #define FLOWGNN_IO_LOAD_H

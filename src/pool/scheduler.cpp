@@ -48,17 +48,16 @@ dispatch_config(const PoolConfig &config)
 
 /** One admitted job: immutable inputs plus mutable dispatch and
  * completion state guarded by the scheduler mutex. A whole-graph job
- * is its raw sample, prepared in place by the die that first runs it,
- * and its RunResult goes straight to the promise. A sharded job
- * carries its ghost plan; whichever of its dies runs the plan writes
- * the one result. */
+ * is its raw sample, prepared in place by the die that first runs it.
+ * A sharded job carries its ghost plan; whichever of its dies runs
+ * the plan writes the job's one result. Either kind's RunResult goes
+ * straight to the one promise. */
 struct PoolScheduler::Job {
-    /** What only sharded jobs carry. */
+    /** What only sharded jobs carry: the plan, the link and the gang
+     * state. */
     struct Sharded {
         GhostPlan plan;
-        ShardedRunResult result;
         LinkConfig link{};
-        std::promise<ShardedRunResult> promise;
         /** Dies of the job holding a lease for the current run, or
          * for the next one while the gang forms. */
         std::size_t holding = 0;
@@ -80,10 +79,10 @@ struct PoolScheduler::Job {
     GraphSample sample;
     RunOptions opts;
     std::unique_ptr<Sharded> sharded; ///< null for whole-graph jobs
-    RunResult result;     ///< whole-graph jobs
+    RunResult result;
     LayerCheckpoint ckpt; ///< layer-boundary resume, both job kinds
     std::exception_ptr error;
-    std::promise<RunResult> promise; ///< whole-graph jobs
+    std::promise<RunResult> promise;
 };
 
 PoolScheduler::PoolScheduler(const Model &model, EngineConfig engine_config,
@@ -329,7 +328,7 @@ PoolScheduler::run_sharded(std::size_t die, Job &job)
     try {
         yielded = run_ghost_plan(model_, pool_.engine(die).config(),
                                  SampleRef(job.sample), sh.plan, opts,
-                                 sh.link, job.ckpt, sh.result,
+                                 sh.link, job.ckpt, job.result,
                                  std::size_t(-1),
                                  1) == SegmentOutcome::kPreempted;
     } catch (...) {
@@ -352,7 +351,6 @@ void
 PoolScheduler::finalize(JobPtr jobp)
 {
     Job &job = *jobp;
-    Job::Sharded *sh = job.sharded.get();
     const bool ok = !job.error;
 
     // Count the completion BEFORE fulfilling the promise, so a caller
@@ -373,22 +371,16 @@ PoolScheduler::finalize(JobPtr jobp)
     }
     {
         MutexLock lock(&mutex_);
-        PoolPathStats &path = sh ? sharded_ : fast_;
+        PoolPathStats &path = job.sharded ? sharded_ : fast_;
         path.completed += ok;
         path.failed += !ok;
     }
     idle_.notify_all();
 
-    if (!ok) {
-        if (sh)
-            sh->promise.set_exception(job.error);
-        else
-            job.promise.set_exception(job.error);
-    } else if (sh) {
-        sh->promise.set_value(std::move(sh->result));
-    } else {
+    if (!ok)
+        job.promise.set_exception(job.error);
+    else
         job.promise.set_value(std::move(job.result));
-    }
 }
 
 void
@@ -465,7 +457,7 @@ PoolScheduler::submit(GraphSample sample, const RunOptions &opts,
     return future;
 }
 
-std::future<ShardedRunResult>
+std::future<RunResult>
 PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
                               const RunOptions &opts, const JobSpec &spec)
 {
@@ -490,7 +482,7 @@ PoolScheduler::submit_sharded(GraphSample sample, const ShardConfig &shard,
         obs::Span plan_span(obs::Track::kShard, span_name);
         sh.plan = make_ghost_plan(model_, job->sample, clamped, 1);
     }
-    std::future<ShardedRunResult> future = sh.promise.get_future();
+    std::future<RunResult> future = job->promise.get_future();
     admit(std::move(job));
     return future;
 }

@@ -12,6 +12,7 @@
  * occupancy, die leases, energy and autoscaler therefore see the P
  * dies the job models. Results are bit-identical to isolated runs
  * regardless of policy or interleaving: every run is deterministic.
+ * Both kinds answer with one RunResult through one future.
  *
  * Policy (PoolConfig::policy; semantics at PoolPolicy in
  * pool/dispatch.h): FIFO gang, work-conserving space share, aging
@@ -228,14 +229,15 @@ class PoolScheduler
      * min(shard.num_shards, num_dies) dies (clamped so a job can never
      * be wider than the pool) and the job takes the plan's effective
      * P dies, dispatched per the pool policy. The future carries the
-     * ShardedRunResult — identical to ShardedEngine::run with the same
-     * clamped config. The sample is prepared and planned here, so a
-     * malformed one throws std::invalid_argument from this call.
+     * RunResult, with one `shards` entry per die — identical to
+     * ShardedEngine::run with the same clamped config. The sample is
+     * prepared and planned here, so a malformed one throws
+     * std::invalid_argument from this call.
      */
-    std::future<ShardedRunResult> submit_sharded(GraphSample sample,
-                                                 const ShardConfig &shard,
-                                                 const RunOptions &opts = {},
-                                                 const JobSpec &spec = {});
+    std::future<RunResult> submit_sharded(GraphSample sample,
+                                          const ShardConfig &shard,
+                                          const RunOptions &opts = {},
+                                          const JobSpec &spec = {});
 
     /** Blocks until every accepted job has completed. */
     void drain();

@@ -1,8 +1,9 @@
 /**
  * @file
- * The shapes shared by every sharded run: the inter-die link model,
- * the scale-out config, the per-die breakdown and the run's result,
- * plus the node -> die assignment a plan shards by. Planning and
+ * The shapes shared by every sharded run: the inter-die link model and
+ * the scale-out config, plus the node -> die assignment a plan shards
+ * by. A sharded run returns the Engine's RunResult, whose ShardInfo
+ * entries (core/engine.h) hold the per-die breakdown. Planning and
  * execution live in src/ghost (make_ghost_plan / run_ghost_plan, and
  * ShardedEngine, which chains them for one job on all its dies).
  *
@@ -88,53 +89,10 @@ struct ShardConfig {
     }
 };
 
-/** Per-die breakdown of one sharded run. */
-struct ShardInfo {
-    /** Original shard index from the assignment (stable even when
-     * empty dies were dropped, so it may skip values). */
-    std::uint32_t shard = 0;
-    std::size_t owned_nodes = 0;
-    std::size_t ghost_nodes = 0;     ///< ghost (non-owned) vertices
-    std::size_t subgraph_edges = 0;  ///< edges in the die's subgraph
-    std::size_t fetched_edges = 0;   ///< subgraph edges not owned here
-    /** Link cycles charged to this die: the sum over its per-layer
-     * boundary exchanges, at LinkConfig::words_per_cycle plus
-     * latency_cycles per transfer. 0 for the die of a non-sharded
-     * plan. */
-    std::uint64_t comm_cycles = 0;
-    /** Total words this die sends across all per-layer exchanges
-     * (owned boundary embeddings, one copy per consuming die). */
-    std::uint64_t exchange_send_words = 0;
-    /** Total words this die receives across all per-layer exchanges
-     * (its ghost set's embeddings, each layer). */
-    std::uint64_t exchange_recv_words = 0;
-    /** Peak die-local memory footprint in 4-byte words: node records +
-     * double-buffered embeddings + edge records for everything the die
-     * keeps resident (~n/P plus the ghost fringe). */
-    std::uint64_t resident_words = 0;
-    RunStats stats;                  ///< the die's own engine stats
-};
-
-/** Output of one sharded run: the single-graph answer plus the
- * per-die breakdown and the partition-quality metrics. */
-struct ShardedRunResult {
-    /** Final node embeddings [num_nodes x embedding_dim], bit-identical
-     * to an unsharded run's. */
-    Matrix embeddings;
-    /** Graph-level prediction from the pooled head. */
-    float prediction = 0.0f;
-    /** Composed multi-die statistics (see compose_shard_stats). */
-    RunStats stats;
-    std::vector<ShardInfo> shards;
-    std::size_t cut_edges = 0;
-    double replication_factor = 1.0;
-
-    double
-    latency_ms() const
-    {
-        return stats.latency_ms();
-    }
-};
+/** Kept only because the repository benchmark (perfbench/) names it:
+ * a sharded run returns a RunResult (core/engine.h), whose `shards`
+ * hold the per-die breakdown. */
+using ShardedRunResult = RunResult;
 
 /**
  * The model's message-passing depth: how many stages consume neighbor

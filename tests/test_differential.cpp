@@ -135,7 +135,7 @@ TEST(DifferentialFuzz, GhostMatchesUnshardedOn56RandomGraphs)
 
         Model model = make_model(kind, node_dim, edge_dim, seed);
         RunResult single = Engine(model, cfg).run(sample);
-        ShardedRunResult sharded =
+        RunResult sharded =
             ShardedEngine(model, cfg, shard).run(sample);
 
         ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());
@@ -186,7 +186,7 @@ TEST(DifferentialFuzz, GhostFixedPointStaysBitExactWhenOrderPreserved)
 
             Model model = make_model(kind, 8, 0, seed);
             RunResult single = Engine(model, cfg).run(sample, opts);
-            ShardedRunResult sharded =
+            RunResult sharded =
                 ShardedEngine(model, cfg, shard).run(sample, opts);
 
             EXPECT_EQ(
@@ -230,13 +230,13 @@ TEST(DifferentialFuzz, GhostPreemptAtEveryLayerBitIdentical)
 
         GhostPlan ref_plan = make_ghost_plan(model, prepared, shard);
         ASSERT_TRUE(ref_plan.sharded);
-        ShardedRunResult ref = run_ghost_plan(
+        RunResult ref = run_ghost_plan(
             model, cfg, prepared, std::move(ref_plan), opts, link);
 
         for (std::size_t k = 1;; ++k) {
             SCOPED_TRACE(::testing::Message() << "preempt at k=" << k);
             LayerCheckpoint ckpt;
-            ShardedRunResult got;
+            RunResult got;
             const GhostPlan plan = make_ghost_plan(model, prepared, shard);
             const bool hit_boundary =
                 run_ghost_plan(model, cfg, SampleRef(prepared), plan, opts,

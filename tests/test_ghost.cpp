@@ -41,7 +41,7 @@ make_chain(NodeId n)
 }
 
 std::uint64_t
-peak_resident(const ShardedRunResult &r)
+peak_resident(const RunResult &r)
 {
     std::uint64_t peak = 0;
     for (const ShardInfo &info : r.shards)
@@ -195,7 +195,7 @@ TEST(GhostPlan, EmptyBoundaryPaysNoCommAtAll)
     // unsharded answer bit for bit (single NT unit).
     EngineConfig ecfg;
     ecfg.p_node = 1;
-    ShardedRunResult sharded =
+    RunResult sharded =
         ShardedEngine(model, ecfg, cfg).run(sample);
     RunResult single = Engine(model, ecfg).run(sample);
     EXPECT_EQ(sharded.stats.comm_cycles, 0u);
@@ -225,7 +225,7 @@ TEST(GhostPlan, FewerNodesThanShardsDropsEmptyDies)
 
     EngineConfig ecfg;
     ecfg.p_node = 1;
-    ShardedRunResult sharded =
+    RunResult sharded =
         ShardedEngine(model, ecfg, cfg).run(sample);
     RunResult single = Engine(model, ecfg).run(sample);
     EXPECT_TRUE(sharded.embeddings == single.embeddings);
@@ -349,7 +349,7 @@ TEST(GhostPlan, StreamingPlansBalanceModeledDieCycles)
 
                     if (!c.cycles_bounded)
                         continue;
-                    const ShardedRunResult r = run_ghost_plan(
+                    const RunResult r = run_ghost_plan(
                         model, {}, prepared, plan, {}, cfg.link, 3);
                     std::uint64_t max_cycles = 0;
                     double sum = 0.0;
@@ -387,8 +387,8 @@ TEST(GhostEngine, ResidentFootprintUnderHalfOneDieOnPowerLawGraph)
     eight.num_shards = 8;
     eight.strategy = ShardStrategy::kFennel;
 
-    ShardedRunResult r1 = ShardedEngine(model, ecfg, one).run(sample);
-    ShardedRunResult r8 = ShardedEngine(model, ecfg, eight).run(sample);
+    RunResult r1 = ShardedEngine(model, ecfg, one).run(sample);
+    RunResult r8 = ShardedEngine(model, ecfg, eight).run(sample);
 
     EXPECT_TRUE(r8.embeddings == r1.embeddings)
         << "sharding changes the timing model, never the math";
@@ -408,7 +408,7 @@ TEST(GhostEngine, LayeredCommComposesSerialChainsExactly)
     ShardConfig cfg;
     cfg.num_shards = 4;
     cfg.strategy = ShardStrategy::kContiguous;
-    ShardedRunResult r = ShardedEngine(model, {}, cfg).run(sample);
+    RunResult r = ShardedEngine(model, {}, cfg).run(sample);
 
     ASSERT_EQ(r.shards.size(), 4u);
     std::uint64_t slowest = 0;
@@ -440,8 +440,8 @@ TEST(GhostEngine, OverlapHidesExchangesAndKeepsTheAnswer)
     ShardConfig overlapped = serial;
     overlapped.link.overlap = true;
 
-    ShardedRunResult rs = ShardedEngine(model, {}, serial).run(sample);
-    ShardedRunResult ro =
+    RunResult rs = ShardedEngine(model, {}, serial).run(sample);
+    RunResult ro =
         ShardedEngine(model, {}, overlapped).run(sample);
 
     EXPECT_TRUE(ro.embeddings == rs.embeddings);
@@ -491,13 +491,13 @@ TEST(GhostPool, PoolGhostJobMatchesDirectRunOnPLeases)
     shard.num_shards = 4;
     shard.strategy = ShardStrategy::kContiguous;
 
-    ShardedRunResult direct =
+    RunResult direct =
         ShardedEngine(model, ecfg, shard).run(sample);
 
     PoolConfig pool_cfg;
     pool_cfg.num_dies = 4;
     PoolScheduler scheduler(model, ecfg, pool_cfg);
-    ShardedRunResult pooled =
+    RunResult pooled =
         scheduler.submit_sharded(sample, shard).get();
     scheduler.drain();
 
@@ -540,9 +540,9 @@ TEST(GhostPool, PriorityPreemptionOfGhostJobsNeverHangs)
     ShardConfig shard;
     shard.num_shards = 2;
     shard.strategy = ShardStrategy::kContiguous;
-    const ShardedRunResult want_a =
+    const RunResult want_a =
         ShardedEngine(model, ecfg, shard).run(big_a);
-    const ShardedRunResult want_b =
+    const RunResult want_b =
         ShardedEngine(model, ecfg, shard).run(big_b);
     Engine engine(model, ecfg);
 
@@ -571,8 +571,8 @@ TEST(GhostPool, PriorityPreemptionOfGhostJobsNeverHangs)
     for (auto &f : fs)
         ASSERT_EQ(f.wait_for(kTimeout), std::future_status::ready);
 
-    const ShardedRunResult ra = fa.get();
-    const ShardedRunResult rb = fb.get();
+    const RunResult ra = fa.get();
+    const RunResult rb = fb.get();
     EXPECT_TRUE(ra.embeddings == want_a.embeddings);
     EXPECT_EQ(ra.prediction, want_a.prediction);
     EXPECT_EQ(ra.stats.total_cycles, want_a.stats.total_cycles);

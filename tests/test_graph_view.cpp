@@ -496,7 +496,7 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
     cfg.restream_passes = 2;
 
     GhostPlan plan = make_ghost_plan(model, sample, cfg, 4);
-    ShardedRunResult ooc =
+    RunResult ooc =
         run_ghost_plan(model, EngineConfig{}, sample, std::move(plan),
                        RunOptions{}, cfg.link, 4);
 
@@ -505,7 +505,7 @@ TEST(OutOfCoreDifferentialTest, GhostRunBitIdenticalToInMemory)
     lo.feature_seed = 0x5EED;
     GraphSample mem = load_graph_sample(g.path, lo);
     GhostPlan mem_plan = make_ghost_plan(model, mem, cfg, 1);
-    ShardedRunResult in_mem =
+    RunResult in_mem =
         run_ghost_plan(model, EngineConfig{}, mem,
                        std::move(mem_plan), RunOptions{}, cfg.link, 1);
 

@@ -624,7 +624,7 @@ TEST(ShardedFromFileTest, FennelShardedRunBitIdenticalToInMemory)
     shard_cfg.num_shards = 4;
     shard_cfg.strategy = ShardStrategy::kFennel;
 
-    ShardedRunResult from_disk =
+    RunResult from_disk =
         ShardedEngine(model, engine_cfg, shard_cfg).run(loaded);
     EXPECT_EQ(from_disk.shards.size(), 4u);
 

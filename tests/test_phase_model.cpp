@@ -5,11 +5,13 @@
  * field, trace events included, must match with tracing on and off,
  * across pipeline modes, queue depths, unit shapes, models and graph
  * shapes; through Engine resume at every layer boundary; per die of
- * ghost-exchange runs; through resumed one-die fallback plans; on
- * benchmark-scale graphs whose phases run long hub entries and deep
- * stalls; and phase by phase on random phase descriptions. Also pins that ring storage follows the phase's traffic, not
- * a user-set queue depth, and that no stage beats the roofline floor
- * of its NT and MP parallelism.
+ * ghost-exchange runs; through resumed one-die fallback plans, whose
+ * result is the Engine's plus one shard entry, also in a reused
+ * result; on benchmark-scale graphs whose phases run long hub entries
+ * and deep stalls; and phase by phase on random phase descriptions.
+ * Also pins that ring storage follows the phase's traffic, not a
+ * user-set queue depth, and that no stage beats the roofline floor of
+ * its NT and MP parallelism.
  */
 #include <gtest/gtest.h>
 
@@ -269,7 +271,7 @@ TEST(PhaseModelOracle, GhostPerDieStatsMatchAtThreeDies)
             cfg.mode = mode;
             RunOptions opts;
             opts.capture_trace = true;
-            const ShardedRunResult r = run_ghost_plan(
+            const RunResult r = run_ghost_plan(
                 model, cfg, prepared, std::move(plan), opts, shard.link);
             ASSERT_EQ(r.shards.size(), 3u);
             for (std::size_t d = 0; d < 3; ++d) {
@@ -306,7 +308,7 @@ TEST(PhaseModelOracle, GhostFallbackPlansResumeLikeTheEngine)
             RunOptions opts;
             opts.capture_trace = true;
             LayerCheckpoint ckpt;
-            ShardedRunResult r;
+            RunResult r;
             std::size_t segments = 0;
             while (run_ghost_plan(model, cfg, SampleRef(prepared), plan,
                                   opts, shard.link, ckpt, r, 1, 1) ==
@@ -321,6 +323,91 @@ TEST(PhaseModelOracle, GhostFallbackPlansResumeLikeTheEngine)
             EXPECT_TRUE(r.embeddings == want.embeddings);
             EXPECT_EQ(r.prediction, want.prediction);
         }
+}
+
+TEST(PhaseModelOracle, GhostFallbackPlansReturnTheEngineResult)
+{
+    // One shard (GCN-16), or a virtual node at P = 2 (GIN+VN): the
+    // result is the Engine's, plus the one die's shard entry.
+    const GraphSample s =
+        make_random_sample(make_permuted_ba(50, 31), 6, 3, 6);
+    for (ModelKind kind : {ModelKind::kGcn16, ModelKind::kGinVn}) {
+        const Model model = make_model(kind, 6, 3);
+        const GraphSample prepared = model.prepare(s);
+        ShardConfig shard;
+        shard.num_shards = kind == ModelKind::kGinVn ? 2 : 1;
+        const GhostPlan plan = make_ghost_plan(model, prepared, shard);
+        ASSERT_FALSE(plan.sharded);
+        const EngineConfig cfg;
+        RunOptions opts;
+        opts.capture_trace = true;
+        const RunResult got =
+            run_ghost_plan(model, cfg, prepared, plan, opts, shard.link);
+        RunWorkspace ws;
+        const RunResult want =
+            Engine(model, cfg).run_prepared(prepared, opts, ws);
+        EXPECT_TRUE(got.embeddings == want.embeddings);
+        EXPECT_EQ(got.prediction, want.prediction);
+        expect_same_stats(got.stats, want.stats);
+        ASSERT_EQ(got.shards.size(), 1u);
+        EXPECT_EQ(got.shards[0].owned_nodes, prepared.num_nodes());
+        expect_same_stats(got.shards[0].stats, got.stats);
+        EXPECT_EQ(got.cut_edges, 0u);
+        EXPECT_EQ(got.replication_factor, 1.0);
+        EXPECT_TRUE(want.shards.empty());
+    }
+}
+
+TEST(PhaseModelOracle, AReusedResultHoldsOnlyTheLastRunsDies)
+{
+    const GraphSample s =
+        make_random_sample(make_permuted_ba(90, 41), 6, 0, 7);
+    const Model model = make_model(ModelKind::kGcn16, 6, 0);
+    const GraphSample prepared = model.prepare(s);
+    ShardConfig three;
+    three.num_shards = 3;
+    three.strategy = ShardStrategy::kFennel;
+    const GhostPlan wide = make_ghost_plan(model, prepared, three);
+    ASSERT_EQ(wide.shards.size(), 3u);
+    ShardConfig one;
+    one.num_shards = 1;
+    const GhostPlan narrow = make_ghost_plan(model, prepared, one);
+    ASSERT_FALSE(narrow.sharded);
+    const EngineConfig cfg;
+    const RunOptions opts;
+    RunWorkspace ws;
+    const RunResult want =
+        Engine(model, cfg).run_prepared(prepared, opts, ws);
+    LayerCheckpoint ckpt;
+    auto run_wide = [&](RunResult &r) {
+        ASSERT_EQ(run_ghost_plan(model, cfg, prepared, wide, opts,
+                                 three.link, ckpt, r),
+                  SegmentOutcome::kComplete);
+        ASSERT_EQ(r.shards.size(), 3u);
+        ASSERT_GT(r.cut_edges, 0u);
+        ASSERT_GT(r.replication_factor, 1.0);
+    };
+
+    RunResult reused;
+    run_wide(reused);
+    ASSERT_EQ(Engine(model, cfg).run_resumable(prepared, opts, ws, ckpt,
+                                               reused),
+              SegmentOutcome::kComplete);
+    EXPECT_TRUE(reused.shards.empty());
+    EXPECT_EQ(reused.cut_edges, 0u);
+    EXPECT_EQ(reused.replication_factor, 1.0);
+    expect_same_stats(reused.stats, want.stats);
+
+    run_wide(reused);
+    ASSERT_EQ(run_ghost_plan(model, cfg, prepared, narrow, opts, one.link,
+                             ckpt, reused),
+              SegmentOutcome::kComplete);
+    ASSERT_EQ(reused.shards.size(), 1u);
+    EXPECT_EQ(reused.shards[0].owned_nodes, prepared.num_nodes());
+    expect_same_stats(reused.shards[0].stats, want.stats);
+    EXPECT_EQ(reused.cut_edges, 0u);
+    EXPECT_EQ(reused.replication_factor, 1.0);
+    expect_same_stats(reused.stats, want.stats);
 }
 
 TEST(PhaseModelOracle, BenchmarkScaleGraphsMatch)

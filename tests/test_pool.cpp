@@ -191,9 +191,9 @@ TEST(PoolScheduler, ShardedJobMatchesShardedEngine)
     pool.num_dies = 4;
     PoolScheduler scheduler(model, cfg, pool);
 
-    ShardedRunResult pooled =
+    RunResult pooled =
         scheduler.submit_sharded(sample, shard).get();
-    ShardedRunResult direct =
+    RunResult direct =
         ShardedEngine(model, cfg, shard).run(sample);
 
     EXPECT_TRUE(pooled.embeddings == direct.embeddings);
@@ -214,7 +214,7 @@ TEST(PoolScheduler, ClampsJobsWiderThanThePool)
     PoolConfig pool;
     pool.num_dies = 2;
     PoolScheduler scheduler(model, {}, pool);
-    ShardedRunResult r = scheduler.submit_sharded(sample, shard).get();
+    RunResult r = scheduler.submit_sharded(sample, shard).get();
     EXPECT_EQ(r.shards.size(), 2u)
         << "a job can never be wider than the pool";
 }
@@ -247,8 +247,8 @@ TEST(PoolScheduler, TwoP2JobsFillFourDiesAndStayBitIdentical)
     // Four idle dies, four pending tasks: starting the pool dispatches
     // every task before any can finish.
     scheduler.start();
-    ShardedRunResult ra = fa.get();
-    ShardedRunResult rb = fb.get();
+    RunResult ra = fa.get();
+    RunResult rb = fb.get();
     scheduler.drain();
 
     PoolStats st = scheduler.stats();
@@ -258,8 +258,8 @@ TEST(PoolScheduler, TwoP2JobsFillFourDiesAndStayBitIdentical)
     EXPECT_FALSE(st.occupancy.empty());
 
     ShardedEngine isolated(model, cfg, shard);
-    ShardedRunResult ia = isolated.run(a);
-    ShardedRunResult ib = isolated.run(b);
+    RunResult ia = isolated.run(a);
+    RunResult ib = isolated.run(b);
     EXPECT_TRUE(ra.embeddings == ia.embeddings);
     EXPECT_TRUE(rb.embeddings == ib.embeddings);
     EXPECT_EQ(ra.prediction, ia.prediction);
@@ -300,7 +300,7 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
     Engine e1(model, cfg);
     // Exchange-synchronous dies are busy or waiting for the whole
     // composed chain: P tasks of the run's total each.
-    auto task_cycles = [](const ShardedRunResult &r) {
+    auto task_cycles = [](const RunResult &r) {
         return std::vector<std::uint64_t>(r.shards.size(),
                                           r.stats.total_cycles);
     };
@@ -332,7 +332,7 @@ TEST(PoolScheduler, MixedTraceSpaceShareBeatsFifoGang)
         pool.policy = policy;
         pool.start_paused = true;
         PoolScheduler scheduler(model, cfg, pool);
-        std::vector<std::future<ShardedRunResult>> sharded;
+        std::vector<std::future<RunResult>> sharded;
         sharded.push_back(scheduler.submit_sharded(wide2, p2));
         sharded.push_back(scheduler.submit_sharded(wide3, p3));
         std::vector<std::future<RunResult>> singles;
@@ -460,7 +460,7 @@ TEST(PoolScheduler, EveryPolicySameAnswersDifferentSchedule)
 
     Engine reference(model, cfg);
     RunResult small_ref = reference.run(small);
-    ShardedRunResult large_ref =
+    RunResult large_ref =
         ShardedEngine(model, cfg, shard).run(large);
 
     for (PoolPolicy policy :
@@ -473,7 +473,7 @@ TEST(PoolScheduler, EveryPolicySameAnswersDifferentSchedule)
         auto fs = scheduler.submit(small, {}, JobSpec{.priority = 1});
         auto fl = scheduler.submit_sharded(large, shard);
         RunResult rs = fs.get();
-        ShardedRunResult rl = fl.get();
+        RunResult rl = fl.get();
         EXPECT_TRUE(rs.embeddings == small_ref.embeddings)
             << pool_policy_name(policy);
         EXPECT_TRUE(rl.embeddings == large_ref.embeddings)
@@ -629,7 +629,7 @@ TEST(PoolRouting, MixedStressStaysBitIdenticalAndDropsNothing)
 
     // Interleave: every 5th submission is large.
     std::vector<std::future<RunResult>> small_futures;
-    std::vector<std::future<ShardedRunResult>> large_futures;
+    std::vector<std::future<RunResult>> large_futures;
     int s = 0, l = 0;
     while (s < kSmall || l < kLarge) {
         for (int k = 0; k < 5 && s < kSmall; ++k, ++s)
@@ -649,8 +649,8 @@ TEST(PoolRouting, MixedStressStaysBitIdenticalAndDropsNothing)
         EXPECT_EQ(pooled.prediction, direct.prediction) << i;
     }
     for (int i = 0; i < kLarge; ++i) {
-        ShardedRunResult pooled = large_futures[i].get();
-        ShardedRunResult direct = sharded_ref.run(large_samples[i]);
+        RunResult pooled = large_futures[i].get();
+        RunResult direct = sharded_ref.run(large_samples[i]);
         EXPECT_TRUE(pooled.embeddings == direct.embeddings) << i;
         EXPECT_EQ(pooled.prediction, direct.prediction) << i;
         EXPECT_GT(pooled.stats.comm_cycles, 0u) << i;

@@ -6,7 +6,9 @@
  * pool's two submits and the service — ends in std::invalid_argument
  * instead of reading past a section. An already-prepared GraphSample
  * is checked by its SampleRef conversion (section lengths) and by the
- * planner's and the functional kernel's edge scans (endpoints).
+ * planner's and the functional kernel's edge scans (endpoints). An
+ * empty sample is stopped by the functional kernel alone, on every
+ * run path.
  */
 #include <gtest/gtest.h>
 
@@ -93,6 +95,29 @@ TEST(SampleDoors, ShardedEngineRunThrows)
         EXPECT_THROW(ShardedEngine(model, {}, shard).run(c.sample),
                      std::invalid_argument);
     }
+}
+
+TEST(SampleDoors, AnEmptySampleThrowsFromEveryRunPath)
+{
+    // GCN adds no virtual node, so the sample reaches the functional
+    // kernel with no nodes, and its one check stops every path.
+    const Model model = make_model(ModelKind::kGcn, kNodeDim, 0);
+    GraphSample empty;
+    empty.node_features = Matrix(0, kNodeDim);
+    EXPECT_THROW(Engine(model).run(empty), std::invalid_argument);
+    RunWorkspace ws;
+    EXPECT_THROW(Engine(model).run_prepared(empty, {}, ws),
+                 std::invalid_argument);
+    ShardConfig one;
+    one.num_shards = 1;
+    const GhostPlan plan = make_ghost_plan(model, empty, one);
+    ASSERT_FALSE(plan.sharded);
+    EXPECT_THROW(run_ghost_plan(model, {}, empty, plan, {}, one.link),
+                 std::invalid_argument);
+    ShardConfig two;
+    two.num_shards = 2;
+    EXPECT_THROW(ShardedEngine(model, {}, two).run(empty),
+                 std::invalid_argument);
 }
 
 TEST(SampleDoors, PoolFutureThrowsThenThePoolServesAGoodJob)

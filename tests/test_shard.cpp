@@ -228,7 +228,7 @@ TEST(ShardedEngine, BitExactWithSingleNtUnitAcrossModels)
           ModelKind::kSgc}) {
         Model model = make_model(kind, 9, 3);
         RunResult single = Engine(model, cfg).run(sample);
-        ShardedRunResult sharded =
+        RunResult sharded =
             ShardedEngine(model, cfg, shard).run(sample);
 
         EXPECT_TRUE(sharded.embeddings == single.embeddings)
@@ -258,7 +258,7 @@ TEST(ShardedEngine, EveryStrategyWithinToleranceAtDefaultConfig)
         ShardConfig shard;
         shard.num_shards = 4;
         shard.strategy = strategy;
-        ShardedRunResult sharded =
+        RunResult sharded =
             ShardedEngine(model, {}, shard).run(sample);
         EXPECT_LT(max_abs_diff(sharded.embeddings, single.embeddings),
                   1e-4f)
@@ -277,7 +277,7 @@ TEST(ShardedEngine, VirtualNodeModelFallsBackToSingleDie)
 
     ShardConfig shard;
     shard.num_shards = 4;
-    ShardedRunResult sharded =
+    RunResult sharded =
         ShardedEngine(model, {}, shard).run(sample);
     RunResult single = Engine(model, {}).run(sample);
 
@@ -298,7 +298,7 @@ TEST(ShardedEngine, MoreShardsThanNodesStillCorrect)
     cfg.p_node = 1;
     ShardConfig shard;
     shard.num_shards = 8;
-    ShardedRunResult sharded =
+    RunResult sharded =
         ShardedEngine(model, cfg, shard).run(sample);
     RunResult single = Engine(model, cfg).run(sample);
     EXPECT_TRUE(sharded.embeddings == single.embeddings);
@@ -317,7 +317,7 @@ TEST(ShardedEngine, CommCyclesAndStatsComposition)
     ShardConfig shard;
     shard.num_shards = 4;
     shard.strategy = ShardStrategy::kContiguous;
-    ShardedRunResult r = ShardedEngine(model, cfg, shard).run(sample);
+    RunResult r = ShardedEngine(model, cfg, shard).run(sample);
 
     ASSERT_EQ(r.shards.size(), 4u);
     std::uint64_t slowest = 0;
@@ -392,8 +392,8 @@ TEST(ShardedEngine, OverlapNeverSlowerThanSerialAndSameAnswer)
     ShardConfig overlapped = serial;
     overlapped.link.overlap = true;
 
-    ShardedRunResult rs = ShardedEngine(model, {}, serial).run(sample);
-    ShardedRunResult ro =
+    RunResult rs = ShardedEngine(model, {}, serial).run(sample);
+    RunResult ro =
         ShardedEngine(model, {}, overlapped).run(sample);
 
     EXPECT_TRUE(ro.embeddings == rs.embeddings)
@@ -451,7 +451,7 @@ TEST(PoolRouting, RoutesByThresholdAndMatchesDirectRuns)
     ASSERT_LT(small.num_nodes(), kShardThresholdNodes);
     ASSERT_GE(large.num_nodes(), kShardThresholdNodes);
     RunResult small_result = scheduler.submit(small).get();
-    ShardedRunResult large_result =
+    RunResult large_result =
         scheduler.submit_sharded(large, shard).get();
 
     PoolStats st = scheduler.stats();
@@ -462,7 +462,7 @@ TEST(PoolRouting, RoutesByThresholdAndMatchesDirectRuns)
     RunResult small_direct = Engine(model, cfg).run(small);
     EXPECT_TRUE(small_result.embeddings == small_direct.embeddings);
 
-    ShardedRunResult large_direct =
+    RunResult large_direct =
         ShardedEngine(model, cfg, shard).run(large);
     EXPECT_TRUE(large_result.embeddings == large_direct.embeddings);
     EXPECT_EQ(large_result.prediction, large_direct.prediction);
@@ -518,7 +518,7 @@ TEST(ShardPlanEffectiveP, AllLayersAgreeWhenRequestExceedsNodes)
     ASSERT_EQ(plan.shards.size(), 3u) << "one entry per non-empty die";
 
     RunResult single = Engine(model, cfg).run(sample);
-    ShardedRunResult direct =
+    RunResult direct =
         ShardedEngine(model, cfg, shard).run(sample);
     EXPECT_EQ(direct.shards.size(), 3u);
     EXPECT_EQ(direct.stats.die_cycles.size(), 3u)
@@ -533,7 +533,7 @@ TEST(ShardPlanEffectiveP, AllLayersAgreeWhenRequestExceedsNodes)
     PoolConfig pool_cfg;
     pool_cfg.num_dies = 4;
     PoolScheduler scheduler(model, cfg, pool_cfg);
-    ShardedRunResult pooled =
+    RunResult pooled =
         scheduler.submit_sharded(sample, shard).get();
     scheduler.drain();
     PoolStats st = scheduler.stats();
@@ -565,7 +565,7 @@ TEST(ShardedEngine, HundredThousandNodeShardedRunMatchesSingleEngine)
     ShardConfig shard;
     shard.num_shards = 4;
     shard.strategy = ShardStrategy::kContiguous;
-    ShardedRunResult sharded =
+    RunResult sharded =
         ShardedEngine(model, cfg, shard).run(sample);
 
     ASSERT_EQ(sharded.embeddings.rows(), single.embeddings.rows());

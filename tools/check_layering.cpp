@@ -2,7 +2,7 @@
  * @file
  * CLI for the include-layering lint (flowgnn::check leg 2): scans a
  * source root's #include graph and checks it against a layer spec.
- * All logic lives in src/check/layering.{h,cpp} so the fixture tests
+ * All logic lives in tools/check/layering.{h,cpp} so the fixture tests
  * exercise exactly what CI runs.
  *
  * Usage: check_layering <src-root> <layer-spec>
